@@ -15,6 +15,7 @@ threads. Randomness is counter-addressable: a draw is fully determined by
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -36,6 +37,12 @@ class ValidationError(ValueError):
 
 class ExactCapExceeded(RuntimeError):
     """Exact mode is infeasible at this size; use the Monte Carlo evaluators."""
+
+
+def check_finite(value: Scalar, what: str) -> None:
+    """Reject NaN and infinities, which slip through every ordered comparison."""
+    if not isinstance(value, (int, Fraction)) and not math.isfinite(value):
+        raise ValidationError(f"{what} is {value!r}, not a finite number")
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,7 @@ class TypeDistribution:
             row = dict(row)
             total: Scalar = 0
             for t, p in row.items():
+                check_finite(p, f"probability of type {t!r}")
                 if p < 0 or p > 1:
                     raise ValidationError(
                         f"probability of type {t!r} is {p!r}, outside [0, 1]"
@@ -210,29 +218,48 @@ class RandomStream:
         )
 
 
+def sample_type_codes(
+    universe: Universe,
+    dist: TypeDistribution,
+    stream: RandomStream,
+    count: int,
+) -> np.ndarray:
+    """Draw ``count`` joint type profiles as integer codes, one block per stream.
+
+    Entry ``[i, j]`` is the position of row ``i``'s type for element
+    ``universe.elements[j]`` within that element's type space. The whole
+    block is a single counter-addressed draw, which is what the Monte Carlo
+    evaluators parallelize over.
+    """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    gen = stream.generator()
+    u = gen.random((count, len(universe.elements)))
+    # columns with equal cumulative vectors share one searchsorted call
+    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
+    for j, e in enumerate(universe.elements):
+        cum = dist._cumulative(e, universe.type_space[e])
+        groups.setdefault(cum.tobytes(), (cum, []))[1].append(j)
+    codes = np.empty(u.shape, dtype=np.intp)
+    for cum, cols in groups.values():
+        picked = u if len(cols) == u.shape[1] else u[:, cols]  # one group: no copy
+        got = np.searchsorted(cum, picked, side="right")
+        codes[:, cols] = np.minimum(got, len(cum) - 1, out=got)
+    return codes
+
+
 def sample_type_profiles(
     universe: Universe,
     dist: TypeDistribution,
     stream: RandomStream,
     count: int,
 ) -> list[tuple[str, ...]]:
-    """Draw ``count`` joint type profiles as one block addressed by the stream.
-
-    Rows follow ``universe.elements`` order. The whole block is a single
-    counter-addressed draw, which is what the Monte Carlo evaluators
-    parallelize over.
-    """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    gen = stream.generator()
-    u = gen.random((count, len(universe.elements)))
-    columns: list[list[str]] = []
-    for j, e in enumerate(universe.elements):
-        order = universe.type_space[e]
-        cum = dist._cumulative(e, order)
-        idx = np.minimum(np.searchsorted(cum, u[:, j], side="right"), len(order) - 1)
-        columns.append([order[i] for i in idx])
-    return [tuple(col[i] for col in columns) for i in range(count)]
+    """The rows of :func:`sample_type_codes` as tuples of type ids."""
+    orders = [universe.type_space[e] for e in universe.elements]
+    return [
+        tuple(order[c] for order, c in zip(orders, row))
+        for row in sample_type_codes(universe, dist, stream, count).tolist()
+    ]
 
 
 def sample_type_vector(

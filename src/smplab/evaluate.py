@@ -32,7 +32,7 @@ from .core import (
     Universe,
     ValidationError,
     iter_type_profiles,
-    sample_type_profiles,
+    sample_type_codes,
 )
 from .families import IndependenceOracle
 from .strategy import ConstraintOracle, DecisionTree, validate_tree
@@ -286,6 +286,115 @@ def _finish_mc(values: np.ndarray, seed: int) -> EvalReport:
     )
 
 
+class _CodedTree:
+    """A decision tree compiled to integer tables for vectorized walks.
+
+    Nodes are numbered once per distinct object, so shared subtrees stay
+    shared; the root is node 0. ``column[v]`` is the universe index of node
+    ``v``'s element (-1 for a leaf) and ``child[v, c]`` the node reached
+    when that element takes the type at position ``c`` of its type space.
+    """
+
+    def __init__(self, tree: DecisionTree, universe: Universe):
+        index = {e: j for j, e in enumerate(universe.elements)}
+        spaces = [universe.type_space[e] for e in universe.elements]
+        sizes = [len(ts) for ts in spaces]
+        self.offset = np.cumsum([0] + sizes[:-1])
+        self.type_names = [t for ts in spaces for t in ts]
+        nodes = [tree]
+        ids = {id(tree): 0}
+        for node in nodes:  # grows while iterating: breadth-first numbering
+            for child in node.children.values():
+                if id(child) not in ids:
+                    ids[id(child)] = len(nodes)
+                    nodes.append(child)
+        self.column = np.full(len(nodes), -1, dtype=np.intp)
+        # every slot starts as a self-loop, so a leaf stays put on any code
+        width = max(sizes, default=1)
+        self.child = np.repeat(np.arange(len(nodes))[:, None], width, axis=1)
+        for v, node in enumerate(nodes):
+            if node.is_leaf:
+                continue
+            self.column[v] = index[node.element]
+            for c, t in enumerate(universe.type_space[node.element]):
+                self.child[v, c] = ids[id(node.children[t])]
+
+    def walk(self, virtual: np.ndarray, true: np.ndarray) -> np.ndarray:
+        """Global type ids revealed along each row's path, padded with -1.
+
+        The path follows the ``virtual`` codes; each probe reveals the
+        ``true`` code of its element. Row ``i`` of the result lists, level
+        by level, the element's offset plus ``true[i, element]``.
+        """
+        trial = np.arange(len(virtual))
+        node = np.zeros(len(virtual), dtype=np.intp)
+        levels = []
+        while True:
+            col = self.column[node]
+            live = col >= 0
+            if not live.any():
+                break
+            # rows already at a leaf read column -1: harmless, since their
+            # level is masked and their child entry is the leaf itself
+            levels.append(np.where(live, self.offset[col] + true[trial, col], -1))
+            node = self.child[node, virtual[trial, col]]
+        if not levels:
+            return np.empty((len(virtual), 0), dtype=np.intp)
+        return np.stack(levels, axis=1)
+
+    def values(self, rows: np.ndarray, f: ValuationFunction) -> np.ndarray:
+        """``float(f(types on the row))`` per row, calling ``f`` once per distinct row.
+
+        Distinct rows are valued in order of first occurrence, so a memoizing
+        valuation computes each set from the same path a row-by-row loop
+        would meet first.
+        """
+        distinct, first, inverse = np.unique(
+            rows, axis=0, return_index=True, return_inverse=True
+        )
+        names = self.type_names
+        got = np.empty(len(distinct))
+        listed = distinct.tolist()
+        for k in np.argsort(first).tolist():
+            got[k] = float(f(frozenset([names[g] for g in listed[k] if g >= 0])))
+        return got[inverse.reshape(-1)]
+
+
+def _path_mc(
+    tree: DecisionTree,
+    f: ValuationFunction,
+    universe: Universe,
+    dist: TypeDistribution,
+    trials: int,
+    seed: int,
+    workers: int,
+    resample: bool,
+) -> EvalReport:
+    """Walk virtual draws (stream 0) and value the revealed types.
+
+    The revealed types are the virtual ones, or with ``resample`` fresh
+    draws from stream 1 at the same counter.
+    """
+    validate_tree(tree, universe)
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
+    coded = _CodedTree(tree, universe)
+
+    def fill_block(b: int, values: np.ndarray) -> None:
+        start = b * MC_BLOCK
+        stop = min(trials, start + MC_BLOCK)
+
+        def draw(stream: int) -> np.ndarray:
+            addr = RandomStream(seed, stream=stream, counter=b)
+            return sample_type_codes(universe, dist, addr, stop - start)
+
+        virtual = draw(0)
+        true = draw(1) if resample else virtual
+        values[start:stop] = coded.values(coded.walk(virtual, true), f)
+
+    return _finish_mc(_mc_collect(trials, workers, fill_block), seed)
+
+
 def adap_mc(
     tree: DecisionTree,
     f: ValuationFunction,
@@ -297,27 +406,7 @@ def adap_mc(
     workers: int = 1,
 ) -> EvalReport:
     """Unbiased Monte Carlo estimate of the adaptive value."""
-    validate_tree(tree, universe)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    index = {e: i for i, e in enumerate(universe.elements)}
-
-    def fill_block(b: int, values: np.ndarray) -> None:
-        start = b * MC_BLOCK
-        stop = min(trials, start + MC_BLOCK)
-        rows = sample_type_profiles(
-            universe, dist, RandomStream(seed, stream=0, counter=b), stop - start
-        )
-        for i, row in enumerate(rows):
-            node = tree
-            got: list[str] = []
-            while not node.is_leaf:
-                t = row[index[node.element]]
-                got.append(t)
-                node = node.children[t]
-            values[start + i] = float(f(frozenset(got)))
-
-    return _finish_mc(_mc_collect(trials, workers, fill_block), seed)
+    return _path_mc(tree, f, universe, dist, trials, seed, workers, resample=False)
 
 
 def alg_mc(
@@ -331,33 +420,7 @@ def alg_mc(
     workers: int = 1,
 ) -> EvalReport:
     """Unbiased Monte Carlo estimate of the random-walk non-adaptive value."""
-    validate_tree(tree, universe)
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    index = {e: i for i, e in enumerate(universe.elements)}
-
-    def fill_block(b: int, values: np.ndarray) -> None:
-        start = b * MC_BLOCK
-        stop = min(trials, start + MC_BLOCK)
-        n = stop - start
-        virtual = sample_type_profiles(
-            universe, dist, RandomStream(seed, stream=0, counter=b), n
-        )
-        true = sample_type_profiles(
-            universe, dist, RandomStream(seed, stream=1, counter=b), n
-        )
-        for i in range(n):
-            vrow = virtual[i]
-            trow = true[i]
-            node = tree
-            got: list[str] = []
-            while not node.is_leaf:
-                j = index[node.element]
-                got.append(trow[j])
-                node = node.children[vrow[j]]
-            values[start + i] = float(f(frozenset(got)))
-
-    return _finish_mc(_mc_collect(trials, workers, fill_block), seed)
+    return _path_mc(tree, f, universe, dist, trials, seed, workers, resample=True)
 
 
 def best_nonadaptive_exact(

@@ -78,10 +78,7 @@ def _pairs(mapping: Mapping[Any, Scalar]) -> list[list]:
 
 def _unpairs(pairs) -> dict:
     try:
-        return {
-            (key if isinstance(key, (str, int)) else key): str_to_scalar(val)
-            for key, val in pairs
-        }
+        return {key: str_to_scalar(val) for key, val in pairs}
     except (TypeError, ValueError) as exc:
         raise ParseError("expected a list of [label, scalar] pairs") from exc
 
@@ -320,6 +317,12 @@ def serialize_instance(bundle: InstanceBundle) -> str:
     return json.dumps(instance_to_dict(bundle), indent=2, sort_keys=True) + "\n"
 
 
+def _object(value, field: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{field} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
 def instance_from_dict(doc: dict) -> InstanceBundle:
     if not isinstance(doc, dict) or doc.get("schema") != INSTANCE_SCHEMA:
         raise ParseError(f"expected schema {INSTANCE_SCHEMA!r}")
@@ -328,10 +331,14 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
         universe = Universe(
             tuple(uni["elements"]), {e: tuple(ts) for e, ts in uni["types"].items()}
         )
+        rows = _object(doc["distribution"], "distribution")
         dist = TypeDistribution(
             {
-                e: {t: str_to_scalar(p) for t, p in row.items()}
-                for e, row in doc["distribution"].items()
+                e: {
+                    t: str_to_scalar(p)
+                    for t, p in _object(row, f"distribution[{e!r}]").items()
+                }
+                for e, row in rows.items()
             }
         )
         valuation = valuation_from_dict(doc["valuation"])
@@ -340,7 +347,7 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
         metadata = _meta_from_json(doc.get("metadata", {}))
     except ParseError:
         raise
-    except (KeyError, TypeError, ValidationError) as exc:
+    except (AttributeError, KeyError, TypeError, ValidationError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from exc
     dist.validate_against(universe)
     return InstanceBundle(universe, dist, valuation, constraint, tree, metadata)

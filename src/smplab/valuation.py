@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .core import Scalar, ValidationError
+from .core import Scalar, ValidationError, check_finite
 from .families import DEFAULT_RANK_CAP, IndependenceOracle, max_rank
 
 
@@ -99,6 +99,7 @@ class PartitionWeightedValuation(ValuationFunction):
         self.part_of = dict(self.part_of)
         self.part_weight = dict(self.part_weight)
         for p, w in self.part_weight.items():
+            check_finite(w, f"weight of part {p!r}")
             if w < 0:
                 raise ValidationError(f"part {p!r} has negative weight {w!r}")
         missing = {p for p in self.part_of.values() if p not in self.part_weight}
@@ -132,6 +133,7 @@ class WeightedRankValuation(ValuationFunction):
     def __post_init__(self):
         self.weights = dict(self.weights)
         for t, w in self.weights.items():
+            check_finite(w, f"weight of type {t!r}")
             if w < 0:
                 raise ValidationError(f"type {t!r} has negative weight {w!r}")
 

@@ -1,12 +1,18 @@
 """Independent brute-force oracles the tests check the library against.
 
-These deliberately avoid the library's evaluator code paths: everything is
-computed by direct enumeration over full type vectors or subsets.
+These deliberately avoid the library's evaluator code paths: the exact
+oracles enumerate full type vectors or subsets, and the Monte Carlo
+reference walks the decision tree one sampled row of type ids at a time.
 """
 
 import itertools
+import math
 
-from smplab import enumerate_assignments
+import numpy as np
+
+from smplab import RandomStream, enumerate_assignments
+from smplab.core import sample_type_profiles
+from smplab.evaluate import MC_BLOCK
 from smplab.strategy import random_walk_path
 
 
@@ -108,3 +114,34 @@ def brute_best_nonadaptive(universe, dist, f, constraint, max_len):
 
     walk(())
     return best
+
+
+def reference_mc(tree, f, universe, dist, trials, seed, resample):
+    """Monte Carlo (value, stderr) by a row-by-row walk over type-id rows.
+
+    Each counter-addressed block draws virtual rows from stream 0 and, with
+    ``resample``, true rows from stream 1 (otherwise the virtual rows are
+    the true ones). The walk follows the virtual types and values the true
+    types of the probed elements.
+    """
+    index = {e: i for i, e in enumerate(universe.elements)}
+    values = []
+    for b in range((trials + MC_BLOCK - 1) // MC_BLOCK):
+        n = min(MC_BLOCK, trials - b * MC_BLOCK)
+        virtual = sample_type_profiles(universe, dist, RandomStream(seed, 0, b), n)
+        true = (
+            sample_type_profiles(universe, dist, RandomStream(seed, 1, b), n)
+            if resample
+            else virtual
+        )
+        for vrow, trow in zip(virtual, true):
+            node = tree
+            got = []
+            while not node.is_leaf:
+                j = index[node.element]
+                got.append(trow[j])
+                node = node.children[vrow[j]]
+            values.append(float(f(frozenset(got))))
+    values = np.array(values)
+    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return float(values.mean()), stderr

@@ -24,6 +24,21 @@ def instance_file(tmp_path):
     return path
 
 
+def _empty_distribution(doc):
+    doc["distribution"] = []
+
+
+def _nan_probabilities(doc):
+    dist = doc["distribution"]
+    e = next(iter(dist))
+    dist[e] = {t: "nan" for t in dist[e]}
+
+
+def _inf_weights(doc):
+    valuation = doc["valuation"]
+    valuation["weights"] = {t: "inf" for t in valuation["weights"]}
+
+
 class TestGapCommands:
     def test_gap_submodular_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -63,6 +78,21 @@ class TestEvalCommands:
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
         assert main(["eval", "--file", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (_empty_distribution, "distribution must be a JSON object"),
+            (_nan_probabilities, "probability of type"),
+            (_inf_weights, "weight of type"),
+        ],
+    )
+    def test_eval_rejects_malformed_fields(self, instance_file, capsys, edit, named):
+        doc = json.loads(instance_file.read_text())
+        edit(doc)
+        instance_file.write_text(json.dumps(doc))
+        assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
+        assert named in capsys.readouterr().err
 
     def test_mc_estimate_deterministic(self, instance_file):
         config = ExperimentConfig(

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,7 +18,7 @@ from smplab import (
     sample_type_vector,
     universe_from_type_space,
 )
-from smplab.core import iter_type_profiles, sample_type_profiles
+from smplab.core import iter_type_profiles, sample_type_codes, sample_type_profiles
 
 
 def two_coin_universe():
@@ -53,6 +54,11 @@ class TestValidation:
     def test_distribution_range(self):
         with pytest.raises(ValidationError):
             TypeDistribution({"a": {"x": -0.1, "y": 1.1}})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_distribution_rejects_non_finite(self, bad):
+        with pytest.raises(ValidationError, match="probability of type 'x'.*not a finite"):
+            TypeDistribution({"a": {"x": bad, "y": 1.0}})
 
     def test_fraction_distribution_exact(self):
         dist = TypeDistribution({"a": {"x": Fraction(1, 3), "y": Fraction(2, 3)}})
@@ -103,6 +109,38 @@ class TestSampling:
         row = sample_type_profiles(universe, dist, RandomStream(9, counter=4), 1)[0]
         vec = sample_type_vector(universe, dist, RandomStream(9, counter=4))
         assert dict(zip(universe.elements, row)) == dict(vec.items())
+
+    def test_codes_match_per_column_search(self):
+        # b and c share a probability vector, a and d have their own
+        universe = universe_from_type_space(
+            {
+                "a": ("a0", "a1", "a2"),
+                "b": ("b0", "b1"),
+                "c": ("c0", "c1"),
+                "d": ("d0", "d1"),
+            }
+        )
+        dist = TypeDistribution(
+            {
+                "a": {"a0": 0.2, "a1": 0.3, "a2": 0.5},
+                "b": {"b0": 0.6, "b1": 0.4},
+                "c": {"c0": 0.6, "c1": 0.4},
+                "d": {"d0": 0.1, "d1": 0.9},
+            }
+        )
+        stream = RandomStream(5, stream=1, counter=3)
+        codes = sample_type_codes(universe, dist, stream, 300)
+        u = stream.generator().random((300, 4))
+        for j, e in enumerate(universe.elements):
+            cum = np.cumsum([dist.prob(e, t) for t in universe.type_space[e]])
+            want = np.minimum(np.searchsorted(cum, u[:, j], side="right"), len(cum) - 1)
+            assert codes[:, j].tolist() == want.tolist()
+        names = [
+            tuple(universe.type_space[e][c] for e, c in zip(universe.elements, row))
+            for row in codes.tolist()
+        ]
+        assert sample_type_profiles(universe, dist, stream, 300) == names
+        assert {t for row in names for t in row} == universe.all_types
 
     def test_frequencies_within_three_sigma(self):
         # 2 elements x 2 types, seed 7, 1e5 draws: counts near expectation

@@ -26,13 +26,20 @@ from smplab import (
     leaf,
     make_uniform_matroid,
     partition_weighted_valuation,
+    probe,
     submodular_gap_report,
     submodular_lb_adap_recurrence,
     universe_from_type_space,
     weighted_rank,
 )
 from smplab.core import iter_type_profiles
-from oracles import brute_adap, brute_alg, brute_best_nonadaptive, brute_greedy_interleaved
+from oracles import (
+    brute_adap,
+    brute_alg,
+    brute_best_nonadaptive,
+    brute_greedy_interleaved,
+    reference_mc,
+)
 
 
 def bernoulli_indicator(p=Fraction(1, 2)):
@@ -208,6 +215,67 @@ class TestMonteCarlo:
         a = adap_mc(inst.tree, inst.valuation, inst.universe, inst.dist, 2000, 1)
         b = adap_mc(inst.tree, inst.valuation, inst.universe, inst.dist, 2000, 2)
         assert a.value != b.value
+
+
+def shared_subtree_case():
+    """b is probed below both arcs of a: its subtree is one shared object."""
+    universe = universe_from_type_space(
+        {"a": ("a0", "a1"), "b": ("b0", "b1", "b2"), "c": ("c0", "c1")}
+    )
+    dist = TypeDistribution(
+        {
+            "a": {"a0": Fraction(1, 3), "a1": Fraction(2, 3)},
+            "b": {"b0": Fraction(1, 2), "b1": Fraction(1, 4), "b2": Fraction(1, 4)},
+            "c": {"c0": Fraction(3, 5), "c1": Fraction(2, 5)},
+        }
+    )
+    f = coverage_valuation({"a1": {1}, "b0": {1, 2}, "b2": {3}, "c0": {2, 3}})
+    shared = probe("b", {"b0": leaf(), "b1": leaf(), "b2": leaf()})
+    tree = probe("a", {"a0": shared, "a1": probe("c", {"c0": shared, "c1": leaf()})})
+    assert tree.children["a0"] is tree.children["a1"].children["c0"]
+    return tree, f, universe, dist
+
+
+def root_leaf_case():
+    universe, dist, f, _ = bernoulli_indicator()
+    return leaf(), f, universe, dist
+
+
+def bundle_case(make):
+    def case():
+        b = make()
+        return b.tree, b.valuation, b.universe, b.dist
+
+    return case
+
+
+def random_case(seed):
+    # seeds 0, 1 and 8 give coverage, weighted-rank and partition-weighted
+    # valuations on trees over some 3-type elements
+    inst = gen_random_instance(seed)
+    assert any(len(ts) == 3 for ts in inst.universe.type_space.values())
+    return inst.tree, inst.valuation, inst.universe, inst.dist
+
+
+MC_CASES = {
+    "triangle": bundle_case(lambda: gen_submodular_lb(0.2)),
+    "wary_tree": bundle_case(lambda: gen_tree_lb(3, 4, 0.25)),
+    **{f"random_{s}": (lambda s=s: random_case(s)) for s in (0, 1, 8)},
+    "shared_subtree": shared_subtree_case,
+    "root_leaf": root_leaf_case,
+}
+
+
+@pytest.mark.parametrize("case", list(MC_CASES))
+@pytest.mark.parametrize("fn, resample", [(adap_mc, False), (alg_mc, True)])
+def test_mc_bit_identical_to_row_walk_reference(case, fn, resample):
+    # each evaluation gets fresh objects, so no memo is shared with the reference;
+    # trials: one block, one short of and one past a block boundary, several blocks
+    for trials in (1, 1023, 1025, 2500):
+        want = reference_mc(*MC_CASES[case](), trials, 13, resample)
+        for workers in (1, 2):
+            rep = fn(*MC_CASES[case](), trials, 13, workers=workers)
+            assert (rep.value, rep.stderr) == want, (trials, workers)
 
 
 class TestBestNonadaptive:

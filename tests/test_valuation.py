@@ -1,5 +1,6 @@
 """Valuations: contraction law, weighted rank, coverage, partition weights."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from smplab import (
     ExactCapExceeded,
+    ValidationError,
     check_submodular,
     contract,
     coverage_valuation,
@@ -125,6 +127,12 @@ class TestWeightedRank:
         with pytest.raises(Exception):
             weighted_rank(fam, {"t": -1})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        fam = make_uniform_matroid(["t"], 1)
+        with pytest.raises(ValidationError, match="weight of type 't'.*not a finite"):
+            weighted_rank(fam, {"t": bad})
+
 
 class TestCoverage:
     def test_empty(self):
@@ -149,6 +157,11 @@ class TestPartitionWeighted:
     def test_empty(self):
         f = partition_weighted_valuation({}, {})
         assert f(set()) == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_part_weight_rejected(self, bad):
+        with pytest.raises(ValidationError, match="weight of part 'p'.*not a finite"):
+            partition_weighted_valuation({"t": "p"}, {"p": bad})
 
     def test_one_value_per_part(self):
         f = partition_weighted_valuation({"t1": "p", "t2": "p"}, {"p": 0.9})
