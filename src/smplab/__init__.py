@@ -33,13 +33,10 @@ from .evaluate import (
     submodular_gap_report,
 )
 from .families import (
-    ContractionState,
     IndependenceOracle,
-    contract_type,
     greedy_rank,
     greedy_select,
     intersect,
-    is_loop,
     make_explicit_family,
     make_matching_family,
     make_partition_matroid,
@@ -74,7 +71,6 @@ from .reduction import (
 from .strategy import (
     ConstraintOracle,
     DecisionTree,
-    ProbePath,
     chain_tree,
     check_tree_feasible,
     constraint_budget,
@@ -89,7 +85,6 @@ from .strategy import (
 )
 from .valuation import (
     ValuationFunction,
-    contract,
     coverage_valuation,
     partition_weighted_valuation,
     unit_weights,

@@ -271,6 +271,21 @@ def sample_type_vector(
     return TypeVector(dict(zip(universe.elements, row)))
 
 
+def check_assignment_count(
+    universe: Universe, elements: Iterable[str], cap: int
+) -> None:
+    """Raise :class:`ExactCapExceeded` when the joint type assignments over
+    ``elements`` (the product of their type-space sizes) exceed ``cap``."""
+    total = 1
+    for e in elements:
+        total *= len(universe.type_space[e])
+        if total > cap:
+            raise ExactCapExceeded(
+                f"exact mode infeasible: more than {cap} joint assignments; "
+                "use the Monte Carlo evaluators"
+            )
+
+
 def iter_type_profiles(
     universe: Universe,
     dist: TypeDistribution,
@@ -283,14 +298,7 @@ def iter_type_profiles(
     the inputs are rational. Raises :class:`ExactCapExceeded` when the
     product of type-space sizes exceeds ``cap``.
     """
-    total = 1
-    for e in elements:
-        total *= len(universe.type_space[e])
-        if total > cap:
-            raise ExactCapExceeded(
-                f"exact mode infeasible: more than {cap} joint assignments; "
-                "use the Monte Carlo evaluators"
-            )
+    check_assignment_count(universe, elements, cap)
     spaces = [universe.type_space[e] for e in elements]
     for combo in itertools.product(*spaces):
         p: Scalar = 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -31,10 +31,11 @@ from .core import (
     TypeDistribution,
     Universe,
     ValidationError,
-    iter_type_profiles,
+    check_assignment_count,
+    iter_type_profiles,  # noqa: F401  (perfbench traces this binding)
     sample_type_codes,
 )
-from .families import IndependenceOracle
+from .families import IndependenceOracle, greedy_add
 from .strategy import ConstraintOracle, DecisionTree, validate_tree
 from .valuation import ValuationFunction, unit_weights, weighted_rank
 
@@ -107,6 +108,48 @@ class _WorkMeter:
             raise ExactCapExceeded(
                 f"exact evaluation exceeded the work cap of {self.cap}; use MC"
             )
+
+
+def _with_true(types: frozenset[str], _virtual: str | None, true: str) -> frozenset[str]:
+    return types | {true}
+
+
+def _fresh_draws(
+    steps: tuple[tuple[str, str | None], ...],
+    universe: Universe,
+    dist: TypeDistribution,
+    meter: _WorkMeter,
+    cap: int,
+    start=frozenset(),
+    step: Callable = _with_true,
+) -> Iterator[tuple[object, Scalar]]:
+    """Every fresh true draw for a virtual path, as ``(state, probability)``.
+
+    ``steps`` is the path's ``(element, virtual type)`` sequence. Each
+    element takes a fresh independent true type; ``step(state, virtual,
+    true)`` folds the elements into ``start`` in path order (by default the
+    state is the set of true types). Draws come in the order of
+    ``iter_type_profiles`` over the same elements with the same probability
+    products, so a float sum over them adds the same terms in the same order.
+    Drawn prefixes are shared and zero-probability types are skipped. Each
+    expanded arc spends one unit of ``meter``.
+    """
+    check_assignment_count(universe, (e for e, _ in steps), cap)
+    levels = [
+        (virtual, [(t, p) for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0])
+        for e, virtual in steps
+    ]
+    stack: list[tuple[int, object, Scalar]] = [(0, start, 1)]
+    while stack:
+        i, state, q = stack.pop()
+        if i == len(levels):
+            yield state, q
+            continue
+        virtual, draws = levels[i]
+        meter.spend(len(draws))
+        # pushed in reverse so the first type is drawn first
+        for t, p in reversed(draws):
+            stack.append((i + 1, step(state, virtual, t), q * p))
 
 
 def adap_exact(
@@ -195,21 +238,20 @@ def alg_exact(
     """Expected value of the random-walk non-adaptive strategy.
 
     Outer sum over virtual root-leaf paths weighted by path probability;
-    inner sum over fresh independent types for the probed elements.
+    inner sum over fresh independent types for the probed elements, once per
+    distinct probed set. ``f`` may be any function of the set of true types.
     """
     validate_tree(tree, universe)
     meter = _WorkMeter(work_cap)
     inner_memo: dict[frozenset[str], Scalar] = {}
     total: Scalar = 0
     for steps, p_path in iter_tree_paths(tree, dist):
-        elems = tuple(e for e, _ in steps)
-        key = frozenset(elems)
+        key = frozenset(e for e, _ in steps)
         inner = inner_memo.get(key)
         if inner is None:
             inner = 0
-            for combo, q in iter_type_profiles(universe, dist, elems, cap=assignment_cap):
-                meter.spend()
-                inner = inner + q * f(frozenset(combo))
+            for types, q in _fresh_draws(steps, universe, dist, meter, assignment_cap):
+                inner = inner + q * f(types)
             inner_memo[key] = inner
         total = total + p_path * inner
     return EvalReport(value=total, mode="exact")
@@ -228,34 +270,29 @@ def greedy_interleaved_exact(
     """Expected greedy count over the union of true and virtual path types.
 
     Scans the path elements in root-to-leaf order; at each element the true
-    type is considered before the virtual type. Non-loops get contracted and
+    type is considered before the virtual type. Non-loops get selected and
     counted, loops are skipped; equal draws collapse to one occurrence. The
     optional trace reports the online value that only counts true-type
-    selections while still contracting virtual types.
+    selections while still selecting virtual types.
     """
     validate_tree(tree, universe)
     meter = _WorkMeter(work_cap)
+
+    def greedy_step(state, virtual_t, true_t):
+        chosen, online = state
+        grown = greedy_add(family, chosen, true_t)
+        online += len(grown) - len(chosen)
+        return greedy_add(family, grown, virtual_t), online
+
     total: Scalar = 0
     online_total: Scalar = 0
     for steps, p_path in iter_tree_paths(tree, dist):
-        elems = tuple(e for e, _ in steps)
-        for combo, q in iter_type_profiles(universe, dist, elems, cap=assignment_cap):
-            meter.spend()
-            contracted: frozenset[str] = frozenset()
-            count = 0
-            online = 0
-            for (e, virtual_t), true_t in zip(steps, combo):
-                for is_true, t in ((True, true_t), (False, virtual_t)):
-                    if t in contracted:
-                        continue
-                    ext = contracted | {t}
-                    if family.is_independent(ext):
-                        contracted = ext
-                        count += 1
-                        if is_true:
-                            online += 1
+        draws = _fresh_draws(
+            steps, universe, dist, meter, assignment_cap, (frozenset(), 0), greedy_step
+        )
+        for (chosen, online), q in draws:
             weight = p_path * q
-            total = total + weight * count
+            total = total + weight * len(chosen)
             online_total = online_total + weight * online
     trace = {"online_value": online_total} if want_trace else None
     return EvalReport(value=total, mode="exact", trace=trace)
@@ -440,14 +477,15 @@ def best_nonadaptive_exact(
     """
     order = sorted(universe.elements)
     value_memo: dict[frozenset[str], Scalar] = {}
+    meter = _WorkMeter(math.inf)  # the work is bounded by sequence_cap x assignment_cap
 
     def set_value(key: frozenset[str]) -> Scalar:
         got = value_memo.get(key)
         if got is None:
-            elems = tuple(e for e in universe.elements if e in key)
+            steps = tuple((e, None) for e in universe.elements if e in key)
             got = 0
-            for combo, p in iter_type_profiles(universe, dist, elems, cap=assignment_cap):
-                got = got + p * f(frozenset(combo))
+            for types, q in _fresh_draws(steps, universe, dist, meter, assignment_cap):
+                got = got + q * f(types)
             value_memo[key] = got
         return got
 

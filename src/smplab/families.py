@@ -1,5 +1,5 @@
-"""Downward-closed set systems over types: membership oracles, loop and
-contraction bookkeeping, greedy selection, and exact rank search.
+"""Downward-closed set systems over types: membership oracles, greedy
+selection, and exact rank search.
 """
 
 from __future__ import annotations
@@ -235,53 +235,34 @@ def make_path_chain_family(
     return PathChainFamily(dict(edges), root)
 
 
-@dataclass(frozen=True)
-class ContractionState:
-    """Persistent record of contracted non-loop types, in contraction order.
+def greedy_add(
+    family: IndependenceOracle, chosen: frozenset[str], type_id: str
+) -> frozenset[str]:
+    """One greedy step: ``chosen`` plus ``type_id`` if that stays independent.
 
-    States are copy-on-extend so recursion branches can share prefixes.
+    Otherwise ``chosen`` itself: a type already chosen, outside the ground,
+    or dependent on ``chosen`` is a loop of the contracted family.
     """
-
-    family: IndependenceOracle
-    contracted: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "contracted", tuple(self.contracted))
-        object.__setattr__(self, "_set", frozenset(self.contracted))
-
-    @property
-    def contracted_set(self) -> frozenset[str]:
-        return self._set  # type: ignore[attr-defined]
-
-
-def is_loop(state: ContractionState, type_id: str) -> bool:
-    """A type is a loop when its singleton is dependent in the contracted family.
-
-    A previously contracted type is always a loop (a parallel copy of itself).
-    """
-    if type_id in state.contracted_set:
-        return True
-    return not state.family.is_independent(state.contracted_set | {type_id})
-
-
-def contract_type(state: ContractionState, type_id: str) -> ContractionState:
-    """Append a non-loop type to the contraction chain; loops are an error."""
-    if is_loop(state, type_id):
-        raise ValidationError(f"cannot contract loop {type_id!r}")
-    return ContractionState(state.family, state.contracted + (type_id,))
+    if type_id in chosen:
+        return chosen
+    grown = chosen | {type_id}
+    return grown if family.is_independent(grown) else chosen
 
 
 def greedy_select(family: IndependenceOracle, ordered: Iterable[str]) -> tuple[str, ...]:
-    """Scan once in the given order: contract non-loops, skip loops.
+    """Scan once in the given order: select non-loops, skip loops.
 
-    Returns the contracted types in order; the returned set is a maximal
+    Returns the selected types in order; the returned set is a maximal
     independent subset of the scanned support.
     """
-    state = ContractionState(family)
+    chosen: frozenset[str] = frozenset()
+    picked: list[str] = []
     for t in ordered:
-        if not is_loop(state, t):
-            state = contract_type(state, t)
-    return state.contracted
+        grown = greedy_add(family, chosen, t)
+        if len(grown) > len(chosen):
+            picked.append(t)
+        chosen = grown
+    return tuple(picked)
 
 
 def greedy_rank(family: IndependenceOracle, ordered: Iterable[str]) -> int:

@@ -17,9 +17,8 @@ from .core import (
     TypeDistribution,
     Universe,
     ValidationError,
-    iter_type_profiles,
 )
-from .evaluate import DEFAULT_WORK_CAP, EvalReport, alg_exact, iter_tree_paths
+from .evaluate import DEFAULT_WORK_CAP, EvalReport, alg_exact
 from .families import IndependenceOracle
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, weighted_rank
@@ -228,9 +227,11 @@ def combined_value(
 ) -> EvalReport:
     """Expected true-weight value of the greedy-optimal combined selection.
 
-    Per-class non-adaptive values drive the representative choice; the
-    expectation then runs over virtual paths and fresh true types, crediting
-    each selected type with its actual weight.
+    Per-class non-adaptive values drive the representative choice. The
+    combined selection's weight is a function of the set of true types, so
+    its expectation over virtual paths and fresh true types is the
+    random-walk value of that function, crediting each selected type with
+    its actual weight.
     """
     validate_tree(tree, universe)
     decomposition = class_decompose(weights, family)
@@ -243,18 +244,14 @@ def combined_value(
     buckets = bucketize(decomposition.hi, decomposition.lo, k)
     representatives = select_representatives(scaled, buckets)
 
-    total: Scalar = 0
-    for steps, p_path in iter_tree_paths(tree, dist):
-        elems = tuple(e for e, _ in steps)
-        for combo, q in iter_type_profiles(universe, dist, elems, cap=assignment_cap):
-            picked = greedy_optimal_combine(
-                frozenset(combo), decomposition, representatives, family,
-                cap=combine_cap,
-            )
-            value: Scalar = 0
-            for t in picked:
-                value = value + weights[t]
-            total = total + p_path * q * value
+    def combined_weight(types: frozenset[str]) -> Scalar:
+        picked = greedy_optimal_combine(
+            types, decomposition, representatives, family, cap=combine_cap
+        )
+        return sum(weights[t] for t in sorted(picked))
+
+    total = alg_exact(tree, combined_weight, universe, dist,
+                      assignment_cap=assignment_cap, work_cap=work_cap).value
 
     trace = {
         "class_alg": class_alg,

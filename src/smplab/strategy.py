@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Scalar, TypeVector, Universe, ValidationError
+from .core import Scalar, TypeVector, Universe, ValidationError, check_finite
 
 
 @dataclass(frozen=True)
@@ -90,35 +90,13 @@ def validate_tree(tree: DecisionTree, universe: Universe) -> None:
         stack.extend(node.children.values())
 
 
-@dataclass(frozen=True)
-class ProbePath:
-    """Root-to-leaf record of (element, revealed type) pairs."""
+def random_walk_path(
+    tree: DecisionTree, vector: TypeVector
+) -> tuple[tuple[str, str], ...]:
+    """Follow the arcs selected by ``vector`` from the root down to a leaf.
 
-    steps: tuple[tuple[str, str], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple((e, t) for e, t in self.steps))
-        elems = [e for e, _ in self.steps]
-        if len(set(elems)) != len(elems):
-            raise ValidationError("a probing path cannot repeat elements")
-
-    @property
-    def elements(self) -> tuple[str, ...]:
-        return tuple(e for e, _ in self.steps)
-
-    @property
-    def types(self) -> tuple[str, ...]:
-        return tuple(t for _, t in self.steps)
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-
-def random_walk_path(tree: DecisionTree, vector: TypeVector) -> ProbePath:
-    """Follow the arcs selected by ``vector`` from the root down to a leaf."""
+    Returns the walked ``(element, type)`` steps in root-to-leaf order.
+    """
     steps: list[tuple[str, str]] = []
     node = tree
     while not node.is_leaf:
@@ -131,7 +109,7 @@ def random_walk_path(tree: DecisionTree, vector: TypeVector) -> ProbePath:
             raise ValidationError(f"node for {e!r} has no arc for type {t!r}")
         steps.append((e, t))
         node = child
-    return ProbePath(tuple(steps))
+    return tuple(steps)
 
 
 class ConstraintOracle:
@@ -158,7 +136,9 @@ class BudgetConstraint(ConstraintOracle):
 
     def __post_init__(self):
         self.cost = dict(self.cost)
+        check_finite(self.budget, "budget")
         for e, c in self.cost.items():
+            check_finite(c, f"cost of {e!r}")
             if c < 0:
                 raise ValidationError(f"cost of {e!r} must be >= 0")
 

@@ -46,6 +46,8 @@ class ExplicitValuation(ValuationFunction):
     def __post_init__(self):
         self.ground = frozenset(self.ground)
         self.table = {frozenset(k): v for k, v in self.table.items()}
+        for k, v in self.table.items():
+            check_finite(v, f"table value for {sorted(k)}")
 
     def _evaluate(self, types):
         if not types:
@@ -108,10 +110,9 @@ class PartitionWeightedValuation(ValuationFunction):
 
     def _evaluate(self, types):
         parts = {self.part_of[t] for t in types if t in self.part_of}
-        total: Scalar = 0
-        for p in parts:
-            total = total + self.part_weight[p]
-        return total
+        # sum in the fixed order of part_weight: set order follows string
+        # hashing, which is salted per process, and float sums depend on order
+        return sum(w for p, w in self.part_weight.items() if p in parts)
 
 
 @dataclass(eq=True)
@@ -139,34 +140,6 @@ class WeightedRankValuation(ValuationFunction):
 
     def _evaluate(self, types):
         return max_rank(self.family, types, weights=self.weights, cap=self.rank_cap)
-
-
-@dataclass(eq=True)
-class ContractedValuation(ValuationFunction):
-    """Lazy marginal-value wrapper: value of A on top of a fixed set.
-
-    Keeps monotonicity, and submodularity when the base is submodular.
-    Chains of contractions are flattened so evaluation stays O(1) deep.
-    """
-
-    base: ValuationFunction
-    fixed: frozenset[str]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
-
-    kind = "contracted"
-
-    def _evaluate(self, types):
-        return self.base(self.fixed | types) - self.base(self.fixed)
-
-
-def contract(f: ValuationFunction, types: Iterable[str]) -> ValuationFunction:
-    """Marginal valuation ``A -> f(S | A) - f(S)`` for the fixed set S."""
-    fixed = frozenset(types)
-    if not fixed:
-        return f
-    if isinstance(f, ContractedValuation):
-        return ContractedValuation(f.base, f.fixed | fixed)
-    return ContractedValuation(f, fixed)
 
 
 def coverage_valuation(cover_sets: Mapping[str, Iterable]) -> CoverageValuation:

@@ -10,9 +10,17 @@ import math
 
 import numpy as np
 
-from smplab import RandomStream, enumerate_assignments
+from smplab import (
+    RandomStream,
+    bucketize,
+    class_decompose,
+    enumerate_assignments,
+    greedy_optimal_combine,
+    select_representatives,
+)
 from smplab.core import sample_type_profiles
 from smplab.evaluate import MC_BLOCK
+from smplab.reduction import two_power
 from smplab.strategy import random_walk_path
 
 
@@ -53,8 +61,8 @@ def brute_adap(tree, f, universe, dist):
     """Adaptive value by full enumeration of total vectors plus tree walks."""
     total = 0
     for vec, p in enumerate_assignments(universe, dist, set(universe.elements)):
-        path = random_walk_path(tree, vec)
-        total = total + p * f(frozenset(path.types))
+        steps = random_walk_path(tree, vec)
+        total = total + p * f(frozenset(t for _, t in steps))
     return total
 
 
@@ -62,8 +70,7 @@ def brute_alg(tree, f, universe, dist):
     """Random-walk value by joint enumeration of virtual and true vectors."""
     total = 0
     for vx, px in enumerate_assignments(universe, dist, set(universe.elements)):
-        path = random_walk_path(tree, vx)
-        elems = path.elements
+        elems = [e for e, _ in random_walk_path(tree, vx)]
         for vt, pt in enumerate_assignments(universe, dist, set(universe.elements)):
             total = total + px * pt * f(frozenset(vt[e] for e in elems))
     return total
@@ -73,16 +80,37 @@ def brute_greedy_interleaved(tree, family, universe, dist):
     """Greedy count over joint enumeration, scanning true-then-virtual."""
     total = 0
     for vx, px in enumerate_assignments(universe, dist, set(universe.elements)):
-        path = random_walk_path(tree, vx)
+        elems = [e for e, _ in random_walk_path(tree, vx)]
         for vt, pt in enumerate_assignments(universe, dist, set(universe.elements)):
             chosen = []
-            for e in path.elements:
+            for e in elems:
                 for t in (vt[e], vx[e]):
                     if t in chosen:
                         continue
                     if family.is_independent(frozenset(chosen) | {t}):
                         chosen.append(t)
             total = total + px * pt * len(chosen)
+    return total
+
+
+def brute_combined(tree, weights, family, k, universe, dist):
+    """Combined-selection value by joint enumeration of virtual and true
+    vectors; the representative classes come from :func:`brute_alg`."""
+    deco = class_decompose(weights, family)
+    scaled = {
+        j: two_power(j) * brute_alg(tree, f_j, universe, dist)
+        for j, f_j in deco.classes.items()
+    }
+    reps = select_representatives(scaled, bucketize(deco.hi, deco.lo, k))
+    everything = set(universe.elements)
+    total = 0
+    for vx, px in enumerate_assignments(universe, dist, everything):
+        elems = [e for e, _ in random_walk_path(tree, vx)]
+        for vt, pt in enumerate_assignments(universe, dist, everything):
+            picked = greedy_optimal_combine(
+                frozenset(vt[e] for e in elems), deco, reps, family
+            )
+            total = total + px * pt * sum(weights[t] for t in picked)
     return total
 
 

@@ -1,10 +1,15 @@
 """End-to-end CLI runs: exit codes, report files, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import smplab
 from smplab import gen_random_instance, gen_submodular_lb, RandomInstanceParams
 from smplab.cli import ExperimentConfig, main, run
 from smplab.core import ValidationError
@@ -37,6 +42,16 @@ def _nan_probabilities(doc):
 def _inf_weights(doc):
     valuation = doc["valuation"]
     valuation["weights"] = {t: "inf" for t in valuation["weights"]}
+
+
+def _nan_table_value(doc):
+    first = next(iter(doc["distribution"].values()))
+    t = sorted(first)[0]
+    doc["valuation"] = {
+        "kind": "explicit",
+        "ground": [t],
+        "table": [[[], "0"], [[t], "nan"]],
+    }
 
 
 class TestGapCommands:
@@ -85,6 +100,7 @@ class TestEvalCommands:
             (_empty_distribution, "distribution must be a JSON object"),
             (_nan_probabilities, "probability of type"),
             (_inf_weights, "weight of type"),
+            (_nan_table_value, "table value for"),
         ],
     )
     def test_eval_rejects_malformed_fields(self, instance_file, capsys, edit, named):
@@ -152,6 +168,25 @@ class TestVerifySuite:
         r1, _, _ = run(config)
         r2, _, _ = run(ExperimentConfig(command="verify-suite", seed=3, cases=8))
         assert serialize_report(r1) == serialize_report(r2)
+
+
+def test_mc_report_independent_of_hash_seed(tmp_path):
+    # string hashing is salted per process; a float value must not depend on it
+    path = tmp_path / "triangle.json"
+    path.write_text(serialize_instance(gen_submodular_lb(0.2)))
+    src = str(Path(smplab.__file__).resolve().parents[1])
+    reports = []
+    for hash_seed in ("0", "4"):
+        out = tmp_path / f"mc_{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "smplab.cli", "mc-estimate", "--file", str(path),
+             "--what", "alg", "--trials", "2048", "--seed", "11", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        reports.append(out.with_suffix(".csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_triangular_instance_file_round_trips_through_eval(tmp_path):

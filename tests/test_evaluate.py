@@ -16,6 +16,7 @@ from smplab import (
     alg_mc,
     best_nonadaptive_exact,
     chain_tree,
+    combined_value,
     coverage_valuation,
     constraint_dag_path,
     gen_random_instance,
@@ -368,6 +369,61 @@ class TestBestNonadaptive:
             tree_bundle.constraint, 4,
         )
         assert adap >= alg
+
+
+def _weighted_instance():
+    params = RandomInstanceParams(
+        max_elements=4,
+        valuation_kinds=("matroid_intersection_rank", "matching_rank"),
+        k_extendible=2,
+        weight_high=1024,
+    )
+    return gen_random_instance(0, params)
+
+
+# evaluator -> (instance builder, call with cap keywords)
+_CAPPED = {
+    "alg_exact": (
+        lambda: gen_submodular_lb(Fraction(1, 4)),
+        lambda b, **cap: alg_exact(b.tree, b.valuation, b.universe, b.dist, **cap),
+    ),
+    "greedy_interleaved_exact": (
+        lambda: gen_tree_lb(2, 2, Fraction(1, 3)),
+        lambda b, **cap: greedy_interleaved_exact(
+            b.tree, b.family, b.universe, b.dist, **cap),
+    ),
+    "combined_value": (
+        _weighted_instance,
+        lambda b, **cap: combined_value(
+            b.tree, b.weights, b.family, 2, b.universe, b.dist, **cap),
+    ),
+    "best_nonadaptive_exact": (
+        lambda: gen_submodular_lb(Fraction(1, 4)),
+        lambda b, **cap: best_nonadaptive_exact(
+            b.universe, b.dist, b.valuation, b.constraint, 3, **cap),
+    ),
+}
+_WORK = ({"work_cap": 3}, "work cap of 3")
+_ASSIGNMENTS = ({"assignment_cap": 3}, "more than 3 joint assignments")
+
+
+@pytest.mark.parametrize(
+    "evaluator, cap, message",
+    [
+        ("alg_exact", *_WORK),
+        ("alg_exact", *_ASSIGNMENTS),
+        ("greedy_interleaved_exact", *_WORK),
+        ("greedy_interleaved_exact", *_ASSIGNMENTS),
+        ("combined_value", *_WORK),
+        ("combined_value", *_ASSIGNMENTS),
+        # no work cap here: sequence_cap x assignment_cap bounds the work
+        ("best_nonadaptive_exact", *_ASSIGNMENTS),
+    ],
+)
+def test_exact_caps_refuse_and_state_the_cap(evaluator, cap, message):
+    instance, evaluate = _CAPPED[evaluator]
+    with pytest.raises(ExactCapExceeded, match=message):
+        evaluate(instance(), **cap)
 
 
 class TestInequalitySuites:

@@ -1,4 +1,4 @@
-"""Set systems: loops, contraction order, greedy scans, rank-vs-greedy bound."""
+"""Set systems: loops, greedy steps and scans, rank-vs-greedy bound."""
 
 import itertools
 import random
@@ -6,21 +6,19 @@ import random
 import pytest
 
 from smplab import (
-    ContractionState,
     ValidationError,
     check_downward_closed,
     check_k_extendible,
-    contract_type,
     greedy_rank,
     greedy_select,
     intersect,
-    is_loop,
     make_explicit_family,
     make_matching_family,
     make_partition_matroid,
     make_uniform_matroid,
     max_rank,
 )
+from smplab.families import greedy_add
 from oracles import brute_max_weight_independent, powerset
 
 
@@ -31,63 +29,33 @@ def path_matching():
 
 
 class TestLoops:
+    """A loop is a type ``greedy_add`` skips: chosen already, outside the
+    ground, or dependent on the chosen set."""
+
     def test_fresh_state_has_no_loops(self):
         fam = make_uniform_matroid(["t1", "t2"], 1)
-        state = ContractionState(fam)
-        assert not is_loop(state, "t1")
+        assert greedy_add(fam, frozenset(), "t1") == {"t1"}
 
     def test_full_rank_one_slot_makes_loops(self):
         fam = make_uniform_matroid(["t1", "t2"], 1)
-        state = contract_type(ContractionState(fam), "t1")
-        assert is_loop(state, "t2")
+        assert greedy_add(fam, frozenset({"t1"}), "t2") == {"t1"}
 
     def test_matching_contraction_blocks_neighbors(self):
         fam = make_matching_family(
             {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"), "de": ("d", "e")}
         )
-        state = contract_type(ContractionState(fam), "ab")
-        assert is_loop(state, "bc")
-        assert not is_loop(state, "de")
+        chosen = frozenset({"ab"})
+        assert greedy_add(fam, chosen, "bc") == {"ab"}
+        assert greedy_add(fam, chosen, "de") == {"ab", "de"}
 
     def test_contracted_type_is_its_own_loop(self):
         fam = make_uniform_matroid(["t1", "t2"], 2)
-        state = contract_type(ContractionState(fam), "t1")
-        assert is_loop(state, "t1")
+        chosen = frozenset({"t1"})
+        assert greedy_add(fam, chosen, "t1") is chosen
 
     def test_type_outside_ground_is_loop(self):
         fam = make_uniform_matroid(["t1"], 1)
-        assert is_loop(ContractionState(fam), "zzz")
-
-
-class TestContractionState:
-    def test_order_recorded(self):
-        fam = make_uniform_matroid(["r", "i"], 2)
-        state = contract_type(contract_type(ContractionState(fam), "r"), "i")
-        assert state.contracted == ("r", "i")
-
-    def test_contracting_loop_is_an_error(self):
-        fam = make_uniform_matroid(["t1", "t2"], 1)
-        state = contract_type(ContractionState(fam), "t1")
-        with pytest.raises(ValidationError):
-            contract_type(state, "t2")
-
-    def test_caller_skips_parallel_loop(self):
-        # contract r; a parallel i sharing its slot is skipped by the caller
-        fam = make_uniform_matroid(["r", "i"], 1)
-        state = ContractionState(fam)
-        for t in ("r", "i"):
-            if not is_loop(state, t):
-                state = contract_type(state, t)
-        assert state.contracted == ("r",)
-
-    def test_states_are_persistent(self):
-        fam = make_uniform_matroid(["a", "b", "c"], 3)
-        base = contract_type(ContractionState(fam), "a")
-        left = contract_type(base, "b")
-        right = contract_type(base, "c")
-        assert base.contracted == ("a",)
-        assert left.contracted == ("a", "b")
-        assert right.contracted == ("a", "c")
+        assert greedy_add(fam, frozenset(), "zzz") == frozenset()
 
 
 class TestGreedy:
@@ -107,6 +75,26 @@ class TestGreedy:
     def test_duplicates_are_loops(self):
         fam = make_uniform_matroid(["a", "b"], 2)
         assert greedy_rank(fam, ("a", "a", "b")) == 2
+
+    def test_order_recorded(self):
+        fam = make_uniform_matroid(["r", "i"], 2)
+        assert greedy_select(fam, ("r", "i")) == ("r", "i")
+        assert greedy_select(fam, ("i", "r")) == ("i", "r")
+
+    def test_parallel_loop_skipped(self):
+        # r fills the only slot, so a parallel i is skipped
+        fam = make_uniform_matroid(["r", "i"], 1)
+        assert greedy_select(fam, ("r", "i")) == ("r",)
+
+    def test_steps_leave_the_prefix_unchanged(self):
+        # branches that share a prefix may extend it independently
+        fam = make_uniform_matroid(["a", "b", "c"], 3)
+        base = greedy_add(fam, frozenset(), "a")
+        left = greedy_add(fam, base, "b")
+        right = greedy_add(fam, base, "c")
+        assert base == {"a"}
+        assert left == {"a", "b"}
+        assert right == {"a", "c"}
 
     def test_greedy_output_is_maximal(self):
         rng = random.Random(3)

@@ -21,6 +21,7 @@ from smplab import (
     weight_class,
 )
 from smplab.reduction import Bucket, bucket_width, two_power
+from oracles import brute_combined
 
 
 class TestWeightClass:
@@ -287,6 +288,21 @@ class TestCombinedValue:
                     inst.tree, inst.valuation, inst.universe, inst.dist
                 ).value
                 assert rep.value >= adap / (32 * k_eff * math.log2(k_eff)) - 1e-9
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_matches_joint_enumeration_oracle(self, k):
+        params = RandomInstanceParams(
+            max_elements=4,
+            max_types=2,
+            valuation_kinds=("matroid_intersection_rank", "matching_rank"),
+            k_extendible=k,
+            weight_high=1024,
+        )
+        for seed in range(5):
+            inst = gen_random_instance(seed, params)
+            args = (inst.tree, inst.weights, inst.family, inst.metadata["k"],
+                    inst.universe, inst.dist)
+            assert combined_value(*args).value == brute_combined(*args)
 
     def test_upper_decomposition_and_per_class_bounds(self):
         for inst in self.weighted_instances(range(25, 40), 2):

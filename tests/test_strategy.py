@@ -1,6 +1,7 @@
 """Decision trees, probing constraints, feasibility, and random walks."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -106,23 +107,21 @@ class TestFeasibility:
 
 class TestRandomWalk:
     def test_leaf_only_walk_is_empty(self):
-        path = random_walk_path(leaf(), TypeVector({}))
-        assert len(path) == 0
+        assert random_walk_path(leaf(), TypeVector({})) == ()
 
     def test_depth_one_walk(self):
         universe, _ = coin_universe(["a"])
         tree = chain_tree(universe, ["a"])
         for t in coin("a"):
-            path = random_walk_path(tree, TypeVector({"a": t}))
-            assert path.steps == (("a", t),)
+            assert random_walk_path(tree, TypeVector({"a": t})) == (("a", t),)
 
     def test_all_inactive_walk_descends_first_column(self):
         bundle = gen_submodular_lb(Fraction(1, 2))
         vec = TypeVector(
             {e: bundle.universe.type_space[e][1] for e in bundle.universe.elements}
         )
-        path = random_walk_path(bundle.tree, vec)
-        assert path.elements == ("e0,0", "e0,1", "e0,2", "e0,3")
+        steps = random_walk_path(bundle.tree, vec)
+        assert tuple(e for e, _ in steps) == ("e0,0", "e0,1", "e0,2", "e0,3")
 
     def test_missing_assignment_is_error(self):
         universe, _ = coin_universe(["a"])
@@ -139,7 +138,7 @@ class TestRandomWalk:
             for vec, p in enumerate_assignments(
                 inst.universe, inst.dist, set(inst.universe.elements)
             ):
-                steps = tuple(random_walk_path(inst.tree, vec).steps)
+                steps = random_walk_path(inst.tree, vec)
                 reached[steps] = reached.get(steps, 0) + p
             by_product = dict(iter_tree_paths(inst.tree, inst.dist))
             assert set(reached) == set(by_product)
@@ -168,6 +167,19 @@ class TestBudget:
         c = constraint_budget({"a": 1}, 2)
         with pytest.raises(ValidationError):
             c.may_extend((), "zzz")
+
+    @pytest.mark.parametrize(
+        "cost, budget, named",
+        [
+            ({"a": math.nan}, 2, "cost of 'a'"),
+            ({"a": math.inf}, 2, "cost of 'a'"),
+            ({"a": 1}, math.nan, "budget"),
+            ({"a": 1}, math.inf, "budget"),
+        ],
+    )
+    def test_non_finite_rejected(self, cost, budget, named):
+        with pytest.raises(ValidationError, match=f"{named} is .*not a finite"):
+            constraint_budget(cost, budget)
 
 
 class TestDagPath:

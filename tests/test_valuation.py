@@ -1,4 +1,4 @@
-"""Valuations: contraction law, weighted rank, coverage, partition weights."""
+"""Valuations: weighted rank, coverage, partition weights, explicit tables."""
 
 import math
 import random
@@ -11,7 +11,6 @@ from smplab import (
     ExactCapExceeded,
     ValidationError,
     check_submodular,
-    contract,
     coverage_valuation,
     make_matching_family,
     make_partition_matroid,
@@ -20,48 +19,8 @@ from smplab import (
     partition_weighted_valuation,
     weighted_rank,
 )
+from smplab.valuation import ExplicitValuation
 from oracles import brute_max_matching, brute_max_weight_independent, powerset
-
-
-def cardinality_valuation(ground):
-    return coverage_valuation({t: {t} for t in ground})
-
-
-class TestContract:
-    def test_empty_contraction_is_identity(self):
-        f = cardinality_valuation(["t1", "t2"])
-        assert contract(f, set()) is f
-
-    def test_cardinality_example(self):
-        f = cardinality_valuation(["t1", "t2"])
-        g = contract(f, {"t1"})
-        assert g({"t2"}) == 1
-        assert g({"t1"}) == 0
-        assert g(set()) == 0
-
-    def test_coverage_example(self):
-        f = coverage_valuation({"t": {"a", "b"}, "t2": {"b", "c"}})
-        g = contract(f, {"t"})
-        assert g({"t2"}) == 1
-
-    def test_contraction_law_exhaustive(self):
-        rng = random.Random(5)
-        ground = [f"t{i}" for i in range(6)]
-        for _ in range(10):
-            f = coverage_valuation(
-                {t: set(rng.sample(range(8), rng.randint(0, 4))) for t in ground}
-            )
-            fixed = frozenset(rng.sample(ground, rng.randint(0, 3)))
-            g = contract(f, fixed)
-            for sub in powerset(ground):
-                assert g(sub) == f(fixed | sub) - f(fixed)
-
-    def test_chained_contractions_flatten(self):
-        f = cardinality_valuation(["a", "b", "c"])
-        g = contract(contract(f, {"a"}), {"b"})
-        assert g.fixed == frozenset({"a", "b"})
-        assert g.base is f
-        assert g({"c"}) == 1
 
 
 class TestWeightedRank:
@@ -182,6 +141,12 @@ class TestPartitionWeighted:
         )
         ok, witness = check_submodular(f, ["a", "b", "c", "d"])
         assert ok, witness
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_explicit_table_value_rejected(bad):
+    with pytest.raises(ValidationError, match=r"table value for \['t'\].*not a finite"):
+        ExplicitValuation(frozenset({"t"}), {frozenset(): 0, frozenset({"t"}): bad})
 
 
 def test_monotone_on_a_thousand_seeded_pairs():
