@@ -171,14 +171,14 @@ def adap_exact(
     meter = _WorkMeter(work_cap)
     memo: dict[tuple[int, frozenset[str]], Scalar] = {}
 
-    def rec(node: DecisionTree, fixed: frozenset[str]) -> Scalar:
+    def rec(node: DecisionTree, fixed: frozenset[str], base: Scalar) -> Scalar:
+        # base is f(fixed), passed down so each arc calls f once
         if node.is_leaf:
             return 0
         key = (id(node), fixed)
         got = memo.get(key)
         if got is not None:
             return got
-        base = f(fixed)
         total: Scalar = 0
         for t, child in node.children.items():
             p = dist.prob(node.element, t)
@@ -186,11 +186,12 @@ def adap_exact(
                 continue
             meter.spend()
             ext = fixed | {t}
-            total = total + p * ((f(ext) - base) + rec(child, ext))
+            value = f(ext)
+            total = total + p * ((value - base) + rec(child, ext, value))
         memo[key] = total
         return total
 
-    value = rec(tree, frozenset())
+    value = rec(tree, frozenset(), f(frozenset()))
     trace = None
     if want_trace:
         trace = {}
@@ -277,12 +278,20 @@ def greedy_interleaved_exact(
     """
     validate_tree(tree, universe)
     meter = _WorkMeter(work_cap)
+    added: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+
+    def add(chosen: frozenset[str], t: str) -> frozenset[str]:
+        key = (chosen, t)
+        got = added.get(key)
+        if got is None:
+            got = added[key] = greedy_add(family, chosen, t)
+        return got
 
     def greedy_step(state, virtual_t, true_t):
         chosen, online = state
-        grown = greedy_add(family, chosen, true_t)
+        grown = add(chosen, true_t)
         online += len(grown) - len(chosen)
-        return greedy_add(family, grown, virtual_t), online
+        return add(grown, virtual_t), online
 
     total: Scalar = 0
     online_total: Scalar = 0
@@ -379,21 +388,21 @@ class _CodedTree:
             return np.empty((len(virtual), 0), dtype=np.intp)
         return np.stack(levels, axis=1)
 
-    def values(self, rows: np.ndarray, f: ValuationFunction) -> np.ndarray:
-        """``float(f(types on the row))`` per row, calling ``f`` once per distinct row.
+    def values(self, rows: np.ndarray, f: ValuationFunction, table: dict) -> np.ndarray:
+        """``float(f(types on the row))`` per row.
 
-        Distinct rows are valued in order of first occurrence, so a memoizing
-        valuation computes each set from the same path a row-by-row loop
-        would meet first.
+        ``table`` maps a path's revealed codes to its value; ``f`` is called
+        only for paths it does not hold yet.
         """
-        distinct, first, inverse = np.unique(
-            rows, axis=0, return_index=True, return_inverse=True
-        )
+        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
         names = self.type_names
         got = np.empty(len(distinct))
-        listed = distinct.tolist()
-        for k in np.argsort(first).tolist():
-            got[k] = float(f(frozenset([names[g] for g in listed[k] if g >= 0])))
+        for k, row in enumerate(distinct.tolist()):
+            key = tuple(g for g in row if g >= 0)
+            value = table.get(key)
+            if value is None:
+                value = table[key] = float(f(frozenset([names[g] for g in key])))
+            got[k] = value
         return got[inverse.reshape(-1)]
 
 
@@ -416,6 +425,7 @@ def _path_mc(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     coded = _CodedTree(tree, universe)
+    table: dict[tuple[int, ...], float] = {}  # shared by the call's blocks
 
     def fill_block(b: int, values: np.ndarray) -> None:
         start = b * MC_BLOCK
@@ -427,7 +437,7 @@ def _path_mc(
 
         virtual = draw(0)
         true = draw(1) if resample else virtual
-        values[start:stop] = coded.values(coded.walk(virtual, true), f)
+        values[start:stop] = coded.values(coded.walk(virtual, true), f, table)
 
     return _finish_mc(_mc_collect(trials, workers, fill_block), seed)
 

@@ -4,7 +4,7 @@ selection, and exact rank search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .core import ExactCapExceeded, Scalar, ValidationError
@@ -17,8 +17,7 @@ class IndependenceOracle:
     """Membership oracle for a downward-closed family over a fixed ground set.
 
     The empty set is always independent. Sets containing types outside the
-    ground are dependent, which makes such types loops. ``is_independent``
-    memoizes per oracle; treat oracles as immutable once built.
+    ground are dependent, which makes such types loops.
     """
 
     kind = "abstract"
@@ -27,14 +26,7 @@ class IndependenceOracle:
 
     def is_independent(self, types: Iterable[str]) -> bool:
         key = types if isinstance(types, frozenset) else frozenset(types)
-        if not key:
-            return True
-        memo = self._memo
-        cached = memo.get(key)
-        if cached is None:
-            cached = key <= self.ground and self._independent(key)
-            memo[key] = cached
-        return cached
+        return not key or (key <= self.ground and self._independent(key))
 
     def _independent(self, types: frozenset[str]) -> bool:
         raise NotImplementedError
@@ -46,7 +38,6 @@ class ExplicitFamily(IndependenceOracle):
 
     ground: frozenset[str]
     sets: frozenset[frozenset[str]]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "explicit"
 
@@ -64,7 +55,6 @@ class PartitionMatroid(IndependenceOracle):
 
     part_of: Mapping[str, str | int]
     capacity: Mapping[str | int, int]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "partition_matroid"
     is_matroid = True
@@ -96,7 +86,6 @@ class MatchingFamily(IndependenceOracle):
     """Types map to graph edges; independent iff the edges form a matching."""
 
     edges: Mapping[str, tuple[str, str]]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "matching"
 
@@ -128,7 +117,6 @@ class IntersectionFamily(IndependenceOracle):
     """
 
     members: tuple[IndependenceOracle, ...]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "intersection"
 
@@ -158,7 +146,6 @@ class PathChainFamily(IndependenceOracle):
 
     edges: Mapping[str, tuple[str, str]]  # type -> (parent vertex, child vertex)
     root: str
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "path_chain"
 
@@ -171,40 +158,43 @@ class PathChainFamily(IndependenceOracle):
             if v in parent and parent[v] != u:
                 raise ValidationError(f"vertex {v!r} has two parents")
             parent[v] = u
-        depth: dict[str, int] = {self.root: 0}
-
-        def depth_of(v: str) -> int:
+        # each vertex with its ancestors; its size is the vertex's depth + 1
+        chain: dict[str, frozenset[str]] = {self.root: frozenset({self.root})}
+        for v in parent:
             trail = []
-            while v not in depth:
+            while v not in chain:
                 trail.append(v)
-                if v not in parent:
+                if v not in parent or len(trail) > len(parent):  # or on a cycle
                     raise ValidationError(f"vertex {v!r} is not connected to the root")
                 v = parent[v]
-            d = depth[v]
             for x in reversed(trail):
-                d += 1
-                depth[x] = d
-            return depth[trail[0]] if trail else d
-
-        for v in parent:
-            depth_of(v)
-        self._parent = parent
-        self._depth = depth
+                chain[x] = chain[v] | {x}
+                v = x
+        self._chain = chain
         self.ground = frozenset(self.edges)
 
-    def _ancestor_or_self(self, a: str, b: str) -> bool:
-        da, db = self._depth[a], self._depth[b]
-        while db > da:
-            b = self._parent[b]
-            db -= 1
-        return a == b
-
     def _independent(self, types):
-        verts = sorted((self._depth[self.edges[t][1]], self.edges[t][1]) for t in types)
-        for (_, a), (_, b) in zip(verts, verts[1:]):
-            if not self._ancestor_or_self(a, b):
-                return False
-        return True
+        lows = [self.edges[t][1] for t in types]
+        deepest = self._chain[max(lows, key=lambda v: len(self._chain[v]))]
+        return all(v in deepest for v in lows)
+
+    def _best_root_path(self, cand: Sequence[str], w: Mapping[str, Scalar]) -> Scalar:
+        """Largest total weight of ``cand`` on one root path, summed in ``cand`` order.
+
+        A maximal independent subset is every candidate on the ancestor chain
+        of some candidate's lower endpoint.
+        """
+        low = {t: self.edges[t][1] for t in cand}
+        best: Scalar = 0
+        for v in set(low.values()):
+            on_path = self._chain[v]
+            total: Scalar = 0
+            for t in cand:
+                if low[t] in on_path:
+                    total = total + w[t]
+            if total > best:
+                best = total
+        return best
 
 
 def make_explicit_family(ground: Iterable[str], sets: Iterable[Iterable[str]]) -> ExplicitFamily:
@@ -279,9 +269,9 @@ def max_rank(
     """Maximum weight (cardinality when ``weights`` is None) of an independent
     subset of ``types``.
 
-    Matroids use the exchange greedy, which is exact. Other families fall
-    back to an exhaustive branch-and-bound over independent subsets, capped
-    at ``cap`` candidates.
+    Matroids use the exchange greedy, which is exact, and path chains the
+    best root path. Other families fall back to an exhaustive
+    branch-and-bound over independent subsets, capped at ``cap`` candidates.
     """
     cand = [
         t
@@ -303,6 +293,8 @@ def max_rank(
                 chosen = ext
                 total = total + w[t]
         return total
+    if isinstance(family, PathChainFamily):
+        return family._best_root_path(cand, w)
     if len(cand) > cap:
         raise ExactCapExceeded(
             f"rank computation infeasible: {len(cand)} candidates exceed cap {cap}"

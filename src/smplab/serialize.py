@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping, Sequence
 
-from .core import Scalar, TypeDistribution, Universe, ValidationError
+from .core import Scalar, TypeDistribution, Universe, ValidationError, check_finite
 from .families import (
     ExplicitFamily,
     IndependenceOracle,
@@ -290,6 +290,7 @@ def _meta_from_json(doc: Mapping) -> dict:
     for key, val in doc.items():
         if isinstance(val, dict) and set(val) == {"scalar"}:
             out[key] = str_to_scalar(val["scalar"])
+            check_finite(out[key], f"metadata value for {key!r}")
         else:
             out[key] = val
     return out

@@ -188,8 +188,8 @@ class TreeFanConstraint(ConstraintOracle):
     """Probed edges of a rooted tree must all touch one root-leaf vertex path.
 
     An edge (u, v) with u the parent touches the path to leaf L exactly when
-    L lies in the subtree of u, so each prefix keeps a set of still-compatible
-    leaves; the sets are cached per prefix.
+    L lies in the subtree of u, so a prefix is compatible with the leaves
+    that lie under the parent vertex of every one of its edges.
     """
 
     edges: Mapping[str, tuple[str, str]]  # element -> (parent vertex, child vertex)
@@ -229,9 +229,6 @@ class TreeFanConstraint(ConstraintOracle):
                 f"vertices not reachable from the root: {sorted(unreachable)}"
             )
         self._leaves_under = leaves_under
-        self._prefix_compat: dict[tuple[str, ...], frozenset[str]] = {
-            (): leaves_under[self.root]
-        }
 
     def _edge_leaves(self, e: str) -> frozenset[str]:
         if e not in self.edges:
@@ -239,15 +236,11 @@ class TreeFanConstraint(ConstraintOracle):
         u, _ = self.edges[e]
         return self._leaves_under[u]
 
-    def _compat(self, prefix: tuple[str, ...]) -> frozenset[str]:
-        got = self._prefix_compat.get(prefix)
-        if got is None:
-            got = self._compat(prefix[:-1]) & self._edge_leaves(prefix[-1])
-            self._prefix_compat[prefix] = got
-        return got
-
     def may_extend(self, prefix, nxt):
-        return bool(self._compat(tuple(prefix)) & self._edge_leaves(nxt))
+        compat = self._leaves_under[self.root]
+        for e in (*prefix, nxt):
+            compat = compat & self._edge_leaves(e)
+        return bool(compat)
 
 
 @dataclass(eq=True)

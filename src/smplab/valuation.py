@@ -2,13 +2,13 @@
 
 Every valuation maps a set of types to a non-negative value, is monotone,
 and gives the empty set value 0. Values keep the arithmetic of their inputs
-(int, float, or Fraction). Valuations are immutable and memoize their
-evaluations, so sharing across threads and recursion branches is cheap.
+(int, float, or Fraction). Valuations keep no state between calls; an
+evaluator that asks for one set more than once keeps its own table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import Scalar, ValidationError, check_finite
@@ -21,13 +21,7 @@ class ValuationFunction:
     kind = "abstract"
 
     def __call__(self, types: Iterable[str]) -> Scalar:
-        key = types if isinstance(types, frozenset) else frozenset(types)
-        memo = self._memo
-        value = memo.get(key)
-        if value is None:
-            value = self._evaluate(key)
-            memo[key] = value
-        return value
+        return self._evaluate(types if isinstance(types, frozenset) else frozenset(types))
 
     def _evaluate(self, types: frozenset[str]) -> Scalar:
         raise NotImplementedError
@@ -39,7 +33,6 @@ class ExplicitValuation(ValuationFunction):
 
     ground: frozenset[str]
     table: Mapping[frozenset[str], Scalar]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "explicit"
 
@@ -67,7 +60,6 @@ class CoverageValuation(ValuationFunction):
     """
 
     cover_sets: Mapping[str, frozenset]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "coverage"
 
@@ -93,7 +85,6 @@ class PartitionWeightedValuation(ValuationFunction):
 
     part_of: Mapping[str, str | int]
     part_weight: Mapping[str | int, Scalar]
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "partition_weighted"
 
@@ -127,7 +118,6 @@ class WeightedRankValuation(ValuationFunction):
     family: IndependenceOracle
     weights: Mapping[str, Scalar]
     rank_cap: int = DEFAULT_RANK_CAP
-    _memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     kind = "weighted_rank"
 

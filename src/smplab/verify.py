@@ -60,14 +60,11 @@ def check_monotone(
     """Exhaustively test A <= B implies f(A) <= f(B) (one-element steps)."""
     items = _sorted_ground(ground, 12, "check_monotone")
     n = len(items)
+    values: list[Scalar] = [f(_subset(items, m)) for m in range(1 << n)]
     for m in range(1 << n):
-        big = _subset(items, m)
-        fv = f(big)
         for i in range(n):
-            if m >> i & 1:
-                small = _subset(items, m & ~(1 << i))
-                if f(small) > fv + tol:
-                    return False, (small, big)
+            if m >> i & 1 and values[m & ~(1 << i)] > values[m] + tol:
+                return False, (_subset(items, m & ~(1 << i)), _subset(items, m))
     return True, None
 
 
@@ -77,15 +74,13 @@ def check_downward_closed(
     """Exhaustively test that removing one element keeps independence."""
     items = _sorted_ground(ground, 12, "check_downward_closed")
     n = len(items)
+    independent = [family.is_independent(_subset(items, m)) for m in range(1 << n)]
     for m in range(1 << n):
-        sup = _subset(items, m)
-        if not family.is_independent(sup):
+        if not independent[m]:
             continue
         for i in range(n):
-            if m >> i & 1:
-                sub = _subset(items, m & ~(1 << i))
-                if not family.is_independent(sub):
-                    return False, (sub, sup)
+            if m >> i & 1 and not independent[m & ~(1 << i)]:
+                return False, (_subset(items, m & ~(1 << i)), _subset(items, m))
     return True, None
 
 

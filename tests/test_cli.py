@@ -54,6 +54,10 @@ def _nan_table_value(doc):
     }
 
 
+def _inf_metadata(doc):
+    doc["metadata"]["seed"] = {"scalar": "inf"}
+
+
 class TestGapCommands:
     def test_gap_submodular_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -101,6 +105,7 @@ class TestEvalCommands:
             (_nan_probabilities, "probability of type"),
             (_inf_weights, "weight of type"),
             (_nan_table_value, "table value for"),
+            (_inf_metadata, "metadata value for 'seed'"),
         ],
     )
     def test_eval_rejects_malformed_fields(self, instance_file, capsys, edit, named):

@@ -1,6 +1,7 @@
 """Evaluators vs independent oracles, Monte Carlo soundness, and the gap
 inequality suites at module scale (the acceptance suite runs them big)."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from smplab import (
     weighted_rank,
 )
 from smplab.core import iter_type_profiles
+from smplab.evaluate import MC_BLOCK
 from oracles import (
     brute_adap,
     brute_alg,
@@ -270,13 +272,26 @@ MC_CASES = {
 @pytest.mark.parametrize("case", list(MC_CASES))
 @pytest.mark.parametrize("fn, resample", [(adap_mc, False), (alg_mc, True)])
 def test_mc_bit_identical_to_row_walk_reference(case, fn, resample):
-    # each evaluation gets fresh objects, so no memo is shared with the reference;
     # trials: one block, one short of and one past a block boundary, several blocks
     for trials in (1, 1023, 1025, 2500):
         want = reference_mc(*MC_CASES[case](), trials, 13, resample)
         for workers in (1, 2):
             rep = fn(*MC_CASES[case](), trials, 13, workers=workers)
             assert (rep.value, rep.stderr) == want, (trials, workers)
+
+
+def test_mc_path_table_shared_by_threads():
+    # the blocks of one call share its path table; a thread switch between a
+    # lookup and a store may only repeat a valuation, never change a value
+    args = MC_CASES["wary_tree"]()
+    want = alg_mc(*args, 8 * MC_BLOCK, 21)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = alg_mc(*args, 8 * MC_BLOCK, 21, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
 class TestBestNonadaptive:

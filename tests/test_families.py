@@ -15,6 +15,7 @@ from smplab import (
     make_explicit_family,
     make_matching_family,
     make_partition_matroid,
+    make_path_chain_family,
     make_uniform_matroid,
     max_rank,
 )
@@ -306,3 +307,15 @@ def test_explicit_family_membership():
     fam = make_explicit_family(["a", "b"], [[], ["a"], ["a", "b"]])
     assert fam.is_independent({"a", "b"})
     assert not fam.is_independent({"b"})
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        {"a": ("r", "x"), "b": ("y", "z")},  # y hangs from nothing
+        {"a": ("r", "x"), "b": ("y", "z"), "c": ("z", "y")},  # y, z form a cycle
+    ],
+)
+def test_path_chain_rejects_vertices_off_the_root(edges):
+    with pytest.raises(ValidationError, match="not connected to the root"):
+        make_path_chain_family(edges, "r")

@@ -14,6 +14,7 @@ from smplab import (
     coverage_valuation,
     make_matching_family,
     make_partition_matroid,
+    make_path_chain_family,
     make_uniform_matroid,
     intersect,
     partition_weighted_valuation,
@@ -21,6 +22,30 @@ from smplab import (
 )
 from smplab.valuation import ExplicitValuation
 from oracles import brute_max_matching, brute_max_weight_independent, powerset
+
+
+def _random_path_chain(rng, types):
+    """A path-chain family on a random rooted tree, and a reference oracle
+    that tests every pair of lower endpoints for ancestry."""
+    parent = {}
+    edges = {}
+    for i, t in enumerate(types):
+        u = rng.choice(["r"] + [f"v{j}" for j in range(i)])
+        parent[f"v{i}"] = u
+        edges[t] = (u, f"v{i}")
+
+    def up(v):
+        line = {v}
+        while v in parent:
+            v = parent[v]
+            line.add(v)
+        return line
+
+    def is_chain(sub):
+        lows = [edges[t][1] for t in sub]
+        return all(a in up(b) or b in up(a) for a in lows for b in lows)
+
+    return make_path_chain_family(edges, "r"), is_chain
 
 
 class TestWeightedRank:
@@ -42,9 +67,12 @@ class TestWeightedRank:
 
     def test_matches_brute_force_on_random_families(self):
         rng = random.Random(11)
-        for trial in range(30):
+        for trial in range(50):
             types = [f"t{i}" for i in range(6)]
-            if trial % 2:
+            is_independent = None
+            if trial >= 30:
+                fam, is_independent = _random_path_chain(rng, types)
+            elif trial % 2:
                 fam = make_matching_family(
                     {t: tuple(rng.sample("uvwxy", 2)) for t in types}
                 )
@@ -62,8 +90,16 @@ class TestWeightedRank:
             for _ in range(8):
                 sub = frozenset(rng.sample(types, rng.randint(0, 6)))
                 assert f(sub) == brute_max_weight_independent(
-                    fam.is_independent, sub, weights
+                    is_independent or fam.is_independent, sub, weights
                 )
+
+    def test_path_chain_rank_is_the_whole_path(self):
+        # one root-leaf path: every subset is independent, so the rank is the
+        # total weight, with no cap on the candidate count
+        edges = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(24)}
+        weights = {t: Fraction(i + 1, 7) for i, t in enumerate(edges)}
+        f = weighted_rank(make_path_chain_family(edges, "v0"), weights)
+        assert f(set(edges)) == sum(weights.values())
 
     def test_subadditive_on_small_cases(self):
         edges = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")}

@@ -1,6 +1,7 @@
 """Verifiers: witnesses on planted failures, extension-witness construction."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -216,3 +217,18 @@ class TestCheckEncoding:
         ok, witness = check_encoding([corrupted] + matroids[1:], label_map)
         assert not ok
         assert witness is not None
+
+    def test_memory_stays_flat_on_k5_subset(self):
+        # oracles keep nothing between calls, so the 11175-pair check over
+        # 25 matroids allocates only transient sets
+        matroids, label_map = gen_prime_matroid_encoding(5)
+        chosen = random.Random(5).sample(sorted(label_map), 150)
+        subset = {t: label_map[t] for t in chosen}
+        tracemalloc.start()
+        try:
+            ok, witness = check_encoding(matroids, subset, set_samples=1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok, witness
+        assert peak < 2 << 20, f"peak {peak / 2**20:.1f} MB"
