@@ -76,9 +76,6 @@ class Universe:
             seen |= tset
         object.__setattr__(self, "_all_types", frozenset(seen))
 
-    def types_of(self, element: str) -> tuple[str, ...]:
-        return self.type_space[element]
-
     @property
     def all_types(self) -> frozenset[str]:
         return self._all_types  # type: ignore[attr-defined]
@@ -121,9 +118,6 @@ class TypeDistribution:
 
     def prob(self, element: str, type_id: str) -> Scalar:
         return self.probs[element][type_id]
-
-    def row(self, element: str) -> Mapping[str, Scalar]:
-        return self.probs[element]
 
     def validate_against(self, universe: Universe) -> None:
         if set(self.probs) != set(universe.elements):

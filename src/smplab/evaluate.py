@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .core import (
     sample_type_codes,
 )
 from .families import IndependenceOracle, greedy_add
-from .strategy import ConstraintOracle, DecisionTree, validate_tree
+from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, validate_tree
 from .valuation import ValuationFunction, unit_weights, weighted_rank
 
 #: Hard limit on the amount of exact work (arc expansions) per evaluation.
@@ -152,6 +152,28 @@ def _fresh_draws(
             stack.append((i + 1, step(state, virtual, t), q * p))
 
 
+def _set_values(
+    f: ValuationFunction, universe: Universe, dist: TypeDistribution, meter: _WorkMeter, cap: int
+) -> Callable[[frozenset[str], Sequence[str]], Scalar]:
+    """``value(elements, order)``: the expectation of ``f`` over fresh true
+    draws of ``elements``, once per element set. The draws follow ``order``
+    restricted to ``elements``, which fixes the order of a float sum.
+    """
+    table: dict[frozenset[str], Scalar] = {}
+
+    def value(elements: frozenset[str], order: Sequence[str]) -> Scalar:
+        got = table.get(elements)
+        if got is None:
+            steps = tuple((e, None) for e in order if e in elements)
+            got = 0
+            for types, q in _fresh_draws(steps, universe, dist, meter, cap):
+                got = got + q * f(types)
+            table[elements] = got
+        return got
+
+    return value
+
+
 def adap_exact(
     tree: DecisionTree,
     f: ValuationFunction,
@@ -161,24 +183,27 @@ def adap_exact(
     work_cap: int = DEFAULT_WORK_CAP,
     want_trace: bool = False,
 ) -> EvalReport:
-    """Expected adaptive value, by root decomposition with contraction.
+    """Expected adaptive value, by root decomposition.
 
-    At each node the probe's marginal value is added and the remaining
-    subtree is evaluated against the valuation contracted by the revealed
-    type; this equals the direct sum over root-leaf paths.
+    At each node the probe's marginal value is added to the value of the
+    subtree below, evaluated with the revealed type fixed; this equals the
+    direct sum over root-leaf paths. The optional trace maps the ``(element,
+    type)`` prefix of every internal node that a positive-probability walk
+    reaches to the value of its subtree, in preorder.
     """
     validate_tree(tree, universe)
     meter = _WorkMeter(work_cap)
-    memo: dict[tuple[int, frozenset[str]], Scalar] = {}
+    trace: dict[tuple, Scalar] | None = {} if want_trace else None
 
-    def rec(node: DecisionTree, fixed: frozenset[str], base: Scalar) -> Scalar:
+    # No memo: type ids are globally distinct and each arc is picked by its
+    # element's type, so the revealed set ``fixed`` determines the walk that
+    # reached a node and no (node, fixed) pair is visited twice.
+    def rec(node: DecisionTree, fixed: frozenset[str], base: Scalar, prefix: tuple) -> Scalar:
         # base is f(fixed), passed down so each arc calls f once
         if node.is_leaf:
             return 0
-        key = (id(node), fixed)
-        got = memo.get(key)
-        if got is not None:
-            return got
+        if trace is not None:
+            trace[prefix] = None  # holds the node's preorder slot
         total: Scalar = 0
         for t, child in node.children.items():
             p = dist.prob(node.element, t)
@@ -187,25 +212,13 @@ def adap_exact(
             meter.spend()
             ext = fixed | {t}
             value = f(ext)
-            total = total + p * ((value - base) + rec(child, ext, value))
-        memo[key] = total
+            below = prefix + ((node.element, t),) if trace is not None else prefix
+            total = total + p * ((value - base) + rec(child, ext, value, below))
+        if trace is not None:
+            trace[prefix] = total
         return total
 
-    value = rec(tree, frozenset(), f(frozenset()))
-    trace = None
-    if want_trace:
-        trace = {}
-
-        def collect(node: DecisionTree, fixed: frozenset[str], prefix: tuple):
-            if node.is_leaf:
-                return
-            trace[prefix] = memo[(id(node), fixed)]
-            for t, child in node.children.items():
-                if dist.prob(node.element, t) == 0:
-                    continue
-                collect(child, fixed | {t}, prefix + ((node.element, t),))
-
-        collect(tree, frozenset(), ())
+    value = rec(tree, frozenset(), f(frozenset()), ())
     return EvalReport(value=value, mode="exact", trace=trace)
 
 
@@ -243,18 +256,11 @@ def alg_exact(
     distinct probed set. ``f`` may be any function of the set of true types.
     """
     validate_tree(tree, universe)
-    meter = _WorkMeter(work_cap)
-    inner_memo: dict[frozenset[str], Scalar] = {}
+    value = _set_values(f, universe, dist, _WorkMeter(work_cap), assignment_cap)
     total: Scalar = 0
     for steps, p_path in iter_tree_paths(tree, dist):
-        key = frozenset(e for e, _ in steps)
-        inner = inner_memo.get(key)
-        if inner is None:
-            inner = 0
-            for types, q in _fresh_draws(steps, universe, dist, meter, assignment_cap):
-                inner = inner + q * f(types)
-            inner_memo[key] = inner
-        total = total + p_path * inner
+        path = tuple(e for e, _ in steps)
+        total = total + p_path * value(frozenset(path), path)
     return EvalReport(value=total, mode="exact")
 
 
@@ -485,45 +491,21 @@ def best_nonadaptive_exact(
     Feasibility is a property of the sequence; value depends only on the
     probed set. Returns the lexicographically smallest maximizing sequence.
     """
-    order = sorted(universe.elements)
-    value_memo: dict[frozenset[str], Scalar] = {}
-    meter = _WorkMeter(math.inf)  # the work is bounded by sequence_cap x assignment_cap
-
-    def set_value(key: frozenset[str]) -> Scalar:
-        got = value_memo.get(key)
-        if got is None:
-            steps = tuple((e, None) for e in universe.elements if e in key)
-            got = 0
-            for types, q in _fresh_draws(steps, universe, dist, meter, assignment_cap):
-                got = got + q * f(types)
-            value_memo[key] = got
-        return got
-
+    # the work is bounded by sequence_cap x assignment_cap
+    value = _set_values(f, universe, dist, _WorkMeter(math.inf), assignment_cap)
     best_seq: tuple[str, ...] = ()
     best_val: Scalar = 0
-    expanded = 0
-
-    def extend(prefix: tuple[str, ...], used: frozenset[str]) -> None:
-        nonlocal best_seq, best_val, expanded
-        if len(prefix) >= max_len:
-            return
-        for e in order:
-            if e in used or not constraint.may_extend(prefix, e):
-                continue
-            expanded += 1
-            if expanded > sequence_cap:
-                raise ExactCapExceeded(
-                    f"more than {sequence_cap} feasible sequences; "
-                    "use an instance-specific closed form"
-                )
-            seq = prefix + (e,)
-            v = set_value(frozenset(seq))
-            if v > best_val:
-                best_val = v
-                best_seq = seq
-            extend(seq, used | {e})
-
-    extend((), frozenset())
+    sequences = _feasible_sequences(constraint, sorted(universe.elements), max_len)
+    for expanded, seq in enumerate(sequences, 1):
+        if expanded > sequence_cap:
+            raise ExactCapExceeded(
+                f"more than {sequence_cap} feasible sequences; "
+                "use an instance-specific closed form"
+            )
+        v = value(frozenset(seq), universe.elements)
+        if v > best_val:
+            best_val = v
+            best_seq = seq
     return best_seq, best_val
 
 

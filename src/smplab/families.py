@@ -138,6 +138,44 @@ class IntersectionFamily(IndependenceOracle):
         return all(m.is_independent(types) for m in self.members)
 
 
+def _subtree_ranges(edges: Iterable[tuple[str, str]], root: str) -> dict[str, range]:
+    """Each vertex of the tree of ``(parent, child)`` edges, mapped to the
+    preorder positions of its subtree: ``a`` is ``v`` or an ancestor of ``v``
+    exactly when ``ranges[v].start in ranges[a]``.
+
+    Raises ValidationError unless the edges form one tree hanging from ``root``.
+    """
+    parent: dict[str, str] = {}
+    children: dict[str, list[str]] = {}
+    for u, v in edges:
+        if v == root:
+            raise ValidationError("the root cannot be a child endpoint")
+        if v in parent and parent[v] != u:
+            raise ValidationError(f"vertex {v!r} has two parents")
+        if v not in parent:
+            parent[v] = u
+            children.setdefault(u, []).append(v)
+    order: list[str] = []
+    stack = [root]
+    while stack:  # depth-first, so every subtree is one run of ``order``
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children.get(v, ()))
+    if len(order) <= len(parent):  # the rest hang from nothing or form cycles
+        off = sorted(set(parent) - set(order))
+        raise ValidationError(f"vertices not connected to the root: {off}")
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return {v: range(i, i + size[v]) for i, v in enumerate(order)}
+
+
+def _on_one_root_path(ranges: Mapping[str, range], vertices: Sequence[str]) -> bool:
+    """True iff ``vertices`` (at least one) all lie on one root path."""
+    deepest = max(ranges[v].start for v in vertices)
+    return all(deepest in ranges[v] for v in vertices)
+
+
 @dataclass(eq=True)
 class PathChainFamily(IndependenceOracle):
     """Types map to edges of a rooted tree; independent iff all edges lie on
@@ -151,32 +189,11 @@ class PathChainFamily(IndependenceOracle):
 
     def __post_init__(self):
         self.edges = {t: (u, v) for t, (u, v) in self.edges.items()}
-        parent: dict[str, str] = {}
-        for t, (u, v) in self.edges.items():
-            if v == self.root:
-                raise ValidationError("the root cannot be a child endpoint")
-            if v in parent and parent[v] != u:
-                raise ValidationError(f"vertex {v!r} has two parents")
-            parent[v] = u
-        # each vertex with its ancestors; its size is the vertex's depth + 1
-        chain: dict[str, frozenset[str]] = {self.root: frozenset({self.root})}
-        for v in parent:
-            trail = []
-            while v not in chain:
-                trail.append(v)
-                if v not in parent or len(trail) > len(parent):  # or on a cycle
-                    raise ValidationError(f"vertex {v!r} is not connected to the root")
-                v = parent[v]
-            for x in reversed(trail):
-                chain[x] = chain[v] | {x}
-                v = x
-        self._chain = chain
+        self._subtree = _subtree_ranges(self.edges.values(), self.root)
         self.ground = frozenset(self.edges)
 
     def _independent(self, types):
-        lows = [self.edges[t][1] for t in types]
-        deepest = self._chain[max(lows, key=lambda v: len(self._chain[v]))]
-        return all(v in deepest for v in lows)
+        return _on_one_root_path(self._subtree, [self.edges[t][1] for t in types])
 
     def _best_root_path(self, cand: Sequence[str], w: Mapping[str, Scalar]) -> Scalar:
         """Largest total weight of ``cand`` on one root path, summed in ``cand`` order.
@@ -184,13 +201,12 @@ class PathChainFamily(IndependenceOracle):
         A maximal independent subset is every candidate on the ancestor chain
         of some candidate's lower endpoint.
         """
-        low = {t: self.edges[t][1] for t in cand}
+        low = {t: self._subtree[self.edges[t][1]] for t in cand}
         best: Scalar = 0
-        for v in set(low.values()):
-            on_path = self._chain[v]
+        for pos in dict.fromkeys(r.start for r in low.values()):  # in ``cand`` order
             total: Scalar = 0
             for t in cand:
-                if low[t] in on_path:
+                if pos in low[t]:
                     total = total + w[t]
             if total > best:
                 best = total
@@ -299,16 +315,31 @@ def max_rank(
         raise ExactCapExceeded(
             f"rank computation infeasible: {len(cand)} candidates exceed cap {cap}"
         )
+    return _best_subset(family, cand, w)[1]
+
+
+def _best_subset(
+    family: IndependenceOracle,
+    cand: Sequence[str],
+    w: Mapping[str, Scalar],
+    fixed: frozenset[str] = frozenset(),
+) -> tuple[frozenset[str], Scalar]:
+    """Heaviest subset of ``cand`` independent together with ``fixed`` (which
+    ``cand`` must not meet), and its weight.
+
+    Include-first branch-and-bound in ``cand`` order, pruned by the weight
+    left in the suffix; sums follow ``cand`` order and the first best wins.
+    """
     suffix: list[Scalar] = [0] * (len(cand) + 1)
     for i in reversed(range(len(cand))):
         suffix[i] = suffix[i + 1] + w[cand[i]]
-    best: Scalar = 0
+    best: tuple[frozenset[str], Scalar] = (fixed, 0)
 
     def search(i: int, chosen: frozenset[str], acc: Scalar) -> None:
         nonlocal best
-        if acc > best:
-            best = acc
-        if i == len(cand) or acc + suffix[i] <= best:
+        if acc > best[1]:
+            best = (chosen, acc)
+        if i == len(cand) or acc + suffix[i] <= best[1]:
             return
         t = cand[i]
         ext = chosen | {t}
@@ -316,5 +347,5 @@ def max_rank(
             search(i + 1, ext, acc + w[t])
         search(i + 1, chosen, acc)
 
-    search(0, frozenset(), 0)
-    return best
+    search(0, fixed, 0)  # ``chosen`` carries ``fixed`` along
+    return best[0] - fixed, best[1]

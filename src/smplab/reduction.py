@@ -19,7 +19,7 @@ from .core import (
     ValidationError,
 )
 from .evaluate import DEFAULT_WORK_CAP, EvalReport, alg_exact
-from .families import IndependenceOracle
+from .families import IndependenceOracle, _best_subset
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, weighted_rank
 
@@ -130,9 +130,6 @@ class RepresentativeChoice:
     by_bucket: Mapping[int, int]  # bucket index -> chosen class j(i)
     selected: tuple[tuple[int, int], ...]  # (bucket index, class) kept, ascending
 
-    def selected_classes(self) -> tuple[int, ...]:
-        return tuple(j for _, j in self.selected)
-
 
 def select_representatives(
     scaled_values: Mapping[int, Scalar], buckets: list[Bucket]
@@ -163,30 +160,6 @@ def select_representatives(
     return RepresentativeChoice(parity=parity, by_bucket=by_bucket, selected=selected)
 
 
-def _max_compatible_subset(
-    family: IndependenceOracle,
-    fixed: frozenset[str],
-    candidates: list[str],
-) -> frozenset[str]:
-    """Largest subset of candidates whose union with ``fixed`` is independent."""
-    best: frozenset[str] = frozenset()
-
-    def search(i: int, chosen: frozenset[str]) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = chosen
-        if i == len(candidates) or len(chosen) + (len(candidates) - i) <= len(best):
-            return
-        t = candidates[i]
-        ext = chosen | {t}
-        if family.is_independent(fixed | ext):
-            search(i + 1, ext)
-        search(i + 1, chosen)
-
-    search(0, frozenset())
-    return best
-
-
 def greedy_optimal_combine(
     path_types: frozenset[str],
     decomposition: ClassDecomposition,
@@ -209,7 +182,7 @@ def greedy_optimal_combine(
             raise ExactCapExceeded(
                 f"combiner bucket has {len(candidates)} candidates, above cap {cap}"
             )
-        chosen |= _max_compatible_subset(family, chosen, candidates)
+        chosen |= _best_subset(family, candidates, dict.fromkeys(candidates, 1), chosen)[0]
     return chosen
 
 

@@ -346,18 +346,21 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
         constraint = constraint_from_dict(doc["constraint"])
         tree = tree_from_dict(doc["tree"]) if doc.get("tree") is not None else None
         metadata = _meta_from_json(doc.get("metadata", {}))
+        dist.validate_against(universe)
     except ParseError:
         raise
-    except (AttributeError, KeyError, TypeError, ValidationError) as exc:
+    # ValueError covers ValidationError; int() raises ValueError or OverflowError
+    except (
+        AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError
+    ) as exc:
         raise ParseError(f"malformed instance document: {exc}") from exc
-    dist.validate_against(universe)
     return InstanceBundle(universe, dist, valuation, constraint, tree, metadata)
 
 
 def parse_instance(text: str) -> InstanceBundle:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise ParseError(f"invalid JSON: {exc}") from exc
     return instance_from_dict(doc)
 

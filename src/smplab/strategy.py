@@ -10,9 +10,10 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import Scalar, TypeVector, Universe, ValidationError, check_finite
+from .families import _on_one_root_path, _subtree_ranges
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,9 @@ class TreeFanConstraint(ConstraintOracle):
     """Probed edges of a rooted tree must all touch one root-leaf vertex path.
 
     An edge (u, v) with u the parent touches the path to leaf L exactly when
-    L lies in the subtree of u, so a prefix is compatible with the leaves
-    that lie under the parent vertex of every one of its edges.
+    L lies in the subtree of u. Subtrees are nested or disjoint, so some leaf
+    lies under the parent vertex of every probed edge exactly when those
+    parent vertices lie on one root path.
     """
 
     edges: Mapping[str, tuple[str, str]]  # element -> (parent vertex, child vertex)
@@ -199,48 +201,15 @@ class TreeFanConstraint(ConstraintOracle):
 
     def __post_init__(self):
         self.edges = {e: (u, v) for e, (u, v) in self.edges.items()}
-        children: dict[str, list[str]] = {}
-        parents: dict[str, str] = {}
-        for e, (u, v) in self.edges.items():
-            if v == self.root:
-                raise ValidationError("the root cannot be a child endpoint")
-            if v in parents and parents[v] != u:
-                raise ValidationError(f"vertex {v!r} has two parents")
-            parents[v] = u
-            children.setdefault(u, []).append(v)
-        leaves_under: dict[str, frozenset[str]] = {}
-
-        def collect(v: str) -> frozenset[str]:
-            got = leaves_under.get(v)
-            if got is None:
-                kids = children.get(v, [])
-                got = (
-                    frozenset({v})
-                    if not kids
-                    else frozenset().union(*(collect(c) for c in kids))
-                )
-                leaves_under[v] = got
-            return got
-
-        collect(self.root)
-        unreachable = set(parents) - set(leaves_under)
-        if unreachable:
-            raise ValidationError(
-                f"vertices not reachable from the root: {sorted(unreachable)}"
-            )
-        self._leaves_under = leaves_under
-
-    def _edge_leaves(self, e: str) -> frozenset[str]:
-        if e not in self.edges:
-            raise ValidationError(f"element {e!r} is not an edge of the tree")
-        u, _ = self.edges[e]
-        return self._leaves_under[u]
+        self._subtree = _subtree_ranges(self.edges.values(), self.root)
 
     def may_extend(self, prefix, nxt):
-        compat = self._leaves_under[self.root]
+        tops = []
         for e in (*prefix, nxt):
-            compat = compat & self._edge_leaves(e)
-        return bool(compat)
+            if e not in self.edges:
+                raise ValidationError(f"element {e!r} is not an edge of the tree")
+            tops.append(self.edges[e][0])
+        return _on_one_root_path(self._subtree, tops)
 
 
 @dataclass(eq=True)
@@ -260,9 +229,6 @@ class TableConstraint(ConstraintOracle):
 
     def may_extend(self, prefix, nxt):
         return tuple(prefix) + (nxt,) in self.sequences
-
-    def declared_sequences(self) -> frozenset[tuple[str, ...]]:
-        return self.sequences
 
 
 def constraint_budget(cost: Mapping[str, Scalar], budget: Scalar) -> BudgetConstraint:
@@ -287,6 +253,29 @@ def constraint_tree_fan(
 
 def constraint_table(sequences: Iterable[Sequence[str]]) -> TableConstraint:
     return TableConstraint(frozenset(tuple(s) for s in sequences))
+
+
+def _feasible_sequences(
+    constraint: ConstraintOracle, order: Sequence[str], max_len: int
+) -> Iterator[tuple[str, ...]]:
+    """Every nonempty feasible sequence of distinct elements, up to ``max_len``.
+
+    Preorder: each sequence comes before its extensions, and the extensions
+    of one prefix come in ``order``. ``may_extend`` is called lazily, in the
+    order a recursive walk would call it.
+    """
+    stack = [((), iter(order))] if max_len > 0 else []
+    while stack:
+        prefix, rest = stack[-1]
+        for e in rest:
+            if e not in prefix and constraint.may_extend(prefix, e):
+                seq = prefix + (e,)
+                yield seq
+                if len(seq) < max_len:
+                    stack.append((seq, iter(order)))
+                break
+        else:
+            stack.pop()
 
 
 def check_tree_feasible(

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .core import Scalar, Universe, ValidationError
 from .families import IndependenceOracle
-from .strategy import ConstraintOracle
+from .strategy import ConstraintOracle, TableConstraint, _feasible_sequences
 from .valuation import ValuationFunction
 
 
@@ -98,31 +98,15 @@ def check_prefix_closed(
     blowups). Table-backed constraints are checked for real: every declared
     sequence must have all its prefixes declared.
     """
-    declared = getattr(constraint, "declared_sequences", None)
-    if declared is not None:
-        for seq in sorted(declared()):
-            if len(seq) > max_len:
-                continue
-            for cut in range(1, len(seq)):
-                if seq[:cut] not in declared():
-                    return False, seq
+    if isinstance(constraint, TableConstraint):
+        for seq in sorted(s for s in constraint.sequences if len(s) <= max_len):
+            if any(seq[:cut] not in constraint.sequences for cut in range(1, len(seq))):
+                return False, seq
         return True, None
 
-    seen = 0
-
-    def walk(prefix: tuple[str, ...], used: frozenset[str]) -> None:
-        nonlocal seen
-        if len(prefix) >= max_len:
-            return
-        for e in universe.elements:
-            if e in used or not constraint.may_extend(prefix, e):
-                continue
-            seen += 1
-            if seen > walk_cap:
-                raise ValidationError("prefix-closure walk exceeded its cap")
-            walk(prefix + (e,), used | {e})
-
-    walk((), frozenset())
+    for seen, _ in enumerate(_feasible_sequences(constraint, universe.elements, max_len), 1):
+        if seen > walk_cap:
+            raise ValidationError("prefix-closure walk exceeded its cap")
     return True, None
 
 

@@ -58,6 +58,33 @@ def _inf_metadata(doc):
     doc["metadata"]["seed"] = {"scalar": "inf"}
 
 
+def _word_limit(doc):
+    doc["constraint"] = {"kind": "cardinality", "limit": "abc"}
+
+
+def _infinite_limit(doc):
+    doc["constraint"] = {"kind": "cardinality", "limit": float("inf")}
+
+
+def _word_capacity(doc):
+    doc["valuation"]["family"]["members"][0]["capacity"][0][1] = "abc"
+
+
+def _word_rank_cap(doc):
+    doc["valuation"]["rank_cap"] = "abc"
+
+
+def _deep_tree(doc):
+    # built as text: json.dumps recurses too
+    e = doc["universe"]["elements"][0]
+    t = doc["universe"]["types"][e][0]
+    node = "null"
+    for _ in range(600):
+        node = f'{{"element": "{e}", "children": {{"{t}": {node}}}}}'
+    doc["tree"] = None
+    return json.dumps(doc).replace('"tree": null', f'"tree": {node}')
+
+
 class TestGapCommands:
     def test_gap_submodular_passes(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -106,12 +133,17 @@ class TestEvalCommands:
             (_inf_weights, "weight of type"),
             (_nan_table_value, "table value for"),
             (_inf_metadata, "metadata value for 'seed'"),
+            (_word_limit, "invalid literal for int()"),
+            (_infinite_limit, "cannot convert float infinity to integer"),
+            (_word_capacity, "invalid literal for int()"),
+            (_word_rank_cap, "invalid literal for int()"),
+            (_deep_tree, "recursion"),
         ],
     )
     def test_eval_rejects_malformed_fields(self, instance_file, capsys, edit, named):
         doc = json.loads(instance_file.read_text())
-        edit(doc)
-        instance_file.write_text(json.dumps(doc))
+        text = edit(doc)  # an edit that cannot go through json.dumps returns the text
+        instance_file.write_text(text or json.dumps(doc))
         assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
         assert named in capsys.readouterr().err
 

@@ -58,6 +58,28 @@ def small_instances(seeds, **kwargs):
     return [gen_random_instance(s, params) for s in seeds]
 
 
+def _zero_first_types(dist):
+    """``dist`` with the first type of every multi-type element at probability 0."""
+    rows = {}
+    for e, row in dist.probs.items():
+        first = next(iter(row))
+        if len(row) > 1:
+            row = {t: 0 if t == first else p / (1 - row[first]) for t, p in row.items()}
+        rows[e] = row
+    return TypeDistribution(rows)
+
+
+def _reached_prefixes(node, dist, prefix=()):
+    """Preorder prefixes of the internal nodes reached by positive-probability arcs."""
+    if node.is_leaf:
+        return []
+    out = [prefix]
+    for t, child in node.children.items():
+        if dist.prob(node.element, t) != 0:
+            out += _reached_prefixes(child, dist, prefix + ((node.element, t),))
+    return out
+
+
 class TestAdapExact:
     def test_leaf_only_tree(self):
         universe, dist, f, _ = bernoulli_indicator()
@@ -98,6 +120,13 @@ class TestAdapExact:
         universe, dist, f, tree = bernoulli_indicator()
         rep = adap_exact(tree, f, universe, dist, want_trace=True)
         assert rep.trace[()] == rep.value
+        # on random trees with zero-probability arcs the keys are exactly
+        # the prefixes of the internal nodes that positive arcs reach
+        for inst in [gen_random_instance(s) for s in range(10)]:
+            dist = _zero_first_types(inst.dist)
+            rep = adap_exact(inst.tree, inst.valuation, inst.universe, dist, want_trace=True)
+            assert list(rep.trace) == _reached_prefixes(inst.tree, dist)
+            assert rep.trace.get((), 0) == rep.value
 
     def test_work_cap(self):
         bundle = gen_submodular_lb(Fraction(1, 4))

@@ -20,6 +20,7 @@ from smplab import (
     max_rank,
 )
 from smplab.families import greedy_add
+from smplab.strategy import TreeFanConstraint
 from oracles import brute_max_weight_independent, powerset
 
 
@@ -310,12 +311,20 @@ def test_explicit_family_membership():
 
 
 @pytest.mark.parametrize(
-    "edges",
+    "edges, message",
     [
-        {"a": ("r", "x"), "b": ("y", "z")},  # y hangs from nothing
-        {"a": ("r", "x"), "b": ("y", "z"), "c": ("z", "y")},  # y, z form a cycle
+        # y hangs from nothing
+        pytest.param({"a": ("r", "x"), "b": ("y", "z")}, "not connected to the root", id="edges0"),
+        # y, z form a cycle
+        pytest.param(
+            {"a": ("r", "x"), "b": ("y", "z"), "c": ("z", "y")}, "not connected to the root",
+            id="edges1",
+        ),
+        pytest.param({"a": ("r", "x"), "b": ("x", "y"), "c": ("r", "y")}, "two parents", id="edges2"),
+        pytest.param({"a": ("r", "x"), "b": ("x", "r")}, "root cannot be a child", id="edges3"),
     ],
 )
-def test_path_chain_rejects_vertices_off_the_root(edges):
-    with pytest.raises(ValidationError, match="not connected to the root"):
-        make_path_chain_family(edges, "r")
+def test_path_chain_rejects_vertices_off_the_root(edges, message):
+    for make in (make_path_chain_family, TreeFanConstraint):
+        with pytest.raises(ValidationError, match=message):
+            make(edges, "r")

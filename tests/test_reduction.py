@@ -236,9 +236,9 @@ class TestCombiner:
                 best_alone = deco.classes[j](members)
                 picked = greedy_optimal_combine(members, deco, choice_only(j, choice), fam)
                 # recompute the incremental pick against the running fixed set
-                from smplab.reduction import _max_compatible_subset
+                from smplab.families import _best_subset
 
-                inc = _max_compatible_subset(fam, fixed, sorted(members))
+                inc = _best_subset(fam, sorted(members), dict.fromkeys(members, 1), fixed)[0]
                 assert len(inc) >= best_alone - k * len(fixed)
                 assert fam.is_independent(fixed | inc)
                 fixed |= inc

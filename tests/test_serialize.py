@@ -1,8 +1,11 @@
 """File formats: scalar strings, round trips, named parse failures."""
 
+import copy
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smplab import (
     InstanceBundle,
@@ -18,6 +21,7 @@ from smplab import (
 from smplab.serialize import (
     ParseError,
     ReportRecord,
+    instance_to_dict,
     parse_instance,
     parse_report,
     report_to_csv,
@@ -119,6 +123,50 @@ class TestParseFailures:
             doc = doc.replace(f'"kind": "{kind}"', '"kind": "weird"')
         with pytest.raises(ParseError):
             parse_instance(doc)
+
+
+def _field_paths(node, path=()):
+    """The key path of every value nested in a JSON document."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ()
+    )
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+_FUZZ_DOCS = [
+    instance_to_dict(gen_random_instance(seed, params))
+    for seed, params in [
+        (1, RandomInstanceParams()),
+        (2, RandomInstanceParams(valuation_kinds=("matching_rank",), weight_high=8)),
+        (3, RandomInstanceParams(valuation_kinds=("matroid_intersection_rank",),
+                                 k_extendible=2, constraint_kinds=("budget",))),
+        (4, RandomInstanceParams(valuation_kinds=("coverage",), constraint_kinds=("dag_path",))),
+    ]
+] + [instance_to_dict(gen_tree_lb(2, 2, Fraction(1, 2)))]
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_instance_returns_a_bundle_or_raises_parse_error(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_DOCS), label="doc"))
+    path = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = data.draw(_JSON_VALUES, label="value")
+    try:
+        got = parse_instance(json.dumps(doc))
+    except ParseError:
+        return
+    assert isinstance(got, InstanceBundle)
 
 
 class TestReports:

@@ -233,6 +233,14 @@ class TestTreeFan:
         for order in itertools.permutations(incident):
             assert c.allows(order), order
 
+    def test_deep_path_builds_without_recursion(self):
+        edges = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(3000)}
+        edges.update({"x": ("v10", "w"), "y": ("w", "w1")})  # a branch off v10
+        c = constraint_tree_fan(edges, "v0")
+        assert c.may_extend(("e0", "e2999"), "e1500")
+        assert c.may_extend(("x", "y"), "e5")
+        assert not c.may_extend(("y",), "e2999")
+
     def test_unknown_edge_is_error(self):
         c = constraint_tree_fan(self.edges(), "r")
         with pytest.raises(ValidationError):
