@@ -76,6 +76,13 @@ def _pairs(mapping: Mapping[Any, Scalar]) -> list[list]:
     return [[key, scalar_to_str(val)] for key, val in mapping.items()]
 
 
+def _integer(value: Any, field: str) -> int:
+    """A JSON integer field; bools, floats and strings are rejected."""
+    if type(value) is not int:
+        raise ParseError(f"{field} must be a JSON integer, not {value!r}")
+    return value
+
+
 def _unpairs(pairs) -> dict:
     try:
         return {key: str_to_scalar(val) for key, val in pairs}
@@ -116,7 +123,8 @@ def family_from_dict(doc: dict) -> IndependenceOracle:
     kind = doc.get("kind")
     if kind == "partition_matroid":
         return PartitionMatroid(
-            dict(doc["part_of"]), {p: int(c) for p, c in doc["capacity"]}
+            dict(doc["part_of"]),
+            {p: _integer(c, f"capacity of part {p!r}") for p, c in doc["capacity"]},
         )
     if kind == "matching":
         return MatchingFamily({t: (u, v) for t, (u, v) in doc["edges"].items()})
@@ -177,7 +185,7 @@ def valuation_from_dict(doc: dict) -> ValuationFunction:
         return WeightedRankValuation(
             family_from_dict(doc["family"]),
             {t: str_to_scalar(w) for t, w in doc["weights"].items()},
-            int(doc.get("rank_cap", 20)),
+            _integer(doc.get("rank_cap", 20), "rank_cap"),
         )
     if kind == "explicit":
         return ExplicitValuation(
@@ -224,7 +232,7 @@ def constraint_from_dict(doc: dict) -> ConstraintOracle:
             str_to_scalar(doc["budget"]),
         )
     if kind == "cardinality":
-        return CardinalityConstraint(int(doc["limit"]))
+        return CardinalityConstraint(_integer(doc["limit"], "limit"))
     if kind == "dag_path":
         return DagPathConstraint(
             {e: frozenset(out) for e, out in doc["arcs"].items()}, doc["start"]

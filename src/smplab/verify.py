@@ -8,11 +8,16 @@ search order (or None on success).
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
+import random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import Scalar, Universe, ValidationError
-from .families import IndependenceOracle
+from .families import IndependenceOracle, PartitionMatroid, intersect
 from .strategy import ConstraintOracle, TableConstraint, _feasible_sequences
 from .valuation import ValuationFunction
 
@@ -217,44 +222,119 @@ def find_extension_witness(
     return removed
 
 
-def _ancestor_comparable(
-    la: tuple[int, ...], lb: tuple[int, ...]
-) -> bool:
-    shorter, longer = (la, lb) if len(la) <= len(lb) else (lb, la)
-    return longer[: len(shorter)] == shorter
+#: Pair cells (row type x column type) the encoding check decides per block;
+#: it bounds the check's temporary arrays.
+ENCODING_PAIR_BLOCK = 1 << 18
+
+
+def _label_intervals(labels: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder position and subtree end of each label among the distinct
+    labels: ``a`` is a prefix of (or equal to) ``b`` exactly when
+    ``pos[a] <= pos[b] < end[a]``."""
+    distinct = sorted(set(labels))
+    rank = {lab: i for i, lab in enumerate(distinct)}
+    # the labels extending ``lab`` sort right after it, before ``lab + (inf,)``
+    end = {lab: bisect.bisect_left(distinct, lab + (math.inf,)) for lab in distinct}
+    return (
+        np.array([rank[lab] for lab in labels], dtype=np.int64),
+        np.array([end[lab] for lab in labels], dtype=np.int64),
+    )
+
+
+def _pair_keys(
+    matroids: Sequence[PartitionMatroid], types: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair-independence of partition matroids as arrays.
+
+    Returns ``keys`` of shape (matroids, types) and a per-type ``loop`` flag:
+    a pair of distinct types is dependent in matroid ``m`` exactly when
+    ``keys[m]`` is equal on them or either is a loop. Types in a part of
+    capacity < 2 get that part's code; every other type gets a key of its own.
+    A type outside the ground or in a part of capacity 0 is a loop.
+    """
+    keys = np.empty((len(matroids), len(types)), dtype=np.int64)
+    loop = np.zeros(len(types), dtype=bool)
+    for m, matroid in enumerate(matroids):
+        code: dict = {}
+        row = []
+        for i, t in enumerate(types):
+            if t in matroid.part_of:
+                part = matroid.part_of[t]
+                cap = matroid.capacity[part]
+            else:  # outside the ground
+                part, cap = None, 0
+            if cap == 0:
+                loop[i] = True
+            # own keys are negative, so never a part code
+            row.append(code.setdefault(part, len(code)) if cap < 2 else -1 - i)
+        keys[m] = row
+    return keys, loop
+
+
+def _first_pair_mismatch(
+    keys: np.ndarray, loop: np.ndarray, pos: np.ndarray, end: np.ndarray
+) -> tuple[int, int] | None:
+    """First pair ``i < j`` in row-major order whose pair-independence differs
+    from label comparability, decided in row blocks of the upper triangle."""
+    n = len(loop)
+    rows_per_block = max(1, ENCODING_PAIR_BLOCK // max(n, 1))
+    for r0 in range(0, n - 1, rows_per_block):
+        r = slice(r0, min(r0 + rows_per_block, n - 1))
+        c = slice(r0 + 1, n)
+        dependent = loop[r, None] | loop[None, c]
+        for key in keys:
+            dependent |= key[r, None] == key[None, c]
+        pr, pc = pos[r, None], pos[None, c]
+        comparable = ((pr <= pc) & (pc < end[r, None])) | ((pc <= pr) & (pr < end[None, c]))
+        mismatch = dependent == comparable  # independent != comparable
+        mismatch &= np.arange(c.start, n)[None, :] > np.arange(r.start, r.stop)[:, None]
+        if mismatch.any():
+            i, j = divmod(int(mismatch.argmax()), n - c.start)
+            return r.start + i, c.start + j
+    return None
 
 
 def check_encoding(
-    matroids: Sequence[IndependenceOracle],
+    matroids: Sequence[PartitionMatroid],
     label_map: dict[str, tuple[tuple[int, ...], int]],
     *,
     set_samples: int = 10_000,
     seed: int = 0,
     exhaustive_set_limit: int = 12,
 ) -> tuple[bool, frozenset | None]:
-    """Verify that the matroid intersection realizes the ancestor-chain family.
+    """Verify that the intersection of partition matroids realizes the
+    ancestor-chain family of the labels in ``label_map``.
 
-    Pairs are checked exhaustively: two edges are jointly independent exactly
-    when their vertices are ancestor-related. Sets are checked exhaustively
-    when the ground is small, else on ``set_samples`` seeded random subsets:
-    intersection-independent iff every pair is ancestor-related.
+    Pairs are checked exhaustively, with arrays: two types are jointly
+    independent exactly when their labels are prefix-related (equal labels
+    count). Pair-independence comes from each matroid's part codes and
+    capacities, comparability from preorder intervals over the sorted labels.
+    Sets are checked by the intersection oracle, exhaustively when the ground
+    is small, else on ``set_samples`` seeded random subsets:
+    intersection-independent iff every pair is prefix-related. The witness is
+    the first mismatch, pairs in ``itertools.combinations`` order first.
+    Raises ValidationError if a member is not a PartitionMatroid.
     """
-    from .families import intersect  # local import keeps module load light
-    import random as _random
-
+    for i, m in enumerate(matroids):
+        if not isinstance(m, PartitionMatroid):
+            raise ValidationError(
+                f"check_encoding needs partition matroids; member {i} is {m.kind!r}"
+            )
     inter = intersect(list(matroids))
     ground = sorted(label_map)
+    pos, end = _label_intervals([label_map[t][0] for t in ground])
 
-    def chain(types: Iterable[str]) -> bool:
-        labs = [label_map[t][0] for t in types]
-        return all(
-            _ancestor_comparable(x, y) for x, y in itertools.combinations(labs, 2)
-        )
+    keys, loop = _pair_keys(matroids, ground)
+    pair = _first_pair_mismatch(keys, loop, pos, end)
+    if pair is not None:
+        return False, frozenset(ground[i] for i in pair)
 
-    for a, b in itertools.combinations(ground, 2):
-        expected = _ancestor_comparable(label_map[a][0], label_map[b][0])
-        if inter.is_independent({a, b}) != expected:
-            return False, frozenset({a, b})
+    pos_of = dict(zip(ground, pos.tolist()))
+    end_of = dict(zip(ground, end.tolist()))
+
+    def chain(types: frozenset[str]) -> bool:
+        deepest = max(pos_of[t] for t in types)
+        return all(deepest < end_of[t] for t in types)
 
     if len(ground) <= exhaustive_set_limit:
         for size in range(3, len(ground) + 1):
@@ -263,7 +343,7 @@ def check_encoding(
                 if inter.is_independent(s) != chain(s):
                     return False, s
     else:
-        rng = _random.Random(seed)
+        rng = random.Random(seed)
         for _ in range(set_samples):
             size = rng.randint(2, min(8, len(ground)))
             s = frozenset(rng.sample(ground, size))

@@ -1,12 +1,14 @@
 """Independent brute-force oracles the tests check the library against.
 
 These deliberately avoid the library's evaluator code paths: the exact
-oracles enumerate full type vectors or subsets, and the Monte Carlo
-reference walks the decision tree one sampled row of type ids at a time.
+oracles enumerate full type vectors or subsets, the Monte Carlo
+reference walks the decision tree one sampled row of type ids at a time,
+and the encoding reference asks the intersection oracle about every pair.
 """
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from smplab import (
 )
 from smplab.core import sample_type_profiles
 from smplab.evaluate import MC_BLOCK
+from smplab.families import intersect
 from smplab.reduction import two_power
 from smplab.strategy import random_walk_path
 
@@ -173,3 +176,42 @@ def reference_mc(tree, f, universe, dist, trials, seed, resample):
     values = np.array(values)
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return float(values.mean()), stderr
+
+
+def _ancestor_comparable(la, lb):
+    shorter, longer = (la, lb) if len(la) <= len(lb) else (lb, la)
+    return longer[: len(shorter)] == shorter
+
+
+def reference_check_encoding(
+    matroids, label_map, *, set_samples=10_000, seed=0, exhaustive_set_limit=12
+):
+    """``check_encoding`` as a loop: every pair through the intersection oracle."""
+    inter = intersect(list(matroids))
+    ground = sorted(label_map)
+
+    def chain(types):
+        labs = [label_map[t][0] for t in types]
+        return all(
+            _ancestor_comparable(x, y) for x, y in itertools.combinations(labs, 2)
+        )
+
+    for a, b in itertools.combinations(ground, 2):
+        expected = _ancestor_comparable(label_map[a][0], label_map[b][0])
+        if inter.is_independent({a, b}) != expected:
+            return False, frozenset({a, b})
+
+    if len(ground) <= exhaustive_set_limit:
+        for size in range(3, len(ground) + 1):
+            for combo in itertools.combinations(ground, size):
+                s = frozenset(combo)
+                if inter.is_independent(s) != chain(s):
+                    return False, s
+    else:
+        rng = random.Random(seed)
+        for _ in range(set_samples):
+            size = rng.randint(2, min(8, len(ground)))
+            s = frozenset(rng.sample(ground, size))
+            if inter.is_independent(s) != chain(s):
+                return False, s
+    return True, None

@@ -168,7 +168,7 @@ def test_criterion_5_kextendible_lower_bound():
 def test_criterion_6_matroid_intersection_encoding():
     ok = True
     details = []
-    for k in (2, 3):
+    for k in (2, 3, 5):  # k=5: all 7,622,560 pairs and 10,000 sampled sets
         matroids, label_map = gen_prime_matroid_encoding(k)
         passed, witness = check_encoding(matroids, label_map, set_samples=10_000, seed=1)
         ok &= passed

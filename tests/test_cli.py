@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, report files, reproducibility."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -74,6 +75,22 @@ def _word_rank_cap(doc):
     doc["valuation"]["rank_cap"] = "abc"
 
 
+def _fractional_limit(doc):
+    doc["constraint"] = {"kind": "cardinality", "limit": 2.5}
+
+
+def _huge_limit(doc):
+    doc["constraint"] = {"kind": "cardinality", "limit": 1e300}
+
+
+def _float_capacity(doc):
+    doc["valuation"]["family"]["members"][0]["capacity"][0][1] = 1.0
+
+
+def _bool_rank_cap(doc):
+    doc["valuation"]["rank_cap"] = True
+
+
 def _deep_tree(doc):
     # built as text: json.dumps recurses too
     e = doc["universe"]["elements"][0]
@@ -111,6 +128,21 @@ class TestGapCommands:
     def test_gap_matroid_encoding_rejects_composite(self):
         assert main(["gap-matroid-encoding", "--k", "4"]) == 2
 
+    def test_python_dash_m(self):
+        src = str(Path(smplab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+        def status(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "smplab", *args],
+                env=env, capture_output=True, timeout=120,
+            ).returncode
+
+        assert status("gap-matroid-encoding", "--k", "2", "--samples", "100") == 0
+        assert status("gap-matroid-encoding", "--k", "4") == 2
+        importlib.import_module("smplab.__main__")  # an import alone runs nothing
+
 
 class TestEvalCommands:
     def test_eval_exact_targets(self, instance_file):
@@ -133,10 +165,14 @@ class TestEvalCommands:
             (_inf_weights, "weight of type"),
             (_nan_table_value, "table value for"),
             (_inf_metadata, "metadata value for 'seed'"),
-            (_word_limit, "invalid literal for int()"),
-            (_infinite_limit, "cannot convert float infinity to integer"),
-            (_word_capacity, "invalid literal for int()"),
-            (_word_rank_cap, "invalid literal for int()"),
+            (_word_limit, "limit must be a JSON integer, not 'abc'"),
+            (_infinite_limit, "limit must be a JSON integer, not inf"),
+            (_fractional_limit, "limit must be a JSON integer, not 2.5"),
+            (_huge_limit, "limit must be a JSON integer, not 1e+300"),
+            (_word_capacity, "capacity of part 'q0' must be a JSON integer, not 'abc'"),
+            (_float_capacity, "capacity of part 'q0' must be a JSON integer, not 1.0"),
+            (_word_rank_cap, "rank_cap must be a JSON integer, not 'abc'"),
+            (_bool_rank_cap, "rank_cap must be a JSON integer, not True"),
             (_deep_tree, "recursion"),
         ],
     )

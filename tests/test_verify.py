@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -26,8 +27,9 @@ from smplab import (
     make_uniform_matroid,
     universe_from_type_space,
 )
+from smplab import verify
 from smplab.valuation import ExplicitValuation
-from oracles import powerset
+from oracles import powerset, reference_check_encoding
 
 
 class TestCheckSubmodular:
@@ -219,8 +221,8 @@ class TestCheckEncoding:
         assert witness is not None
 
     def test_memory_stays_flat_on_k5_subset(self):
-        # oracles keep nothing between calls, so the 11175-pair check over
-        # 25 matroids allocates only transient sets
+        # oracles keep nothing between calls, and the 11175 pairs over 25
+        # matroids are decided in blocks of bounded size
         matroids, label_map = gen_prime_matroid_encoding(5)
         chosen = random.Random(5).sample(sorted(label_map), 150)
         subset = {t: label_map[t] for t in chosen}
@@ -232,3 +234,68 @@ class TestCheckEncoding:
             tracemalloc.stop()
         assert ok, witness
         assert peak < 2 << 20, f"peak {peak / 2**20:.1f} MB"
+
+
+def _encodings():
+    for k in (2, 3):
+        yield gen_prime_matroid_encoding(k)
+    matroids, label_map = gen_prime_matroid_encoding(5)
+    for seed in range(2):
+        chosen = random.Random(seed).sample(sorted(label_map), 40)
+        yield matroids, {t: label_map[t] for t in chosen}
+
+
+def _mutate(matroids, label_map, how, rng):
+    """One corruption of an encoding: a part id flipped, a capacity set to 0
+    or 2, a type dropped from one or every ground, or a label shared."""
+    matroids = list(matroids)
+    label_map = dict(label_map)
+    types = sorted(label_map)
+    t = rng.choice(types)
+    hit = [rng.randrange(len(matroids))] if how != "drop_all" else range(len(matroids))
+    for i in hit:
+        part_of = dict(matroids[i].part_of)
+        capacity = dict(matroids[i].capacity)
+        if how == "flip":
+            part_of[t] = rng.choice(sorted(capacity))
+        elif how == "capacity":
+            capacity[part_of[t]] = rng.choice((0, 2))
+        elif how in ("drop_one", "drop_all"):
+            del part_of[t]
+        matroids[i] = make_partition_matroid(part_of, capacity)
+    if how == "same_label":
+        label_map[t] = label_map[rng.choice(types)]
+    return matroids, label_map
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return check(*args, **kwargs)
+    except ValidationError as exc:
+        return "ValidationError", str(exc)
+
+
+class TestCheckEncodingAgainstReference:
+    @pytest.mark.parametrize("block", [verify.ENCODING_PAIR_BLOCK, 7])
+    def test_mutated_encodings_match_the_pair_loop(self, monkeypatch, block):
+        # a block of 7 cells decides one row per block, so the witness
+        # order across blocks is exercised too
+        monkeypatch.setattr(verify, "ENCODING_PAIR_BLOCK", block)
+        failed = Counter()
+        for e, (matroids, label_map) in enumerate(_encodings()):
+            for how in ("flip", "capacity", "drop_one", "drop_all", "same_label"):
+                for seed in range(8):
+                    bad = _mutate(matroids, label_map, how, random.Random(f"{e}-{how}-{seed}"))
+                    got = _outcome(check_encoding, *bad, set_samples=200, seed=seed)
+                    want = _outcome(reference_check_encoding, *bad, set_samples=200, seed=seed)
+                    assert got == want, (e, how, seed)
+                    failed[how] += got[0] is False
+        # "drop_one" leaves the grounds unequal, so both raise the same error;
+        # every other corruption is sometimes caught
+        assert all(failed[how] > 0 for how in ("flip", "capacity", "drop_all", "same_label"))
+
+    def test_non_partition_member_rejected(self):
+        matroids, label_map = gen_prime_matroid_encoding(2)
+        edges = {t: (f"u{i}", f"v{i}") for i, t in enumerate(sorted(label_map))}
+        with pytest.raises(ValidationError, match="member 1 is 'matching'"):
+            check_encoding([matroids[0], make_matching_family(edges)], label_map)
