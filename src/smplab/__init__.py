@@ -12,12 +12,8 @@ from .core import (
     RandomStream,
     Scalar,
     TypeDistribution,
-    TypeVector,
     Universe,
     ValidationError,
-    enumerate_assignments,
-    restrict,
-    sample_type_vector,
     universe_from_type_space,
 )
 from .evaluate import (
@@ -80,7 +76,6 @@ from .strategy import (
     constraint_tree_fan,
     leaf,
     probe,
-    random_walk_path,
     validate_tree,
 )
 from .valuation import (

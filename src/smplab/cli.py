@@ -71,6 +71,16 @@ class ExperimentConfig:
     out: str | None = None
 
     def validate(self) -> None:
+        for flag, value, least in (
+            ("--cases", self.cases, 1),
+            ("--samples", self.samples, 0),
+            ("--workers", self.workers, 1),
+            ("--max-len", self.max_len, 1),
+        ):
+            if value is not None and value < least:
+                raise ValidationError(f"{flag} must be >= {least}, got {value}")
+        if self.tolerance is not None and not math.isfinite(self.tolerance):
+            raise ValidationError(f"--tolerance must be finite, got {self.tolerance}")
         if self.mode not in ("exact", "mc"):
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.mode == "mc":

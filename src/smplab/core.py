@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -114,7 +114,6 @@ class TypeDistribution:
                 )
             table[e] = row
         self.probs = table
-        self._cumulative_cache: dict[tuple, np.ndarray] = {}
 
     def prob(self, element: str, type_id: str) -> Scalar:
         return self.probs[element][type_id]
@@ -128,15 +127,6 @@ class TypeDistribution:
                     f"distribution for element {e!r} does not match its type space"
                 )
 
-    def _cumulative(self, element: str, order: tuple[str, ...]) -> np.ndarray:
-        key = (element, order)
-        cum = self._cumulative_cache.get(key)
-        if cum is None:
-            row = self.probs[element]
-            cum = np.cumsum([float(row[t]) for t in order])
-            self._cumulative_cache[key] = cum
-        return cum
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TypeDistribution) and self.probs == other.probs
 
@@ -144,45 +134,6 @@ class TypeDistribution:
 
     def __repr__(self) -> str:
         return f"TypeDistribution({self.probs!r})"
-
-
-@dataclass(frozen=True)
-class TypeVector:
-    """Assignment of a type to each element of some subset of the universe."""
-
-    assignment: Mapping[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "assignment", dict(self.assignment))
-
-    def __getitem__(self, element: str) -> str:
-        return self.assignment[element]
-
-    def __contains__(self, element: str) -> bool:
-        return element in self.assignment
-
-    def __len__(self) -> int:
-        return len(self.assignment)
-
-    def items(self):
-        return self.assignment.items()
-
-    @property
-    def elements(self) -> frozenset[str]:
-        return frozenset(self.assignment)
-
-    @property
-    def types(self) -> frozenset[str]:
-        return frozenset(self.assignment.values())
-
-
-def restrict(vector: TypeVector, subset: Iterable[str]) -> TypeVector:
-    """Project a type vector onto a subset of its assigned elements."""
-    wanted = set(subset)
-    missing = wanted - set(vector.assignment)
-    if missing:
-        raise ValidationError(f"cannot restrict to unassigned elements: {sorted(missing)}")
-    return TypeVector({e: t for e, t in vector.assignment.items() if e in wanted})
 
 
 @dataclass(frozen=True)
@@ -202,9 +153,6 @@ class RandomStream:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 0:
                 raise ValidationError(f"{name} must be a non-negative integer, got {v!r}")
-
-    def at(self, counter: int) -> "RandomStream":
-        return replace(self, counter=counter)
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -232,7 +180,8 @@ def sample_type_codes(
     # columns with equal cumulative vectors share one searchsorted call
     groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     for j, e in enumerate(universe.elements):
-        cum = dist._cumulative(e, universe.type_space[e])
+        row = dist.probs[e]
+        cum = np.cumsum([float(row[t]) for t in universe.type_space[e]])
         groups.setdefault(cum.tobytes(), (cum, []))[1].append(j)
     codes = np.empty(u.shape, dtype=np.intp)
     for cum, cols in groups.values():
@@ -240,29 +189,6 @@ def sample_type_codes(
         got = np.searchsorted(cum, picked, side="right")
         codes[:, cols] = np.minimum(got, len(cum) - 1, out=got)
     return codes
-
-
-def sample_type_profiles(
-    universe: Universe,
-    dist: TypeDistribution,
-    stream: RandomStream,
-    count: int,
-) -> list[tuple[str, ...]]:
-    """The rows of :func:`sample_type_codes` as tuples of type ids."""
-    orders = [universe.type_space[e] for e in universe.elements]
-    return [
-        tuple(order[c] for order, c in zip(orders, row))
-        for row in sample_type_codes(universe, dist, stream, count).tolist()
-    ]
-
-
-def sample_type_vector(
-    universe: Universe, dist: TypeDistribution, stream: RandomStream
-) -> TypeVector:
-    """One independent draw per element, deterministic in the stream address."""
-    dist.validate_against(universe)
-    row = sample_type_profiles(universe, dist, stream, 1)[0]
-    return TypeVector(dict(zip(universe.elements, row)))
 
 
 def check_assignment_count(
@@ -299,19 +225,3 @@ def iter_type_profiles(
         for e, t in zip(elements, combo):
             p = p * dist.prob(e, t)
         yield combo, p
-
-
-def enumerate_assignments(
-    universe: Universe,
-    dist: TypeDistribution,
-    subset: Iterable[str],
-    cap: int = DEFAULT_ASSIGNMENT_CAP,
-) -> Iterator[tuple[TypeVector, Scalar]]:
-    """Enumerate partial type vectors over ``subset`` exactly once each."""
-    wanted = set(subset)
-    unknown = wanted - set(universe.elements)
-    if unknown:
-        raise ValidationError(f"unknown elements: {sorted(unknown)}")
-    elems = tuple(e for e in universe.elements if e in wanted)
-    for combo, p in iter_type_profiles(universe, dist, elems, cap=cap):
-        yield TypeVector(dict(zip(elems, combo))), p

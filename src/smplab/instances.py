@@ -279,14 +279,25 @@ def _build_wary_tree(arity: int, depth: int) -> _WaryTree:
     return _WaryTree("root", labels, children, tuple(edges), endpoints)
 
 
+def _check_tree_lb(k: int, p: Scalar, w: int = 1) -> None:
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k!r}")
+    if w < 1:
+        raise ValidationError(f"w must be >= 1, got {w!r}")
+    if not (0 < p <= 1):  # also false for NaN
+        raise ValidationError(f"p must satisfy 0 < p <= 1, got {p!r}")
+
+
 def tree_lb_adaptive_value(k: int, w: int, p: Scalar) -> Scalar:
     """Expected value of probing all siblings per level and descending below
     the first active edge: k * (1 - (1-p)**w)."""
+    _check_tree_lb(k, p, w)
     return k * (1 - (1 - p) ** w)
 
 
 def tree_lb_nonadaptive_bound(k: int, p: Scalar) -> Scalar:
     """Every non-adaptive strategy earns at most 1 + k*p in expectation."""
+    _check_tree_lb(k, p)
     return 1 + k * p
 
 
@@ -308,10 +319,7 @@ def gen_tree_lb(
     descends below the first active one (below the first child if none);
     it is materialized only when w*k <= probe_cap.
     """
-    if k < 1 or w < 1:
-        raise ValidationError("k and w must be >= 1")
-    if not (0 < p <= 1):
-        raise ValidationError("p must satisfy 0 < p <= 1")
+    _check_tree_lb(k, p, w)
     if weights is not None and len(weights) != k:
         raise ValidationError("per-depth weights need exactly k entries")
     edge_count = sum(w**d for d in range(1, k + 1))

@@ -1,5 +1,5 @@
-"""Adaptive decision trees, prefix-closed probing constraints, feasibility
-checking, and random-walk path extraction.
+"""Adaptive decision trees, prefix-closed probing constraints, and
+feasibility checking.
 
 A decision tree probes the element at its root, then follows the arc labeled
 with the revealed type. Constraints are stepwise: a sequence is feasible when
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .core import Scalar, TypeVector, Universe, ValidationError, check_finite
+from .core import Scalar, Universe, ValidationError, check_finite
 from .families import _on_one_root_path, _subtree_ranges
 
 
@@ -89,28 +89,6 @@ def validate_tree(tree: DecisionTree, universe: Universe) -> None:
                 f"node for {node.element!r} must have exactly one arc per type"
             )
         stack.extend(node.children.values())
-
-
-def random_walk_path(
-    tree: DecisionTree, vector: TypeVector
-) -> tuple[tuple[str, str], ...]:
-    """Follow the arcs selected by ``vector`` from the root down to a leaf.
-
-    Returns the walked ``(element, type)`` steps in root-to-leaf order.
-    """
-    steps: list[tuple[str, str]] = []
-    node = tree
-    while not node.is_leaf:
-        e = node.element
-        if e not in vector:
-            raise ValidationError(f"type vector does not assign element {e!r}")
-        t = vector[e]
-        child = node.children.get(t)
-        if child is None:
-            raise ValidationError(f"node for {e!r} has no arc for type {t!r}")
-        steps.append((e, t))
-        node = child
-    return tuple(steps)
 
 
 class ConstraintOracle:

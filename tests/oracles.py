@@ -1,9 +1,10 @@
 """Independent brute-force oracles the tests check the library against.
 
 These deliberately avoid the library's evaluator code paths: the exact
-oracles enumerate full type vectors or subsets, the Monte Carlo
-reference walks the decision tree one sampled row of type ids at a time,
-and the encoding reference asks the intersection oracle about every pair.
+oracles enumerate full type vectors or subsets with :func:`profiles` and
+walk the tree with :func:`walk`, the Monte Carlo reference walks the
+decision tree one sampled row of type ids at a time, and the encoding
+reference asks the intersection oracle about every pair.
 """
 
 import itertools
@@ -16,21 +17,51 @@ from smplab import (
     RandomStream,
     bucketize,
     class_decompose,
-    enumerate_assignments,
     greedy_optimal_combine,
     select_representatives,
 )
-from smplab.core import sample_type_profiles
+from smplab.core import sample_type_codes
 from smplab.evaluate import MC_BLOCK
 from smplab.families import intersect
 from smplab.reduction import two_power
-from smplab.strategy import random_walk_path
 
 
 def powerset(items):
     items = list(items)
     for r in range(len(items) + 1):
         yield from (frozenset(c) for c in itertools.combinations(items, r))
+
+
+def profiles(universe, dist, elements=None):
+    """Every joint type assignment over ``elements`` (default: all of them),
+    as an element -> type dict in universe order, with its probability."""
+    elems = [e for e in universe.elements if elements is None or e in elements]
+    for combo in itertools.product(*(universe.type_space[e] for e in elems)):
+        p = 1
+        for e, t in zip(elems, combo):
+            p = p * dist.prob(e, t)
+        yield dict(zip(elems, combo)), p
+
+
+def walk(tree, profile):
+    """The ``(element, type)`` steps from the root to a leaf, following the
+    arc that ``profile`` (an element -> type dict) picks at each node."""
+    steps = []
+    node = tree
+    while not node.is_leaf:
+        t = profile[node.element]
+        steps.append((node.element, t))
+        node = node.children[t]
+    return tuple(steps)
+
+
+def sampled_rows(universe, dist, stream, count):
+    """The rows of ``sample_type_codes`` as tuples of type ids."""
+    spaces = [universe.type_space[e] for e in universe.elements]
+    return [
+        tuple(space[c] for space, c in zip(spaces, row))
+        for row in sample_type_codes(universe, dist, stream, count).tolist()
+    ]
 
 
 def brute_max_weight_independent(is_independent, types, weights=None):
@@ -63,8 +94,8 @@ def brute_max_matching(edges_by_type, types):
 def brute_adap(tree, f, universe, dist):
     """Adaptive value by full enumeration of total vectors plus tree walks."""
     total = 0
-    for vec, p in enumerate_assignments(universe, dist, set(universe.elements)):
-        steps = random_walk_path(tree, vec)
+    for vec, p in profiles(universe, dist):
+        steps = walk(tree, vec)
         total = total + p * f(frozenset(t for _, t in steps))
     return total
 
@@ -72,9 +103,9 @@ def brute_adap(tree, f, universe, dist):
 def brute_alg(tree, f, universe, dist):
     """Random-walk value by joint enumeration of virtual and true vectors."""
     total = 0
-    for vx, px in enumerate_assignments(universe, dist, set(universe.elements)):
-        elems = [e for e, _ in random_walk_path(tree, vx)]
-        for vt, pt in enumerate_assignments(universe, dist, set(universe.elements)):
+    for vx, px in profiles(universe, dist):
+        elems = [e for e, _ in walk(tree, vx)]
+        for vt, pt in profiles(universe, dist):
             total = total + px * pt * f(frozenset(vt[e] for e in elems))
     return total
 
@@ -82,9 +113,9 @@ def brute_alg(tree, f, universe, dist):
 def brute_greedy_interleaved(tree, family, universe, dist):
     """Greedy count over joint enumeration, scanning true-then-virtual."""
     total = 0
-    for vx, px in enumerate_assignments(universe, dist, set(universe.elements)):
-        elems = [e for e, _ in random_walk_path(tree, vx)]
-        for vt, pt in enumerate_assignments(universe, dist, set(universe.elements)):
+    for vx, px in profiles(universe, dist):
+        elems = [e for e, _ in walk(tree, vx)]
+        for vt, pt in profiles(universe, dist):
             chosen = []
             for e in elems:
                 for t in (vt[e], vx[e]):
@@ -105,11 +136,10 @@ def brute_combined(tree, weights, family, k, universe, dist):
         for j, f_j in deco.classes.items()
     }
     reps = select_representatives(scaled, bucketize(deco.hi, deco.lo, k))
-    everything = set(universe.elements)
     total = 0
-    for vx, px in enumerate_assignments(universe, dist, everything):
-        elems = [e for e, _ in random_walk_path(tree, vx)]
-        for vt, pt in enumerate_assignments(universe, dist, everything):
+    for vx, px in profiles(universe, dist):
+        elems = [e for e, _ in walk(tree, vx)]
+        for vt, pt in profiles(universe, dist):
             picked = greedy_optimal_combine(
                 frozenset(vt[e] for e in elems), deco, reps, family
             )
@@ -126,8 +156,8 @@ def brute_best_nonadaptive(universe, dist, f, constraint, max_len):
         key = frozenset(elems)
         if key not in seen_sets:
             total = 0
-            for vec, p in enumerate_assignments(universe, dist, key):
-                total = total + p * f(vec.types)
+            for vec, p in profiles(universe, dist, key):
+                total = total + p * f(frozenset(vec.values()))
             seen_sets[key] = total
         return seen_sets[key]
 
@@ -159,9 +189,9 @@ def reference_mc(tree, f, universe, dist, trials, seed, resample):
     values = []
     for b in range((trials + MC_BLOCK - 1) // MC_BLOCK):
         n = min(MC_BLOCK, trials - b * MC_BLOCK)
-        virtual = sample_type_profiles(universe, dist, RandomStream(seed, 0, b), n)
+        virtual = sampled_rows(universe, dist, RandomStream(seed, 0, b), n)
         true = (
-            sample_type_profiles(universe, dist, RandomStream(seed, 1, b), n)
+            sampled_rows(universe, dist, RandomStream(seed, 1, b), n)
             if resample
             else virtual
         )

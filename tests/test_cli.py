@@ -122,6 +122,19 @@ class TestGapCommands:
     def test_gap_kext_custom_parameters_report_only(self):
         assert main(["gap-kext", "--k", "2", "--w", "2", "--p", "0.125"]) == 0
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--p", "nan"], "p must satisfy 0 < p <= 1, got nan"),
+            (["--p", "2"], "p must satisfy 0 < p <= 1, got 2.0"),
+            (["--w", "0"], "w must be >= 1, got 0"),
+            (["--p", "-0.5", "--w", "3"], "p must satisfy 0 < p <= 1, got -0.5"),
+        ],
+    )
+    def test_gap_kext_rejects_bad_parameters(self, capsys, args, named):
+        assert main(["gap-kext", "--k", "3", *args]) == 2
+        assert named in capsys.readouterr().err
+
     def test_gap_matroid_encoding(self):
         assert main(["gap-matroid-encoding", "--k", "2", "--samples", "500"]) == 0
 
@@ -241,6 +254,30 @@ class TestVerifySuite:
         r1, _, _ = run(config)
         r2, _, _ = run(ExperimentConfig(command="verify-suite", seed=3, cases=8))
         assert serialize_report(r1) == serialize_report(r2)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["verify-suite", "--cases", "0"], "--cases must be >= 1, got 0"),
+        (["verify-suite", "--cases", "-4"], "--cases must be >= 1, got -4"),
+        (["gap-matroid-encoding", "--k", "2", "--samples", "-5"],
+         "--samples must be >= 0, got -5"),
+        (["eval", "--file", "FILE", "--mode", "mc", "--trials", "10", "--seed", "1",
+          "--workers", "0"], "--workers must be >= 1, got 0"),
+        (["mc-estimate", "--file", "FILE", "--trials", "10", "--seed", "1",
+          "--workers", "-3"], "--workers must be >= 1, got -3"),
+        (["eval", "--file", "FILE", "--what", "best-na", "--max-len", "-2"],
+         "--max-len must be >= 1, got -2"),
+        (["gap-submodular", "--eps", "0.05", "--tolerance", "nan"],
+         "--tolerance must be finite, got nan"),
+        (["reduce-weighted", "--seed", "4", "--k", "2", "--tolerance", "inf"],
+         "--tolerance must be finite, got inf"),
+    ],
+)
+def test_rejects_bad_count_or_tolerance(instance_file, capsys, argv, named):
+    assert main([str(instance_file) if a == "FILE" else a for a in argv]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_mc_report_independent_of_hash_seed(tmp_path):

@@ -1,24 +1,20 @@
 """Ground-set model: validation, sampling determinism, exact enumeration."""
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from smplab import (
     ExactCapExceeded,
     RandomStream,
     TypeDistribution,
-    TypeVector,
     ValidationError,
-    enumerate_assignments,
-    restrict,
-    sample_type_vector,
     universe_from_type_space,
 )
-from smplab.core import iter_type_profiles, sample_type_codes, sample_type_profiles
+from smplab.core import iter_type_profiles, sample_type_codes
 
 
 def two_coin_universe():
@@ -76,39 +72,34 @@ class TestSampling:
         universe = universe_from_type_space({"e": ("t",)})
         dist = TypeDistribution({"e": {"t": 1}})
         for seed in (0, 7, 123):
-            vec = sample_type_vector(universe, dist, RandomStream(seed))
-            assert vec["e"] == "t"
+            codes = sample_type_codes(universe, dist, RandomStream(seed), 5)
+            assert codes.tolist() == [[0]] * 5
 
     def test_certain_bernoulli_always_active(self):
         universe = universe_from_type_space({"e": ("on", "off")})
         dist = TypeDistribution({"e": {"on": 1, "off": 0}})
         for counter in range(25):
-            vec = sample_type_vector(universe, dist, RandomStream(3).at(counter))
-            assert vec["e"] == "on"
+            codes = sample_type_codes(universe, dist, RandomStream(3, counter=counter), 4)
+            assert codes.tolist() == [[0]] * 4
 
     def test_reproducible_per_address(self):
         universe, dist = two_coin_universe()
         s = RandomStream(seed=11, stream=2, counter=5)
-        assert sample_type_vector(universe, dist, s) == sample_type_vector(
-            universe, dist, s
-        )
+        first = sample_type_codes(universe, dist, s, 50)
+        assert np.array_equal(first, sample_type_codes(universe, dist, s, 50))
 
     def test_counters_and_streams_decorrelate(self):
         universe, dist = two_coin_universe()
-        base = RandomStream(seed=11)
-        draws = [sample_type_vector(universe, dist, base.at(c)) for c in range(40)]
-        assert len({tuple(sorted(d.items())) for d in draws}) > 1
-        other = [
-            sample_type_vector(universe, dist, RandomStream(11, stream=1, counter=c))
-            for c in range(40)
-        ]
-        assert draws != other
 
-    def test_block_rows_match_per_counter_draws(self):
-        universe, dist = two_coin_universe()
-        row = sample_type_profiles(universe, dist, RandomStream(9, counter=4), 1)[0]
-        vec = sample_type_vector(universe, dist, RandomStream(9, counter=4))
-        assert dict(zip(universe.elements, row)) == dict(vec.items())
+        def draws(stream):
+            return [
+                tuple(sample_type_codes(universe, dist, RandomStream(11, stream, c), 1)[0])
+                for c in range(40)
+            ]
+
+        base = draws(0)
+        assert len(set(base)) > 1
+        assert base != draws(1)
 
     def test_codes_match_per_column_search(self):
         # b and c share a probability vector, a and d have their own
@@ -135,42 +126,37 @@ class TestSampling:
             cum = np.cumsum([dist.prob(e, t) for t in universe.type_space[e]])
             want = np.minimum(np.searchsorted(cum, u[:, j], side="right"), len(cum) - 1)
             assert codes[:, j].tolist() == want.tolist()
-        names = [
-            tuple(universe.type_space[e][c] for e, c in zip(universe.elements, row))
+        drawn = {
+            universe.type_space[e][c]
             for row in codes.tolist()
-        ]
-        assert sample_type_profiles(universe, dist, stream, 300) == names
-        assert {t for row in names for t in row} == universe.all_types
+            for e, c in zip(universe.elements, row)
+        }
+        assert drawn == universe.all_types
 
     def test_frequencies_within_three_sigma(self):
         # 2 elements x 2 types, seed 7, 1e5 draws: counts near expectation
         universe, dist = two_coin_universe()
         n = 100_000
-        rows = sample_type_profiles(universe, dist, RandomStream(7), n)
-        counts = {}
-        for row in rows:
-            for t in row:
-                counts[t] = counts.get(t, 0) + 1
-        for e in universe.elements:
-            for t in universe.type_space[e]:
+        codes = sample_type_codes(universe, dist, RandomStream(7), n)
+        for j, e in enumerate(universe.elements):
+            counts = np.bincount(codes[:, j], minlength=len(universe.type_space[e]))
+            for t, count in zip(universe.type_space[e], counts.tolist()):
                 p = dist.prob(e, t)
                 sigma = math.sqrt(n * p * (1 - p))
-                assert abs(counts.get(t, 0) - n * p) <= 3 * sigma
+                assert abs(count - n * p) <= 3 * sigma
 
 
 class TestEnumeration:
     def test_empty_subset(self):
         universe, dist = two_coin_universe()
-        out = list(enumerate_assignments(universe, dist, set()))
-        assert out == [(TypeVector({}), 1)]
+        assert list(iter_type_profiles(universe, dist, ())) == [((), 1)]
 
     def test_single_bernoulli(self):
         universe = universe_from_type_space({"e": ("on", "off")})
         dist = TypeDistribution({"e": {"on": 0.3, "off": 0.7}})
-        out = list(enumerate_assignments(universe, dist, {"e"}))
-        assert [(dict(v.items()), p) for v, p in out] == [
-            ({"e": "on"}, 0.3),
-            ({"e": "off"}, 0.7),
+        assert list(iter_type_profiles(universe, dist, ("e",))) == [
+            (("on",), 0.3),
+            (("off",), 0.7),
         ]
 
     def test_product_2_2_3(self):
@@ -184,15 +170,20 @@ class TestEnumeration:
                 "c": {"c1": Fraction(1, 6), "c2": Fraction(1, 3), "c3": Fraction(1, 2)},
             }
         )
-        out = list(enumerate_assignments(universe, dist, {"a", "b", "c"}))
-        assert len(out) == 12
+        out = list(iter_type_profiles(universe, dist, ("c", "a", "b")))
+        # the given element order, each element's types in type-space order
+        spaces = [universe.type_space[e] for e in ("c", "a", "b")]
+        assert [combo for combo, _ in out] == list(itertools.product(*spaces))
+        for combo, p in out:
+            assert p == math.prod(
+                dist.prob(e, t) for e, t in zip(("c", "a", "b"), combo)
+            )
         assert sum(p for _, p in out) == 1
-        assert len({tuple(sorted(v.items())) for v, _ in out}) == 12
 
     def test_probabilities_sum_to_one_on_subsets(self):
         universe, dist = two_coin_universe()
-        for subset in ({"a"}, {"b"}, {"a", "b"}):
-            total = sum(p for _, p in enumerate_assignments(universe, dist, subset))
+        for subset in (("a",), ("b",), ("a", "b")):
+            total = sum(p for _, p in iter_type_profiles(universe, dist, subset))
             assert abs(total - 1) <= 1e-9
 
     def test_cap_exceeded(self):
@@ -201,39 +192,17 @@ class TestEnumeration:
         dist = TypeDistribution(
             {e: {ts[0]: 0.5, ts[1]: 0.5} for e, ts in space.items()}
         )
-        with pytest.raises(ExactCapExceeded):
+        with pytest.raises(ExactCapExceeded, match="more than 1048576"):
             list(iter_type_profiles(universe, dist, universe.elements, cap=1 << 20))
+        three = universe.elements[:3]
+        assert len(list(iter_type_profiles(universe, dist, three, cap=8))) == 8
+        with pytest.raises(ExactCapExceeded, match="more than 7"):
+            list(iter_type_profiles(universe, dist, three, cap=7))
 
     def test_unknown_element(self):
         universe, dist = two_coin_universe()
-        with pytest.raises(ValidationError):
-            list(enumerate_assignments(universe, dist, {"zzz"}))
-
-
-class TestRestrict:
-    def test_empty(self):
-        assert restrict(TypeVector({"a": "x"}), set()) == TypeVector({})
-
-    def test_projection(self):
-        vec = TypeVector({"a": "t1", "b": "t2", "c": "t3"})
-        assert restrict(vec, {"a", "c"}) == TypeVector({"a": "t1", "c": "t3"})
-
-    def test_missing_element(self):
-        with pytest.raises(ValidationError):
-            restrict(TypeVector({"a": "x"}), {"b"})
-
-    @given(
-        assignment=st.dictionaries(
-            st.text(min_size=1, max_size=3), st.text(min_size=1, max_size=3), max_size=8
-        ),
-        data=st.data(),
-    )
-    def test_restriction_composes(self, assignment, data):
-        keys = list(assignment)
-        big = data.draw(st.sets(st.sampled_from(keys)) if keys else st.just(set()))
-        small = data.draw(st.sets(st.sampled_from(sorted(big))) if big else st.just(set()))
-        vec = TypeVector(assignment)
-        assert restrict(restrict(vec, big), small) == restrict(vec, small)
+        with pytest.raises(KeyError, match="zzz"):
+            list(iter_type_profiles(universe, dist, ("zzz",)))
 
 
 def test_stream_rejects_negative_addresses():

@@ -1,4 +1,4 @@
-"""Decision trees, probing constraints, feasibility, and random walks."""
+"""Decision trees, probing constraints, feasibility, and tree walks."""
 
 import itertools
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from smplab import (
     TypeDistribution,
-    TypeVector,
     ValidationError,
     chain_tree,
     check_prefix_closed,
@@ -18,17 +17,17 @@ from smplab import (
     constraint_dag_path,
     constraint_table,
     constraint_tree_fan,
-    enumerate_assignments,
     gen_random_instance,
     gen_submodular_lb,
     leaf,
     probe,
-    random_walk_path,
     universe_from_type_space,
     validate_tree,
 )
 from smplab.evaluate import iter_tree_paths
 from smplab.instances import RandomInstanceParams
+
+from oracles import profiles, walk
 
 
 def coin(name):
@@ -107,27 +106,19 @@ class TestFeasibility:
 
 class TestRandomWalk:
     def test_leaf_only_walk_is_empty(self):
-        assert random_walk_path(leaf(), TypeVector({})) == ()
+        assert walk(leaf(), {}) == ()
 
     def test_depth_one_walk(self):
         universe, _ = coin_universe(["a"])
         tree = chain_tree(universe, ["a"])
         for t in coin("a"):
-            assert random_walk_path(tree, TypeVector({"a": t})) == (("a", t),)
+            assert walk(tree, {"a": t}) == (("a", t),)
 
     def test_all_inactive_walk_descends_first_column(self):
         bundle = gen_submodular_lb(Fraction(1, 2))
-        vec = TypeVector(
-            {e: bundle.universe.type_space[e][1] for e in bundle.universe.elements}
-        )
-        steps = random_walk_path(bundle.tree, vec)
+        vec = {e: bundle.universe.type_space[e][1] for e in bundle.universe.elements}
+        steps = walk(bundle.tree, vec)
         assert tuple(e for e, _ in steps) == ("e0,0", "e0,1", "e0,2", "e0,3")
-
-    def test_missing_assignment_is_error(self):
-        universe, _ = coin_universe(["a"])
-        tree = chain_tree(universe, ["a"])
-        with pytest.raises(ValidationError):
-            random_walk_path(tree, TypeVector({}))
 
     def test_leaf_distribution_matches_arc_products(self):
         for seed in range(8):
@@ -135,10 +126,8 @@ class TestRandomWalk:
                 seed, RandomInstanceParams(max_elements=5, max_types=3)
             )
             reached: dict = {}
-            for vec, p in enumerate_assignments(
-                inst.universe, inst.dist, set(inst.universe.elements)
-            ):
-                steps = random_walk_path(inst.tree, vec)
+            for vec, p in profiles(inst.universe, inst.dist):
+                steps = walk(inst.tree, vec)
                 reached[steps] = reached.get(steps, 0) + p
             by_product = dict(iter_tree_paths(inst.tree, inst.dist))
             assert set(reached) == set(by_product)
