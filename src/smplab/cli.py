@@ -96,6 +96,9 @@ class ExperimentConfig:
                     "reduce-weighted needs exactly one instance source "
                     "(--file or --seed)"
                 )
+            # --seed draws a 2- or 3-extendible instance; another k checks the wrong bound
+            if self.seed is not None and self.k not in (None, 2, 3):
+                raise ValidationError(f"--k must be 2 or 3 with --seed, got {self.k}")
 
 
 def _record(name, value, *, bound=None, passed=None, mode=None, seed=None,
@@ -242,7 +245,7 @@ def _run_reduce_weighted(config: ExperimentConfig) -> list[ReportRecord]:
     else:
         params = RandomInstanceParams(
             valuation_kinds=("matroid_intersection_rank", "matching_rank"),
-            k_extendible=config.k if config.k in (2, 3) else 2,
+            k_extendible=config.k or 2,
             weight_high=1024,
         )
         bundle = gen_random_instance(config.seed, params)

@@ -8,14 +8,16 @@ elements with fresh independent types. ``greedy_interleaved_exact`` scores
 the greedy selection that scans the path in root-to-leaf order, feeding the
 true draw before the virtual draw at each element.
 
-Exact evaluators keep rational arithmetic when all inputs are rational.
-Monte Carlo evaluators are deterministic given (seed, trials) and produce
-bit-identical results for any worker count, because trials are partitioned
-into fixed counter-addressed blocks.
+Exact evaluators keep rational arithmetic when all inputs are rational; the
+walks of ``adap_exact`` and ``greedy_interleaved_exact`` expand a shared
+subtree once per state that can still change its value. Monte Carlo
+evaluators are deterministic given (seed, trials) and bit-identical for any
+worker count, because trials are split into fixed counter-addressed blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -110,46 +112,36 @@ class _WorkMeter:
             )
 
 
-def _with_true(types: frozenset[str], _virtual: str | None, true: str) -> frozenset[str]:
-    return types | {true}
-
-
 def _fresh_draws(
-    steps: tuple[tuple[str, str | None], ...],
+    elements: Sequence[str],
     universe: Universe,
     dist: TypeDistribution,
     meter: _WorkMeter,
     cap: int,
-    start=frozenset(),
-    step: Callable = _with_true,
-) -> Iterator[tuple[object, Scalar]]:
-    """Every fresh true draw for a virtual path, as ``(state, probability)``.
+) -> Iterator[tuple[frozenset[str], Scalar]]:
+    """Every fresh true draw of ``elements``, as ``(true types, probability)``.
 
-    ``steps`` is the path's ``(element, virtual type)`` sequence. Each
-    element takes a fresh independent true type; ``step(state, virtual,
-    true)`` folds the elements into ``start`` in path order (by default the
-    state is the set of true types). Draws come in the order of
-    ``iter_type_profiles`` over the same elements with the same probability
-    products, so a float sum over them adds the same terms in the same order.
-    Drawn prefixes are shared and zero-probability types are skipped. Each
-    expanded arc spends one unit of ``meter``.
+    Draws come in the order of ``iter_type_profiles`` over the same elements
+    with the same probability products, so a float sum over them adds the
+    same terms in the same order. Drawn prefixes are shared, zero-probability
+    types are skipped, and each expanded arc spends one unit of ``meter``.
     """
-    check_assignment_count(universe, (e for e, _ in steps), cap)
+    check_assignment_count(universe, elements, cap)
     levels = [
-        (virtual, [(t, p) for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0])
-        for e, virtual in steps
+        [(t, p) for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0]
+        for e in elements
     ]
-    stack: list[tuple[int, object, Scalar]] = [(0, start, 1)]
+    stack: list[tuple[int, frozenset[str], Scalar]] = [(0, frozenset(), 1)]
     while stack:
-        i, state, q = stack.pop()
+        i, types, q = stack.pop()
         if i == len(levels):
-            yield state, q
+            yield types, q
             continue
-        virtual, draws = levels[i]
+        draws = levels[i]
         meter.spend(len(draws))
         # pushed in reverse so the first type is drawn first
         for t, p in reversed(draws):
-            stack.append((i + 1, step(state, virtual, t), q * p))
+            stack.append((i + 1, types | {t}, q * p))
 
 
 def _set_values(
@@ -164,9 +156,9 @@ def _set_values(
     def value(elements: frozenset[str], order: Sequence[str]) -> Scalar:
         got = table.get(elements)
         if got is None:
-            steps = tuple((e, None) for e in order if e in elements)
+            drawn = [e for e in order if e in elements]
             got = 0
-            for types, q in _fresh_draws(steps, universe, dist, meter, cap):
+            for types, q in _fresh_draws(drawn, universe, dist, meter, cap):
                 got = got + q * f(types)
             table[elements] = got
         return got
@@ -187,21 +179,29 @@ def adap_exact(
 
     At each node the probe's marginal value is added to the value of the
     subtree below, evaluated with the revealed type fixed; this equals the
-    direct sum over root-leaf paths. The optional trace maps the ``(element,
-    type)`` prefix of every internal node that a positive-probability walk
-    reaches to the value of its subtree, in preorder.
+    direct sum over root-leaf paths. A subtree's value depends on the revealed
+    set only through its ``f.reach`` within what the subtree's types reach, so
+    the walk expands each such ``(node, reach)`` pair once. The optional trace
+    maps the ``(element, type)`` prefix of every internal node reached by a
+    positive-probability walk to its subtree's value, in preorder; a traced
+    walk visits every prefix and keeps no memo.
     """
-    validate_tree(tree, universe)
+    shared = validate_tree(tree, universe)
     meter = _WorkMeter(work_cap)
     trace: dict[tuple, Scalar] | None = {} if want_trace else None
+    # without a shared subtree each node is entered once and no key repeats
+    memoize = shared and not want_trace and f.reach(frozenset()) is not None
+    below: dict[int, frozenset] = {}  # reach of the types under an expanded node
+    memo: dict[tuple[int, frozenset], Scalar] = {}
 
-    # No memo: type ids are globally distinct and each arc is picked by its
-    # element's type, so the revealed set ``fixed`` determines the walk that
-    # reached a node and no (node, fixed) pair is visited twice.
     def rec(node: DecisionTree, fixed: frozenset[str], base: Scalar, prefix: tuple) -> Scalar:
         # base is f(fixed), passed down so each arc calls f once
         if node.is_leaf:
             return 0
+        if id(node) in below:
+            got = memo.get((id(node), f.reach(fixed) & below[id(node)]))
+            if got is not None:
+                return got
         if trace is not None:
             trace[prefix] = None  # holds the node's preorder slot
         total: Scalar = 0
@@ -212,10 +212,15 @@ def adap_exact(
             meter.spend()
             ext = fixed | {t}
             value = f(ext)
-            below = prefix + ((node.element, t),) if trace is not None else prefix
-            total = total + p * ((value - base) + rec(child, ext, value, below))
+            child_prefix = prefix + ((node.element, t),) if trace is not None else prefix
+            total = total + p * ((value - base) + rec(child, ext, value, child_prefix))
         if trace is not None:
             trace[prefix] = total
+        if memoize:
+            if id(node) not in below:  # the children below are expanded by now
+                below[id(node)] = f.reach(frozenset(node.children)).union(
+                    *(below.get(id(c), ()) for c in node.children.values()))
+            memo[id(node), f.reach(fixed) & below[id(node)]] = total
         return total
 
     value = rec(tree, frozenset(), f(frozenset()), ())
@@ -279,36 +284,54 @@ def greedy_interleaved_exact(
     Scans the path elements in root-to-leaf order; at each element the true
     type is considered before the virtual type. Non-loops get selected and
     counted, loops are skipped; equal draws collapse to one occurrence. The
-    optional trace reports the online value that only counts true-type
-    selections while still selecting virtual types.
+    walk branches on the virtual arc, then the true type, once per (node,
+    selection). The optional trace reports the online value that only counts
+    true-type selections while still selecting virtual types.
     """
     validate_tree(tree, universe)
+    widest: dict[int, tuple[int, tuple[str, ...]]] = {}
+
+    def widest_path(node: DecisionTree) -> tuple[int, tuple[str, ...]]:
+        # the positive-probability path below with the most joint assignments
+        if id(node) not in widest:
+            e, paths = node.element, []
+            for t, child in node.children.items():
+                if dist.prob(e, t) != 0:
+                    n, path = widest_path(child)
+                    paths.append((n * len(universe.type_space[e]), (e, *path)))
+            widest[id(node)] = max(paths, key=lambda got: got[0], default=(1, ()))
+        return widest[id(node)]
+
+    check_assignment_count(universe, widest_path(tree)[1], assignment_cap)
     meter = _WorkMeter(work_cap)
-    added: dict[tuple[frozenset[str], str], frozenset[str]] = {}
+    add = functools.cache(functools.partial(greedy_add, family))  # a table per call
+    memo: dict[tuple[int, frozenset[str]], tuple[Scalar, Scalar]] = {}
 
-    def add(chosen: frozenset[str], t: str) -> frozenset[str]:
-        key = (chosen, t)
-        got = added.get(key)
-        if got is None:
-            got = added[key] = greedy_add(family, chosen, t)
-        return got
+    def rec(node: DecisionTree, chosen: frozenset[str]) -> tuple[Scalar, Scalar]:
+        """(expected final size, expected online gain) below ``node``."""
+        if node.is_leaf:
+            return len(chosen), 0
+        key = (id(node), chosen)
+        if key in memo:
+            return memo[key]
+        e = node.element
+        draws = [(add(chosen, t), q)
+                 for t in universe.type_space[e] if (q := dist.prob(e, t)) != 0]
+        size = online = 0
+        for virtual, child in node.children.items():
+            p = dist.prob(e, virtual)
+            if p == 0:
+                continue
+            meter.spend(len(draws))
+            for grown, q in draws:
+                child_size, child_online = rec(child, add(grown, virtual))
+                w = p * q
+                size = size + w * child_size
+                online = online + w * ((len(grown) - len(chosen)) + child_online)
+        memo[key] = size, online
+        return size, online
 
-    def greedy_step(state, virtual_t, true_t):
-        chosen, online = state
-        grown = add(chosen, true_t)
-        online += len(grown) - len(chosen)
-        return add(grown, virtual_t), online
-
-    total: Scalar = 0
-    online_total: Scalar = 0
-    for steps, p_path in iter_tree_paths(tree, dist):
-        draws = _fresh_draws(
-            steps, universe, dist, meter, assignment_cap, (frozenset(), 0), greedy_step
-        )
-        for (chosen, online), q in draws:
-            weight = p_path * q
-            total = total + weight * len(chosen)
-            online_total = online_total + weight * online
+    total, online_total = rec(tree, frozenset())
     trace = {"online_value": online_total} if want_trace else None
     return EvalReport(value=total, mode="exact", trace=trace)
 

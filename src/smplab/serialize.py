@@ -390,23 +390,17 @@ class ReportRecord:
     passed: bool | None = None
 
 
+#: Report columns in ``ReportRecord`` field order; "pass" is ``passed``.
+_REPORT_COLUMNS = ("name", "value", "mode", "seed", "trials", "stderr", "bound", "pass")
+
+
+def _report_row(r: ReportRecord) -> list:
+    return [r.name, r.value, r.mode, r.seed, r.trials, r.stderr, r.bound, r.passed]
+
+
 def serialize_report(records: Sequence[ReportRecord], timings: Mapping | None = None) -> str:
-    doc = {
-        "schema": REPORT_SCHEMA,
-        "records": [
-            {
-                "name": r.name,
-                "value": r.value,
-                "mode": r.mode,
-                "seed": r.seed,
-                "trials": r.trials,
-                "stderr": r.stderr,
-                "bound": r.bound,
-                "pass": r.passed,
-            }
-            for r in records
-        ],
-    }
+    rows = [dict(zip(_REPORT_COLUMNS, _report_row(r))) for r in records]
+    doc = {"schema": REPORT_SCHEMA, "records": rows}
     if timings is not None:
         doc["timings"] = dict(timings)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -420,16 +414,7 @@ def parse_report(text: str) -> tuple[list[ReportRecord], dict]:
     if doc.get("schema") != REPORT_SCHEMA:
         raise ParseError(f"expected schema {REPORT_SCHEMA!r}")
     records = [
-        ReportRecord(
-            name=r["name"],
-            value=r.get("value"),
-            mode=r.get("mode"),
-            seed=r.get("seed"),
-            trials=r.get("trials"),
-            stderr=r.get("stderr"),
-            bound=r.get("bound"),
-            passed=r.get("pass"),
-        )
+        ReportRecord(r["name"], *(r.get(c) for c in _REPORT_COLUMNS[1:]))
         for r in doc.get("records", [])
     ]
     return records, doc.get("timings", {})
@@ -438,9 +423,6 @@ def parse_report(text: str) -> tuple[list[ReportRecord], dict]:
 def report_to_csv(records: Sequence[ReportRecord]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "value", "mode", "seed", "trials", "stderr", "bound", "pass"])
-    for r in records:
-        writer.writerow(
-            [r.name, r.value, r.mode, r.seed, r.trials, r.stderr, r.bound, r.passed]
-        )
+    writer.writerow(_REPORT_COLUMNS)
+    writer.writerows(_report_row(r) for r in records)
     return buf.getvalue()

@@ -72,13 +72,15 @@ def chain_tree(universe: Universe, sequence: Sequence[str]) -> DecisionTree:
     return node
 
 
-def validate_tree(tree: DecisionTree, universe: Universe) -> None:
-    """Check that every internal node has exactly one arc per type."""
+def validate_tree(tree: DecisionTree, universe: Universe) -> bool:
+    """Check one arc per type at each internal node; True if one has two parents."""
     seen: set[int] = set()
+    shared = False
     stack = [tree]
     while stack:
         node = stack.pop()
-        if id(node) in seen or node.is_leaf:
+        if node.is_leaf or id(node) in seen:
+            shared = shared or not node.is_leaf
             continue
         seen.add(id(node))
         if node.element not in universe.type_space:
@@ -89,6 +91,7 @@ def validate_tree(tree: DecisionTree, universe: Universe) -> None:
                 f"node for {node.element!r} must have exactly one arc per type"
             )
         stack.extend(node.children.values())
+    return shared
 
 
 class ConstraintOracle:

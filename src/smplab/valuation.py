@@ -26,6 +26,11 @@ class ValuationFunction:
     def _evaluate(self, types: frozenset[str]) -> Scalar:
         raise NotImplementedError
 
+    def reach(self, types: frozenset[str]) -> frozenset | None:
+        """What ``types`` touch (None: unknown). Reach is additive over unions, and
+        ``f(F | X) - f(F)``, X within B, depends on F only via ``reach(F) & reach(B)``."""
+        return None
+
 
 @dataclass(eq=True)
 class ExplicitValuation(ValuationFunction):
@@ -74,6 +79,9 @@ class CoverageValuation(ValuationFunction):
                 covered |= s
         return len(covered)
 
+    def reach(self, types):
+        return frozenset().union(*(self.cover_sets.get(t, ()) for t in types))
+
 
 @dataclass(eq=True)
 class PartitionWeightedValuation(ValuationFunction):
@@ -104,6 +112,9 @@ class PartitionWeightedValuation(ValuationFunction):
         # sum in the fixed order of part_weight: set order follows string
         # hashing, which is salted per process, and float sums depend on order
         return sum(w for p, w in self.part_weight.items() if p in parts)
+
+    def reach(self, types):
+        return frozenset(self.part_of[t] for t in types if t in self.part_of)
 
 
 @dataclass(eq=True)

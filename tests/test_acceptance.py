@@ -60,6 +60,23 @@ def test_criterion_1_submodular_lower_bound_recurrences():
     _criterion("submodular lower bound recurrences", ok, "; ".join(details))
 
 
+def test_criterion_1_triangle_instance_at_paper_scale():
+    # the walk on the construction itself, not its recurrence: at eps = 1/10
+    # the triangle has 1035 elements and its columns share every suffix
+    eps = Fraction(1, 10)
+    bundle = gen_submodular_lb(eps)
+    start = time.monotonic()
+    adap = adap_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist).value
+    elapsed = time.monotonic() - start
+    want = submodular_lb_adap_recurrence(eps)
+    _criterion(
+        "triangle instance at paper scale",
+        adap == want and elapsed < 1.0,
+        f"eps=1/10: adap_exact == recurrence = {float(want):.6f} over "
+        f"{len(bundle.universe)} elements, t={elapsed:.2f}s < 1s",
+    )
+
+
 def test_criterion_2_submodular_upper_bound_property_suite():
     params = RandomInstanceParams(
         valuation_kinds=("coverage", "partition_weighted")
@@ -162,6 +179,29 @@ def test_criterion_5_kextendible_lower_bound():
         ok,
         f"k=3: adaptive={adaptive:.4f}>=2.85 bound={bound:.4f} gap={gap:.3f}>=2.5; "
         f"k=2,w=2 exhaustive best={float(best):.4f} <= 1+2p={float(1 + 2 * p):.4f}",
+    )
+
+
+def test_criterion_5_tree_instance_chain():
+    k, w, p = 3, 3, Fraction(1, 3)
+    bundle = gen_tree_lb(k, w, p)
+    args = (bundle.tree, bundle.valuation, bundle.universe, bundle.dist)
+    adap = adap_exact(*args).value
+    start = time.monotonic()
+    greedy = greedy_interleaved_exact(
+        bundle.tree, bundle.family, bundle.universe, bundle.dist
+    ).value
+    elapsed = time.monotonic() - start
+    alg = alg_exact(*args).value
+    bound = tree_lb_nonadaptive_bound(k, p)
+    ok = adap == tree_lb_adaptive_value(k, w, p) == Fraction(19, 9)
+    ok &= adap <= k * greedy and greedy <= 2 * alg and alg <= bound and elapsed < 1.0
+    _criterion(
+        "k-extendible chain on the tree instance",
+        ok,
+        f"k=3,w=3,p=1/3: adap={adap} <= 3*greedy={float(3 * greedy):.4f}, "
+        f"greedy <= 2*alg={float(2 * alg):.4f}, alg={float(alg):.4f} <= {bound}, "
+        f"greedy t={elapsed:.2f}s < 1s",
     )
 
 

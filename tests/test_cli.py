@@ -233,6 +233,14 @@ class TestReduceWeighted:
         path.write_text(serialize_instance(inst))
         assert main(["reduce-weighted", "--file", str(path)]) == 0
 
+    def test_seed_rejects_k_outside_two_and_three(self, capsys):
+        # a seeded instance is 2-extendible for any other --k, so the bound
+        # adap/(32 k log2 k) would be checked with the wrong k
+        for k in (4, 5):
+            assert main(["reduce-weighted", "--seed", "3", "--k", str(k)]) == 2
+            assert f"--k must be 2 or 3 with --seed, got {k}" in capsys.readouterr().err
+        assert main(["reduce-weighted", "--seed", "3", "--k", "3"]) == 0
+
     def test_both_sources_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(serialize_instance(gen_random_instance(1)))

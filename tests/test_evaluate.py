@@ -80,6 +80,22 @@ def _reached_prefixes(node, dist, prefix=()):
     return out
 
 
+def _positive_arcs(tree, dist, dag):
+    """Positive-probability arcs: of each distinct node when ``dag``, else of
+    every reached prefix, as a walk without a memo expands them."""
+    seen, stack, arcs = set(), [tree], 0
+    while stack:
+        node = stack.pop()
+        if node.is_leaf or (dag and id(node) in seen):
+            continue
+        seen.add(id(node))
+        for t, child in node.children.items():
+            if dist.prob(node.element, t) != 0:
+                arcs += 1
+                stack.append(child)
+    return arcs
+
+
 class TestAdapExact:
     def test_leaf_only_tree(self):
         universe, dist, f, _ = bernoulli_indicator()
@@ -127,6 +143,34 @@ class TestAdapExact:
             rep = adap_exact(inst.tree, inst.valuation, inst.universe, dist, want_trace=True)
             assert list(rep.trace) == _reached_prefixes(inst.tree, dist)
             assert rep.trace.get((), 0) == rep.value
+
+    def test_memo_expands_each_triangle_arc_once(self):
+        bundle = gen_submodular_lb(Fraction(1, 4))
+        arcs = _positive_arcs(bundle.tree, bundle.dist, dag=True)
+        assert arcs == 2 * len(bundle.universe) == 2 * 66
+        args = (bundle.tree, bundle.valuation, bundle.universe, bundle.dist)
+        got = adap_exact(*args, work_cap=arcs).value
+        assert got == submodular_lb_adap_recurrence(Fraction(1, 4))
+        with pytest.raises(ExactCapExceeded, match=f"work cap of {arcs - 1};"):
+            adap_exact(*args, work_cap=arcs - 1)
+
+    def test_memo_matches_path_enumeration_on_chain_dags(self):
+        # chain_tree hangs one node under every arc of the level above, so
+        # fixed sets with equal reach below share its expansion
+        params = RandomInstanceParams(valuation_kinds=("coverage", "partition_weighted"))
+        hits = 0
+        for seed in range(60):
+            inst = gen_random_instance(seed, params)
+            tree = chain_tree(inst.universe, inst.universe.elements)
+            args = (tree, inst.valuation, inst.universe, inst.dist)
+            assert adap_exact(*args).value == adap_by_path_enumeration(*args), seed
+            walked = _positive_arcs(tree, inst.dist, dag=False)
+            try:
+                adap_exact(*args, work_cap=walked - 1)
+                hits += 1
+            except ExactCapExceeded:
+                pass
+        assert hits >= 50
 
     def test_work_cap(self):
         bundle = gen_submodular_lb(Fraction(1, 4))
@@ -468,6 +512,26 @@ def test_exact_caps_refuse_and_state_the_cap(evaluator, cap, message):
     instance, evaluate = _CAPPED[evaluator]
     with pytest.raises(ExactCapExceeded, match=message):
         evaluate(instance(), **cap)
+
+
+def test_greedy_assignment_cap_is_the_widest_positive_path():
+    # every root-leaf path of the k=2, w=2 tree probes four coins: 16 draws
+    bundle = gen_tree_lb(2, 2, Fraction(1, 3))
+    args = (bundle.tree, bundle.family, bundle.universe, bundle.dist)
+    greedy_interleaved_exact(*args, assignment_cap=16)
+    with pytest.raises(ExactCapExceeded, match="more than 15 joint assignments"):
+        greedy_interleaved_exact(*args, assignment_cap=15)
+    universe = universe_from_type_space({"a": ("a0", "a1"), "b": ("b0", "b1", "b2")})
+    third = Fraction(1, 3)
+    dist = TypeDistribution(
+        {"a": {"a0": 0, "a1": 1}, "b": {"b0": third, "b1": third, "b2": third}}
+    )
+    deep = probe("b", {t: leaf() for t in ("b0", "b1", "b2")})
+    tree = probe("a", {"a0": deep, "a1": leaf()})  # b lies only below a zero arc
+    fam = make_uniform_matroid(["a1", "b0"], 1)
+    assert greedy_interleaved_exact(tree, fam, universe, dist, assignment_cap=2).value == 1
+    with pytest.raises(ExactCapExceeded, match="more than 1 joint assignments"):
+        greedy_interleaved_exact(tree, fam, universe, dist, assignment_cap=1)
 
 
 class TestInequalitySuites:

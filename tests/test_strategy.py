@@ -63,6 +63,16 @@ class TestTreeConstruction:
         with pytest.raises(ValidationError):
             validate_tree(tree, universe)
 
+    def test_validate_tells_whether_a_subtree_is_shared(self):
+        universe, _ = coin_universe(["a", "b"])
+        # chain_tree hangs one node under both arcs; shared leaves do not count
+        assert validate_tree(chain_tree(universe, ["a", "b"]), universe) is True
+        assert validate_tree(chain_tree(universe, ["a"]), universe) is False
+        assert validate_tree(leaf(), universe) is False
+        for seed in range(5):
+            inst = gen_random_instance(seed)
+            assert validate_tree(inst.tree, inst.universe) is False
+
     def test_chain_tree_probes_fixed_sequence(self):
         universe, dist = coin_universe(["a", "b"])
         tree = chain_tree(universe, ["b", "a"])

@@ -20,7 +20,7 @@ from smplab import (
     partition_weighted_valuation,
     weighted_rank,
 )
-from smplab.valuation import ExplicitValuation
+from smplab.valuation import ExplicitValuation, ValuationFunction
 from oracles import brute_max_matching, brute_max_weight_independent, powerset
 
 
@@ -231,3 +231,35 @@ def test_monotone_on_random_pairs(data):
     small = frozenset(data.draw(st.sets(st.sampled_from(types))))
     extra = frozenset(data.draw(st.sets(st.sampled_from(types))))
     assert f(small) <= f(small | extra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reach_decides_the_marginals_below(data):
+    # adap_exact keys a subtree's value on reach(fixed) & reach(types below):
+    # fixed sets that agree there must have equal marginals on every X below
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    types = [f"t{i}" for i in range(5)]
+    if data.draw(st.booleans()):
+        f = coverage_valuation(
+            {t: set(rng.sample(range(6), rng.randint(0, 3))) for t in types}
+        )
+    else:
+        f = partition_weighted_valuation(
+            {t: f"p{rng.randrange(4)}" for t in types if rng.random() < 0.8},
+            {f"p{i}": Fraction(rng.randint(1, 8), 4) for i in range(4)},
+        )
+    below = frozenset(data.draw(st.sets(st.sampled_from(types))))
+    a = frozenset(data.draw(st.sets(st.sampled_from(types))))
+    assert f.reach(a | below) == f.reach(a) | f.reach(below)
+    marginals = {}
+    for fixed in powerset(types):
+        key = f.reach(fixed) & f.reach(below)
+        got = [f(fixed | x) - f(fixed) for x in powerset(below)]
+        assert marginals.setdefault(key, got) == got, (sorted(fixed), sorted(below))
+
+
+def test_reach_defaults_to_unknown():
+    fam = make_uniform_matroid(["t1", "t2"], 1)
+    assert weighted_rank(fam, {"t1": 1, "t2": 1}).reach(frozenset({"t1"})) is None
+    assert ValuationFunction().reach(frozenset()) is None
