@@ -109,22 +109,21 @@ def _submod_element(k: int, l: int) -> str:
     return f"e{k},{l}"
 
 
-def gen_submodular_lb(eps: Scalar, *, tree_depth_cap: int = 60) -> InstanceBundle:
+def gen_submodular_lb(eps: Scalar) -> InstanceBundle:
     """Triangular grid of Bernoulli elements probed along a DAG path.
 
     Element (k, l) is active with probability eps; the objective pays
     (1-eps)^k once per column k that produced an active element. Probing
     must follow the arcs (k, l) -> (k, l+1) and (k, l) -> (k+l+1, 0) from
     the start element (0, 0). The reference tree walks down a column until
-    it finds an active element and then jumps to the next fresh column; it
-    is materialized only up to ``tree_depth_cap`` (the closed-form
-    recurrences stay available at every size).
+    it finds an active element and then jumps to the next fresh column. It
+    is always materialized: it holds one node per element, shared between
+    the paths that reach it, so it is no larger than the universe.
     """
     _check_eps(eps)
     q = 1 - eps
     depth = submodular_lb_depth(eps)
     coords = [(k, l) for k in range(depth + 1) for l in range(depth + 1 - k)]
-    coords.sort()
     type_space = {}
     probs = {}
     part_of = {}
@@ -139,38 +138,25 @@ def gen_submodular_lb(eps: Scalar, *, tree_depth_cap: int = 60) -> InstanceBundl
     for k in range(depth + 1):
         part_weight[f"col{k}"] = acc
         acc = acc * q
+
+    # (k, l) leads only to (k + l + 1, 0) and (k, l + 1), one diagonal further
+    # on, so the diagonals are built from the last one back; past the last
+    # diagonal both arcs end in one shared leaf. The tree uses every arc.
+    end = leaf()
+    nodes: dict[tuple[int, int], DecisionTree] = {}
     arcs = {}
-    for k, l in coords:
-        out = []
-        if k + l < depth:
-            out.append(_submod_element(k, l + 1))
-            out.append(_submod_element(k + l + 1, 0))
-        arcs[_submod_element(k, l)] = frozenset(out)
+    for s in range(depth, -1, -1):
+        for k in range(s + 1):
+            e = _submod_element(k, s - k)
+            on, off = type_space[e]
+            children = {on: nodes.get((s + 1, 0), end), off: nodes.get((k, s - k + 1), end)}
+            nodes[k, s - k] = probe(e, children)
+            arcs[e] = frozenset(c.element for c in children.values() if not c.is_leaf)
 
     universe = universe_from_type_space(type_space)
     dist = TypeDistribution(probs)
     valuation = partition_weighted_valuation(part_of, part_weight)
     constraint = constraint_dag_path(arcs, _submod_element(0, 0))
-
-    tree = None
-    if depth <= tree_depth_cap:
-        memo: dict[tuple[int, int], DecisionTree] = {}
-
-        def build(k: int, l: int) -> DecisionTree:
-            got = memo.get((k, l))
-            if got is not None:
-                return got
-            e = _submod_element(k, l)
-            on, off = type_space[e]
-            if k + l == depth:
-                node = probe(e, {on: leaf(), off: leaf()})
-            else:
-                node = probe(e, {on: build(k + l + 1, 0), off: build(k, l + 1)})
-            memo[(k, l)] = node
-            return node
-
-        tree = build(0, 0)
-
     metadata = {
         "name": "submodular_lower_bound",
         "eps": eps,
@@ -178,7 +164,7 @@ def gen_submodular_lb(eps: Scalar, *, tree_depth_cap: int = 60) -> InstanceBundl
         "adap_limit": submodular_lb_adap_limit(eps),
         "alg_limit": SUBMODULAR_LB_ALG_LIMIT,
     }
-    return InstanceBundle(universe, dist, valuation, constraint, tree, metadata)
+    return InstanceBundle(universe, dist, valuation, constraint, nodes[0, 0], metadata)
 
 
 def submodular_lb_adap_recurrence(eps: Scalar) -> Scalar:

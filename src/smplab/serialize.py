@@ -35,6 +35,7 @@ from .strategy import (
     TreeFanConstraint,
     leaf,
     probe,
+    validate_tree,
 )
 from .valuation import (
     CoverageValuation,
@@ -256,7 +257,9 @@ def tree_to_dict(tree: DecisionTree) -> dict | None:
         nonlocal count
         count += 1
         if count > _TREE_NODE_CAP:
-            raise ValidationError("tree too large to serialize (shared subtrees expand)")
+            raise ValidationError(
+                f"tree too large to serialize: expands past {_TREE_NODE_CAP} nodes"
+            )
         if node.is_leaf:
             return None
         return {
@@ -353,6 +356,8 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
         valuation = valuation_from_dict(doc["valuation"])
         constraint = constraint_from_dict(doc["constraint"])
         tree = tree_from_dict(doc["tree"]) if doc.get("tree") is not None else None
+        if tree is not None:
+            validate_tree(tree, universe)
         metadata = _meta_from_json(doc.get("metadata", {}))
         dist.validate_against(universe)
     except ParseError:

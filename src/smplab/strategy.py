@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -21,9 +22,9 @@ class DecisionTree:
     """One node of an adaptive strategy; a leaf when ``element`` is None.
 
     ``children`` maps every type of ``element`` to the subtree taken when the
-    probe reveals that type. An element never repeats on a root-leaf path;
-    this is enforced at construction. Shared (DAG) subtrees are allowed as
-    long as the per-path invariant holds.
+    probe reveals that type. Shared (DAG) subtrees are allowed. An element
+    must not repeat on a root-leaf path; ``validate_tree`` checks that, and
+    every evaluator calls it.
     """
 
     element: str | None
@@ -34,26 +35,12 @@ class DecisionTree:
         if self.element is None:
             if self.children:
                 raise ValidationError("a leaf cannot have children")
-            object.__setattr__(self, "_below", frozenset())
-            return
-        if not self.children:
+        elif not self.children:
             raise ValidationError("an internal node needs one child arc per type")
-        below = {self.element}
-        for child in self.children.values():
-            if self.element in child.elements_below:
-                raise ValidationError(
-                    f"element {self.element!r} repeats on a probing path"
-                )
-            below |= child.elements_below
-        object.__setattr__(self, "_below", frozenset(below))
 
     @property
     def is_leaf(self) -> bool:
         return self.element is None
-
-    @property
-    def elements_below(self) -> frozenset[str]:
-        return self._below  # type: ignore[attr-defined]
 
 
 def leaf() -> DecisionTree:
@@ -73,24 +60,46 @@ def chain_tree(universe: Universe, sequence: Sequence[str]) -> DecisionTree:
 
 
 def validate_tree(tree: DecisionTree, universe: Universe) -> bool:
-    """Check one arc per type at each internal node; True if one has two parents."""
+    """Check a tree against the universe; True if a node has two parents.
+
+    Each internal node needs a known element and one arc per type. No element
+    may repeat on a root-leaf path; only one that labels two or more nodes can,
+    so only those get a bit, ORed upward children first when there are any.
+    """
     seen: set[int] = set()
+    post: list[DecisionTree] = []  # distinct internal nodes, children first
+    expanded: list[DecisionTree] = []  # nodes whose children are still on the stack
     shared = False
-    stack = [tree]
+    stack: list[DecisionTree | None] = [tree]
     while stack:
         node = stack.pop()
+        if node is None:  # the children of the last expanded node are done
+            post.append(expanded.pop())
+            continue
         if node.is_leaf or id(node) in seen:
             shared = shared or not node.is_leaf
             continue
         seen.add(id(node))
         if node.element not in universe.type_space:
             raise ValidationError(f"unknown element {node.element!r} in tree")
-        expected = set(universe.type_space[node.element])
-        if set(node.children) != expected:
+        if set(node.children) != set(universe.type_space[node.element]):
             raise ValidationError(
                 f"node for {node.element!r} must have exactly one arc per type"
             )
+        expanded.append(node)
+        stack.append(None)
         stack.extend(node.children.values())
+    labels = Counter(node.element for node in post)
+    bit = {e: 1 << i for i, e in enumerate(e for e, n in labels.items() if n > 1)}
+    if bit:
+        below: dict[int, int] = {}
+        for node in post:
+            mask = 0
+            for child in node.children.values():
+                mask |= below.get(id(child), 0)
+            if mask & bit.get(node.element, 0):
+                raise ValidationError(f"element {node.element!r} repeats on a probing path")
+            below[id(node)] = mask | bit.get(node.element, 0)
     return shared
 
 

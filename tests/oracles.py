@@ -55,6 +55,20 @@ def walk(tree, profile):
     return tuple(steps)
 
 
+def repeats_on_a_path(tree):
+    """True iff some root-leaf path probes an element twice, found by
+    following every path on its own (exponential on a DAG: small trees only)."""
+    stack = [(tree, frozenset())]
+    while stack:
+        node, above = stack.pop()
+        if node.is_leaf:
+            continue
+        if node.element in above:
+            return True
+        stack.extend((child, above | {node.element}) for child in node.children.values())
+    return False
+
+
 def sampled_rows(universe, dist, stream, count):
     """The rows of ``sample_type_codes`` as tuples of type ids."""
     spaces = [universe.type_space[e] for e in universe.elements]

@@ -91,6 +91,20 @@ def _bool_rank_cap(doc):
     doc["valuation"]["rank_cap"] = True
 
 
+def _repeated_tree_element(doc):
+    types = doc["universe"]["types"]["e0"]
+    inner = {"element": "e0", "children": {t: None for t in types}}
+    doc["tree"] = {"element": "e0", "children": {t: inner for t in types}}
+
+
+def _unknown_tree_element(doc):
+    doc["tree"] = {"element": "zz", "children": {"zz.t": None}}
+
+
+def _missing_tree_arc(doc):
+    doc["tree"] = {"element": "e0", "children": {doc["universe"]["types"]["e0"][0]: None}}
+
+
 def _deep_tree(doc):
     # built as text: json.dumps recurses too
     e = doc["universe"]["elements"][0]
@@ -187,6 +201,9 @@ class TestEvalCommands:
             (_word_rank_cap, "rank_cap must be a JSON integer, not 'abc'"),
             (_bool_rank_cap, "rank_cap must be a JSON integer, not True"),
             (_deep_tree, "recursion"),
+            (_repeated_tree_element, "element 'e0' repeats on a probing path"),
+            (_unknown_tree_element, "unknown element 'zz' in tree"),
+            (_missing_tree_arc, "node for 'e0' must have exactly one arc per type"),
         ],
     )
     def test_eval_rejects_malformed_fields(self, instance_file, capsys, edit, named):

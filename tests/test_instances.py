@@ -48,10 +48,17 @@ class TestTriangularInstance:
         ok, witness = check_tree_feasible(bundle.tree, bundle.constraint)
         assert ok, witness
 
-    def test_tree_materialization_capped(self):
-        bundle = gen_submodular_lb(0.05)  # depth 117 exceeds the default cap
-        assert bundle.tree is None
+    def test_tree_materialized_one_node_per_element(self):
+        bundle = gen_submodular_lb(0.05)  # depth 117, 7021 elements
         assert bundle.metadata["depth"] == 117
+        nodes, stack = {}, [bundle.tree]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf and id(node) not in nodes:
+                nodes[id(node)] = node.element
+                stack.extend(node.children.values())
+        assert len(nodes) == len(bundle.universe) == 7021
+        assert sorted(nodes.values()) == sorted(bundle.universe.elements)
 
     def test_valuation_is_monotone_submodular(self):
         bundle = gen_submodular_lb(Fraction(1, 2))

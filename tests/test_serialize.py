@@ -11,6 +11,7 @@ from smplab import (
     InstanceBundle,
     RandomInstanceParams,
     TypeDistribution,
+    ValidationError,
     constraint_cardinality,
     coverage_valuation,
     gen_random_instance,
@@ -96,6 +97,14 @@ class TestInstanceRoundTrip:
         after = adap_exact(again.tree, again.valuation, again.universe, again.dist)
         assert before.value == after.value
         assert isinstance(after.value, Fraction)
+
+
+class TestTreeCodec:
+    def test_expanding_tree_refused_with_its_cap(self):
+        # every path of the eps 1/10 triangle probes 45 elements, so its 1035
+        # shared nodes expand to 2^46 - 1 nodes, leaves included
+        with pytest.raises(ValidationError, match="expands past 200000 nodes"):
+            serialize_instance(gen_submodular_lb(Fraction(1, 10)))
 
 
 class TestParseFailures:

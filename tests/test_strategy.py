@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smplab import (
     TypeDistribution,
@@ -27,7 +28,7 @@ from smplab import (
 from smplab.evaluate import iter_tree_paths
 from smplab.instances import RandomInstanceParams
 
-from oracles import profiles, walk
+from oracles import profiles, repeats_on_a_path, walk
 
 
 def coin(name):
@@ -47,9 +48,31 @@ class TestTreeConstruction:
         assert leaf().is_leaf
 
     def test_repeated_element_rejected(self):
+        universe, _ = coin_universe(["a"])
         inner = probe("a", {"a.h": leaf(), "a.t": leaf()})
-        with pytest.raises(ValidationError):
-            probe("a", {"a.h": inner, "a.t": leaf()})
+        tree = probe("a", {"a.h": inner, "a.t": leaf()})  # built without a check
+        with pytest.raises(ValidationError, match="element 'a' repeats on a probing path"):
+            validate_tree(tree, universe)
+
+    def test_repeat_reached_first_through_a_clean_path(self):
+        # the shared node s is reached both under c alone and under c, a; the
+        # repeat of a below s lies only on the second kind of path
+        universe, _ = coin_universe(["a", "b", "c"])
+        s = probe("b", {"b.h": probe("a", {"a.h": leaf(), "a.t": leaf()}), "b.t": leaf()})
+        tree = probe("c", {"c.h": probe("a", {"a.h": s, "a.t": s}), "c.t": s})
+        with pytest.raises(ValidationError, match="element 'a' repeats"):
+            validate_tree(tree, universe)
+        at_shared = probe("c", {"c.h": probe("b", {"b.h": s, "b.t": s}), "c.t": s})
+        with pytest.raises(ValidationError, match="element 'b' repeats"):
+            validate_tree(at_shared, universe)
+        assert validate_tree(probe("c", {"c.h": s, "c.t": s}), universe) is True
+
+    def test_deep_chain_validates_without_recursion(self):
+        names = [f"x{i}" for i in range(3000)]
+        universe, _ = coin_universe(names)
+        assert validate_tree(chain_tree(universe, names), universe) is True
+        with pytest.raises(ValidationError, match="element 'x0' repeats"):
+            validate_tree(chain_tree(universe, names + ["x0"]), universe)
 
     def test_validate_requires_arc_per_type(self):
         universe, _ = coin_universe(["a"])
@@ -80,6 +103,30 @@ class TestTreeConstruction:
         paths = list(iter_tree_paths(tree, dist))
         assert len(paths) == 4
         assert all(tuple(e for e, _ in steps) == ("b", "a") for steps, _ in paths)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validate_tree_finds_exactly_the_path_repeats(data):
+    # random DAGs over four coins: nodes reuse earlier nodes as children, and
+    # chain_tree hangs one node under every arc of each probe
+    names = ["a", "b", "c", "d"]
+    universe, _ = coin_universe(names)
+    pool = [leaf()]
+    for _ in range(data.draw(st.integers(1, 7))):
+        if data.draw(st.booleans()):
+            seq = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3))
+            pool.append(chain_tree(universe, seq))
+        else:
+            e = data.draw(st.sampled_from(names))
+            kids = {t: data.draw(st.sampled_from(pool)) for t in coin(e)}
+            pool.append(probe(e, kids))
+    tree = pool[-1]
+    if repeats_on_a_path(tree):
+        with pytest.raises(ValidationError, match="repeats on a probing path"):
+            validate_tree(tree, universe)
+    else:
+        validate_tree(tree, universe)
 
 
 class TestFeasibility:
