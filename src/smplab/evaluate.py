@@ -8,9 +8,11 @@ elements with fresh independent types. ``greedy_interleaved_exact`` scores
 the greedy selection that scans the path in root-to-leaf order, feeding the
 true draw before the virtual draw at each element.
 
-Exact evaluators keep rational arithmetic when all inputs are rational; the
-walks of ``adap_exact`` and ``greedy_interleaved_exact`` expand a shared
-subtree once per state that can still change its value. Monte Carlo
+Exact evaluators keep rational arithmetic when all inputs are rational. The
+tree check lists each distinct node once, children first; ``adap_exact``,
+``greedy_interleaved_exact`` and the Monte Carlo walk read that list and its
+positive-probability arcs, and the first two expand a shared subtree once per
+state that can still change its value. Monte Carlo
 evaluators are deterministic given (seed, trials) and bit-identical for any
 worker count, because trials are split into fixed counter-addressed blocks.
 """
@@ -38,7 +40,8 @@ from .core import (
     sample_type_codes,
 )
 from .families import IndependenceOracle, greedy_add
-from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, validate_tree
+from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
+from .strategy import validate_tree
 from .valuation import ValuationFunction, unit_weights, weighted_rank
 
 #: Hard limit on the amount of exact work (arc expansions) per evaluation.
@@ -50,13 +53,16 @@ MC_BLOCK = 1024
 #: Feasible-sequence expansion limit for the exhaustive non-adaptive search.
 DEFAULT_SEQUENCE_CAP = 10**6
 
+#: Slack the gap reports allow their inequalities for float rounding.
+GAP_REPORT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class EvalReport:
     """Value of a strategy evaluation plus its provenance.
 
-    ``stderr`` is only present in Monte Carlo mode; ``trace`` optionally
-    carries per-node or diagnostic values.
+    ``stderr`` is only present in Monte Carlo mode; ``trace`` carries side
+    values: the greedy's ``online_value``, ``combined_value``'s class values.
     """
 
     value: Scalar
@@ -104,7 +110,7 @@ class _WorkMeter:
         self.used = 0
         self.cap = cap
 
-    def spend(self, amount: int = 1) -> None:
+    def spend(self, amount: int) -> None:
         self.used += amount
         if self.used > self.cap:
             raise ExactCapExceeded(
@@ -166,6 +172,13 @@ def _set_values(
     return value
 
 
+def _positive_arcs(nodes: Sequence[DecisionTree], dist: TypeDistribution) -> dict:
+    """Node id -> the node's ``(type, probability, child)`` arcs of positive
+    probability, in child order."""
+    return {id(node): [(t, p, child) for t, child in node.children.items()
+                       if (p := dist.prob(node.element, t)) != 0] for node in nodes}
+
+
 def adap_exact(
     tree: DecisionTree,
     f: ValuationFunction,
@@ -173,7 +186,6 @@ def adap_exact(
     dist: TypeDistribution,
     *,
     work_cap: int = DEFAULT_WORK_CAP,
-    want_trace: bool = False,
 ) -> EvalReport:
     """Expected adaptive value, by root decomposition.
 
@@ -181,50 +193,41 @@ def adap_exact(
     subtree below, evaluated with the revealed type fixed; this equals the
     direct sum over root-leaf paths. A subtree's value depends on the revealed
     set only through its ``f.reach`` within what the subtree's types reach, so
-    the walk expands each such ``(node, reach)`` pair once. The optional trace
-    maps the ``(element, type)`` prefix of every internal node reached by a
-    positive-probability walk to its subtree's value, in preorder; a traced
-    walk visits every prefix and keeps no memo.
+    the walk expands each such ``(node, reach)`` pair once.
     """
-    shared = validate_tree(tree, universe)
+    nodes, shared = _tree_nodes(tree, universe)
+    arcs = _positive_arcs(nodes, dist)
     meter = _WorkMeter(work_cap)
-    trace: dict[tuple, Scalar] | None = {} if want_trace else None
     # without a shared subtree each node is entered once and no key repeats
-    memoize = shared and not want_trace and f.reach(frozenset()) is not None
-    below: dict[int, frozenset] = {}  # reach of the types under an expanded node
+    memoize = shared and f.reach(frozenset()) is not None
+    below: dict[int, frozenset] = {}  # reach of the types under each node
+    if memoize:
+        for node in nodes:  # children first
+            below[id(node)] = f.reach(frozenset(node.children)).union(
+                *(below.get(id(c), ()) for c in node.children.values()))
     memo: dict[tuple[int, frozenset], Scalar] = {}
 
-    def rec(node: DecisionTree, fixed: frozenset[str], base: Scalar, prefix: tuple) -> Scalar:
+    def rec(node: DecisionTree, fixed: frozenset[str], base: Scalar) -> Scalar:
         # base is f(fixed), passed down so each arc calls f once
         if node.is_leaf:
             return 0
-        if id(node) in below:
-            got = memo.get((id(node), f.reach(fixed) & below[id(node)]))
+        if memoize:
+            key = (id(node), f.reach(fixed) & below[id(node)])
+            got = memo.get(key)
             if got is not None:
                 return got
-        if trace is not None:
-            trace[prefix] = None  # holds the node's preorder slot
+        meter.spend(len(arcs[id(node)]))
         total: Scalar = 0
-        for t, child in node.children.items():
-            p = dist.prob(node.element, t)
-            if p == 0:
-                continue
-            meter.spend()
+        for t, p, child in arcs[id(node)]:
             ext = fixed | {t}
             value = f(ext)
-            child_prefix = prefix + ((node.element, t),) if trace is not None else prefix
-            total = total + p * ((value - base) + rec(child, ext, value, child_prefix))
-        if trace is not None:
-            trace[prefix] = total
+            total = total + p * ((value - base) + rec(child, ext, value))
         if memoize:
-            if id(node) not in below:  # the children below are expanded by now
-                below[id(node)] = f.reach(frozenset(node.children)).union(
-                    *(below.get(id(c), ()) for c in node.children.values()))
-            memo[id(node), f.reach(fixed) & below[id(node)]] = total
+            memo[key] = total
         return total
 
-    value = rec(tree, frozenset(), f(frozenset()), ())
-    return EvalReport(value=value, mode="exact", trace=trace)
+    value = rec(tree, frozenset(), f(frozenset()))
+    return EvalReport(value=value, mode="exact")
 
 
 def adap_by_path_enumeration(
@@ -277,7 +280,6 @@ def greedy_interleaved_exact(
     *,
     assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
-    want_trace: bool = False,
 ) -> EvalReport:
     """Expected greedy count over the union of true and virtual path types.
 
@@ -285,24 +287,21 @@ def greedy_interleaved_exact(
     type is considered before the virtual type. Non-loops get selected and
     counted, loops are skipped; equal draws collapse to one occurrence. The
     walk branches on the virtual arc, then the true type, once per (node,
-    selection). The optional trace reports the online value that only counts
-    true-type selections while still selecting virtual types.
+    selection). ``trace["online_value"]`` is the online value that only
+    counts true-type selections while still selecting virtual types.
     """
-    validate_tree(tree, universe)
+    nodes, _ = _tree_nodes(tree, universe)
+    arcs = _positive_arcs(nodes, dist)
+    # the positive-probability path below each node with the most joint assignments
+    leaf_path: tuple[int, tuple[str, ...]] = (1, ())
     widest: dict[int, tuple[int, tuple[str, ...]]] = {}
-
-    def widest_path(node: DecisionTree) -> tuple[int, tuple[str, ...]]:
-        # the positive-probability path below with the most joint assignments
-        if id(node) not in widest:
-            e, paths = node.element, []
-            for t, child in node.children.items():
-                if dist.prob(e, t) != 0:
-                    n, path = widest_path(child)
-                    paths.append((n * len(universe.type_space[e]), (e, *path)))
-            widest[id(node)] = max(paths, key=lambda got: got[0], default=(1, ()))
-        return widest[id(node)]
-
-    check_assignment_count(universe, widest_path(tree)[1], assignment_cap)
+    for node in nodes:  # children first
+        e, paths = node.element, []
+        for _, _, child in arcs[id(node)]:
+            n, path = widest.get(id(child), leaf_path)
+            paths.append((n * len(universe.type_space[e]), (e, *path)))
+        widest[id(node)] = max(paths, key=lambda got: got[0], default=leaf_path)
+    check_assignment_count(universe, widest.get(id(tree), leaf_path)[1], assignment_cap)
     meter = _WorkMeter(work_cap)
     add = functools.cache(functools.partial(greedy_add, family))  # a table per call
     memo: dict[tuple[int, frozenset[str]], tuple[Scalar, Scalar]] = {}
@@ -315,13 +314,11 @@ def greedy_interleaved_exact(
         if key in memo:
             return memo[key]
         e = node.element
+        # true draws in type-space order, virtual arcs in child order
         draws = [(add(chosen, t), q)
                  for t in universe.type_space[e] if (q := dist.prob(e, t)) != 0]
         size = online = 0
-        for virtual, child in node.children.items():
-            p = dist.prob(e, virtual)
-            if p == 0:
-                continue
+        for virtual, p, child in arcs[id(node)]:
             meter.spend(len(draws))
             for grown, q in draws:
                 child_size, child_online = rec(child, add(grown, virtual))
@@ -332,8 +329,7 @@ def greedy_interleaved_exact(
         return size, online
 
     total, online_total = rec(tree, frozenset())
-    trace = {"online_value": online_total} if want_trace else None
-    return EvalReport(value=total, mode="exact", trace=trace)
+    return EvalReport(value=total, mode="exact", trace={"online_value": online_total})
 
 
 def _mc_collect(
@@ -365,34 +361,27 @@ class _CodedTree:
     """A decision tree compiled to integer tables for vectorized walks.
 
     Nodes are numbered once per distinct object, so shared subtrees stay
-    shared; the root is node 0. ``column[v]`` is the universe index of node
-    ``v``'s element (-1 for a leaf) and ``child[v, c]`` the node reached
-    when that element takes the type at position ``c`` of its type space.
+    shared; the root is node 0 and all leaves share the last node. ``column[v]``
+    is the universe index of node ``v``'s element (-1 for the leaf) and
+    ``child[v, c]`` the node reached when that element takes the type at
+    position ``c`` of its type space.
     """
 
     def __init__(self, tree: DecisionTree, universe: Universe):
+        nodes = _tree_nodes(tree, universe)[0][::-1]
         index = {e: j for j, e in enumerate(universe.elements)}
         spaces = [universe.type_space[e] for e in universe.elements]
         sizes = [len(ts) for ts in spaces]
         self.offset = np.cumsum([0] + sizes[:-1])
         self.type_names = [t for ts in spaces for t in ts]
-        nodes = [tree]
-        ids = {id(tree): 0}
-        for node in nodes:  # grows while iterating: breadth-first numbering
-            for child in node.children.values():
-                if id(child) not in ids:
-                    ids[id(child)] = len(nodes)
-                    nodes.append(child)
-        self.column = np.full(len(nodes), -1, dtype=np.intp)
-        # every slot starts as a self-loop, so a leaf stays put on any code
-        width = max(sizes, default=1)
-        self.child = np.repeat(np.arange(len(nodes))[:, None], width, axis=1)
+        row = {id(node): v for v, node in enumerate(nodes)}
+        self.column = np.full(len(nodes) + 1, -1, dtype=np.intp)
+        # every slot starts as a self-loop, so the leaf stays put on any code
+        self.child = np.repeat(np.arange(len(nodes) + 1)[:, None], max(sizes, default=1), axis=1)
         for v, node in enumerate(nodes):
-            if node.is_leaf:
-                continue
             self.column[v] = index[node.element]
             for c, t in enumerate(universe.type_space[node.element]):
-                self.child[v, c] = ids[id(node.children[t])]
+                self.child[v, c] = row.get(id(node.children[t]), len(nodes))
 
     def walk(self, virtual: np.ndarray, true: np.ndarray) -> np.ndarray:
         """Global type ids revealed along each row's path, padded with -1.
@@ -450,10 +439,9 @@ def _path_mc(
     The revealed types are the virtual ones, or with ``resample`` fresh
     draws from stream 1 at the same counter.
     """
-    validate_tree(tree, universe)
+    coded = _CodedTree(tree, universe)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    coded = _CodedTree(tree, universe)
     table: dict[tuple[int, ...], float] = {}  # shared by the call's blocks
 
     def fill_block(b: int, values: np.ndarray) -> None:
@@ -537,7 +525,6 @@ def submodular_gap_report(
     f: ValuationFunction,
     universe: Universe,
     dist: TypeDistribution,
-    tol: float = 1e-9,
 ) -> dict:
     """Check the submodular half-gap inequality alg >= adap/2 on one tree."""
     adap = adap_exact(tree, f, universe, dist).value
@@ -546,7 +533,7 @@ def submodular_gap_report(
         "adap": adap,
         "alg": alg,
         "bound": "alg >= adap/2",
-        "ok": alg >= adap / 2 - tol,
+        "ok": alg >= adap / 2 - GAP_REPORT_TOL,
     }
 
 
@@ -558,7 +545,6 @@ def kextendible_chain_report(
     dist: TypeDistribution,
     *,
     valuation: ValuationFunction | None = None,
-    tol: float = 1e-9,
 ) -> dict:
     """Check adap <= k*greedy and greedy <= 2*alg for an unweighted rank."""
     f = valuation if valuation is not None else weighted_rank(family, unit_weights(family))
@@ -570,7 +556,7 @@ def kextendible_chain_report(
         "greedy": greedy,
         "alg": alg,
         "bound": "adap <= k*greedy and greedy <= 2*alg",
-        "ok_k": adap <= k * greedy + tol,
-        "ok_2": greedy <= 2 * alg + tol,
-        "ok": adap <= k * greedy + tol and greedy <= 2 * alg + tol,
+        "ok_k": adap <= k * greedy + GAP_REPORT_TOL,
+        "ok_2": greedy <= 2 * alg + GAP_REPORT_TOL,
+        "ok": adap <= k * greedy + GAP_REPORT_TOL and greedy <= 2 * alg + GAP_REPORT_TOL,
     }

@@ -241,7 +241,15 @@ def _edge_id(label: tuple[int, ...]) -> str:
     return "e" + ".".join(map(str, label))
 
 
+#: Most edges a w-ary tree may have to be built (by ``gen_tree_lb`` and the encoding).
+WARY_EDGE_CAP = 5000
+
+
 def _build_wary_tree(arity: int, depth: int) -> _WaryTree:
+    edge_count = sum(arity**d for d in range(1, depth + 1))
+    if edge_count > WARY_EDGE_CAP:
+        raise ExactCapExceeded(f"{edge_count} edges exceed the materialization cap "
+                               f"{WARY_EDGE_CAP}; use the closed-form value oracles")
     labels: dict[str, tuple[int, ...]] = {"root": ()}
     children: dict[str, tuple[str, ...]] = {}
     edges: list[str] = []
@@ -293,7 +301,6 @@ def gen_tree_lb(
     p: Scalar,
     weights: Sequence[Scalar] | None = None,
     *,
-    size_cap: int = 5000,
     probe_cap: int = 12,
 ) -> InstanceBundle:
     """Perfect w-ary tree of depth k whose edges are Bernoulli(p) elements.
@@ -308,12 +315,6 @@ def gen_tree_lb(
     _check_tree_lb(k, p, w)
     if weights is not None and len(weights) != k:
         raise ValidationError("per-depth weights need exactly k entries")
-    edge_count = sum(w**d for d in range(1, k + 1))
-    if edge_count > size_cap:
-        raise ExactCapExceeded(
-            f"{edge_count} edges exceed the materialization cap {size_cap}; "
-            "use the closed-form value oracles"
-        )
     shape = _build_wary_tree(w, k)
     type_space = {}
     probs = {}

@@ -19,7 +19,7 @@ from .core import (
     ValidationError,
 )
 from .evaluate import DEFAULT_WORK_CAP, EvalReport, alg_exact
-from .families import IndependenceOracle, _best_subset
+from .families import DEFAULT_RANK_CAP, IndependenceOracle, _best_subset
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, weighted_rank
 
@@ -165,8 +165,6 @@ def greedy_optimal_combine(
     decomposition: ClassDecomposition,
     representatives: RepresentativeChoice,
     family: IndependenceOracle,
-    *,
-    cap: int = 20,
 ) -> frozenset[str]:
     """Combine the selected classes over the observed true types.
 
@@ -178,10 +176,9 @@ def greedy_optimal_combine(
     for _, j in representatives.selected:
         members = decomposition.class_types.get(j, frozenset())
         candidates = sorted(path_types & members & family.ground)
-        if len(candidates) > cap:
-            raise ExactCapExceeded(
-                f"combiner bucket has {len(candidates)} candidates, above cap {cap}"
-            )
+        if len(candidates) > DEFAULT_RANK_CAP:
+            raise ExactCapExceeded(f"combiner bucket has {len(candidates)} candidates, "
+                                   f"above cap {DEFAULT_RANK_CAP}")
         chosen |= _best_subset(family, candidates, dict.fromkeys(candidates, 1), chosen)[0]
     return chosen
 
@@ -196,7 +193,6 @@ def combined_value(
     *,
     assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
-    combine_cap: int = 20,
 ) -> EvalReport:
     """Expected true-weight value of the greedy-optimal combined selection.
 
@@ -218,9 +214,7 @@ def combined_value(
     representatives = select_representatives(scaled, buckets)
 
     def combined_weight(types: frozenset[str]) -> Scalar:
-        picked = greedy_optimal_combine(
-            types, decomposition, representatives, family, cap=combine_cap
-        )
+        picked = greedy_optimal_combine(types, decomposition, representatives, family)
         return sum(weights[t] for t in sorted(picked))
 
     total = alg_exact(tree, combined_weight, universe, dist,

@@ -24,7 +24,7 @@ class DecisionTree:
     ``children`` maps every type of ``element`` to the subtree taken when the
     probe reveals that type. Shared (DAG) subtrees are allowed. An element
     must not repeat on a root-leaf path; ``validate_tree`` checks that, and
-    every evaluator calls it.
+    every evaluator runs its checks.
     """
 
     element: str | None
@@ -60,14 +60,20 @@ def chain_tree(universe: Universe, sequence: Sequence[str]) -> DecisionTree:
 
 
 def validate_tree(tree: DecisionTree, universe: Universe) -> bool:
-    """Check a tree against the universe; True if a node has two parents.
+    """Check a tree against the universe; True if a node has two parents."""
+    return _tree_nodes(tree, universe)[1]
+
+
+def _tree_nodes(tree: DecisionTree, universe: Universe) -> tuple[list[DecisionTree], bool]:
+    """Run ``validate_tree``'s checks; return the distinct internal nodes,
+    children first with the root last, and whether a node has two parents.
 
     Each internal node needs a known element and one arc per type. No element
     may repeat on a root-leaf path; only one that labels two or more nodes can,
     so only those get a bit, ORed upward children first when there are any.
     """
     seen: set[int] = set()
-    post: list[DecisionTree] = []  # distinct internal nodes, children first
+    post: list[DecisionTree] = []
     expanded: list[DecisionTree] = []  # nodes whose children are still on the stack
     shared = False
     stack: list[DecisionTree | None] = [tree]
@@ -100,7 +106,7 @@ def validate_tree(tree: DecisionTree, universe: Universe) -> bool:
             if mask & bit.get(node.element, 0):
                 raise ValidationError(f"element {node.element!r} repeats on a probing path")
             below[id(node)] = mask | bit.get(node.element, 0)
-    return shared
+    return post, shared
 
 
 class ConstraintOracle:
@@ -274,20 +280,17 @@ def check_tree_feasible(
     """True iff every root-leaf element sequence is feasible.
 
     On failure returns the first violating prefix (ending at the rejected
-    element) in child-arc order.
+    element) in child-arc order. A prefix constraint sees the whole prefix,
+    so the cost is per root-leaf path; arcs of one node that share a child
+    share its walk.
     """
-
-    def walk(node: DecisionTree, prefix: tuple[str, ...]):
-        if node.is_leaf:
-            return None
-        if not constraint.may_extend(prefix, node.element):
-            return prefix + (node.element,)
+    stack: list[tuple[DecisionTree, tuple[str, ...]]] = [] if tree.is_leaf else [(tree, ())]
+    while stack:
+        node, prefix = stack.pop()
         extended = prefix + (node.element,)
-        for child in node.children.values():
-            witness = walk(child, extended)
-            if witness is not None:
-                return witness
-        return None
-
-    witness = walk(tree, ())
-    return witness is None, witness
+        if not constraint.may_extend(prefix, node.element):
+            return False, extended
+        distinct = {id(c): c for c in node.children.values() if not c.is_leaf}
+        # pushed in reverse so the first child is walked first
+        stack.extend((child, extended) for child in reversed(distinct.values()))
+    return True, None

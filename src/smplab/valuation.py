@@ -46,6 +46,8 @@ class ExplicitValuation(ValuationFunction):
         self.table = {frozenset(k): v for k, v in self.table.items()}
         for k, v in self.table.items():
             check_finite(v, f"table value for {sorted(k)}")
+            if not k and v != 0:
+                raise ValidationError(f"table value for [] must be 0, got {v!r}")
 
     def _evaluate(self, types):
         if not types:

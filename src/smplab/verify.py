@@ -89,12 +89,14 @@ def check_downward_closed(
     return True, None
 
 
+#: Most feasible sequences the prefix-closure walk of a stepwise oracle visits.
+PREFIX_WALK_CAP = 200_000
+
+
 def check_prefix_closed(
     constraint: ConstraintOracle,
     universe: Universe,
     max_len: int,
-    *,
-    walk_cap: int = 200_000,
 ) -> tuple[bool, tuple[str, ...] | None]:
     """Validate prefix-closure of a probing constraint.
 
@@ -110,7 +112,7 @@ def check_prefix_closed(
         return True, None
 
     for seen, _ in enumerate(_feasible_sequences(constraint, universe.elements, max_len), 1):
-        if seen > walk_cap:
+        if seen > PREFIX_WALK_CAP:
             raise ValidationError("prefix-closure walk exceeded its cap")
     return True, None
 
@@ -226,6 +228,9 @@ def find_extension_witness(
 #: it bounds the check's temporary arrays.
 ENCODING_PAIR_BLOCK = 1 << 18
 
+#: Largest ground the encoding check tests every set of, not a sample of sets.
+ENCODING_EXHAUSTIVE_SETS = 12
+
 
 def _label_intervals(labels: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
     """Preorder position and subtree end of each label among the distinct
@@ -300,7 +305,6 @@ def check_encoding(
     *,
     set_samples: int = 10_000,
     seed: int = 0,
-    exhaustive_set_limit: int = 12,
 ) -> tuple[bool, frozenset | None]:
     """Verify that the intersection of partition matroids realizes the
     ancestor-chain family of the labels in ``label_map``.
@@ -336,7 +340,7 @@ def check_encoding(
         deepest = max(pos_of[t] for t in types)
         return all(deepest < end_of[t] for t in types)
 
-    if len(ground) <= exhaustive_set_limit:
+    if len(ground) <= ENCODING_EXHAUSTIVE_SETS:
         for size in range(3, len(ground) + 1):
             for combo in itertools.combinations(ground, size):
                 s = frozenset(combo)

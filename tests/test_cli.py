@@ -55,6 +55,11 @@ def _nan_table_value(doc):
     }
 
 
+def _nonzero_empty_table_value(doc):
+    t = sorted(next(iter(doc["distribution"].values())))[0]
+    doc["valuation"] = {"kind": "explicit", "ground": [t], "table": [[[], "1"], [[t], "2"]]}
+
+
 def _inf_metadata(doc):
     doc["metadata"]["seed"] = {"scalar": "inf"}
 
@@ -155,6 +160,11 @@ class TestGapCommands:
     def test_gap_matroid_encoding_rejects_composite(self):
         assert main(["gap-matroid-encoding", "--k", "4"]) == 2
 
+    def test_gap_matroid_encoding_refuses_past_the_edge_cap(self, capsys):
+        # the 7-ary depth-7 tree would need 49 maps over its 960799 edges
+        assert main(["gap-matroid-encoding", "--k", "7"]) == 2
+        assert "960799 edges exceed the materialization cap 5000" in capsys.readouterr().err
+
     def test_python_dash_m(self):
         src = str(Path(smplab.__file__).resolve().parents[1])
         env = dict(os.environ)
@@ -191,6 +201,7 @@ class TestEvalCommands:
             (_nan_probabilities, "probability of type"),
             (_inf_weights, "weight of type"),
             (_nan_table_value, "table value for"),
+            (_nonzero_empty_table_value, "table value for [] must be 0, got 1"),
             (_inf_metadata, "metadata value for 'seed'"),
             (_word_limit, "limit must be a JSON integer, not 'abc'"),
             (_infinite_limit, "limit must be a JSON integer, not inf"),

@@ -69,17 +69,6 @@ def _zero_first_types(dist):
     return TypeDistribution(rows)
 
 
-def _reached_prefixes(node, dist, prefix=()):
-    """Preorder prefixes of the internal nodes reached by positive-probability arcs."""
-    if node.is_leaf:
-        return []
-    out = [prefix]
-    for t, child in node.children.items():
-        if dist.prob(node.element, t) != 0:
-            out += _reached_prefixes(child, dist, prefix + ((node.element, t),))
-    return out
-
-
 def _positive_arcs(tree, dist, dag):
     """Positive-probability arcs: of each distinct node when ``dag``, else of
     every reached prefix, as a walk without a memo expands them."""
@@ -132,17 +121,17 @@ class TestAdapExact:
         got = adap_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist).value
         assert abs(got - submodular_lb_adap_recurrence(0.3)) <= 1e-9
 
-    def test_trace_contains_root_value(self):
-        universe, dist, f, tree = bernoulli_indicator()
-        rep = adap_exact(tree, f, universe, dist, want_trace=True)
-        assert rep.trace[()] == rep.value
-        # on random trees with zero-probability arcs the keys are exactly
-        # the prefixes of the internal nodes that positive arcs reach
+    def test_zero_probability_arcs_never_expanded(self):
+        # random trees share no node, so the walk expands exactly the
+        # positive arcs of every reached prefix, and none of the others
         for inst in [gen_random_instance(s) for s in range(10)]:
             dist = _zero_first_types(inst.dist)
-            rep = adap_exact(inst.tree, inst.valuation, inst.universe, dist, want_trace=True)
-            assert list(rep.trace) == _reached_prefixes(inst.tree, dist)
-            assert rep.trace.get((), 0) == rep.value
+            args = (inst.tree, inst.valuation, inst.universe, dist)
+            arcs = _positive_arcs(inst.tree, dist, dag=False)
+            assert 0 < arcs < _positive_arcs(inst.tree, inst.dist, dag=False)
+            assert adap_exact(*args, work_cap=arcs).value == adap_by_path_enumeration(*args)
+            with pytest.raises(ExactCapExceeded, match=f"work cap of {arcs - 1};"):
+                adap_exact(*args, work_cap=arcs - 1)
 
     def test_memo_expands_each_triangle_arc_once(self):
         bundle = gen_submodular_lb(Fraction(1, 4))
@@ -228,9 +217,7 @@ class TestGreedyInterleaved:
             range(42, 50),
             valuation_kinds=("matroid_intersection_rank", "matching_rank"),
         ):
-            rep = greedy_interleaved_exact(
-                inst.tree, inst.family, inst.universe, inst.dist, want_trace=True
-            )
+            rep = greedy_interleaved_exact(inst.tree, inst.family, inst.universe, inst.dist)
             alg = alg_exact(inst.tree, inst.valuation, inst.universe, inst.dist).value
             assert rep.trace["online_value"] <= alg
             assert rep.trace["online_value"] <= rep.value

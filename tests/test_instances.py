@@ -27,6 +27,7 @@ from smplab import (
     tree_lb_adaptive_value,
     tree_lb_nonadaptive_bound,
 )
+from smplab.instances import WARY_EDGE_CAP
 
 
 class TestTriangularInstance:
@@ -194,6 +195,14 @@ class TestPrimeEncoding:
 
         for sub in powerset(sorted(fam.ground)):
             assert inter.is_independent(sub) == fam.is_independent(sub)
+
+    def test_edge_cap_shared_with_the_tree_instance(self):
+        assert [len(gen_prime_matroid_encoding(k)[1]) for k in (2, 3, 5)] == [6, 39, 3905]
+        with pytest.raises(ExactCapExceeded, match=f"960799 edges exceed the materialization "
+                                                   f"cap {WARY_EDGE_CAP};"):
+            gen_prime_matroid_encoding(7)
+        with pytest.raises(ExactCapExceeded, match=f"538083 edges .* cap {WARY_EDGE_CAP};"):
+            gen_tree_lb(3, 81, 1 / 27)
 
     def test_non_prime_rejected(self):
         for k in (1, 4, 6):

@@ -141,6 +141,16 @@ class TestFeasibility:
         assert not ok
         assert witness == ("a", "b", "c")
 
+    def test_deep_chain_checked_without_recursion(self):
+        # the chain hangs one node under both arcs, so its 2**3000 paths
+        # share a single probing sequence
+        names = [f"x{i}" for i in range(3000)]
+        universe, _ = coin_universe(names)
+        tree = chain_tree(universe, names)
+        assert check_tree_feasible(tree, constraint_cardinality(3000)) == (True, None)
+        ok, witness = check_tree_feasible(tree, constraint_cardinality(2999))
+        assert not ok and witness == tuple(names)
+
     def test_dag_strategy_tree_is_feasible(self):
         bundle = gen_submodular_lb(Fraction(1, 2))
         ok, witness = check_tree_feasible(bundle.tree, bundle.constraint)

@@ -185,6 +185,15 @@ def test_non_finite_explicit_table_value_rejected(bad):
         ExplicitValuation(frozenset({"t"}), {frozenset(): 0, frozenset({"t"}): bad})
 
 
+def test_nonzero_empty_set_value_rejected():
+    # adap_exact's root decomposition assumes f(empty) = 0; path sums do not
+    table = {frozenset(): 1, frozenset({"a1"}): 2, frozenset({"a2"}): 3}
+    with pytest.raises(ValidationError, match=r"table value for \[\] must be 0, got 1"):
+        ExplicitValuation(frozenset({"a1", "a2"}), table)
+    zero = ExplicitValuation(frozenset({"a1"}), {frozenset(): Fraction(0), frozenset({"a1"}): 2})
+    assert zero(frozenset()) == 0
+
+
 def test_monotone_on_a_thousand_seeded_pairs():
     rng = random.Random(31)
     types = [f"t{i}" for i in range(12)]
