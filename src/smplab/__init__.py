@@ -65,15 +65,15 @@ from .reduction import (
     weight_class,
 )
 from .strategy import (
+    BudgetConstraint,
+    CardinalityConstraint,
     ConstraintOracle,
+    DagPathConstraint,
     DecisionTree,
+    TableConstraint,
+    TreeFanConstraint,
     chain_tree,
     check_tree_feasible,
-    constraint_budget,
-    constraint_cardinality,
-    constraint_dag_path,
-    constraint_table,
-    constraint_tree_fan,
     leaf,
     probe,
     validate_tree,

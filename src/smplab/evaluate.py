@@ -50,7 +50,7 @@ DEFAULT_WORK_CAP = 1 << 22
 #: Trials per counter-addressed Monte Carlo block.
 MC_BLOCK = 1024
 
-#: Feasible-sequence expansion limit for the exhaustive non-adaptive search.
+#: Most distinct (set, constraint state) pairs the exhaustive non-adaptive search visits.
 DEFAULT_SEQUENCE_CAP = 10**6
 
 #: Slack the gap reports allow their inequalities for float rounding.
@@ -499,8 +499,9 @@ def best_nonadaptive_exact(
 ) -> tuple[tuple[str, ...], Scalar]:
     """Exhaustive best fixed probing set under the constraint.
 
-    Feasibility is a property of the sequence; value depends only on the
-    probed set. Returns the lexicographically smallest maximizing sequence.
+    Value depends only on the probed set and feasibility on the constraint
+    state, so the search visits each distinct (set, state) pair once.
+    Returns the lexicographically smallest maximizing sequence.
     """
     # the work is bounded by sequence_cap x assignment_cap
     value = _set_values(f, universe, dist, _WorkMeter(math.inf), assignment_cap)
@@ -510,7 +511,7 @@ def best_nonadaptive_exact(
     for expanded, seq in enumerate(sequences, 1):
         if expanded > sequence_cap:
             raise ExactCapExceeded(
-                f"more than {sequence_cap} feasible sequences; "
+                f"more than {sequence_cap} distinct (set, constraint state) pairs; "
                 "use an instance-specific closed form"
             )
         v = value(frozenset(seq), universe.elements)

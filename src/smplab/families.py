@@ -170,12 +170,6 @@ def _subtree_ranges(edges: Iterable[tuple[str, str]], root: str) -> dict[str, ra
     return {v: range(i, i + size[v]) for i, v in enumerate(order)}
 
 
-def _on_one_root_path(ranges: Mapping[str, range], vertices: Sequence[str]) -> bool:
-    """True iff ``vertices`` (at least one) all lie on one root path."""
-    deepest = max(ranges[v].start for v in vertices)
-    return all(deepest in ranges[v] for v in vertices)
-
-
 @dataclass(eq=True)
 class PathChainFamily(IndependenceOracle):
     """Types map to edges of a rooted tree; independent iff all edges lie on
@@ -192,8 +186,10 @@ class PathChainFamily(IndependenceOracle):
         self._subtree = _subtree_ranges(self.edges.values(), self.root)
         self.ground = frozenset(self.edges)
 
-    def _independent(self, types):
-        return _on_one_root_path(self._subtree, [self.edges[t][1] for t in types])
+    def _independent(self, types):  # the lower endpoints lie on one root path
+        low = [self._subtree[self.edges[t][1]] for t in types]
+        deepest = max(r.start for r in low)
+        return all(deepest in r for r in low)
 
     def _best_root_path(self, cand: Sequence[str], w: Mapping[str, Scalar]) -> Scalar:
         """Largest total weight of ``cand`` on one root path, summed in ``cand`` order.

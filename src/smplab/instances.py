@@ -28,12 +28,12 @@ from .families import (
     make_path_chain_family,
 )
 from .strategy import (
+    BudgetConstraint,
+    CardinalityConstraint,
     ConstraintOracle,
+    DagPathConstraint,
     DecisionTree,
-    constraint_budget,
-    constraint_cardinality,
-    constraint_dag_path,
-    constraint_tree_fan,
+    TreeFanConstraint,
     leaf,
     probe,
 )
@@ -156,7 +156,7 @@ def gen_submodular_lb(eps: Scalar) -> InstanceBundle:
     universe = universe_from_type_space(type_space)
     dist = TypeDistribution(probs)
     valuation = partition_weighted_valuation(part_of, part_weight)
-    constraint = constraint_dag_path(arcs, _submod_element(0, 0))
+    constraint = DagPathConstraint(arcs, _submod_element(0, 0))
     metadata = {
         "name": "submodular_lower_bound",
         "eps": eps,
@@ -244,6 +244,10 @@ def _edge_id(label: tuple[int, ...]) -> str:
 #: Most edges a w-ary tree may have to be built (by ``gen_tree_lb`` and the encoding).
 WARY_EDGE_CAP = 5000
 
+#: ``gen_tree_lb`` builds its reference tree only when w*k, the number of
+#: probes on each root-leaf path of that tree, is at most this.
+TREE_LB_PROBE_CAP = 12
+
 
 def _build_wary_tree(arity: int, depth: int) -> _WaryTree:
     edge_count = sum(arity**d for d in range(1, depth + 1))
@@ -300,8 +304,6 @@ def gen_tree_lb(
     w: int,
     p: Scalar,
     weights: Sequence[Scalar] | None = None,
-    *,
-    probe_cap: int = 12,
 ) -> InstanceBundle:
     """Perfect w-ary tree of depth k whose edges are Bernoulli(p) elements.
 
@@ -310,7 +312,7 @@ def gen_tree_lb(
     sequence be probed only while some root-leaf vertex path touches every
     probed edge. The reference tree probes sibling edges in child order and
     descends below the first active one (below the first child if none);
-    it is materialized only when w*k <= probe_cap.
+    it is materialized only when w*k <= ``TREE_LB_PROBE_CAP``.
     """
     _check_tree_lb(k, p, w)
     if weights is not None and len(weights) != k:
@@ -333,10 +335,10 @@ def gen_tree_lb(
     dist = TypeDistribution(probs)
     family = make_path_chain_family(on_endpoints, shape.root)
     valuation = weighted_rank(family, weight_map)
-    constraint = constraint_tree_fan(dict(shape.endpoints), shape.root)
+    constraint = TreeFanConstraint(shape.endpoints, shape.root)
 
     tree = None
-    if w * k <= probe_cap:
+    if w * k <= TREE_LB_PROBE_CAP:
         def descend(vertex: str, depth: int) -> DecisionTree:
             if depth == k:
                 return leaf()
@@ -502,15 +504,15 @@ def _random_constraint(
     if kind == "budget":
         cost = {e: rng.choice((1, 1, 2, 3)) / 2 for e in elements}
         budget = rng.randint(2, 2 * params.max_depth) / 2
-        return constraint_budget(cost, budget)
+        return BudgetConstraint(cost, budget)
     if kind == "cardinality":
-        return constraint_cardinality(rng.randint(1, params.max_depth))
+        return CardinalityConstraint(rng.randint(1, params.max_depth))
     if kind == "dag_path":
         arcs = {}
         for i, e in enumerate(elements):
             succ = elements[i + 1 : i + 4]
             arcs[e] = frozenset(s for s in succ if rng.random() < 0.7)
-        return constraint_dag_path(arcs, elements[0])
+        return DagPathConstraint(arcs, elements[0])
     raise ValidationError(f"unknown constraint kind {kind!r}")
 
 
@@ -541,24 +543,19 @@ def gen_random_instance(
     constraint_kind = rng.choice(params.constraint_kinds)
     constraint = _random_constraint(rng, constraint_kind, elements, params)
 
-    def build(prefix: tuple[str, ...], used: frozenset[str], depth: int) -> DecisionTree:
+    def build(state, used: frozenset[str], depth: int) -> DecisionTree:
         if depth >= params.max_depth:
             return leaf()
-        candidates = [
-            e for e in elements if e not in used and constraint.may_extend(prefix, e)
-        ]
+        nxt = {e: constraint.step(state, e) for e in elements if e not in used}
+        candidates = [e for e, s in nxt.items() if s is not None]
         if not candidates or (depth > 0 and rng.random() < 0.25):
             return leaf()
         e = rng.choice(candidates)
         return probe(
-            e,
-            {
-                t: build(prefix + (e,), used | {e}, depth + 1)
-                for t in type_space[e]
-            },
+            e, {t: build(nxt[e], used | {e}, depth + 1) for t in type_space[e]}
         )
 
-    tree = build((), frozenset(), 0)
+    tree = build(constraint.initial, frozenset(), 0)
     metadata = {
         "name": "random",
         "seed": seed,

@@ -84,6 +84,16 @@ def _integer(value: Any, field: str) -> int:
     return value
 
 
+def _strings(value: Any, field: str, size: int | None = None) -> tuple[str, ...]:
+    """A JSON array of strings, of ``size`` entries when given; a bare string
+    is rejected rather than split into its characters."""
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)
+            and size in (None, len(value))):
+        what = "strings" if size is None else f"{size} strings"
+        raise ParseError(f"{field} must be a JSON array of {what}, not {value!r}")
+    return tuple(value)
+
+
 def _unpairs(pairs) -> dict:
     try:
         return {key: str_to_scalar(val) for key, val in pairs}
@@ -128,16 +138,20 @@ def family_from_dict(doc: dict) -> IndependenceOracle:
             {p: _integer(c, f"capacity of part {p!r}") for p, c in doc["capacity"]},
         )
     if kind == "matching":
-        return MatchingFamily({t: (u, v) for t, (u, v) in doc["edges"].items()})
+        return MatchingFamily(
+            {t: _strings(uv, f"matching edge of {t!r}", 2) for t, uv in doc["edges"].items()}
+        )
     if kind == "intersection":
         return IntersectionFamily(tuple(family_from_dict(m) for m in doc["members"]))
     if kind == "path_chain":
         return PathChainFamily(
-            {t: (u, v) for t, (u, v) in doc["edges"].items()}, doc["root"]
+            {t: _strings(uv, f"path_chain edge of {t!r}", 2) for t, uv in doc["edges"].items()},
+            doc["root"],
         )
     if kind == "explicit":
         return ExplicitFamily(
-            frozenset(doc["ground"]), frozenset(frozenset(s) for s in doc["sets"])
+            _strings(doc["ground"], "family ground"),
+            [_strings(s, "family set") for s in doc["sets"]],
         )
     raise ParseError(f"unknown family kind {kind!r}")
 
@@ -178,7 +192,7 @@ def valuation_from_dict(doc: dict) -> ValuationFunction:
     kind = doc.get("kind")
     if kind == "coverage":
         return CoverageValuation(
-            {t: frozenset(s) for t, s in doc["cover_sets"].items()}
+            {t: _strings(s, f"cover set of {t!r}") for t, s in doc["cover_sets"].items()}
         )
     if kind == "partition_weighted":
         return PartitionWeightedValuation(dict(doc["part_of"]), _unpairs(doc["part_weight"]))
@@ -190,8 +204,8 @@ def valuation_from_dict(doc: dict) -> ValuationFunction:
         )
     if kind == "explicit":
         return ExplicitValuation(
-            frozenset(doc["ground"]),
-            {frozenset(k): str_to_scalar(v) for k, v in doc["table"]},
+            _strings(doc["ground"], "valuation ground"),
+            {frozenset(_strings(k, "table key")): str_to_scalar(v) for k, v in doc["table"]},
         )
     raise ParseError(f"unknown valuation kind {kind!r}")
 
@@ -236,14 +250,15 @@ def constraint_from_dict(doc: dict) -> ConstraintOracle:
         return CardinalityConstraint(_integer(doc["limit"], "limit"))
     if kind == "dag_path":
         return DagPathConstraint(
-            {e: frozenset(out) for e, out in doc["arcs"].items()}, doc["start"]
+            {e: _strings(out, f"arcs of {e!r}") for e, out in doc["arcs"].items()}, doc["start"]
         )
     if kind == "tree_fan":
         return TreeFanConstraint(
-            {e: (u, v) for e, (u, v) in doc["edges"].items()}, doc["root"]
+            {e: _strings(uv, f"tree_fan edge of {e!r}", 2) for e, uv in doc["edges"].items()},
+            doc["root"],
         )
     if kind == "table":
-        return TableConstraint(frozenset(tuple(s) for s in doc["sequences"]))
+        return TableConstraint([_strings(s, "table sequence") for s in doc["sequences"]])
     raise ParseError(f"unknown constraint kind {kind!r}")
 
 
@@ -341,7 +356,8 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
     try:
         uni = doc["universe"]
         universe = Universe(
-            tuple(uni["elements"]), {e: tuple(ts) for e, ts in uni["types"].items()}
+            _strings(uni["elements"], "universe elements"),
+            {e: _strings(ts, f"types of {e!r}") for e, ts in uni["types"].items()},
         )
         rows = _object(doc["distribution"], "distribution")
         dist = TypeDistribution(

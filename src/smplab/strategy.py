@@ -3,32 +3,50 @@ feasibility checking.
 
 A decision tree probes the element at its root, then follows the arc labeled
 with the revealed type. Constraints are stepwise: a sequence is feasible when
-every prefix extension passes ``may_extend``, so prefix-closure holds by
-construction.
+``step`` accepts each of its elements in turn from the state of the prefix
+before it, so prefix-closure holds by construction.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterator, Mapping, Sequence
 
 from .core import Scalar, Universe, ValidationError, check_finite
-from .families import _on_one_root_path, _subtree_ranges
+from .families import _subtree_ranges
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionTree:
     """One node of an adaptive strategy; a leaf when ``element`` is None.
 
     ``children`` maps every type of ``element`` to the subtree taken when the
     probe reveals that type. Shared (DAG) subtrees are allowed. An element
     must not repeat on a root-leaf path; ``validate_tree`` checks that, and
-    every evaluator runs its checks.
+    every evaluator runs its checks. Trees are equal when they probe the same
+    elements on the same arcs, whatever they share; they are not hashable.
     """
 
     element: str | None
     children: Mapping[str, "DecisionTree"]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other):
+        if not isinstance(other, DecisionTree):
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()  # node pairs already compared
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b or (id(a), id(b)) in seen:
+                continue
+            seen.add((id(a), id(b)))
+            if a.element != b.element or a.children.keys() != b.children.keys():
+                return False
+            stack.extend((child, b.children[t]) for t, child in a.children.items())
+        return True
 
     def __post_init__(self):
         object.__setattr__(self, "children", dict(self.children))
@@ -110,26 +128,38 @@ def _tree_nodes(tree: DecisionTree, universe: Universe) -> tuple[list[DecisionTr
 
 
 class ConstraintOracle:
-    """Stepwise prefix-closed probing constraint."""
+    """Stepwise prefix-closed probing constraint.
+
+    ``initial`` is the hashable state of the empty prefix; ``step(state, nxt)``
+    is the state after appending ``nxt``, or None when ``nxt`` may not follow.
+    Prefixes with one state allow the same extensions.
+    """
 
     kind = "abstract"
+    initial: Hashable
 
-    def may_extend(self, prefix: tuple[str, ...], nxt: str) -> bool:
+    def step(self, state: Hashable, nxt: str) -> Hashable | None:
         raise NotImplementedError
 
     def allows(self, sequence: Sequence[str]) -> bool:
-        seq = tuple(sequence)
-        return all(self.may_extend(seq[:i], seq[i]) for i in range(len(seq)))
+        state = self.initial
+        for e in sequence:
+            state = self.step(state, e)
+            if state is None:
+                return False
+        return True
 
 
 @dataclass(eq=True)
 class BudgetConstraint(ConstraintOracle):
-    """Total probing cost must stay within the budget."""
+    """Total probing cost must stay within the budget; the state is the cost
+    spent, summed in prefix order."""
 
     cost: Mapping[str, Scalar]
     budget: Scalar
 
     kind = "budget"
+    initial = 0
 
     def __post_init__(self):
         self.cost = dict(self.cost)
@@ -139,45 +169,44 @@ class BudgetConstraint(ConstraintOracle):
             if c < 0:
                 raise ValidationError(f"cost of {e!r} must be >= 0")
 
-    def _cost_of(self, e: str) -> Scalar:
-        try:
-            return self.cost[e]
-        except KeyError:
-            raise ValidationError(f"no probing cost for element {e!r}")
-
-    def may_extend(self, prefix, nxt):
-        spent: Scalar = 0
-        for e in prefix:
-            spent = spent + self._cost_of(e)
-        return spent + self._cost_of(nxt) <= self.budget
+    def step(self, state, nxt):
+        if nxt not in self.cost:
+            raise ValidationError(f"no probing cost for element {nxt!r}")
+        spent = state + self.cost[nxt]
+        return spent if spent <= self.budget else None
 
 
 @dataclass(eq=True)
 class CardinalityConstraint(ConstraintOracle):
+    """At most ``limit`` probes; the state is the prefix length."""
+
     limit: int
 
     kind = "cardinality"
+    initial = 0
 
-    def may_extend(self, prefix, nxt):
-        return len(prefix) < self.limit
+    def step(self, state, nxt):
+        return state + 1 if state < self.limit else None
 
 
 @dataclass(eq=True)
 class DagPathConstraint(ConstraintOracle):
-    """Sequences must trace a directed path starting at ``start``."""
+    """Sequences must trace a directed path starting at ``start``; the state
+    is the last element, ``()`` before the first."""
 
     arcs: Mapping[str, frozenset[str]]
     start: str
 
     kind = "dag_path"
+    initial = ()
 
     def __post_init__(self):
         self.arcs = {e: frozenset(out) for e, out in self.arcs.items()}
 
-    def may_extend(self, prefix, nxt):
-        if not prefix:
-            return nxt == self.start
-        return nxt in self.arcs.get(prefix[-1], frozenset())
+    def step(self, state, nxt):
+        if state == ():
+            return nxt if nxt == self.start else None
+        return nxt if nxt in self.arcs.get(state, ()) else None
 
 
 @dataclass(eq=True)
@@ -187,7 +216,9 @@ class TreeFanConstraint(ConstraintOracle):
     An edge (u, v) with u the parent touches the path to leaf L exactly when
     L lies in the subtree of u. Subtrees are nested or disjoint, so some leaf
     lies under the parent vertex of every probed edge exactly when those
-    parent vertices lie on one root path.
+    parent vertices lie on one root path. They then form one root chain, and
+    a new parent vertex fits all of them iff it fits the deepest: that vertex,
+    ``root`` before the first probe, is the state.
     """
 
     edges: Mapping[str, tuple[str, str]]  # element -> (parent vertex, child vertex)
@@ -198,78 +229,63 @@ class TreeFanConstraint(ConstraintOracle):
     def __post_init__(self):
         self.edges = {e: (u, v) for e, (u, v) in self.edges.items()}
         self._subtree = _subtree_ranges(self.edges.values(), self.root)
+        self.initial = self.root
 
-    def may_extend(self, prefix, nxt):
-        tops = []
-        for e in (*prefix, nxt):
-            if e not in self.edges:
-                raise ValidationError(f"element {e!r} is not an edge of the tree")
-            tops.append(self.edges[e][0])
-        return _on_one_root_path(self._subtree, tops)
+    def step(self, state, nxt):
+        if nxt not in self.edges:
+            raise ValidationError(f"element {nxt!r} is not an edge of the tree")
+        top = self.edges[nxt][0]
+        if self._subtree[top].start in self._subtree[state]:  # top is at or below state
+            return top
+        return state if self._subtree[state].start in self._subtree[top] else None
 
 
 @dataclass(eq=True)
 class TableConstraint(ConstraintOracle):
     """Explicit table of feasible sequences (used for serialized externals).
 
-    ``may_extend`` consults the table directly; run the prefix-closure
-    verifier on tables from outside sources.
+    The state is the prefix itself, looked up in the table directly; run the
+    prefix-closure verifier on tables from outside sources.
     """
 
     sequences: frozenset[tuple[str, ...]]
 
     kind = "table"
+    initial = ()
 
     def __post_init__(self):
         self.sequences = frozenset(tuple(s) for s in self.sequences)
 
-    def may_extend(self, prefix, nxt):
-        return tuple(prefix) + (nxt,) in self.sequences
-
-
-def constraint_budget(cost: Mapping[str, Scalar], budget: Scalar) -> BudgetConstraint:
-    return BudgetConstraint(dict(cost), budget)
-
-
-def constraint_cardinality(limit: int) -> CardinalityConstraint:
-    return CardinalityConstraint(limit)
-
-
-def constraint_dag_path(
-    arcs: Mapping[str, Iterable[str]], start: str
-) -> DagPathConstraint:
-    return DagPathConstraint({e: frozenset(out) for e, out in arcs.items()}, start)
-
-
-def constraint_tree_fan(
-    tree_edges: Mapping[str, tuple[str, str]], root: str
-) -> TreeFanConstraint:
-    return TreeFanConstraint(dict(tree_edges), root)
-
-
-def constraint_table(sequences: Iterable[Sequence[str]]) -> TableConstraint:
-    return TableConstraint(frozenset(tuple(s) for s in sequences))
+    def step(self, state, nxt):
+        seq = state + (nxt,)
+        return seq if seq in self.sequences else None
 
 
 def _feasible_sequences(
     constraint: ConstraintOracle, order: Sequence[str], max_len: int
 ) -> Iterator[tuple[str, ...]]:
-    """Every nonempty feasible sequence of distinct elements, up to ``max_len``.
+    """Nonempty feasible sequences of distinct elements, up to ``max_len``,
+    one per (set, constraint state) pair; a repeat is skipped with its
+    extensions, which repeat the earlier sequence's pairs.
 
     Preorder: each sequence comes before its extensions, and the extensions
-    of one prefix come in ``order``. ``may_extend`` is called lazily, in the
-    order a recursive walk would call it.
+    of one prefix come in ``order``, so the first sequence of a set is kept.
     """
-    stack = [((), iter(order))] if max_len > 0 else []
+    seen: set[tuple[frozenset[str], Hashable]] = set()
+    stack = [((), constraint.initial, iter(order))] if max_len > 0 else []
     while stack:
-        prefix, rest = stack[-1]
+        prefix, state, rest = stack[-1]
         for e in rest:
-            if e not in prefix and constraint.may_extend(prefix, e):
-                seq = prefix + (e,)
-                yield seq
-                if len(seq) < max_len:
-                    stack.append((seq, iter(order)))
-                break
+            if e in prefix or (nxt := constraint.step(state, e)) is None:
+                continue
+            seq = prefix + (e,)
+            if (frozenset(seq), nxt) in seen:
+                continue
+            seen.add((frozenset(seq), nxt))
+            yield seq
+            if len(seq) < max_len:
+                stack.append((seq, nxt, iter(order)))
+            break
         else:
             stack.pop()
 
@@ -280,17 +296,21 @@ def check_tree_feasible(
     """True iff every root-leaf element sequence is feasible.
 
     On failure returns the first violating prefix (ending at the rejected
-    element) in child-arc order. A prefix constraint sees the whole prefix,
-    so the cost is per root-leaf path; arcs of one node that share a child
-    share its walk.
+    element) in child-arc order. What lies below a node is feasible or not
+    by the constraint state on arrival alone, so each (node, state) pair is
+    walked once: a repeat comes only after the first visit's subtree passed.
     """
-    stack: list[tuple[DecisionTree, tuple[str, ...]]] = [] if tree.is_leaf else [(tree, ())]
+    seen: set[tuple[int, Hashable]] = set()
+    stack = [(tree, constraint.initial, ())]
     while stack:
-        node, prefix = stack.pop()
-        extended = prefix + (node.element,)
-        if not constraint.may_extend(prefix, node.element):
-            return False, extended
-        distinct = {id(c): c for c in node.children.values() if not c.is_leaf}
+        node, state, prefix = stack.pop()
+        if node.is_leaf or (id(node), state) in seen:
+            continue
+        seen.add((id(node), state))
+        prefix = prefix + (node.element,)
+        state = constraint.step(state, node.element)
+        if state is None:
+            return False, prefix
         # pushed in reverse so the first child is walked first
-        stack.extend((child, extended) for child in reversed(distinct.values()))
+        stack.extend((child, state, prefix) for child in reversed(node.children.values()))
     return True, None

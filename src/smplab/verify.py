@@ -89,7 +89,8 @@ def check_downward_closed(
     return True, None
 
 
-#: Most feasible sequences the prefix-closure walk of a stepwise oracle visits.
+#: Most distinct (set, constraint state) pairs the prefix-closure walk of a
+#: stepwise oracle visits.
 PREFIX_WALK_CAP = 200_000
 
 
@@ -101,9 +102,9 @@ def check_prefix_closed(
     """Validate prefix-closure of a probing constraint.
 
     Stepwise oracles are prefix-closed by construction, so for them this
-    exhaustively walks the feasible sequences (surfacing crashes or cap
-    blowups). Table-backed constraints are checked for real: every declared
-    sequence must have all its prefixes declared.
+    exhaustively walks the feasible sequences, one per (set, state) pair
+    (surfacing crashes or cap blowups). Table-backed constraints are checked
+    for real: every declared sequence must have all its prefixes declared.
     """
     if isinstance(constraint, TableConstraint):
         for seq in sorted(s for s in constraint.sequences if len(s) <= max_len):
@@ -113,7 +114,8 @@ def check_prefix_closed(
 
     for seen, _ in enumerate(_feasible_sequences(constraint, universe.elements, max_len), 1):
         if seen > PREFIX_WALK_CAP:
-            raise ValidationError("prefix-closure walk exceeded its cap")
+            raise ValidationError(f"prefix-closure walk exceeded its cap of {PREFIX_WALK_CAP} "
+                                  "distinct (set, constraint state) pairs")
     return True, None
 
 

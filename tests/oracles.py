@@ -15,6 +15,7 @@ import numpy as np
 
 from smplab import (
     RandomStream,
+    ValidationError,
     bucketize,
     class_decompose,
     greedy_optimal_combine,
@@ -161,6 +162,51 @@ def brute_combined(tree, weights, family, k, universe, dist):
     return total
 
 
+def reference_allows(constraint, sequence):
+    """``constraint.allows`` by each kind's per-prefix rule: every element is
+    checked against the whole prefix before it, in order, and the first
+    rejection ends the check."""
+    seq = tuple(sequence)
+    return all(_reference_may_extend(constraint, seq[:i], seq[i]) for i in range(len(seq)))
+
+
+def _reference_may_extend(c, prefix, nxt):
+    if c.kind == "budget":
+        spent = 0
+        for e in (*prefix, nxt):
+            if e not in c.cost:
+                raise ValidationError(f"no probing cost for element {e!r}")
+            spent = spent + c.cost[e]
+        return spent <= c.budget
+    if c.kind == "cardinality":
+        return len(prefix) < c.limit
+    if c.kind == "dag_path":
+        return nxt == c.start if not prefix else nxt in c.arcs.get(prefix[-1], ())
+    if c.kind == "tree_fan":
+        # the parent vertices of the probed edges must be pairwise comparable
+        parent = {v: u for u, v in c.edges.values()}
+
+        def at_or_above(v):
+            out = {v}
+            while v in parent:
+                v = parent[v]
+                out.add(v)
+            return out
+
+        tops = []
+        for e in (*prefix, nxt):
+            if e not in c.edges:
+                raise ValidationError(f"element {e!r} is not an edge of the tree")
+            tops.append(c.edges[e][0])
+        return all(
+            a in at_or_above(b) or b in at_or_above(a)
+            for a, b in itertools.combinations(tops, 2)
+        )
+    if c.kind == "table":
+        return prefix + (nxt,) in c.sequences
+    raise ValueError(f"no reference rule for constraint kind {c.kind!r}")
+
+
 def brute_best_nonadaptive(universe, dist, f, constraint, max_len):
     """Best fixed probing set by explicit sequence enumeration."""
     best = ((), 0)
@@ -178,7 +224,7 @@ def brute_best_nonadaptive(universe, dist, f, constraint, max_len):
     def walk(prefix):
         nonlocal best
         for e in sorted(universe.elements):
-            if e in prefix or not constraint.may_extend(prefix, e):
+            if e in prefix or not constraint.allows(prefix + (e,)):
                 continue
             seq = prefix + (e,)
             v = set_value(seq)

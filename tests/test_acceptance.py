@@ -17,6 +17,7 @@ from smplab import (
     alg_mc,
     best_nonadaptive_exact,
     check_encoding,
+    check_tree_feasible,
     combined_value,
     find_extension_witness,
     gen_prime_matroid_encoding,
@@ -78,6 +79,24 @@ def test_criterion_1_triangle_instance_at_paper_scale():
             f"{len(bundle.universe)} elements, t={elapsed:.2f}s < {budget:g}s"
         )
     _criterion("triangle instance at paper scale", ok, "; ".join(details))
+
+
+def test_criterion_1_triangle_tree_feasible_at_paper_scale():
+    # the constraint state of a dag path is its last element, so the check
+    # walks each node once instead of each of its 2**depth root-leaf paths
+    ok = True
+    details = []
+    elapsed = 0.0
+    for eps in (Fraction(1, 10), Fraction(1, 20)):
+        bundle = gen_submodular_lb(eps)
+        start = time.monotonic()
+        got = check_tree_feasible(bundle.tree, bundle.constraint)
+        elapsed += time.monotonic() - start
+        ok &= got == (True, None)
+        details.append(f"eps={eps}: {got}")
+    ok &= elapsed < 1.0
+    details.append(f"t={elapsed:.3f}s < 1s together")
+    _criterion("triangle tree feasible at paper scale", ok, "; ".join(details))
 
 
 def test_criterion_2_submodular_upper_bound_property_suite():

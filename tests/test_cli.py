@@ -224,6 +224,57 @@ class TestEvalCommands:
         assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, part, named",
+        [
+            ("universe", {"elements": "e0", "types": {"e0": ["e0.t0"]}},
+             "universe elements must be a JSON array of strings, not 'e0'"),
+            ("universe", {"elements": ["e0"], "types": {"e0": "e0.t0"}},
+             "types of 'e0' must be a JSON array of strings, not 'e0.t0'"),
+            ("valuation", {"kind": "coverage", "cover_sets": {"e0.t0": "g12"}},
+             "cover set of 'e0.t0' must be a JSON array of strings, not 'g12'"),
+            ("valuation", {"kind": "explicit", "ground": "e0.t0", "table": [[[], "0"]]},
+             "valuation ground must be a JSON array of strings, not 'e0.t0'"),
+            ("valuation", {"kind": "explicit", "ground": ["e0.t0"], "table": [["e0.t0", "1"]]},
+             "table key must be a JSON array of strings, not 'e0.t0'"),
+            ("valuation", {"kind": "weighted_rank", "weights": {},
+                           "family": {"kind": "explicit", "ground": "ab", "sets": []}},
+             "family ground must be a JSON array of strings, not 'ab'"),
+            ("valuation", {"kind": "weighted_rank", "weights": {},
+                           "family": {"kind": "explicit", "ground": ["a"], "sets": ["a"]}},
+             "family set must be a JSON array of strings, not 'a'"),
+            ("valuation", {"kind": "weighted_rank", "weights": {},
+                           "family": {"kind": "matching", "edges": {"e0.t0": "uv"}}},
+             "matching edge of 'e0.t0' must be a JSON array of 2 strings, not 'uv'"),
+            ("valuation", {"kind": "weighted_rank", "weights": {},
+                           "family": {"kind": "matching", "edges": {"e0.t0": ["u", "v", "w"]}}},
+             "matching edge of 'e0.t0' must be a JSON array of 2 strings, not ['u', 'v', 'w']"),
+            ("valuation", {"kind": "weighted_rank", "weights": {}, "family": {
+                "kind": "path_chain", "edges": {"e0.t0": "rv"}, "root": "r"}},
+             "path_chain edge of 'e0.t0' must be a JSON array of 2 strings, not 'rv'"),
+            ("constraint", {"kind": "dag_path", "arcs": {"e0": "e1"}, "start": "e0"},
+             "arcs of 'e0' must be a JSON array of strings, not 'e1'"),
+            ("constraint", {"kind": "table", "sequences": ["e0"]},
+             "table sequence must be a JSON array of strings, not 'e0'"),
+            ("constraint", {"kind": "table", "sequences": [["e0", 1]]},
+             "table sequence must be a JSON array of strings, not ['e0', 1]"),
+            ("constraint", {"kind": "tree_fan", "edges": {"e0": "rv"}, "root": "r"},
+             "tree_fan edge of 'e0' must be a JSON array of 2 strings, not 'rv'"),
+        ],
+        ids=["elements", "types", "cover_set", "valuation_ground", "table_key", "family_ground",
+             "family_set", "matching_edge", "matching_triple", "path_chain_edge", "dag_arcs",
+             "table_sequence", "table_mixed", "tree_fan_edge"],
+    )
+    def test_eval_rejects_a_string_where_a_string_array_belongs(
+        self, instance_file, capsys, key, part, named
+    ):
+        # a bare string would otherwise be split into its characters
+        doc = json.loads(instance_file.read_text())
+        doc[key] = part
+        instance_file.write_text(json.dumps(doc))
+        assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
+        assert named in capsys.readouterr().err
+
     def test_mc_estimate_deterministic(self, instance_file):
         config = ExperimentConfig(
             command="mc-estimate",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from smplab import (
+    DagPathConstraint,
     ExactCapExceeded,
     RandomInstanceParams,
     TypeDistribution,
@@ -19,7 +20,6 @@ from smplab import (
     chain_tree,
     combined_value,
     coverage_valuation,
-    constraint_dag_path,
     gen_random_instance,
     gen_submodular_lb,
     gen_tree_lb,
@@ -357,10 +357,10 @@ def test_mc_path_table_shared_by_threads():
 class TestBestNonadaptive:
     def test_nothing_feasible(self):
         universe, dist, f, _ = bernoulli_indicator()
-        from smplab import constraint_cardinality
+        from smplab import CardinalityConstraint
 
         seq, value = best_nonadaptive_exact(
-            universe, dist, f, constraint_cardinality(0), 3
+            universe, dist, f, CardinalityConstraint(0), 3
         )
         assert seq == () and value == 0
 
@@ -378,7 +378,7 @@ class TestBestNonadaptive:
             {"e0,0:on": "col0", "e0,1:on": "col0", "e1,0:on": "col1"},
             {"col0": 1, "col1": 1 - eps},
         )
-        constraint = constraint_dag_path(
+        constraint = DagPathConstraint(
             {"e0,0": {"e0,1", "e1,0"}, "e0,1": set(), "e1,0": set()}, "e0,0"
         )
         seq, value = best_nonadaptive_exact(universe, dist, f, constraint, 3)
@@ -406,7 +406,8 @@ class TestBestNonadaptive:
 
     def test_sequence_cap(self):
         inst = gen_random_instance(80)
-        with pytest.raises(ExactCapExceeded):
+        pairs = r"more than 1 distinct \(set, constraint state\) pairs"
+        with pytest.raises(ExactCapExceeded, match=pairs):
             best_nonadaptive_exact(
                 inst.universe,
                 inst.dist,

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smplab import (
+    CardinalityConstraint,
     InstanceBundle,
     RandomInstanceParams,
     TypeDistribution,
     ValidationError,
-    constraint_cardinality,
     coverage_valuation,
     gen_random_instance,
     gen_submodular_lb,
@@ -59,7 +59,7 @@ class TestInstanceRoundTrip:
             universe=universe_from_type_space({}),
             dist=TypeDistribution({}),
             valuation=coverage_valuation({}),
-            constraint=constraint_cardinality(0),
+            constraint=CardinalityConstraint(0),
         )
         assert parse_instance(serialize_instance(bundle)) == bundle
 

@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smplab import (
+    BudgetConstraint,
+    CardinalityConstraint,
+    DagPathConstraint,
+    TableConstraint,
+    TreeFanConstraint,
     TypeDistribution,
     ValidationError,
     chain_tree,
     check_prefix_closed,
     check_tree_feasible,
-    constraint_budget,
-    constraint_cardinality,
-    constraint_dag_path,
-    constraint_table,
-    constraint_tree_fan,
     gen_random_instance,
     gen_submodular_lb,
     leaf,
@@ -27,8 +27,9 @@ from smplab import (
 )
 from smplab.evaluate import iter_tree_paths
 from smplab.instances import RandomInstanceParams
+from smplab.strategy import _feasible_sequences
 
-from oracles import profiles, repeats_on_a_path, walk
+from oracles import profiles, reference_allows, repeats_on_a_path, walk
 
 
 def coin(name):
@@ -105,6 +106,46 @@ class TestTreeConstruction:
         assert all(tuple(e for e, _ in steps) == ("b", "a") for steps, _ in paths)
 
 
+class TestTreeEquality:
+    def test_paper_scale_triangles_compare_equal(self):
+        eps = Fraction(1, 10)
+        assert gen_submodular_lb(eps).tree == gen_submodular_lb(eps).tree
+
+    def test_deep_chains_compare_without_recursion(self):
+        names = [f"x{i}" for i in range(3000)]
+        universe, _ = coin_universe(names + ["y"])
+        assert chain_tree(universe, names) == chain_tree(universe, names)
+        assert chain_tree(universe, names) != chain_tree(universe, names[:-1] + ["y"])
+
+    def test_difference_deep_in_a_shared_subtree(self):
+        # 2**40 root-leaf paths; the trees differ only in the last probe
+        names = [f"x{i}" for i in range(40)]
+        universe, _ = coin_universe(names + ["y"])
+        tree = chain_tree(universe, names + ["y"])
+        other = chain_tree(universe, names + ["y"])
+        assert tree == other
+        bottom = chain_tree(universe, names[1:] + ["y"])
+        last = chain_tree(universe, ["y"])
+        assert probe("x0", {"x0.h": bottom, "x0.t": bottom}) == tree
+        assert probe("x0", {"x0.h": bottom, "x0.t": last}) != tree
+
+    def test_sharing_does_not_matter(self):
+        universe, _ = coin_universe(["a", "b"])
+        shared = chain_tree(universe, ["b"])
+        copies = {t: chain_tree(universe, ["b"]) for t in ("a.h", "a.t")}
+        assert probe("a", {"a.h": shared, "a.t": shared}) == probe("a", copies)
+        assert leaf() == leaf() and leaf() != shared and shared != "b"
+
+    def test_arc_labels_matter(self):
+        one, two = probe("a", {"a.h": leaf()}), probe("a", {"a.h": leaf(), "a.t": leaf()})
+        assert one != two and two != one
+        assert probe("a", {"a.t": leaf()}) != one
+
+    def test_trees_are_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(leaf())
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(data=st.data())
 def test_validate_tree_finds_exactly_the_path_repeats(data):
@@ -131,13 +172,13 @@ def test_validate_tree_finds_exactly_the_path_repeats(data):
 
 class TestFeasibility:
     def test_leaf_only_tree_is_feasible(self):
-        ok, witness = check_tree_feasible(leaf(), constraint_cardinality(0))
+        ok, witness = check_tree_feasible(leaf(), CardinalityConstraint(0))
         assert ok and witness is None
 
     def test_cardinality_two_rejects_depth_three(self):
         universe, _ = coin_universe(["a", "b", "c"])
         tree = chain_tree(universe, ["a", "b", "c"])
-        ok, witness = check_tree_feasible(tree, constraint_cardinality(2))
+        ok, witness = check_tree_feasible(tree, CardinalityConstraint(2))
         assert not ok
         assert witness == ("a", "b", "c")
 
@@ -147,9 +188,18 @@ class TestFeasibility:
         names = [f"x{i}" for i in range(3000)]
         universe, _ = coin_universe(names)
         tree = chain_tree(universe, names)
-        assert check_tree_feasible(tree, constraint_cardinality(3000)) == (True, None)
-        ok, witness = check_tree_feasible(tree, constraint_cardinality(2999))
+        assert check_tree_feasible(tree, CardinalityConstraint(3000)) == (True, None)
+        ok, witness = check_tree_feasible(tree, CardinalityConstraint(2999))
         assert not ok and witness == tuple(names)
+
+    def test_shared_node_checked_once_per_state(self):
+        # s hangs one probe below a and two below a, so it is reached at two
+        # prefix lengths and only the second breaks the limit
+        universe, _ = coin_universe(["a", "b", "c"])
+        s = chain_tree(universe, ["c"])
+        tree = probe("a", {"a.h": s, "a.t": probe("b", {"b.h": s, "b.t": s})})
+        assert check_tree_feasible(tree, CardinalityConstraint(3)) == (True, None)
+        assert check_tree_feasible(tree, CardinalityConstraint(2)) == (False, ("a", "b", "c"))
 
     def test_dag_strategy_tree_is_feasible(self):
         bundle = gen_submodular_lb(Fraction(1, 2))
@@ -204,25 +254,25 @@ class TestRandomWalk:
 
 class TestBudget:
     def test_zero_budget(self):
-        c = constraint_budget({"a": 1, "b": 1}, 0)
-        assert not c.may_extend((), "a")
+        c = BudgetConstraint({"a": 1, "b": 1}, 0)
+        assert not c.allows(("a",))
 
     def test_unit_costs_budget_two(self):
-        c = constraint_budget({"a": 1, "b": 1, "c": 1}, 2)
+        c = BudgetConstraint({"a": 1, "b": 1, "c": 1}, 2)
         assert c.allows(("a", "b"))
         assert not c.allows(("a", "b", "c"))
 
     def test_fractional_costs(self):
-        c = constraint_budget({"a": 1.5, "b": 1}, 2)
-        assert c.may_extend((), "a")
-        assert c.may_extend((), "b")
-        assert not c.may_extend(("a",), "b")
-        assert not c.may_extend(("b",), "a")
+        c = BudgetConstraint({"a": 1.5, "b": 1}, 2)
+        assert c.allows(("a",))
+        assert c.allows(("b",))
+        assert not c.allows(("a", "b"))
+        assert not c.allows(("b", "a"))
 
     def test_unknown_cost_is_error(self):
-        c = constraint_budget({"a": 1}, 2)
-        with pytest.raises(ValidationError):
-            c.may_extend((), "zzz")
+        c = BudgetConstraint({"a": 1}, 2)
+        with pytest.raises(ValidationError, match="element 'zzz'"):
+            c.allows(("zzz",))
 
     @pytest.mark.parametrize(
         "cost, budget, named",
@@ -235,7 +285,7 @@ class TestBudget:
     )
     def test_non_finite_rejected(self, cost, budget, named):
         with pytest.raises(ValidationError, match=f"{named} is .*not a finite"):
-            constraint_budget(cost, budget)
+            BudgetConstraint(cost, budget)
 
 
 class TestDagPath:
@@ -247,18 +297,18 @@ class TestDagPath:
         }
 
     def test_empty_prefix_extends_only_by_start(self):
-        c = constraint_dag_path(self.arcs(), "e0,0")
-        assert c.may_extend((), "e0,0")
-        assert not c.may_extend((), "e0,1")
+        c = DagPathConstraint(self.arcs(), "e0,0")
+        assert c.allows(("e0,0",))
+        assert not c.allows(("e0,1",))
 
     def test_successors_of_start(self):
-        c = constraint_dag_path(self.arcs(), "e0,0")
-        allowed = {e for e in ("e0,1", "e1,0", "e0,2", "e2,0") if c.may_extend(("e0,0",), e)}
+        c = DagPathConstraint(self.arcs(), "e0,0")
+        allowed = {e for e in ("e0,1", "e1,0", "e0,2", "e2,0") if c.allows(("e0,0", e))}
         assert allowed == {"e0,1", "e1,0"}
 
     def test_non_adjacent_jump_rejected(self):
-        c = constraint_dag_path(self.arcs(), "e0,0")
-        assert not c.may_extend(("e0,0",), "e0,2")
+        c = DagPathConstraint(self.arcs(), "e0,0")
+        assert not c.allows(("e0,0", "e0,2"))
 
 
 class TestTreeFan:
@@ -274,17 +324,17 @@ class TestTreeFan:
         }
 
     def test_any_single_edge_allowed(self):
-        c = constraint_tree_fan(self.edges(), "r")
+        c = TreeFanConstraint(self.edges(), "r")
         for e in self.edges():
-            assert c.may_extend((), e)
+            assert c.allows((e,))
 
     def test_disjoint_subtrees_rejected(self):
-        c = constraint_tree_fan(self.edges(), "r")
-        assert not c.may_extend(("e00",), "e10")
-        assert not c.may_extend(("e00", "e01"), "e11")
+        c = TreeFanConstraint(self.edges(), "r")
+        assert not c.allows(("e00", "e10"))
+        assert not c.allows(("e00", "e01", "e11"))
 
     def test_all_edges_incident_to_one_path_in_any_order(self):
-        c = constraint_tree_fan(self.edges(), "r")
+        c = TreeFanConstraint(self.edges(), "r")
         incident = ["e0", "e1", "e00", "e01"]  # every edge touching r-v0-v00
         for order in itertools.permutations(incident):
             assert c.allows(order), order
@@ -292,30 +342,101 @@ class TestTreeFan:
     def test_deep_path_builds_without_recursion(self):
         edges = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(3000)}
         edges.update({"x": ("v10", "w"), "y": ("w", "w1")})  # a branch off v10
-        c = constraint_tree_fan(edges, "v0")
-        assert c.may_extend(("e0", "e2999"), "e1500")
-        assert c.may_extend(("x", "y"), "e5")
-        assert not c.may_extend(("y",), "e2999")
+        c = TreeFanConstraint(edges, "v0")
+        assert c.allows(("e0", "e2999", "e1500"))
+        assert c.allows(("x", "y", "e5"))
+        assert not c.allows(("y", "e2999"))
 
     def test_unknown_edge_is_error(self):
-        c = constraint_tree_fan(self.edges(), "r")
-        with pytest.raises(ValidationError):
-            c.may_extend((), "nope")
+        c = TreeFanConstraint(self.edges(), "r")
+        with pytest.raises(ValidationError, match="element 'nope'"):
+            c.allows(("nope",))
 
     def test_at_most_w_times_k_edges_probeable(self):
         # every feasible sequence touches one root-leaf path: at most w*k edges
-        c = constraint_tree_fan(self.edges(), "r")
+        c = TreeFanConstraint(self.edges(), "r")
         longest = 0
 
         def walk(prefix, used):
             nonlocal longest
             longest = max(longest, len(prefix))
             for e in self.edges():
-                if e not in used and c.may_extend(prefix, e):
+                if e not in used and c.allows(prefix + (e,)):
                     walk(prefix + (e,), used | {e})
 
         walk((), frozenset())
         assert longest == 4  # w=2, k=2
+
+
+BINARY_FAN = TreeFanConstraint(TestTreeFan().edges(), "r")
+DEEP_PATH = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(3000)}
+DEEP_FAN = TreeFanConstraint({**DEEP_PATH, "x": ("v10", "w"), "y": ("w", "w1")}, "v0")
+ELEMENTS = ("a", "b", "c", "d")
+COSTS = st.sampled_from([0, 1, 2, 0.1, 0.2, 0.5, 1.5, Fraction(1, 3)])
+
+
+def constraints():
+    names = st.sampled_from(ELEMENTS)
+    return st.one_of(
+        st.builds(BudgetConstraint, st.dictionaries(names, COSTS), COSTS),
+        st.builds(CardinalityConstraint, st.integers(0, 4)),
+        st.builds(DagPathConstraint, st.dictionaries(names, st.frozensets(names)), names),
+        st.builds(TableConstraint, st.frozensets(st.lists(names, max_size=4).map(tuple))),
+        st.sampled_from([BINARY_FAN, DEEP_FAN]),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(data=st.data())
+def test_allows_matches_the_per_prefix_rules(data):
+    # "z" is no element of any constraint; the fans draw from their own edges
+    c = data.draw(constraints())
+    alphabet = list(ELEMENTS)
+    if c is BINARY_FAN:
+        alphabet = list(BINARY_FAN.edges)
+    elif c is DEEP_FAN:
+        alphabet = ["e0", "e5", "e10", "e11", "e1500", "e2999", "x", "y"]
+    seq = data.draw(st.lists(st.sampled_from(alphabet + ["z"]), max_size=6))
+    assert _outcome(c.allows, seq) == _outcome(reference_allows, c, seq)
+
+
+def test_tree_fan_allows_matches_the_per_prefix_rule_on_every_short_sequence():
+    # a shallower edge after a deeper one must keep the deeper parent vertex
+    alphabet = list(BINARY_FAN.edges) + ["z"]
+    for n in range(5):
+        for seq in itertools.product(alphabet, repeat=n):
+            assert _outcome(BINARY_FAN.allows, seq) == _outcome(reference_allows, BINARY_FAN, seq)
+
+
+def _state(constraint, seq):
+    state = constraint.initial
+    for e in seq:
+        state = constraint.step(state, e)
+    return state
+
+
+def test_feasible_sequences_visit_each_set_and_state_once():
+    # on every constraint kind the walk yields the lexicographically first
+    # feasible sequence of each (set, state) pair, and only those
+    cases = [(inst.constraint, sorted(inst.universe.elements), 3)
+             for inst in map(gen_random_instance, range(30))]
+    cases += [(BINARY_FAN, sorted(BINARY_FAN.edges), 4),
+              (TableConstraint([("a",), ("a", "b"), ("b",), ("b", "a")]), ["a", "b"], 2)]
+    for c, order, max_len in cases:
+        every = [s for n in range(1, max_len + 1) for s in itertools.permutations(order, n)
+                 if c.allows(s)]
+        first: dict = {}
+        for s in every:  # permutations come in lexicographic order
+            first.setdefault((frozenset(s), _state(c, s)), s)
+        got = list(_feasible_sequences(c, order, max_len))
+        assert sorted(got) == sorted(first.values())
 
 
 def test_feasibility_agrees_with_path_enumeration():
@@ -332,8 +453,9 @@ def test_feasibility_agrees_with_path_enumeration():
         inst = gen_random_instance(seed)
         for constraint in (
             inst.constraint,
-            constraint_cardinality(2),
-            constraint_cardinality(0),
+            CardinalityConstraint(2),
+            CardinalityConstraint(0),
+            BudgetConstraint({e: 0.1 * i for i, e in enumerate(inst.universe.elements, 1)}, 0.6),
         ):
             expected = all(
                 constraint.allows(path)
@@ -349,22 +471,22 @@ class TestPrefixClosure:
     def test_stepwise_constraints_pass(self):
         universe, _ = coin_universe(["a", "b", "c"])
         for c in (
-            constraint_budget({"a": 1, "b": 1, "c": 1}, 2),
-            constraint_cardinality(2),
-            constraint_dag_path({"a": {"b"}, "b": {"c"}}, "a"),
+            BudgetConstraint({"a": 1, "b": 1, "c": 1}, 2),
+            CardinalityConstraint(2),
+            DagPathConstraint({"a": {"b"}, "b": {"c"}}, "a"),
         ):
             ok, witness = check_prefix_closed(c, universe, 3)
             assert ok, witness
 
     def test_table_missing_prefix_detected(self):
         universe, _ = coin_universe(["a", "b"])
-        c = constraint_table([("a", "b")])
+        c = TableConstraint([("a", "b")])
         ok, witness = check_prefix_closed(c, universe, 3)
         assert not ok
         assert witness == ("a", "b")
 
     def test_closed_table_passes(self):
         universe, _ = coin_universe(["a", "b"])
-        c = constraint_table([("a",), ("a", "b")])
+        c = TableConstraint([("a",), ("a", "b")])
         ok, witness = check_prefix_closed(c, universe, 3)
         assert ok, witness

@@ -7,15 +7,16 @@ from collections import Counter
 import pytest
 
 from smplab import (
+    BudgetConstraint,
+    CardinalityConstraint,
     NotKExtendibleError,
+    TableConstraint,
     ValidationError,
     check_downward_closed,
     check_encoding,
     check_k_extendible,
     check_prefix_closed,
     check_submodular,
-    constraint_budget,
-    constraint_table,
     coverage_valuation,
     find_extension_witness,
     gen_prime_matroid_encoding,
@@ -89,14 +90,26 @@ class TestCheckDownwardClosed:
 class TestCheckPrefixClosed:
     def test_budget_passes(self):
         universe = universe_from_type_space({e: (f"{e}.x",) for e in "abc"})
-        c = constraint_budget({e: 1 for e in "abc"}, 2)
+        c = BudgetConstraint({e: 1 for e in "abc"}, 2)
         assert check_prefix_closed(c, universe, 3)[0]
 
     def test_table_violation(self):
         universe = universe_from_type_space({e: (f"{e}.x",) for e in "ab"})
-        c = constraint_table([("a", "b")])
+        c = TableConstraint([("a", "b")])
         ok, witness = check_prefix_closed(c, universe, 2)
         assert not ok and witness == ("a", "b")
+
+    def test_walk_refuses_past_its_cap_of_set_state_pairs(self, monkeypatch):
+        # four elements under a cardinality limit: 64 feasible sequences, but
+        # only 15 distinct (set, length) pairs
+        universe = universe_from_type_space({e: (f"{e}.x",) for e in "abcd"})
+        c = CardinalityConstraint(4)
+        monkeypatch.setattr(verify, "PREFIX_WALK_CAP", 15)
+        assert check_prefix_closed(c, universe, 4) == (True, None)
+        monkeypatch.setattr(verify, "PREFIX_WALK_CAP", 14)
+        pairs = r"cap of 14 distinct \(set, constraint state\) pairs"
+        with pytest.raises(ValidationError, match=pairs):
+            check_prefix_closed(c, universe, 4)
 
 
 class TestCheckKExtendible:
