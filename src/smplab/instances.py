@@ -9,7 +9,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .core import (
     ExactCapExceeded,
@@ -543,7 +543,7 @@ def gen_random_instance(
     constraint_kind = rng.choice(params.constraint_kinds)
     constraint = _random_constraint(rng, constraint_kind, elements, params)
 
-    def build(state, used: frozenset[str], depth: int) -> DecisionTree:
+    def build(state: Hashable, used: frozenset[str], depth: int) -> DecisionTree:
         if depth >= params.max_depth:
             return leaf()
         nxt = {e: constraint.step(state, e) for e in elements if e not in used}

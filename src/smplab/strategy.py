@@ -271,20 +271,21 @@ def _feasible_sequences(
     Preorder: each sequence comes before its extensions, and the extensions
     of one prefix come in ``order``, so the first sequence of a set is kept.
     """
-    seen: set[tuple[frozenset[str], Hashable]] = set()
-    stack = [((), constraint.initial, iter(order))] if max_len > 0 else []
+    seen: set[tuple[int, Hashable]] = set()  # (set as a bitmask over ``order``, state)
+    stack = [((), 0, constraint.initial, iter(enumerate(order)))] if max_len > 0 else []
     while stack:
-        prefix, state, rest = stack[-1]
-        for e in rest:
-            if e in prefix or (nxt := constraint.step(state, e)) is None:
+        prefix, mask, state, rest = stack[-1]
+        for i, e in rest:
+            if mask >> i & 1 or (nxt := constraint.step(state, e)) is None:
                 continue
+            grown = mask | 1 << i
+            if (grown, nxt) in seen:
+                continue
+            seen.add((grown, nxt))
             seq = prefix + (e,)
-            if (frozenset(seq), nxt) in seen:
-                continue
-            seen.add((frozenset(seq), nxt))
             yield seq
             if len(seq) < max_len:
-                stack.append((seq, nxt, iter(order)))
+                stack.append((seq, grown, nxt, iter(enumerate(order))))
             break
         else:
             stack.pop()

@@ -118,16 +118,17 @@ class TestTreeEquality:
         assert chain_tree(universe, names) != chain_tree(universe, names[:-1] + ["y"])
 
     def test_difference_deep_in_a_shared_subtree(self):
-        # 2**40 root-leaf paths; the trees differ only in the last probe
+        # a copy of the chain differs only below its last "t" arc; every "h"
+        # arc leads into an equal copy of the chain's rest, 2**39 paths deep
         names = [f"x{i}" for i in range(40)]
-        universe, _ = coin_universe(names + ["y"])
+        universe, _ = coin_universe(names + ["y", "z"])
         tree = chain_tree(universe, names + ["y"])
-        other = chain_tree(universe, names + ["y"])
-        assert tree == other
-        bottom = chain_tree(universe, names[1:] + ["y"])
-        last = chain_tree(universe, ["y"])
-        assert probe("x0", {"x0.h": bottom, "x0.t": bottom}) == tree
-        assert probe("x0", {"x0.h": bottom, "x0.t": last}) != tree
+        rest = [chain_tree(universe, names[i:] + ["y"]) for i in range(1, 41)]
+        for last in ("y", "z"):
+            node = chain_tree(universe, [last])
+            for i in reversed(range(40)):
+                node = probe(names[i], {f"{names[i]}.h": rest[i], f"{names[i]}.t": node})
+            assert (node == tree) == (last == "y")
 
     def test_sharing_does_not_matter(self):
         universe, _ = coin_universe(["a", "b"])
@@ -433,7 +434,7 @@ def test_feasible_sequences_visit_each_set_and_state_once():
         every = [s for n in range(1, max_len + 1) for s in itertools.permutations(order, n)
                  if c.allows(s)]
         first: dict = {}
-        for s in every:  # permutations come in lexicographic order
+        for s in every:  # a pair fixes the length; one length comes in lexicographic order
             first.setdefault((frozenset(s), _state(c, s)), s)
         got = list(_feasible_sequences(c, order, max_len))
         assert sorted(got) == sorted(first.values())
