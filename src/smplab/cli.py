@@ -38,6 +38,7 @@ from .instances import (
 from .reduction import combined_value
 from .serialize import ParseError, ReportRecord, parse_instance, report_to_csv, serialize_report
 from .strategy import check_tree_feasible
+from .valuation import WeightedCoverageValuation
 from .verify import (
     check_downward_closed,
     check_encoding,
@@ -300,7 +301,7 @@ def _run_verify_suite(config: ExperimentConfig) -> list[ReportRecord]:
         uni, dist = bundle.universe, bundle.dist
         ground = sorted(uni.all_types)
         tally("monotone", check_monotone(bundle.valuation, ground)[0])
-        if bundle.metadata["valuation_kind"] in ("coverage", "partition_weighted"):
+        if isinstance(bundle.valuation, WeightedCoverageValuation):
             tally("submodular", check_submodular(bundle.valuation, ground)[0])
         family = bundle.family
         if family is not None and len(family.ground) <= 12:
@@ -313,8 +314,7 @@ def _run_verify_suite(config: ExperimentConfig) -> list[ReportRecord]:
 
     for i in range(cases):
         bundle = gen_random_instance(seed * 7_000_003 + i)
-        kind = bundle.metadata["valuation_kind"]
-        if kind in ("coverage", "partition_weighted"):
+        if isinstance(bundle.valuation, WeightedCoverageValuation):
             ok = submodular_gap_report(
                 bundle.tree, bundle.valuation, bundle.universe, bundle.dist
             )["ok"]

@@ -87,20 +87,20 @@ class EvalReport:
 def iter_tree_paths(
     tree: DecisionTree, dist: TypeDistribution
 ) -> Iterator[tuple[tuple[tuple[str, str], ...], Scalar]]:
-    """Yield every positive-probability root-leaf path with its probability."""
-
-    def walk(node: DecisionTree, steps: tuple, prob: Scalar):
+    """Yield every positive-probability root-leaf path with its probability,
+    depth first in arc order, with a stack of its own rather than Python's."""
+    stack: list[tuple[DecisionTree, tuple, Scalar]] = [(tree, (), 1)]
+    while stack:
+        node, steps, prob = stack.pop()
         if node.is_leaf:
             yield steps, prob
-            return
+            continue
         e = node.element
-        for t, child in node.children.items():
+        # pushed in reverse so the first arc is walked first
+        for t, child in reversed(node.children.items()):
             p = dist.prob(e, t)
-            if p == 0:
-                continue
-            yield from walk(child, steps + ((e, t),), prob * p)
-
-    yield from walk(tree, (), 1)
+            if p != 0:
+                stack.append((child, steps + ((e, t),), prob * p))
 
 
 class _WorkMeter:

@@ -38,11 +38,12 @@ from .strategy import (
     validate_tree,
 )
 from .valuation import (
-    CoverageValuation,
     ExplicitValuation,
-    PartitionWeightedValuation,
     ValuationFunction,
+    WeightedCoverageValuation,
     WeightedRankValuation,
+    coverage_valuation,
+    partition_weighted_valuation,
 )
 
 INSTANCE_SCHEMA = "smplab-instance/1"
@@ -94,11 +95,18 @@ def _strings(value: Any, field: str, size: int | None = None) -> tuple[str, ...]
     return tuple(value)
 
 
-def _unpairs(pairs) -> dict:
-    try:
-        return {key: str_to_scalar(val) for key, val in pairs}
-    except (TypeError, ValueError) as exc:
-        raise ParseError("expected a list of [label, scalar] pairs") from exc
+def _label(value: Any, field: str) -> str | int:
+    if type(value) not in (str, int):
+        raise ParseError(f"{field} must be a JSON string or integer, not {value!r}")
+    return value
+
+
+def _unpairs(pairs: Any, field: str) -> dict:
+    """A JSON array of [label, scalar] pairs, as a dict in array order."""
+    if not (isinstance(pairs, list) and all(isinstance(kv, list) and len(kv) == 2
+                                            for kv in pairs)):
+        raise ParseError(f"{field} must be a JSON array of [label, scalar] pairs, not {pairs!r}")
+    return {_label(key, f"{field} label"): str_to_scalar(val) for key, val in pairs}
 
 
 # --- families ---------------------------------------------------------------
@@ -134,7 +142,7 @@ def family_from_dict(doc: dict) -> IndependenceOracle:
     kind = doc.get("kind")
     if kind == "partition_matroid":
         return PartitionMatroid(
-            dict(doc["part_of"]),
+            _object(doc["part_of"], "part_of"),
             {p: _integer(c, f"capacity of part {p!r}") for p, c in doc["capacity"]},
         )
     if kind == "matching":
@@ -160,17 +168,17 @@ def family_from_dict(doc: dict) -> IndependenceOracle:
 
 
 def valuation_to_dict(valuation: ValuationFunction) -> dict:
-    if isinstance(valuation, CoverageValuation):
-        return {
-            "kind": "coverage",
-            "cover_sets": {t: sorted(s) for t, s in valuation.cover_sets.items()},
-        }
-    if isinstance(valuation, PartitionWeightedValuation):
-        return {
-            "kind": "partition_weighted",
-            "part_of": dict(valuation.part_of),
-            "part_weight": _pairs(valuation.part_weight),
-        }
+    if isinstance(valuation, WeightedCoverageValuation):
+        doc: dict = {"kind": valuation.kind}
+        if valuation.kind == "coverage":
+            doc["cover_sets"] = {t: sorted(s) for t, s in valuation.reach_of.items()}
+        else:
+            doc["part_of"] = {t: p for t, s in valuation.reach_of.items() for p in s}
+            doc["part_weight"] = _pairs(valuation.weight)
+        # unit weights on the cover sets, or one part per type, and nothing else
+        if valuation_from_dict(doc) != valuation:
+            raise ValidationError(f"a {valuation.kind} document cannot hold this valuation")
+        return doc
     if isinstance(valuation, WeightedRankValuation):
         return {
             "kind": "weighted_rank",
@@ -188,14 +196,18 @@ def valuation_to_dict(valuation: ValuationFunction) -> dict:
     raise ValidationError(f"cannot serialize valuation kind {valuation.kind!r}")
 
 
-def valuation_from_dict(doc: dict) -> ValuationFunction:
+def valuation_from_dict(doc: Any) -> ValuationFunction:
+    doc = _object(doc, "valuation")
     kind = doc.get("kind")
     if kind == "coverage":
-        return CoverageValuation(
-            {t: _strings(s, f"cover set of {t!r}") for t, s in doc["cover_sets"].items()}
-        )
+        cover_sets = _object(doc["cover_sets"], "cover_sets").items()
+        return coverage_valuation({t: _strings(s, f"cover set of {t!r}") for t, s in cover_sets})
     if kind == "partition_weighted":
-        return PartitionWeightedValuation(dict(doc["part_of"]), _unpairs(doc["part_weight"]))
+        part_of = _object(doc["part_of"], "part_of")
+        return partition_weighted_valuation(
+            {t: _label(p, f"part of {t!r}") for t, p in part_of.items()},
+            _unpairs(doc["part_weight"], "part_weight"),
+        )
     if kind == "weighted_rank":
         return WeightedRankValuation(
             family_from_dict(doc["family"]),

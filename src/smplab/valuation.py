@@ -9,7 +9,7 @@ evaluator that asks for one set more than once keeps its own table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .core import Scalar, ValidationError, check_finite
 from .families import DEFAULT_RANK_CAP, IndependenceOracle, max_rank
@@ -59,64 +59,46 @@ class ExplicitValuation(ValuationFunction):
 
 
 @dataclass(eq=True)
-class CoverageValuation(ValuationFunction):
-    """Size of the union of the ground items covered by the given types.
+class WeightedCoverageValuation(ValuationFunction):
+    """Total weight of the items that the given types reach.
 
-    Monotone submodular by construction; types without a cover set add
-    nothing.
+    f(S) sums ``weight`` over the union of ``reach_of[t]``, t in S: monotone
+    submodular by construction; types without a reach add nothing. ``kind``
+    is the instance-file form only: ``coverage`` puts weight 1 on the cover
+    sets; ``partition_weighted`` reaches one part per type, the weighted rank
+    of a partition matroid that keeps one type per part.
     """
 
-    cover_sets: Mapping[str, frozenset]
-
-    kind = "coverage"
+    reach_of: Mapping[str, frozenset]
+    weight: Mapping[Hashable, Scalar]
+    kind: str
 
     def __post_init__(self):
-        self.cover_sets = {t: frozenset(s) for t, s in self.cover_sets.items()}
+        if self.kind not in ("coverage", "partition_weighted"):
+            raise ValidationError(f"unknown weighted coverage kind {self.kind!r}")
+        item = "part" if self.kind == "partition_weighted" else "item"
+        self.reach_of = {t: frozenset(s) for t, s in self.reach_of.items()}
+        self.weight = dict(self.weight)
+        for x, w in self.weight.items():
+            check_finite(w, f"weight of {item} {x!r}")
+            if w < 0:
+                raise ValidationError(f"{item} {x!r} has negative weight {w!r}")
+        missing = {x for s in self.reach_of.values() for x in s if x not in self.weight}
+        if missing:
+            raise ValidationError(f"{item}s without a weight: {sorted(map(str, missing))}")
 
     def _evaluate(self, types):
         covered: set = set()
         for t in types:
-            s = self.cover_sets.get(t)
+            s = self.reach_of.get(t)
             if s:
                 covered |= s
-        return len(covered)
-
-    def reach(self, types):
-        return frozenset().union(*(self.cover_sets.get(t, ()) for t in types))
-
-
-@dataclass(eq=True)
-class PartitionWeightedValuation(ValuationFunction):
-    """Sum of part weights over the distinct parts touched by the given types.
-
-    This is the weighted rank of a partition matroid that keeps at most one
-    type per part. Types absent from ``part_of`` carry no value.
-    """
-
-    part_of: Mapping[str, str | int]
-    part_weight: Mapping[str | int, Scalar]
-
-    kind = "partition_weighted"
-
-    def __post_init__(self):
-        self.part_of = dict(self.part_of)
-        self.part_weight = dict(self.part_weight)
-        for p, w in self.part_weight.items():
-            check_finite(w, f"weight of part {p!r}")
-            if w < 0:
-                raise ValidationError(f"part {p!r} has negative weight {w!r}")
-        missing = {p for p in self.part_of.values() if p not in self.part_weight}
-        if missing:
-            raise ValidationError(f"parts without a weight: {sorted(map(str, missing))}")
-
-    def _evaluate(self, types):
-        parts = {self.part_of[t] for t in types if t in self.part_of}
-        # sum in the fixed order of part_weight: set order follows string
+        # sum in the fixed order of weight: set order follows string
         # hashing, which is salted per process, and float sums depend on order
-        return sum(w for p, w in self.part_weight.items() if p in parts)
+        return sum(w for x, w in self.weight.items() if x in covered)
 
     def reach(self, types):
-        return frozenset(self.part_of[t] for t in types if t in self.part_of)
+        return frozenset().union(*(self.reach_of.get(t, ()) for t in types))
 
 
 @dataclass(eq=True)
@@ -145,14 +127,18 @@ class WeightedRankValuation(ValuationFunction):
         return max_rank(self.family, types, weights=self.weights, cap=self.rank_cap)
 
 
-def coverage_valuation(cover_sets: Mapping[str, Iterable]) -> CoverageValuation:
-    return CoverageValuation({t: frozenset(s) for t, s in cover_sets.items()})
+def coverage_valuation(cover_sets: Mapping[str, Iterable]) -> WeightedCoverageValuation:
+    reach_of = {t: frozenset(s) for t, s in cover_sets.items()}
+    weight = dict.fromkeys((x for s in reach_of.values() for x in s), 1)
+    return WeightedCoverageValuation(reach_of, weight, "coverage")
 
 
 def partition_weighted_valuation(
     part_of: Mapping[str, str | int], part_weight: Mapping[str | int, Scalar]
-) -> PartitionWeightedValuation:
-    return PartitionWeightedValuation(dict(part_of), dict(part_weight))
+) -> WeightedCoverageValuation:
+    return WeightedCoverageValuation(
+        {t: frozenset((p,)) for t, p in part_of.items()}, part_weight, "partition_weighted"
+    )
 
 
 def weighted_rank(

@@ -106,6 +106,25 @@ def brute_max_matching(edges_by_type, types):
     return max(len(s) for s in powerset(types) if is_matching(s))
 
 
+def reference_coverage(cover_sets, types):
+    """``(value, reach)`` of a coverage valuation, computed as it was when
+    coverage had a class of its own: the size of the union of the cover sets."""
+    covered = set()
+    for t in types:
+        s = cover_sets.get(t)
+        if s:
+            covered |= s
+    return len(covered), frozenset().union(*(cover_sets.get(t, ()) for t in types))
+
+
+def reference_partition_weighted(part_of, part_weight, types):
+    """``(value, reach)`` of a partition-weighted valuation, computed as it was
+    when it had a class of its own: part weights summed in declaration order."""
+    parts = {part_of[t] for t in types if t in part_of}
+    value = sum(w for p, w in part_weight.items() if p in parts)
+    return value, frozenset(part_of[t] for t in types if t in part_of)
+
+
 def brute_adap(tree, f, universe, dist):
     """Adaptive value by full enumeration of total vectors plus tree walks."""
     total = 0

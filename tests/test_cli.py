@@ -275,6 +275,41 @@ class TestEvalCommands:
         assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "valuation, named",
+        [
+            # read through dict() as a mapping, this pair would name a real part
+            ({"kind": "partition_weighted", "part_of": [["e0.t0", "p"]],
+              "part_weight": [["p", "1"]]},
+             "part_of must be a JSON object, not list"),
+            ({"kind": "coverage", "cover_sets": [["e0.t0", ["g1"]]]},
+             "cover_sets must be a JSON object, not list"),
+            ("coverage", "valuation must be a JSON object, not str"),
+            ({"kind": "partition_weighted", "part_of": {"e0.t0": ["p"]},
+              "part_weight": [["p", "1"]]},
+             "part of 'e0.t0' must be a JSON string or integer, not ['p']"),
+            ({"kind": "partition_weighted", "part_of": {"e0.t0": "p"},
+              "part_weight": [[["p"], "1"]]},
+             "part_weight label must be a JSON string or integer, not ['p']"),
+            ({"kind": "partition_weighted", "part_of": {"e0.t0": "p"},
+              "part_weight": {"p": "1"}},
+             "part_weight must be a JSON array of [label, scalar] pairs, not {'p': '1'}"),
+            ({"kind": "weighted_rank", "weights": {}, "family": {
+                "kind": "partition_matroid", "part_of": [["e0.t0", "p"]], "capacity": [["p", 1]]}},
+             "part_of must be a JSON object, not list"),
+        ],
+        ids=["part_of_pairs", "cover_sets_list", "valuation_string", "part_of_list_label",
+             "part_weight_list_label", "part_weight_object", "family_part_of_pairs"],
+    )
+    def test_eval_names_the_malformed_valuation_field(
+        self, instance_file, capsys, valuation, named
+    ):
+        doc = json.loads(instance_file.read_text())
+        doc["valuation"] = valuation
+        instance_file.write_text(json.dumps(doc))
+        assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
+        assert named in capsys.readouterr().err
+
     def test_mc_estimate_deterministic(self, instance_file):
         config = ExperimentConfig(
             command="mc-estimate",

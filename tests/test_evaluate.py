@@ -32,6 +32,7 @@ from smplab import (
     submodular_gap_report,
     submodular_lb_adap_recurrence,
     universe_from_type_space,
+    validate_tree,
     weighted_rank,
 )
 from smplab.core import iter_type_profiles
@@ -183,6 +184,19 @@ class TestAlgExact:
             got = alg_exact(inst.tree, inst.valuation, inst.universe, inst.dist).value
             want = brute_alg(inst.tree, inst.valuation, inst.universe, inst.dist)
             assert got == want
+
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        # the path walk keeps its own stack; one sure type per element makes
+        # the chain a single path that probes every element
+        names = [f"x{i}" for i in range(sys.getrecursionlimit() + 500)]
+        universe = universe_from_type_space({e: (f"{e}.on",) for e in names})
+        dist = TypeDistribution({e: {f"{e}.on": 1} for e in names})
+        f = coverage_valuation({f"{e}.on": {e} for e in names})
+        tree = chain_tree(universe, names)
+        assert validate_tree(tree, universe) is False
+        assert alg_exact(tree, f, universe, dist).value == len(names)
+        assert adap_by_path_enumeration(tree, f, universe, dist) == len(names)
 
 
 class TestGreedyInterleaved:

@@ -30,7 +30,9 @@ from smplab.serialize import (
     serialize_instance,
     serialize_report,
     str_to_scalar,
+    valuation_to_dict,
 )
+from smplab.valuation import WeightedCoverageValuation
 
 
 class TestScalars:
@@ -97,6 +99,130 @@ class TestInstanceRoundTrip:
         after = adap_exact(again.tree, again.valuation, again.universe, again.dist)
         assert before.value == after.value
         assert isinstance(after.value, Fraction)
+
+
+# Both kinds of weighted coverage, pinned byte for byte: a cover set that is
+# empty; a float part weight, a type without a part, a part without a type.
+_COVERAGE_DOC = """\
+{
+  "constraint": {
+    "kind": "cardinality",
+    "limit": 1
+  },
+  "distribution": {
+    "a": {
+      "a.0": "1/2",
+      "a.1": "1/4",
+      "a.2": "1/4"
+    }
+  },
+  "metadata": {},
+  "schema": "smplab-instance/1",
+  "tree": null,
+  "universe": {
+    "elements": [
+      "a"
+    ],
+    "types": {
+      "a": [
+        "a.0",
+        "a.1",
+        "a.2"
+      ]
+    }
+  },
+  "valuation": {
+    "cover_sets": {
+      "a.0": [],
+      "a.1": [
+        "g0",
+        "g1"
+      ],
+      "a.2": [
+        "g1",
+        "g2"
+      ]
+    },
+    "kind": "coverage"
+  }
+}
+"""
+
+_PARTITION_WEIGHTED_DOC = """\
+{
+  "constraint": {
+    "kind": "cardinality",
+    "limit": 1
+  },
+  "distribution": {
+    "a": {
+      "a.0": "1/2",
+      "a.1": "1/4",
+      "a.2": "1/4"
+    }
+  },
+  "metadata": {},
+  "schema": "smplab-instance/1",
+  "tree": null,
+  "universe": {
+    "elements": [
+      "a"
+    ],
+    "types": {
+      "a": [
+        "a.0",
+        "a.1",
+        "a.2"
+      ]
+    }
+  },
+  "valuation": {
+    "kind": "partition_weighted",
+    "part_of": {
+      "a.1": "p",
+      "a.2": "q"
+    },
+    "part_weight": [
+      [
+        "q",
+        "0.1"
+      ],
+      [
+        "r",
+        "1/2"
+      ],
+      [
+        "p",
+        "3"
+      ]
+    ]
+  }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, values",
+    [
+        (_COVERAGE_DOC, {(): 0, ("a.0",): 0, ("a.1", "a.2"): 3}),
+        (_PARTITION_WEIGHTED_DOC, {(): 0, ("a.0",): 0, ("a.1", "a.2"): 0.1 + 3}),
+    ],
+    ids=["coverage", "partition_weighted"],
+)
+def test_weighted_coverage_documents_are_byte_stable(text, values):
+    bundle = parse_instance(text)
+    assert serialize_instance(bundle) == text
+    assert {s: bundle.valuation(s) for s in values} == values
+
+
+def test_weighted_coverage_writes_only_what_its_kind_holds():
+    # a coverage document has no weights, a partition document one part a type
+    for valuation in (
+        WeightedCoverageValuation({"t": {"x"}}, {"x": 2}, "coverage"),
+        WeightedCoverageValuation({"t": {"x", "y"}}, {"x": 1, "y": 1}, "partition_weighted"),
+    ):
+        with pytest.raises(ValidationError, match=f"a {valuation.kind} document cannot hold"):
+            valuation_to_dict(valuation)
 
 
 class TestTreeCodec:

@@ -20,8 +20,14 @@ from smplab import (
     partition_weighted_valuation,
     weighted_rank,
 )
-from smplab.valuation import ExplicitValuation, ValuationFunction
-from oracles import brute_max_matching, brute_max_weight_independent, powerset
+from smplab.valuation import ExplicitValuation, ValuationFunction, WeightedCoverageValuation
+from oracles import (
+    brute_max_matching,
+    brute_max_weight_independent,
+    powerset,
+    reference_coverage,
+    reference_partition_weighted,
+)
 
 
 def _random_path_chain(rng, types):
@@ -177,6 +183,50 @@ class TestPartitionWeighted:
         )
         ok, witness = check_submodular(f, ["a", "b", "c", "d"])
         assert ok, witness
+
+
+class TestWeightedCoverage:
+    def test_both_kinds_match_their_reference_valuations(self):
+        # float part weights in shuffled declaration order: equal values need
+        # the same summation order, not just the same parts
+        rng = random.Random(12)
+        types = [f"t{i}" for i in range(8)]
+        draws = (rng.random, lambda: Fraction(rng.randint(0, 8), 4), lambda: rng.randint(0, 5))
+        for trial in range(300):
+            cover = {t: frozenset(rng.sample(range(8), rng.randint(0, 4)))
+                     for t in types if rng.random() < 0.9}
+            part_of = {t: f"p{rng.randrange(5)}" for t in types if rng.random() < 0.8}
+            draw = draws[trial % 3]
+            part_weight = {f"p{i}": draw() for i in rng.sample(range(6), 6)}
+            cov = coverage_valuation(cover)
+            part = partition_weighted_valuation(part_of, part_weight)
+            for _ in range(10):
+                s = frozenset(rng.sample(types, rng.randint(0, 8)))
+                for f, (value, reach) in (
+                    (cov, reference_coverage(cover, s)),
+                    (part, reference_partition_weighted(part_of, part_weight, s)),
+                ):
+                    assert (type(f(s)), f(s)) == (type(value), value)
+                    assert f.reach(s) == reach
+
+    def test_kind_is_one_of_the_two_file_kinds(self):
+        with pytest.raises(ValidationError, match="unknown weighted coverage kind 'matroid'"):
+            WeightedCoverageValuation({"t": {"x"}}, {"x": 1}, "matroid")
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: WeightedCoverageValuation({"t": {"x"}}, {}, "coverage"),
+             r"items without a weight: \['x'\]"),
+            (lambda: partition_weighted_valuation({"t": "p", "u": "q"}, {"p": 1}),
+             r"parts without a weight: \['q'\]"),
+            (lambda: partition_weighted_valuation({"t": "p"}, {"p": Fraction(-1, 2)}),
+             "part 'p' has negative weight"),
+        ],
+    )
+    def test_every_reached_item_has_a_non_negative_weight(self, make, message):
+        with pytest.raises(ValidationError, match=message):
+            make()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
