@@ -29,14 +29,14 @@ from .evaluate import (
     submodular_gap_report,
 )
 from .families import (
+    ExplicitFamily,
     IndependenceOracle,
+    IntersectionFamily,
+    MatchingFamily,
+    PartitionMatroid,
+    PathChainFamily,
     greedy_rank,
     greedy_select,
-    intersect,
-    make_explicit_family,
-    make_matching_family,
-    make_partition_matroid,
-    make_path_chain_family,
     make_uniform_matroid,
     max_rank,
 )
@@ -80,10 +80,10 @@ from .strategy import (
 )
 from .valuation import (
     ValuationFunction,
+    WeightedRankValuation,
     coverage_valuation,
     partition_weighted_valuation,
     unit_weights,
-    weighted_rank,
 )
 from .verify import (
     NotKExtendibleError,

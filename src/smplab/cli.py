@@ -11,7 +11,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ExactCapExceeded, ValidationError
@@ -50,56 +49,15 @@ from .verify import (
 _SUBMOD_RATIO_BOUNDS = {0.05: 1.75, 0.02: 1.88, 0.01: 1.9}
 
 
-@dataclass
-class ExperimentConfig:
-    """One experiment: a command, exactly one instance source, and options."""
-
-    command: str
-    instance_file: str | None = None
-    seed: int | None = None
-    cases: int = 200
-    eps: float | None = None
-    k: int | None = None
-    w: int | None = None
-    p: float | None = None
-    samples: int = 10_000
-    what: str | None = None
-    mode: str = "exact"
-    trials: int | None = None
-    workers: int = 1
-    max_len: int | None = None
-    tolerance: float | None = None
-    out: str | None = None
-
-    def validate(self) -> None:
-        for flag, value, least in (
-            ("--cases", self.cases, 1),
-            ("--samples", self.samples, 0),
-            ("--workers", self.workers, 1),
-            ("--max-len", self.max_len, 1),
-        ):
-            if value is not None and value < least:
-                raise ValidationError(f"{flag} must be >= {least}, got {value}")
-        if self.tolerance is not None and not math.isfinite(self.tolerance):
-            raise ValidationError(f"--tolerance must be finite, got {self.tolerance}")
-        if self.mode not in ("exact", "mc"):
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.mode == "mc":
-            if self.trials is None or self.trials < 1:
-                raise ValidationError("mc mode requires --trials >= 1")
-            if self.seed is None:
-                raise ValidationError("mc mode requires --seed")
-        if self.command in ("eval", "mc-estimate") and not self.instance_file:
-            raise ValidationError(f"{self.command} requires --file")
-        if self.command == "reduce-weighted":
-            if bool(self.instance_file) == (self.seed is not None):
-                raise ValidationError(
-                    "reduce-weighted needs exactly one instance source "
-                    "(--file or --seed)"
-                )
-            # --seed draws a 2- or 3-extendible instance; another k checks the wrong bound
-            if self.seed is not None and self.k not in (None, 2, 3):
-                raise ValidationError(f"--k must be 2 or 3 with --seed, got {self.k}")
+def _check(args: argparse.Namespace, **least: int) -> None:
+    """Refuse a count flag below its least value, then a non-finite --tolerance."""
+    for name, low in least.items():
+        value = getattr(args, name, None)  # mc-estimate has no --max-len
+        if value is not None and value < low:
+            flag = "--" + name.replace("_", "-")
+            raise ValidationError(f"{flag} must be >= {low}, got {value}")
+    if args.tolerance is not None and not math.isfinite(args.tolerance):
+        raise ValidationError(f"--tolerance must be finite, got {args.tolerance}")
 
 
 def _record(name, value, *, bound=None, passed=None, mode=None, seed=None,
@@ -116,14 +74,15 @@ def _record(name, value, *, bound=None, passed=None, mode=None, seed=None,
     )
 
 
-def _run_gap_submodular(config: ExperimentConfig) -> list[ReportRecord]:
-    eps = config.eps
-    if eps is None or not (0 < eps < 0.5):
+def _run_gap_submodular(args: argparse.Namespace) -> list[ReportRecord]:
+    _check(args)
+    eps = args.eps
+    if not (0 < eps < 0.5):
         raise ValidationError("gap-submodular requires --eps in (0, 1/2)")
     adap0 = submodular_lb_adap_recurrence(eps)
     alg0 = submodular_lb_alg_opt(eps)
     ratio = adap0 / alg0
-    threshold = config.tolerance
+    threshold = args.tolerance
     if threshold is None:
         threshold = _SUBMOD_RATIO_BOUNDS.get(eps, max(1.0, 2 - 20 * eps))
     return [
@@ -135,17 +94,18 @@ def _run_gap_submodular(config: ExperimentConfig) -> list[ReportRecord]:
     ]
 
 
-def _run_gap_kext(config: ExperimentConfig) -> list[ReportRecord]:
-    k = config.k
-    if k is None or k < 1:
+def _run_gap_kext(args: argparse.Namespace) -> list[ReportRecord]:
+    _check(args)
+    k = args.k
+    if k < 1:
         raise ValidationError("gap-kext requires --k >= 1")
-    default_params = config.w is None and config.p is None
-    w = config.w if config.w is not None else k**4
-    p = config.p if config.p is not None else 1 / k**3
+    default_params = args.w is None and args.p is None
+    w = args.w if args.w is not None else k**4
+    p = args.p if args.p is not None else 1 / k**3
     adaptive = tree_lb_adaptive_value(k, w, p)
     bound = tree_lb_nonadaptive_bound(k, p)
     ratio = adaptive / bound
-    threshold = config.tolerance
+    threshold = args.tolerance
     if threshold is None and default_params:
         threshold = k - 0.5
     records = [
@@ -162,14 +122,11 @@ def _run_gap_kext(config: ExperimentConfig) -> list[ReportRecord]:
     return records
 
 
-def _run_gap_matroid_encoding(config: ExperimentConfig) -> list[ReportRecord]:
-    k = config.k
-    if k is None:
-        raise ValidationError("gap-matroid-encoding requires --k (prime)")
+def _run_gap_matroid_encoding(args: argparse.Namespace) -> list[ReportRecord]:
+    _check(args, samples=0)
+    k = args.k
     matroids, label_map = gen_prime_matroid_encoding(k)
-    ok, witness = check_encoding(
-        matroids, label_map, set_samples=config.samples, seed=config.seed or 0
-    )
+    ok, witness = check_encoding(matroids, label_map, set_samples=args.samples, seed=args.seed)
     adaptive = tree_lb_adaptive_value(k, k, 1 / k)
     floor = k * (1 - 1 / math.e)
     records = [
@@ -187,11 +144,6 @@ def _run_gap_matroid_encoding(config: ExperimentConfig) -> list[ReportRecord]:
     return records
 
 
-def _load_bundle(config: ExperimentConfig):
-    text = Path(config.instance_file).read_text()
-    return parse_instance(text)
-
-
 def _require_family(bundle):
     family = bundle.family
     if family is None:
@@ -199,11 +151,20 @@ def _require_family(bundle):
     return family
 
 
-def _run_eval(config: ExperimentConfig) -> list[ReportRecord]:
-    bundle = _load_bundle(config)
-    what = config.what or "adap"
+def _run_eval(args: argparse.Namespace) -> list[ReportRecord]:
+    """``eval``, and ``mc-estimate``, which is ``eval --mode mc``."""
+    _check(args, workers=1, max_len=1)
+    what = args.what
+    if args.mode == "mc":
+        if args.trials is None or args.trials < 1:
+            raise ValidationError("mc mode requires --trials >= 1")
+        if args.seed is None:
+            raise ValidationError("mc mode requires --seed")
+        if what not in ("adap", "alg"):
+            raise ValidationError(f"mc mode supports adap|alg, not {what!r}")
+    bundle = parse_instance(Path(args.file).read_text())
     if what == "best-na":
-        max_len = config.max_len or len(bundle.universe.elements)
+        max_len = args.max_len or len(bundle.universe.elements)
         seq, value = best_nonadaptive_exact(
             bundle.universe, bundle.dist, bundle.valuation, bundle.constraint, max_len
         )
@@ -213,46 +174,44 @@ def _run_eval(config: ExperimentConfig) -> list[ReportRecord]:
         ]
     if bundle.tree is None:
         raise ValidationError("this instance file carries no decision tree")
-    if config.mode == "mc":
-        fn = {"adap": adap_mc, "alg": alg_mc}.get(what)
-        if fn is None:
-            raise ValidationError(f"mc mode supports adap|alg, not {what!r}")
+    if args.mode == "mc":
+        fn = adap_mc if what == "adap" else alg_mc
         rep = fn(bundle.tree, bundle.valuation, bundle.universe, bundle.dist,
-                 config.trials, config.seed, workers=config.workers)
+                 args.trials, args.seed, workers=args.workers)
         return [_record(f"{what}_mc", rep.value, mode="monte_carlo",
                         seed=rep.seed, trials=rep.trials, stderr=rep.stderr)]
     if what == "adap":
         rep = adap_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist)
     elif what == "alg":
         rep = alg_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist)
-    elif what == "greedy":
+    else:
         rep = greedy_interleaved_exact(
             bundle.tree, _require_family(bundle), bundle.universe, bundle.dist
         )
-    else:
-        raise ValidationError(f"unknown evaluation target {what!r}")
     return [_record(f"{what}_exact", rep.value, mode="exact")]
 
 
-def _run_mc_estimate(config: ExperimentConfig) -> list[ReportRecord]:
-    config.mode = "mc"
-    config.validate()
-    return _run_eval(config)
-
-
-def _run_reduce_weighted(config: ExperimentConfig) -> list[ReportRecord]:
-    if config.instance_file:
-        bundle = _load_bundle(config)
+def _run_reduce_weighted(args: argparse.Namespace) -> list[ReportRecord]:
+    _check(args)
+    if bool(args.file) == (args.seed is not None):
+        raise ValidationError(
+            "reduce-weighted needs exactly one instance source (--file or --seed)"
+        )
+    if args.file:
+        bundle = parse_instance(Path(args.file).read_text())
     else:
+        # --seed draws a 2- or 3-extendible instance; another k checks the wrong bound
+        if args.k not in (None, 2, 3):
+            raise ValidationError(f"--k must be 2 or 3 with --seed, got {args.k}")
         params = RandomInstanceParams(
             valuation_kinds=("matroid_intersection_rank", "matching_rank"),
-            k_extendible=config.k or 2,
+            k_extendible=args.k or 2,
             weight_high=1024,
         )
-        bundle = gen_random_instance(config.seed, params)
+        bundle = gen_random_instance(args.seed, params)
     family = _require_family(bundle)
     weights = bundle.weights
-    k = config.k or bundle.metadata.get("k")
+    k = args.k or bundle.metadata.get("k")
     if not isinstance(k, int) or k < 2:
         raise ValidationError("reduce-weighted needs --k >= 2 (or instance metadata)")
     if bundle.tree is None:
@@ -263,7 +222,7 @@ def _run_reduce_weighted(config: ExperimentConfig) -> list[ReportRecord]:
     selected_sum = sum(
         trace["scaled_class_alg"][j] for _, j in trace["selected"]
     )
-    tol = config.tolerance if config.tolerance is not None else 1e-9
+    tol = args.tolerance if args.tolerance is not None else 1e-9
     overall_factor = 32 * k * math.log2(k)
     records = [
         _record("adap_exact", adap, mode="exact"),
@@ -286,9 +245,9 @@ def _run_reduce_weighted(config: ExperimentConfig) -> list[ReportRecord]:
     return records
 
 
-def _run_verify_suite(config: ExperimentConfig) -> list[ReportRecord]:
-    seed = config.seed or 0
-    cases = config.cases
+def _run_verify_suite(args: argparse.Namespace) -> list[ReportRecord]:
+    _check(args, cases=1)
+    seed, cases = args.seed, args.cases
     counts: dict[str, list[int]] = {}
 
     def tally(name: str, ok: bool) -> None:
@@ -339,23 +298,17 @@ def _run_verify_suite(config: ExperimentConfig) -> list[ReportRecord]:
     return records
 
 
-_RUNNERS = {
-    "gap-submodular": _run_gap_submodular,
-    "gap-kext": _run_gap_kext,
-    "gap-matroid-encoding": _run_gap_matroid_encoding,
-    "eval": _run_eval,
-    "mc-estimate": _run_mc_estimate,
-    "reduce-weighted": _run_reduce_weighted,
-    "verify-suite": _run_verify_suite,
-}
+def run(argv: list[str] | None) -> tuple[list[ReportRecord], dict, int]:
+    """Parse ``argv`` (None: ``sys.argv``), run its command and write the ``--out`` report.
 
-
-def run(config: ExperimentConfig) -> tuple[list[ReportRecord], dict, int]:
-    """Execute one experiment; returns (records, timings, exit status)."""
-    config.validate()
+    Returns (records, timings, exit status); bad arguments exit through argparse.
+    """
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
-    records = _RUNNERS[config.command](config)
+    records = args.runner(args)
     timings = {"wall_seconds": time.monotonic() - started}
+    if args.out:
+        _write_outputs(records, timings, args.out)
     failed = [r for r in records if r.passed is False]
     return records, timings, 1 if failed else 0
 
@@ -375,26 +328,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name: str, runner, help: str):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(runner=runner)
         p.add_argument("--out", help="report path; writes JSON and CSV")
         p.add_argument("--tolerance", type=float, help="bound threshold override")
         return p
 
-    p = add("gap-submodular", help="recurrence gap for the triangular instance")
+    p = add("gap-submodular", _run_gap_submodular, "recurrence gap for the triangular instance")
     p.add_argument("--eps", type=float, required=True)
 
-    p = add("gap-kext", help="closed-form gap for the w-ary tree instance")
+    p = add("gap-kext", _run_gap_kext, "closed-form gap for the w-ary tree instance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--w", type=int)
     p.add_argument("--p", type=float)
 
-    p = add("gap-matroid-encoding", help="verify the k^2-matroid encoding")
+    p = add("gap-matroid-encoding", _run_gap_matroid_encoding, "verify the k^2-matroid encoding")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("eval", help="evaluate an instance file")
+    p = add("eval", _run_eval, "evaluate an instance file")
     p.add_argument("--file", required=True)
     p.add_argument("--what", choices=("adap", "alg", "greedy", "best-na"), default="adap")
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
@@ -403,42 +357,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--max-len", type=int, dest="max_len")
 
-    p = add("mc-estimate", help="Monte Carlo estimate for an instance file")
+    p = add("mc-estimate", _run_eval, "Monte Carlo estimate for an instance file")
+    p.set_defaults(mode="mc")
     p.add_argument("--file", required=True)
     p.add_argument("--what", choices=("adap", "alg"), default="adap")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--workers", type=int, default=1)
 
-    p = add("reduce-weighted", help="weighted-to-unweighted reduction report")
+    p = add("reduce-weighted", _run_reduce_weighted, "weighted-to-unweighted reduction report")
     p.add_argument("--file")
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int)
 
-    p = add("verify-suite", help="randomized verifier battery")
+    p = add("verify-suite", _run_verify_suite, "randomized verifier battery")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=200)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    config = ExperimentConfig(command=args.command)
-    for name in (
-        "eps", "k", "w", "p", "samples", "what", "mode", "trials",
-        "workers", "max_len", "tolerance", "out", "seed", "cases",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(config, name, getattr(args, name))
-    config.instance_file = getattr(args, "file", None)
-    return config
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        records, timings, status = run(config)
+        records, _, status = run(argv)
     except (ParseError, ValidationError, ExactCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -450,8 +391,6 @@ def main(argv=None) -> int:
         if r.bound:
             line += f" bound={r.bound!r}"
         print(line)
-    if config.out:
-        _write_outputs(records, timings, config.out)
     return status
 
 

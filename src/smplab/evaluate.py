@@ -12,7 +12,7 @@ Exact evaluators keep rational arithmetic when all inputs are rational. The
 tree check lists each distinct node once, children first; ``adap_exact``,
 ``greedy_interleaved_exact`` and the Monte Carlo walk read that list and its
 positive-probability arcs, and the first two expand a shared subtree once per
-state that can still change its value. Monte Carlo
+state that can still change its value, on a stack of their own. Monte Carlo
 evaluators are deterministic given (seed, trials) and bit-identical for any
 worker count, because trials are split into fixed counter-addressed blocks.
 """
@@ -23,7 +23,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .core import (
 from .families import IndependenceOracle, greedy_add
 from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
 from .strategy import validate_tree
-from .valuation import ValuationFunction, unit_weights, weighted_rank
+from .valuation import ValuationFunction, WeightedRankValuation, unit_weights
 
 #: Hard limit on the amount of exact work (arc expansions) per evaluation.
 DEFAULT_WORK_CAP = 1 << 22
@@ -151,25 +151,82 @@ def _fresh_draws(
 
 
 def _set_values(
-    f: ValuationFunction, universe: Universe, dist: TypeDistribution, meter: _WorkMeter, cap: int
-) -> Callable[[frozenset[str], Sequence[str]], Scalar]:
-    """``value(elements, order)``: the expectation of ``f`` over fresh true
-    draws of ``elements``, once per element set. The draws follow ``order``
-    restricted to ``elements``, which fixes the order of a float sum.
+    fs: Sequence[Callable[[frozenset[str]], Scalar]],
+    universe: Universe,
+    dist: TypeDistribution,
+    meter: _WorkMeter,
+    cap: int,
+) -> Callable[[frozenset[str], Sequence[str]], list[Scalar]]:
+    """``values(elements, order)``: the expectation of each of ``fs`` over
+    fresh true draws of ``elements``, from one pass over the draws per element
+    set. The draws follow ``order`` restricted to ``elements``, which fixes the
+    order of each float sum.
     """
-    table: dict[frozenset[str], Scalar] = {}
+    table: dict[frozenset[str], list[Scalar]] = {}
 
-    def value(elements: frozenset[str], order: Sequence[str]) -> Scalar:
+    def values(elements: frozenset[str], order: Sequence[str]) -> list[Scalar]:
         got = table.get(elements)
         if got is None:
             drawn = [e for e in order if e in elements]
-            got = 0
+            got = [0] * len(fs)
             for types, q in _fresh_draws(drawn, universe, dist, meter, cap):
-                got = got + q * f(types)
+                for i, f in enumerate(fs):
+                    got[i] = got[i] + q * f(types)
             table[elements] = got
         return got
 
-    return value
+    return values
+
+
+def _virtual_paths(
+    tree: DecisionTree, dist: TypeDistribution
+) -> Iterator[tuple[tuple[frozenset[str], tuple[str, ...]], Scalar]]:
+    """``((probed set, order), probability)`` per virtual path, in
+    ``iter_tree_paths`` order. The paths that probe one set share one pair,
+    with the order of the first of them, which is the order its draws follow,
+    so a listing of the paths holds each set once."""
+    first: dict[frozenset[str], tuple[frozenset[str], tuple[str, ...]]] = {}
+    for steps, p in iter_tree_paths(tree, dist):
+        path = tuple(e for e, _ in steps)
+        elements = frozenset(path)
+        yield first.setdefault(elements, (elements, path)), p
+
+
+def _alg_values(
+    paths: Iterable[tuple[tuple[frozenset[str], tuple[str, ...]], Scalar]],
+    fs: Sequence[Callable[[frozenset[str]], Scalar]],
+    universe: Universe,
+    dist: TypeDistribution,
+    assignment_cap: int,
+    work_cap: int,
+) -> list[Scalar]:
+    """The random-walk value of each of ``fs`` over ``paths``: one fresh-draw
+    pass per distinct probed set values every function, and each total adds
+    its paths in order."""
+    values = _set_values(fs, universe, dist, _WorkMeter(work_cap), assignment_cap)
+    totals: list[Scalar] = [0] * len(fs)
+    for (elements, order), p in paths:
+        for i, v in enumerate(values(elements, order)):
+            totals[i] = totals[i] + p * v
+    return totals
+
+
+def _unrecursed(call: Generator):
+    """The return value of ``call``, a recursion written as generators and run
+    on a stack of its own rather than Python's: each generator yields the
+    generator of a sub-call and is sent that sub-call's return value."""
+    stack = [call]
+    sent = None
+    while stack:
+        try:
+            sub = stack[-1].send(sent)
+        except StopIteration as done:
+            stack.pop()
+            sent = done.value
+        else:
+            stack.append(sub)
+            sent = None
+    return sent
 
 
 def _positive_arcs(nodes: Sequence[DecisionTree], dist: TypeDistribution) -> dict:
@@ -207,26 +264,26 @@ def adap_exact(
                 *(below.get(id(c), ()) for c in node.children.values()))
     memo: dict[tuple[int, frozenset], Scalar] = {}
 
-    def rec(node: DecisionTree, fixed: frozenset[str], base: Scalar) -> Scalar:
+    def expand(node: DecisionTree, fixed: frozenset[str], base: Scalar, key):
         # base is f(fixed), passed down so each arc calls f once
-        if node.is_leaf:
-            return 0
-        if memoize:
-            key = (id(node), f.reach(fixed) & below[id(node)])
-            got = memo.get(key)
-            if got is not None:
-                return got
         meter.spend(len(arcs[id(node)]))
         total: Scalar = 0
         for t, p, child in arcs[id(node)]:
             ext = fixed | {t}
             value = f(ext)
-            total = total + p * ((value - base) + rec(child, ext, value))
-        if memoize:
+            sub: Scalar = 0
+            if not child.is_leaf:
+                child_key = (id(child), f.reach(ext) & below[id(child)]) if memoize else None
+                sub = memo.get(child_key)
+                if sub is None:
+                    sub = yield expand(child, ext, value, child_key)
+            total = total + p * ((value - base) + sub)
+        if key is not None:
             memo[key] = total
         return total
 
-    value = rec(tree, frozenset(), f(frozenset()))
+    base = f(frozenset())
+    value = 0 if tree.is_leaf else _unrecursed(expand(tree, frozenset(), base, None))
     return EvalReport(value=value, mode="exact")
 
 
@@ -264,12 +321,9 @@ def alg_exact(
     distinct probed set. ``f`` may be any function of the set of true types.
     """
     validate_tree(tree, universe)
-    value = _set_values(f, universe, dist, _WorkMeter(work_cap), assignment_cap)
-    total: Scalar = 0
-    for steps, p_path in iter_tree_paths(tree, dist):
-        path = tuple(e for e, _ in steps)
-        total = total + p_path * value(frozenset(path), path)
-    return EvalReport(value=total, mode="exact")
+    paths = _virtual_paths(tree, dist)
+    value = _alg_values(paths, [f], universe, dist, assignment_cap, work_cap)[0]
+    return EvalReport(value=value, mode="exact")
 
 
 def greedy_interleaved_exact(
@@ -306,13 +360,8 @@ def greedy_interleaved_exact(
     add = functools.cache(functools.partial(greedy_add, family))  # a table per call
     memo: dict[tuple[int, frozenset[str]], tuple[Scalar, Scalar]] = {}
 
-    def rec(node: DecisionTree, chosen: frozenset[str]) -> tuple[Scalar, Scalar]:
+    def expand(node: DecisionTree, chosen: frozenset[str]):
         """(expected final size, expected online gain) below ``node``."""
-        if node.is_leaf:
-            return len(chosen), 0
-        key = (id(node), chosen)
-        if key in memo:
-            return memo[key]
         e = node.element
         # true draws in type-space order, virtual arcs in child order
         draws = [(add(chosen, t), q)
@@ -321,14 +370,21 @@ def greedy_interleaved_exact(
         for virtual, p, child in arcs[id(node)]:
             meter.spend(len(draws))
             for grown, q in draws:
-                child_size, child_online = rec(child, add(grown, virtual))
+                nxt = add(grown, virtual)
+                if child.is_leaf:
+                    got = len(nxt), 0
+                else:
+                    got = memo.get((id(child), nxt))
+                    if got is None:
+                        got = yield expand(child, nxt)
+                child_size, child_online = got
                 w = p * q
                 size = size + w * child_size
                 online = online + w * ((len(grown) - len(chosen)) + child_online)
-        memo[key] = size, online
+        memo[id(node), chosen] = size, online
         return size, online
 
-    total, online_total = rec(tree, frozenset())
+    total, online_total = (0, 0) if tree.is_leaf else _unrecursed(expand(tree, frozenset()))
     return EvalReport(value=total, mode="exact", trace={"online_value": online_total})
 
 
@@ -504,7 +560,7 @@ def best_nonadaptive_exact(
     Returns the lexicographically smallest maximizing sequence.
     """
     # the work is bounded by sequence_cap x assignment_cap
-    value = _set_values(f, universe, dist, _WorkMeter(math.inf), assignment_cap)
+    values = _set_values([f], universe, dist, _WorkMeter(math.inf), assignment_cap)
     best_seq: tuple[str, ...] = ()
     best_val: Scalar = 0
     sequences = _feasible_sequences(constraint, sorted(universe.elements), max_len)
@@ -514,7 +570,7 @@ def best_nonadaptive_exact(
                 f"more than {sequence_cap} distinct (set, constraint state) pairs; "
                 "use an instance-specific closed form"
             )
-        v = value(frozenset(seq), universe.elements)
+        v = values(frozenset(seq), universe.elements)[0]
         if v > best_val:
             best_val = v
             best_seq = seq
@@ -548,7 +604,7 @@ def kextendible_chain_report(
     valuation: ValuationFunction | None = None,
 ) -> dict:
     """Check adap <= k*greedy and greedy <= 2*alg for an unweighted rank."""
-    f = valuation if valuation is not None else weighted_rank(family, unit_weights(family))
+    f = valuation if valuation is not None else WeightedRankValuation(family, unit_weights(family))
     adap = adap_exact(tree, f, universe, dist).value
     greedy = greedy_interleaved_exact(tree, family, universe, dist).value
     alg = alg_exact(tree, f, universe, dist).value

@@ -209,32 +209,8 @@ class PathChainFamily(IndependenceOracle):
         return best
 
 
-def make_explicit_family(ground: Iterable[str], sets: Iterable[Iterable[str]]) -> ExplicitFamily:
-    return ExplicitFamily(frozenset(ground), frozenset(frozenset(s) for s in sets))
-
-
-def make_partition_matroid(
-    parts: Mapping[str, str | int], capacity: Mapping[str | int, int]
-) -> PartitionMatroid:
-    return PartitionMatroid(dict(parts), dict(capacity))
-
-
 def make_uniform_matroid(ground: Iterable[str], rank: int) -> PartitionMatroid:
     return PartitionMatroid({t: "all" for t in ground}, {"all": rank})
-
-
-def intersect(oracles: Sequence[IndependenceOracle]) -> IntersectionFamily:
-    return IntersectionFamily(tuple(oracles))
-
-
-def make_matching_family(graph: Mapping[str, tuple[str, str]]) -> MatchingFamily:
-    return MatchingFamily(dict(graph))
-
-
-def make_path_chain_family(
-    edges: Mapping[str, tuple[str, str]], root: str
-) -> PathChainFamily:
-    return PathChainFamily(dict(edges), root)
 
 
 def greedy_add(

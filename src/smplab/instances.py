@@ -21,11 +21,10 @@ from .core import (
 )
 from .families import (
     IndependenceOracle,
+    IntersectionFamily,
+    MatchingFamily,
     PartitionMatroid,
-    intersect,
-    make_matching_family,
-    make_partition_matroid,
-    make_path_chain_family,
+    PathChainFamily,
 )
 from .strategy import (
     BudgetConstraint,
@@ -42,7 +41,6 @@ from .valuation import (
     WeightedRankValuation,
     coverage_valuation,
     partition_weighted_valuation,
-    weighted_rank,
 )
 
 #: Reference limits of the triangular instance family as its parameter
@@ -333,8 +331,8 @@ def gen_tree_lb(
 
     universe = universe_from_type_space(type_space)
     dist = TypeDistribution(probs)
-    family = make_path_chain_family(on_endpoints, shape.root)
-    valuation = weighted_rank(family, weight_map)
+    family = PathChainFamily(on_endpoints, shape.root)
+    valuation = WeightedRankValuation(family, weight_map)
     constraint = TreeFanConstraint(shape.endpoints, shape.root)
 
     tree = None
@@ -428,7 +426,7 @@ def gen_prime_matroid_encoding(
                 else:
                     part_of[t] = f"solo:{t}"
                     capacity[f"solo:{t}"] = 1
-            matroids.append(make_partition_matroid(part_of, capacity))
+            matroids.append(PartitionMatroid(part_of, capacity))
     return matroids, label_map
 
 
@@ -487,14 +485,14 @@ def _random_valuation(
             n_parts = rng.randint(2, 4)
             part_of = {t: f"q{rng.randrange(n_parts)}" for t in types}
             capacity = {f"q{i}": rng.randint(1, 2) for i in range(n_parts)}
-            members.append(make_partition_matroid(part_of, capacity))
-        family = intersect(members)
-        return weighted_rank(family, type_weights()), m
+            members.append(PartitionMatroid(part_of, capacity))
+        family = IntersectionFamily(members)
+        return WeightedRankValuation(family, type_weights()), m
     if kind == "matching_rank":
         vertices = [f"u{i}" for i in range(5)]
         edges = {t: tuple(rng.sample(vertices, 2)) for t in types}
-        family = make_matching_family(edges)
-        return weighted_rank(family, type_weights()), 2
+        family = MatchingFamily(edges)
+        return WeightedRankValuation(family, type_weights()), 2
     raise ValidationError(f"unknown valuation kind {kind!r}")
 
 

@@ -18,10 +18,10 @@ from .core import (
     Universe,
     ValidationError,
 )
-from .evaluate import DEFAULT_WORK_CAP, EvalReport, alg_exact
+from .evaluate import DEFAULT_WORK_CAP, EvalReport, _alg_values, _virtual_paths
 from .families import DEFAULT_RANK_CAP, IndependenceOracle, _best_subset
 from .strategy import DecisionTree, validate_tree
-from .valuation import ValuationFunction, weighted_rank
+from .valuation import ValuationFunction, WeightedRankValuation
 
 
 def two_power(j: int) -> Scalar:
@@ -75,7 +75,7 @@ def class_decompose(
     for j in sorted(set(class_of.values())):
         class_types[j] = frozenset(t for t, jj in class_of.items() if jj == j)
     classes = {
-        j: weighted_rank(family, {t: 1 for t in sorted(members)})
+        j: WeightedRankValuation(family, {t: 1 for t in sorted(members)})
         for j, members in class_types.items()
     }
     return ClassDecomposition(
@@ -200,15 +200,16 @@ def combined_value(
     combined selection's weight is a function of the set of true types, so
     its expectation over virtual paths and fresh true types is the
     random-walk value of that function, crediting each selected type with
-    its actual weight.
+    its actual weight. The tree is checked and its virtual paths listed once;
+    one fresh-draw pass per distinct probed set values every class, and one
+    more values the combined weight.
     """
     validate_tree(tree, universe)
     decomposition = class_decompose(weights, family)
-    class_alg = {
-        j: alg_exact(tree, f_j, universe, dist,
-                     assignment_cap=assignment_cap, work_cap=work_cap).value
-        for j, f_j in decomposition.classes.items()
-    }
+    paths = list(_virtual_paths(tree, dist))
+    classes = decomposition.classes
+    values = _alg_values(paths, list(classes.values()), universe, dist, assignment_cap, work_cap)
+    class_alg = dict(zip(classes, values))
     scaled = {j: two_power(j) * v for j, v in class_alg.items()}
     buckets = bucketize(decomposition.hi, decomposition.lo, k)
     representatives = select_representatives(scaled, buckets)
@@ -217,8 +218,7 @@ def combined_value(
         picked = greedy_optimal_combine(types, decomposition, representatives, family)
         return sum(weights[t] for t in sorted(picked))
 
-    total = alg_exact(tree, combined_weight, universe, dist,
-                      assignment_cap=assignment_cap, work_cap=work_cap).value
+    total = _alg_values(paths, [combined_weight], universe, dist, assignment_cap, work_cap)[0]
 
     trace = {
         "class_alg": class_alg,

@@ -78,6 +78,13 @@ def _pairs(mapping: Mapping[Any, Scalar]) -> list[list]:
     return [[key, scalar_to_str(val)] for key, val in mapping.items()]
 
 
+def _scalar(value: Any, field: str) -> Scalar:
+    """A scalar field, which travels as a JSON string; a JSON number is rejected."""
+    if not isinstance(value, str):
+        raise ParseError(f"{field} must be a JSON string, not {value!r}")
+    return str_to_scalar(value)
+
+
 def _integer(value: Any, field: str) -> int:
     """A JSON integer field; bools, floats and strings are rejected."""
     if type(value) is not int:
@@ -106,7 +113,8 @@ def _unpairs(pairs: Any, field: str) -> dict:
     if not (isinstance(pairs, list) and all(isinstance(kv, list) and len(kv) == 2
                                             for kv in pairs)):
         raise ParseError(f"{field} must be a JSON array of [label, scalar] pairs, not {pairs!r}")
-    return {_label(key, f"{field} label"): str_to_scalar(val) for key, val in pairs}
+    return {_label(key, f"{field} label"): _scalar(val, f"{field} of {key!r}")
+            for key, val in pairs}
 
 
 # --- families ---------------------------------------------------------------
@@ -211,13 +219,14 @@ def valuation_from_dict(doc: Any) -> ValuationFunction:
     if kind == "weighted_rank":
         return WeightedRankValuation(
             family_from_dict(doc["family"]),
-            {t: str_to_scalar(w) for t, w in doc["weights"].items()},
+            {t: _scalar(w, f"weight of type {t!r}") for t, w in doc["weights"].items()},
             _integer(doc.get("rank_cap", 20), "rank_cap"),
         )
     if kind == "explicit":
         return ExplicitValuation(
             _strings(doc["ground"], "valuation ground"),
-            {frozenset(_strings(k, "table key")): str_to_scalar(v) for k, v in doc["table"]},
+            {frozenset(_strings(k, "table key")): _scalar(v, f"table value for {k}")
+             for k, v in doc["table"]},
         )
     raise ParseError(f"unknown valuation kind {kind!r}")
 
@@ -255,8 +264,8 @@ def constraint_from_dict(doc: dict) -> ConstraintOracle:
     kind = doc.get("kind")
     if kind == "budget":
         return BudgetConstraint(
-            {e: str_to_scalar(c) for e, c in doc["cost"].items()},
-            str_to_scalar(doc["budget"]),
+            {e: _scalar(c, f"cost of {e!r}") for e, c in doc["cost"].items()},
+            _scalar(doc["budget"], "budget"),
         )
     if kind == "cardinality":
         return CardinalityConstraint(_integer(doc["limit"], "limit"))
@@ -327,7 +336,7 @@ def _meta_from_json(doc: Mapping) -> dict:
     out = {}
     for key, val in doc.items():
         if isinstance(val, dict) and set(val) == {"scalar"}:
-            out[key] = str_to_scalar(val["scalar"])
+            out[key] = _scalar(val["scalar"], f"metadata value for {key!r}")
             check_finite(out[key], f"metadata value for {key!r}")
         else:
             out[key] = val
@@ -375,7 +384,7 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
         dist = TypeDistribution(
             {
                 e: {
-                    t: str_to_scalar(p)
+                    t: _scalar(p, f"probability of type {t!r}")
                     for t, p in _object(row, f"distribution[{e!r}]").items()
                 }
                 for e, row in rows.items()

@@ -141,14 +141,6 @@ def partition_weighted_valuation(
     )
 
 
-def weighted_rank(
-    family: IndependenceOracle,
-    weights: Mapping[str, Scalar],
-    rank_cap: int = DEFAULT_RANK_CAP,
-) -> WeightedRankValuation:
-    return WeightedRankValuation(family, dict(weights), rank_cap)
-
-
 def unit_weights(family: IndependenceOracle) -> dict[str, int]:
     """Weight 1 on every ground type: the unweighted rank's weight map."""
     return {t: 1 for t in sorted(family.ground)}

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Scalar, Universe, ValidationError
-from .families import IndependenceOracle, PartitionMatroid, intersect
+from .families import IndependenceOracle, IntersectionFamily, PartitionMatroid
 from .strategy import ConstraintOracle, TableConstraint, _feasible_sequences
 from .valuation import ValuationFunction
 
@@ -326,7 +326,7 @@ def check_encoding(
             raise ValidationError(
                 f"check_encoding needs partition matroids; member {i} is {m.kind!r}"
             )
-    inter = intersect(list(matroids))
+    inter = IntersectionFamily(matroids)
     ground = sorted(label_map)
     pos, end = _label_intervals([label_map[t][0] for t in ground])
 

@@ -23,7 +23,7 @@ from smplab import (
 )
 from smplab.core import sample_type_codes
 from smplab.evaluate import MC_BLOCK
-from smplab.families import intersect
+from smplab.families import IntersectionFamily
 from smplab.reduction import two_power
 
 
@@ -296,7 +296,7 @@ def reference_check_encoding(
     matroids, label_map, *, set_samples=10_000, seed=0, exhaustive_set_limit=12
 ):
     """``check_encoding`` as a loop: every pair through the intersection oracle."""
-    inter = intersect(list(matroids))
+    inter = IntersectionFamily(list(matroids))
     ground = sorted(label_map)
 
     def chain(types):

@@ -9,6 +9,9 @@ import time
 from fractions import Fraction
 
 from smplab import (
+    IntersectionFamily,
+    MatchingFamily,
+    PartitionMatroid,
     RandomInstanceParams,
     adap_by_path_enumeration,
     adap_exact,
@@ -26,9 +29,6 @@ from smplab import (
     gen_tree_lb,
     greedy_interleaved_exact,
     greedy_select,
-    intersect,
-    make_matching_family,
-    make_partition_matroid,
     submodular_lb_adap_recurrence,
     submodular_lb_alg_opt,
     tree_lb_adaptive_value,
@@ -251,14 +251,14 @@ def test_criterion_7_extension_witness_tuples():
         types = [f"t{i}" for i in range(rng.randint(4, 8))]
         if case % 2:
             k = 2
-            fam = make_matching_family(
+            fam = MatchingFamily(
                 {t: tuple(rng.sample("uvwxyz", 2)) for t in types}
             )
         else:
             k = rng.randint(1, 3)
-            fam = intersect(
+            fam = IntersectionFamily(
                 [
-                    make_partition_matroid(
+                    PartitionMatroid(
                         {t: f"p{rng.randrange(3)}" for t in types},
                         {f"p{i}": rng.randint(1, 2) for i in range(3)},
                     )

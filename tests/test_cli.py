@@ -12,7 +12,7 @@ import pytest
 
 import smplab
 from smplab import gen_random_instance, gen_submodular_lb, RandomInstanceParams
-from smplab.cli import ExperimentConfig, main, run
+from smplab.cli import main, run
 from smplab.core import ValidationError
 from smplab.serialize import parse_report, serialize_instance, serialize_report
 
@@ -96,6 +96,31 @@ def _bool_rank_cap(doc):
     doc["valuation"]["rank_cap"] = True
 
 
+def _number_probability(doc):
+    doc["distribution"]["e0"]["e0.t0"] = 0.5
+
+
+def _number_weight(doc):
+    doc["valuation"]["weights"]["e0.t0"] = 1
+
+
+def _number_table_value(doc):
+    table = [[[], "0"], [["e0.t0"], 2]]
+    doc["valuation"] = {"kind": "explicit", "ground": ["e0.t0"], "table": table}
+
+
+def _number_metadata(doc):
+    doc["metadata"]["seed"] = {"scalar": 11}
+
+
+def _number_cost(doc):
+    doc["constraint"] = {"kind": "budget", "cost": {"e0": 1}, "budget": "1"}
+
+
+def _number_budget(doc):
+    doc["constraint"] = {"kind": "budget", "cost": {"e0": "1"}, "budget": 2}
+
+
 def _repeated_tree_element(doc):
     types = doc["universe"]["types"]["e0"]
     inner = {"element": "e0", "children": {t: None for t in types}}
@@ -131,6 +156,11 @@ class TestGapCommands:
         assert {"adap0", "alg_opt0", "ratio"} <= names
         assert (tmp_path / "report.csv").exists()
         assert "wall_seconds" in timings
+
+    def test_unwritable_report_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["gap-kext", "--k", "3", "--out", str(out)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
 
     def test_gap_submodular_bound_violation_fails(self):
         assert main(["gap-submodular", "--eps", "0.05", "--tolerance", "1.99"]) == 1
@@ -215,6 +245,12 @@ class TestEvalCommands:
             (_repeated_tree_element, "element 'e0' repeats on a probing path"),
             (_unknown_tree_element, "unknown element 'zz' in tree"),
             (_missing_tree_arc, "node for 'e0' must have exactly one arc per type"),
+            (_number_probability, "probability of type 'e0.t0' must be a JSON string, not 0.5"),
+            (_number_weight, "weight of type 'e0.t0' must be a JSON string, not 1"),
+            (_number_table_value, "table value for ['e0.t0'] must be a JSON string, not 2"),
+            (_number_metadata, "metadata value for 'seed' must be a JSON string, not 11"),
+            (_number_cost, "cost of 'e0' must be a JSON string, not 1"),
+            (_number_budget, "budget must be a JSON string, not 2"),
         ],
     )
     def test_eval_rejects_malformed_fields(self, instance_file, capsys, edit, named):
@@ -297,9 +333,13 @@ class TestEvalCommands:
             ({"kind": "weighted_rank", "weights": {}, "family": {
                 "kind": "partition_matroid", "part_of": [["e0.t0", "p"]], "capacity": [["p", 1]]}},
              "part_of must be a JSON object, not list"),
+            ({"kind": "partition_weighted", "part_of": {"e0.t0": "p0"},
+              "part_weight": [["p0", 1]]},
+             "part_weight of 'p0' must be a JSON string, not 1"),
         ],
         ids=["part_of_pairs", "cover_sets_list", "valuation_string", "part_of_list_label",
-             "part_weight_list_label", "part_weight_object", "family_part_of_pairs"],
+             "part_weight_list_label", "part_weight_object", "family_part_of_pairs",
+             "part_weight_number"],
     )
     def test_eval_names_the_malformed_valuation_field(
         self, instance_file, capsys, valuation, named
@@ -311,25 +351,38 @@ class TestEvalCommands:
         assert named in capsys.readouterr().err
 
     def test_mc_estimate_deterministic(self, instance_file):
-        config = ExperimentConfig(
-            command="mc-estimate",
-            instance_file=str(instance_file),
-            what="adap",
-            trials=2000,
-            seed=5,
-            mode="mc",
-        )
-        records1, _, status1 = run(config)
-        records2, _, status2 = run(config)
+        argv = ["mc-estimate", "--file", str(instance_file), "--what", "adap",
+                "--trials", "2000", "--seed", "5"]
+        records1, _, status1 = run(argv)
+        records2, _, status2 = run(argv)
         assert status1 == status2 == 0
         assert serialize_report(records1) == serialize_report(records2)
 
     def test_mc_requires_seed_and_trials(self, instance_file):
-        config = ExperimentConfig(
-            command="mc-estimate", instance_file=str(instance_file), mode="mc"
-        )
-        with pytest.raises(ValidationError):
-            run(config)
+        argv = ["eval", "--file", str(instance_file), "--mode", "mc"]
+        with pytest.raises(ValidationError, match="mc mode requires --trials >= 1"):
+            run(argv)
+        with pytest.raises(ValidationError, match="mc mode requires --seed"):
+            run([*argv, "--trials", "10"])
+
+    @pytest.mark.parametrize("what", ["greedy", "best-na"])
+    def test_mc_mode_refuses_exact_only_targets(self, instance_file, capsys, what):
+        argv = ["eval", "--file", str(instance_file), "--mode", "mc", "--trials", "10",
+                "--seed", "1", "--what", what]
+        assert main(argv) == 2
+        assert f"mc mode supports adap|alg, not {what!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("what", ["adap", "alg"])
+    def test_mc_estimate_is_eval_in_mc_mode(self, instance_file, tmp_path, what):
+        reports = []
+        for command in (["mc-estimate"], ["eval", "--mode", "mc"]):
+            out = tmp_path / f"{command[0]}.json"
+            assert main([*command, "--file", str(instance_file), "--what", what,
+                         "--trials", "3000", "--seed", "9", "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            del doc["timings"]
+            reports.append((json.dumps(doc), out.with_suffix(".csv").read_bytes()))
+        assert reports[0] == reports[1]
 
 
 class TestReduceWeighted:
@@ -372,9 +425,8 @@ class TestVerifySuite:
         assert "tree_feasible" in names
 
     def test_identical_config_identical_records(self):
-        config = ExperimentConfig(command="verify-suite", seed=3, cases=8)
-        r1, _, _ = run(config)
-        r2, _, _ = run(ExperimentConfig(command="verify-suite", seed=3, cases=8))
+        r1, _, _ = run(["verify-suite", "--seed", "3", "--cases", "8"])
+        r2, _, _ = run(["verify-suite", "--seed", "3", "--cases", "8"])
         assert serialize_report(r1) == serialize_report(r2)
 
 

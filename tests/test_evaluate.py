@@ -11,6 +11,7 @@ from smplab import (
     ExactCapExceeded,
     RandomInstanceParams,
     TypeDistribution,
+    WeightedRankValuation,
     adap_by_path_enumeration,
     adap_exact,
     adap_mc,
@@ -33,7 +34,6 @@ from smplab import (
     submodular_lb_adap_recurrence,
     universe_from_type_space,
     validate_tree,
-    weighted_rank,
 )
 from smplab.core import iter_type_profiles
 from smplab.evaluate import MC_BLOCK
@@ -52,6 +52,16 @@ def bernoulli_indicator(p=Fraction(1, 2)):
     f = coverage_valuation({"e.on": {"hit"}})
     tree = chain_tree(universe, ["e"])
     return universe, dist, f, tree
+
+
+def sure_chain():
+    """A chain deeper than the recursion limit, one sure type per element: a
+    single path that probes every element, and its coverage of one item each."""
+    names = [f"x{i}" for i in range(sys.getrecursionlimit() + 500)]
+    universe = universe_from_type_space({e: (f"{e}.on",) for e in names})
+    dist = TypeDistribution({e: {f"{e}.on": 1} for e in names})
+    f = coverage_valuation({f"{e}.on": {e} for e in names})
+    return universe, dist, f, chain_tree(universe, names)
 
 
 def small_instances(seeds, **kwargs):
@@ -169,6 +179,10 @@ class TestAdapExact:
                 bundle.tree, bundle.valuation, bundle.universe, bundle.dist, work_cap=3
             )
 
+    def test_tree_deeper_than_the_recursion_limit(self):
+        universe, dist, f, tree = sure_chain()
+        assert adap_exact(tree, f, universe, dist).value == len(universe)
+
 
 class TestAlgExact:
     def test_leaf_only_tree(self):
@@ -187,16 +201,11 @@ class TestAlgExact:
 
 
     def test_tree_deeper_than_the_recursion_limit(self):
-        # the path walk keeps its own stack; one sure type per element makes
-        # the chain a single path that probes every element
-        names = [f"x{i}" for i in range(sys.getrecursionlimit() + 500)]
-        universe = universe_from_type_space({e: (f"{e}.on",) for e in names})
-        dist = TypeDistribution({e: {f"{e}.on": 1} for e in names})
-        f = coverage_valuation({f"{e}.on": {e} for e in names})
-        tree = chain_tree(universe, names)
+        # the path walk keeps its own stack
+        universe, dist, f, tree = sure_chain()
         assert validate_tree(tree, universe) is False
-        assert alg_exact(tree, f, universe, dist).value == len(names)
-        assert adap_by_path_enumeration(tree, f, universe, dist) == len(names)
+        assert alg_exact(tree, f, universe, dist).value == len(universe)
+        assert adap_by_path_enumeration(tree, f, universe, dist) == len(universe)
 
 
 class TestGreedyInterleaved:
@@ -225,6 +234,12 @@ class TestGreedyInterleaved:
                 inst.tree, inst.family, inst.universe, inst.dist
             )
             assert got == want
+
+    def test_tree_deeper_than_the_recursion_limit(self):
+        universe, dist, _, tree = sure_chain()
+        fam = make_uniform_matroid(sorted(universe.all_types), 2)
+        rep = greedy_interleaved_exact(tree, fam, universe, dist)
+        assert rep.value == rep.trace["online_value"] == 2
 
     def test_online_trace_lower_bounds_alg(self):
         for inst in small_instances(

@@ -6,16 +6,16 @@ import random
 import pytest
 
 from smplab import (
+    ExplicitFamily,
+    IntersectionFamily,
+    MatchingFamily,
+    PartitionMatroid,
+    PathChainFamily,
     ValidationError,
     check_downward_closed,
     check_k_extendible,
     greedy_rank,
     greedy_select,
-    intersect,
-    make_explicit_family,
-    make_matching_family,
-    make_partition_matroid,
-    make_path_chain_family,
     make_uniform_matroid,
     max_rank,
 )
@@ -25,7 +25,7 @@ from oracles import brute_max_weight_independent, powerset
 
 
 def path_matching():
-    return make_matching_family(
+    return MatchingFamily(
         {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")}
     )
 
@@ -43,7 +43,7 @@ class TestLoops:
         assert greedy_add(fam, frozenset({"t1"}), "t2") == {"t1"}
 
     def test_matching_contraction_blocks_neighbors(self):
-        fam = make_matching_family(
+        fam = MatchingFamily(
             {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"), "de": ("d", "e")}
         )
         chosen = frozenset({"ab"})
@@ -102,7 +102,7 @@ class TestGreedy:
         rng = random.Random(3)
         for _ in range(60):
             types = [f"t{i}" for i in range(7)]
-            fam = make_matching_family(
+            fam = MatchingFamily(
                 {t: tuple(rng.sample("uvwxy", 2)) for t in types}
             )
             order = rng.sample(types, rng.randint(0, 7))
@@ -114,37 +114,37 @@ class TestGreedy:
 
 class TestPartitionMatroid:
     def test_zero_capacity_blocks_everything(self):
-        fam = make_partition_matroid({"a": "p", "b": "p"}, {"p": 0})
+        fam = PartitionMatroid({"a": "p", "b": "p"}, {"p": 0})
         assert fam.is_independent(set())
         assert not fam.is_independent({"a"})
 
     def test_two_parts_capacity_one(self):
-        fam = make_partition_matroid({"a": "p1", "b": "p2", "c": "p1"}, {"p1": 1, "p2": 1})
+        fam = PartitionMatroid({"a": "p1", "b": "p2", "c": "p1"}, {"p1": 1, "p2": 1})
         assert fam.is_independent({"a", "b"})
         assert not fam.is_independent({"a", "c"})
 
     def test_missing_capacity_rejected(self):
         with pytest.raises(ValidationError):
-            make_partition_matroid({"a": "p"}, {})
+            PartitionMatroid({"a": "p"}, {})
 
 
 class TestIntersect:
     def test_single_member_is_pointwise_identical(self):
-        fam = make_partition_matroid({"a": "p", "b": "q"}, {"p": 1, "q": 1})
-        inter = intersect([fam])
+        fam = PartitionMatroid({"a": "p", "b": "q"}, {"p": 1, "q": 1})
+        inter = IntersectionFamily([fam])
         for sub in powerset(["a", "b"]):
             assert inter.is_independent(sub) == fam.is_independent(sub)
         assert inter.is_matroid
 
     def test_two_rank_one_supports(self):
         ground = ["a1", "a2", "b1"]
-        m1 = make_partition_matroid(
+        m1 = PartitionMatroid(
             {"a1": "s", "a2": "s", "b1": "free"}, {"s": 1, "free": 1}
         )
-        m2 = make_partition_matroid(
+        m2 = PartitionMatroid(
             {"a1": "free", "a2": "free2", "b1": "t"}, {"t": 1, "free": 1, "free2": 1}
         )
-        inter = intersect([m1, m2])
+        inter = IntersectionFamily([m1, m2])
         assert inter.is_independent({"a1", "b1"})
         assert not inter.is_independent({"a1", "a2"})
         assert not inter.is_matroid
@@ -153,21 +153,21 @@ class TestIntersect:
         m1 = make_uniform_matroid(["a"], 1)
         m2 = make_uniform_matroid(["b"], 1)
         with pytest.raises(ValidationError):
-            intersect([m1, m2])
+            IntersectionFamily([m1, m2])
 
 
 class TestMatchingFamily:
     def test_single_edge(self):
-        fam = make_matching_family({"e": ("u", "v")})
+        fam = MatchingFamily({"e": ("u", "v")})
         assert fam.is_independent({"e"})
 
     def test_shared_vertex_dependent(self):
-        fam = make_matching_family({"e1": ("u", "v"), "e2": ("v", "w")})
+        fam = MatchingFamily({"e1": ("u", "v"), "e2": ("v", "w")})
         assert not fam.is_independent({"e1", "e2"})
 
     def test_triangle_rank_is_one(self):
         edges = {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a")}
-        fam = make_matching_family(edges)
+        fam = MatchingFamily(edges)
         for e in edges:
             assert fam.is_independent({e})
         for pair in itertools.combinations(edges, 2):
@@ -176,7 +176,7 @@ class TestMatchingFamily:
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValidationError):
-            make_matching_family({"e": ("u", "u")})
+            MatchingFamily({"e": ("u", "u")})
 
 
 class TestStructure:
@@ -185,18 +185,18 @@ class TestStructure:
         for trial in range(25):
             types = [f"t{i}" for i in range(6)]
             if trial % 3 == 0:
-                fam = make_matching_family(
+                fam = MatchingFamily(
                     {t: tuple(rng.sample("uvwx", 2)) for t in types}
                 )
             elif trial % 3 == 1:
-                fam = make_partition_matroid(
+                fam = PartitionMatroid(
                     {t: f"p{rng.randrange(3)}" for t in types},
                     {f"p{i}": rng.randint(0, 2) for i in range(3)},
                 )
             else:
-                fam = intersect(
+                fam = IntersectionFamily(
                     [
-                        make_partition_matroid(
+                        PartitionMatroid(
                             {t: f"q{rng.randrange(2)}" for t in types},
                             {f"q{i}": rng.randint(1, 2) for i in range(2)},
                         )
@@ -207,7 +207,7 @@ class TestStructure:
             assert ok, witness
 
     def test_matroid_is_one_extendible(self):
-        fam = make_partition_matroid(
+        fam = PartitionMatroid(
             {"a": "p", "b": "p", "c": "q"}, {"p": 1, "q": 2}
         )
         ok, witness = check_k_extendible(fam, ["a", "b", "c"], 1)
@@ -218,7 +218,7 @@ class TestStructure:
         all_edges = list(itertools.combinations("abcd", 2))
         for mask in range(1, 1 << len(all_edges)):
             chosen = [e for i, e in enumerate(all_edges) if mask >> i & 1]
-            fam = make_matching_family(
+            fam = MatchingFamily(
                 {f"e{i}": pair for i, pair in enumerate(chosen)}
             )
             ok, witness = check_k_extendible(fam, sorted(fam.ground), 2)
@@ -229,7 +229,7 @@ class TestStructure:
         all_edges = list(itertools.combinations("abcde", 2))
         for _ in range(40):
             chosen = rng.sample(all_edges, 6)
-            fam = make_matching_family(
+            fam = MatchingFamily(
                 {f"e{i}": pair for i, pair in enumerate(chosen)}
             )
             ok, witness = check_k_extendible(fam, sorted(fam.ground), 2)
@@ -246,9 +246,9 @@ class TestStructure:
         for _ in range(15):
             m = rng.randint(2, 3)
             types = [f"t{i}" for i in range(5)]
-            fam = intersect(
+            fam = IntersectionFamily(
                 [
-                    make_partition_matroid(
+                    PartitionMatroid(
                         {t: f"p{rng.randrange(3)}" for t in types},
                         {f"p{i}": rng.randint(1, 2) for i in range(3)},
                     )
@@ -268,20 +268,20 @@ class TestRankVsGreedyProperty:
             style = rng.randrange(3)
             if style == 0:
                 k = 1
-                fam = make_partition_matroid(
+                fam = PartitionMatroid(
                     {t: f"p{rng.randrange(3)}" for t in types},
                     {f"p{i}": rng.randint(1, 2) for i in range(3)},
                 )
             elif style == 1:
                 k = 2
-                fam = make_matching_family(
+                fam = MatchingFamily(
                     {t: tuple(rng.sample("uvwxy", 2)) for t in types}
                 )
             else:
                 k = rng.randint(2, 3)
-                fam = intersect(
+                fam = IntersectionFamily(
                     [
-                        make_partition_matroid(
+                        PartitionMatroid(
                             {t: f"p{rng.randrange(3)}" for t in types},
                             {f"p{i}": rng.randint(1, 2) for i in range(3)},
                         )
@@ -297,7 +297,7 @@ def test_max_rank_matches_brute_force():
     rng = random.Random(12)
     for _ in range(40):
         types = [f"t{i}" for i in range(6)]
-        fam = make_matching_family({t: tuple(rng.sample("uvwx", 2)) for t in types})
+        fam = MatchingFamily({t: tuple(rng.sample("uvwx", 2)) for t in types})
         sub = frozenset(rng.sample(types, rng.randint(0, 6)))
         assert max_rank(fam, sub) == brute_max_weight_independent(
             fam.is_independent, sub
@@ -305,7 +305,7 @@ def test_max_rank_matches_brute_force():
 
 
 def test_explicit_family_membership():
-    fam = make_explicit_family(["a", "b"], [[], ["a"], ["a", "b"]])
+    fam = ExplicitFamily(["a", "b"], [[], ["a"], ["a", "b"]])
     assert fam.is_independent({"a", "b"})
     assert not fam.is_independent({"b"})
 
@@ -325,6 +325,6 @@ def test_explicit_family_membership():
     ],
 )
 def test_path_chain_rejects_vertices_off_the_root(edges, message):
-    for make in (make_path_chain_family, TreeFanConstraint):
+    for make in (PathChainFamily, TreeFanConstraint):
         with pytest.raises(ValidationError, match=message):
             make(edges, "r")

@@ -7,6 +7,7 @@ import pytest
 
 from smplab import (
     ExactCapExceeded,
+    IntersectionFamily,
     RandomInstanceParams,
     ValidationError,
     adap_exact,
@@ -20,7 +21,6 @@ from smplab import (
     gen_random_instance,
     gen_submodular_lb,
     gen_tree_lb,
-    intersect,
     submodular_lb_adap_recurrence,
     submodular_lb_alg_opt,
     submodular_lb_depth,
@@ -188,7 +188,7 @@ class TestPrimeEncoding:
     def test_intersection_matches_path_chain_family(self):
         bundle = gen_tree_lb(2, 2, Fraction(1, 2))
         matroids, label_map = gen_prime_matroid_encoding(2)
-        inter = intersect(matroids)
+        inter = IntersectionFamily(matroids)
         fam = bundle.family
         assert inter.ground == fam.ground
         from oracles import powerset

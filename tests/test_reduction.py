@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from smplab import (
+    MatchingFamily,
     RandomInstanceParams,
     ValidationError,
     adap_exact,
@@ -16,10 +17,10 @@ from smplab import (
     combined_value,
     gen_random_instance,
     greedy_optimal_combine,
-    make_matching_family,
     select_representatives,
     weight_class,
 )
+from smplab import evaluate, strategy
 from smplab.reduction import Bucket, bucket_width, two_power
 from oracles import brute_combined
 
@@ -58,7 +59,7 @@ class TestWeightClass:
 
 class TestClassDecompose:
     def family(self):
-        return make_matching_family(
+        return MatchingFamily(
             {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d"), "de": ("d", "e")}
         )
 
@@ -170,7 +171,7 @@ class TestSelectRepresentatives:
 
 class TestCombiner:
     def family(self):
-        return make_matching_family(
+        return MatchingFamily(
             {
                 "ab": ("a", "b"),
                 "cd": ("c", "d"),
@@ -318,6 +319,26 @@ class TestCombinedValue:
                 assert alg_j >= adap_j / (2 * k) - 1e-9
                 scaled_sum += two_power(j) * adap_j
             assert adap_total <= scaled_sum + 1e-9
+
+    def test_checks_the_tree_and_lists_its_paths_once(self, monkeypatch):
+        # one pass values every class; before, each class and the combination
+        # checked the tree and listed its paths again (7 checks, 6 listings)
+        calls = {"nodes": 0, "paths": 0}
+
+        def counted(fn, key):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(strategy, "_tree_nodes", counted(strategy._tree_nodes, "nodes"))
+        paths = counted(evaluate.iter_tree_paths, "paths")
+        monkeypatch.setattr(evaluate, "iter_tree_paths", paths)
+        for inst in self.weighted_instances(range(3), 2):
+            assert len(class_decompose(inst.weights, inst.family).classes) == 5
+            calls.update(nodes=0, paths=0)
+            combined_value(inst.tree, inst.weights, inst.family, 2, inst.universe, inst.dist)
+            assert calls == {"nodes": 1, "paths": 1}
 
     def test_single_class_instance_collapses(self):
         # all weights in one class: the combiner is the class-restricted pick

@@ -9,16 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from smplab import (
     ExactCapExceeded,
+    IntersectionFamily,
+    MatchingFamily,
+    PartitionMatroid,
+    PathChainFamily,
     ValidationError,
+    WeightedRankValuation,
     check_submodular,
     coverage_valuation,
-    make_matching_family,
-    make_partition_matroid,
-    make_path_chain_family,
     make_uniform_matroid,
-    intersect,
     partition_weighted_valuation,
-    weighted_rank,
 )
 from smplab.valuation import ExplicitValuation, ValuationFunction, WeightedCoverageValuation
 from oracles import (
@@ -51,24 +51,24 @@ def _random_path_chain(rng, types):
         lows = [edges[t][1] for t in sub]
         return all(a in up(b) or b in up(a) for a in lows for b in lows)
 
-    return make_path_chain_family(edges, "r"), is_chain
+    return PathChainFamily(edges, "r"), is_chain
 
 
 class TestWeightedRank:
     def test_empty(self):
         fam = make_uniform_matroid(["t1", "t2"], 1)
-        f = weighted_rank(fam, {"t1": 3, "t2": 5})
+        f = WeightedRankValuation(fam, {"t1": 3, "t2": 5})
         assert f(set()) == 0
 
     def test_rank_one_picks_heaviest(self):
         fam = make_uniform_matroid(["t1", "t2"], 1)
-        f = weighted_rank(fam, {"t1": 3, "t2": 5})
+        f = WeightedRankValuation(fam, {"t1": 3, "t2": 5})
         assert f({"t1", "t2"}) == 5
 
     def test_path_matching_unit_weights(self):
         edges = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")}
-        fam = make_matching_family(edges)
-        f = weighted_rank(fam, {t: 1 for t in edges})
+        fam = MatchingFamily(edges)
+        f = WeightedRankValuation(fam, {t: 1 for t in edges})
         assert f(set(edges)) == 2 == brute_max_matching(edges, set(edges))
 
     def test_matches_brute_force_on_random_families(self):
@@ -79,20 +79,20 @@ class TestWeightedRank:
             if trial >= 30:
                 fam, is_independent = _random_path_chain(rng, types)
             elif trial % 2:
-                fam = make_matching_family(
+                fam = MatchingFamily(
                     {t: tuple(rng.sample("uvwxy", 2)) for t in types}
                 )
             else:
                 members = [
-                    make_partition_matroid(
+                    PartitionMatroid(
                         {t: f"p{rng.randrange(3)}" for t in types},
                         {f"p{i}": rng.randint(1, 2) for i in range(3)},
                     )
                     for _ in range(rng.randint(1, 2))
                 ]
-                fam = intersect(members)
+                fam = IntersectionFamily(members)
             weights = {t: rng.randint(0, 6) for t in types}
-            f = weighted_rank(fam, weights)
+            f = WeightedRankValuation(fam, weights)
             for _ in range(8):
                 sub = frozenset(rng.sample(types, rng.randint(0, 6)))
                 assert f(sub) == brute_max_weight_independent(
@@ -104,13 +104,13 @@ class TestWeightedRank:
         # total weight, with no cap on the candidate count
         edges = {f"e{i}": (f"v{i}", f"v{i + 1}") for i in range(24)}
         weights = {t: Fraction(i + 1, 7) for i, t in enumerate(edges)}
-        f = weighted_rank(make_path_chain_family(edges, "v0"), weights)
+        f = WeightedRankValuation(PathChainFamily(edges, "v0"), weights)
         assert f(set(edges)) == sum(weights.values())
 
     def test_subadditive_on_small_cases(self):
         edges = {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")}
-        fam = make_matching_family(edges)
-        f = weighted_rank(fam, {"ab": 2, "bc": 3, "cd": 1})
+        fam = MatchingFamily(edges)
+        f = WeightedRankValuation(fam, {"ab": 2, "bc": 3, "cd": 1})
         ground = list(edges)
         for a in powerset(ground):
             for b in powerset(ground):
@@ -118,21 +118,21 @@ class TestWeightedRank:
 
     def test_rank_cap_on_non_matroid(self):
         edges = {f"e{i}": (f"u{2*i}", f"u{2*i+1}") for i in range(21)}
-        fam = make_matching_family(edges)
-        f = weighted_rank(fam, {t: 1 for t in edges})
+        fam = MatchingFamily(edges)
+        f = WeightedRankValuation(fam, {t: 1 for t in edges})
         with pytest.raises(ExactCapExceeded):
             f(set(edges))
 
     def test_negative_weight_rejected(self):
         fam = make_uniform_matroid(["t"], 1)
         with pytest.raises(Exception):
-            weighted_rank(fam, {"t": -1})
+            WeightedRankValuation(fam, {"t": -1})
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_weight_rejected(self, bad):
         fam = make_uniform_matroid(["t"], 1)
         with pytest.raises(ValidationError, match="weight of type 't'.*not a finite"):
-            weighted_rank(fam, {"t": bad})
+            WeightedRankValuation(fam, {"t": bad})
 
 
 class TestCoverage:
@@ -255,8 +255,8 @@ def test_monotone_on_a_thousand_seeded_pairs():
             {t: f"p{rng.randrange(5)}" for t in types if rng.random() < 0.8},
             {f"p{i}": Fraction(rng.randint(1, 8), 4) for i in range(5)},
         ),
-        weighted_rank(
-            make_matching_family({t: tuple(rng.sample("uvwxyz", 2)) for t in types}),
+        WeightedRankValuation(
+            MatchingFamily({t: tuple(rng.sample("uvwxyz", 2)) for t in types}),
             {t: rng.randint(0, 5) for t in types},
         ),
     ]
@@ -283,8 +283,8 @@ def test_monotone_on_random_pairs(data):
             {f"p{i}": rng.randint(1, 8) / 4 for i in range(4)},
         )
     else:
-        f = weighted_rank(
-            make_matching_family({t: tuple(rng.sample("uvwxyz", 2)) for t in types}),
+        f = WeightedRankValuation(
+            MatchingFamily({t: tuple(rng.sample("uvwxyz", 2)) for t in types}),
             {t: rng.randint(0, 5) for t in types},
         )
     small = frozenset(data.draw(st.sets(st.sampled_from(types))))
@@ -320,5 +320,5 @@ def test_reach_decides_the_marginals_below(data):
 
 def test_reach_defaults_to_unknown():
     fam = make_uniform_matroid(["t1", "t2"], 1)
-    assert weighted_rank(fam, {"t1": 1, "t2": 1}).reach(frozenset({"t1"})) is None
+    assert WeightedRankValuation(fam, {"t1": 1, "t2": 1}).reach(frozenset({"t1"})) is None
     assert ValuationFunction().reach(frozenset()) is None

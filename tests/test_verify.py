@@ -9,7 +9,11 @@ import pytest
 from smplab import (
     BudgetConstraint,
     CardinalityConstraint,
+    ExplicitFamily,
+    IntersectionFamily,
+    MatchingFamily,
     NotKExtendibleError,
+    PartitionMatroid,
     TableConstraint,
     ValidationError,
     check_downward_closed,
@@ -21,10 +25,6 @@ from smplab import (
     find_extension_witness,
     gen_prime_matroid_encoding,
     greedy_select,
-    intersect,
-    make_explicit_family,
-    make_matching_family,
-    make_partition_matroid,
     make_uniform_matroid,
     universe_from_type_space,
 )
@@ -76,11 +76,11 @@ class TestCheckSubmodular:
 
 class TestCheckDownwardClosed:
     def test_matroid_passes(self):
-        fam = make_partition_matroid({"a": "p", "b": "p", "c": "q"}, {"p": 1, "q": 1})
+        fam = PartitionMatroid({"a": "p", "b": "p", "c": "q"}, {"p": 1, "q": 1})
         assert check_downward_closed(fam, ["a", "b", "c"])[0]
 
     def test_missing_subset_detected(self):
-        fam = make_explicit_family(["a", "b"], [[], ["a", "b"]])
+        fam = ExplicitFamily(["a", "b"], [[], ["a", "b"]])
         ok, witness = check_downward_closed(fam, ["a", "b"])
         assert not ok
         sub, sup = witness
@@ -118,13 +118,13 @@ class TestCheckKExtendible:
         assert check_k_extendible(fam, ["a", "b", "c"], 1)[0]
 
     def test_matching_is_two_extendible(self):
-        fam = make_matching_family(
+        fam = MatchingFamily(
             {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")}
         )
         assert check_k_extendible(fam, ["ab", "bc", "cd"], 2)[0]
 
     def test_matching_not_one_extendible(self):
-        fam = make_matching_family(
+        fam = MatchingFamily(
             {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")}
         )
         ok, witness = check_k_extendible(fam, ["ab", "bc", "cd"], 1)
@@ -139,7 +139,7 @@ class TestCheckKExtendible:
 
 class TestFindExtensionWitness:
     def path_family(self):
-        return make_matching_family(
+        return MatchingFamily(
             {"ab": ("a", "b"), "bc": ("b", "c"), "cd": ("c", "d")}
         )
 
@@ -179,14 +179,14 @@ class TestFindExtensionWitness:
             types = [f"t{i}" for i in range(rng.randint(4, 7))]
             if rng.random() < 0.5:
                 k = 2
-                fam = make_matching_family(
+                fam = MatchingFamily(
                     {t: tuple(rng.sample("uvwxy", 2)) for t in types}
                 )
             else:
                 k = rng.randint(1, 3)
-                fam = intersect(
+                fam = IntersectionFamily(
                     [
-                        make_partition_matroid(
+                        PartitionMatroid(
                             {t: f"p{rng.randrange(3)}" for t in types},
                             {f"p{i}": rng.randint(1, 2) for i in range(3)},
                         )
@@ -228,7 +228,7 @@ class TestCheckEncoding:
         bad[deep[0]] = matroids[0].part_of[
             next(t for t in root_like if label_map[t][0] == label_map[deep[0]][0][:1])
         ]
-        corrupted = make_partition_matroid(bad, matroids[0].capacity)
+        corrupted = PartitionMatroid(bad, matroids[0].capacity)
         ok, witness = check_encoding([corrupted] + matroids[1:], label_map)
         assert not ok
         assert witness is not None
@@ -275,7 +275,7 @@ def _mutate(matroids, label_map, how, rng):
             capacity[part_of[t]] = rng.choice((0, 2))
         elif how in ("drop_one", "drop_all"):
             del part_of[t]
-        matroids[i] = make_partition_matroid(part_of, capacity)
+        matroids[i] = PartitionMatroid(part_of, capacity)
     if how == "same_label":
         label_map[t] = label_map[rng.choice(types)]
     return matroids, label_map
@@ -311,4 +311,4 @@ class TestCheckEncodingAgainstReference:
         matroids, label_map = gen_prime_matroid_encoding(2)
         edges = {t: (f"u{i}", f"v{i}") for i, t in enumerate(sorted(label_map))}
         with pytest.raises(ValidationError, match="member 1 is 'matching'"):
-            check_encoding([matroids[0], make_matching_family(edges)], label_map)
+            check_encoding([matroids[0], MatchingFamily(edges)], label_map)
