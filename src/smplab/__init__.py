@@ -7,7 +7,6 @@ and verifiers behind the adaptivity-gap inequalities.
 """
 
 from .core import (
-    DEFAULT_ASSIGNMENT_CAP,
     ExactCapExceeded,
     RandomStream,
     Scalar,
@@ -83,7 +82,6 @@ from .valuation import (
     WeightedRankValuation,
     coverage_valuation,
     partition_weighted_valuation,
-    unit_weights,
 )
 from .verify import (
     NotKExtendibleError,

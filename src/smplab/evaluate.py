@@ -28,23 +28,21 @@ from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    DEFAULT_ASSIGNMENT_CAP,
     ExactCapExceeded,
     RandomStream,
     Scalar,
     TypeDistribution,
     Universe,
     ValidationError,
-    check_assignment_count,
     iter_type_profiles,  # noqa: F401  (perfbench traces this binding)
     sample_type_codes,
 )
 from .families import IndependenceOracle, greedy_add
 from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
 from .strategy import validate_tree
-from .valuation import ValuationFunction, WeightedRankValuation, unit_weights
+from .valuation import ValuationFunction
 
-#: Hard limit on the amount of exact work (arc expansions) per evaluation.
+#: Hard limit on the exact work per evaluation: tree arcs and fresh-draw arcs expanded.
 DEFAULT_WORK_CAP = 1 << 22
 
 #: Trials per counter-addressed Monte Carlo block.
@@ -110,11 +108,16 @@ class _WorkMeter:
         self.used = 0
         self.cap = cap
 
-    def spend(self, amount: int) -> None:
+    def spend(self, amount: int, drawn: int | None = None) -> None:
+        """Charge ``amount`` units; ``drawn`` is the size of the set whose
+        fresh draws they pay for, which a refusal names."""
         self.used += amount
         if self.used > self.cap:
+            need = "" if drawn is None else (
+                f": fresh draws of a {drawn}-element set need {amount} units "
+                f"on top of {self.used - amount}")
             raise ExactCapExceeded(
-                f"exact evaluation exceeded the work cap of {self.cap}; use MC"
+                f"exact evaluation exceeded the work cap of {self.cap}{need}; use MC"
             )
 
 
@@ -123,30 +126,32 @@ def _fresh_draws(
     universe: Universe,
     dist: TypeDistribution,
     meter: _WorkMeter,
-    cap: int,
 ) -> Iterator[tuple[frozenset[str], Scalar]]:
     """Every fresh true draw of ``elements``, as ``(true types, probability)``.
 
     Draws come in the order of ``iter_type_profiles`` over the same elements
     with the same probability products, so a float sum over them adds the
-    same terms in the same order. Drawn prefixes are shared, zero-probability
-    types are skipped, and each expanded arc spends one unit of ``meter``.
+    same terms in the same order. Drawn prefixes are shared and
+    zero-probability types are skipped. Each expanded arc costs one unit of
+    ``meter``, all charged before the first draw.
     """
-    check_assignment_count(universe, elements, cap)
     levels = [
         [(t, p) for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0]
         for e in elements
     ]
+    arcs, width = 0, 1
+    for draws in levels:
+        width *= len(draws)
+        arcs += width
+    meter.spend(arcs, len(elements))
     stack: list[tuple[int, frozenset[str], Scalar]] = [(0, frozenset(), 1)]
     while stack:
         i, types, q = stack.pop()
         if i == len(levels):
             yield types, q
             continue
-        draws = levels[i]
-        meter.spend(len(draws))
         # pushed in reverse so the first type is drawn first
-        for t, p in reversed(draws):
+        for t, p in reversed(levels[i]):
             stack.append((i + 1, types | {t}, q * p))
 
 
@@ -155,7 +160,6 @@ def _set_values(
     universe: Universe,
     dist: TypeDistribution,
     meter: _WorkMeter,
-    cap: int,
 ) -> Callable[[frozenset[str], Sequence[str]], list[Scalar]]:
     """``values(elements, order)``: the expectation of each of ``fs`` over
     fresh true draws of ``elements``, from one pass over the draws per element
@@ -169,7 +173,7 @@ def _set_values(
         if got is None:
             drawn = [e for e in order if e in elements]
             got = [0] * len(fs)
-            for types, q in _fresh_draws(drawn, universe, dist, meter, cap):
+            for types, q in _fresh_draws(drawn, universe, dist, meter):
                 for i, f in enumerate(fs):
                     got[i] = got[i] + q * f(types)
             table[elements] = got
@@ -197,13 +201,12 @@ def _alg_values(
     fs: Sequence[Callable[[frozenset[str]], Scalar]],
     universe: Universe,
     dist: TypeDistribution,
-    assignment_cap: int,
     work_cap: int,
 ) -> list[Scalar]:
     """The random-walk value of each of ``fs`` over ``paths``: one fresh-draw
     pass per distinct probed set values every function, and each total adds
     its paths in order."""
-    values = _set_values(fs, universe, dist, _WorkMeter(work_cap), assignment_cap)
+    values = _set_values(fs, universe, dist, _WorkMeter(work_cap))
     totals: list[Scalar] = [0] * len(fs)
     for (elements, order), p in paths:
         for i, v in enumerate(values(elements, order)):
@@ -311,7 +314,6 @@ def alg_exact(
     universe: Universe,
     dist: TypeDistribution,
     *,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> EvalReport:
     """Expected value of the random-walk non-adaptive strategy.
@@ -322,7 +324,7 @@ def alg_exact(
     """
     validate_tree(tree, universe)
     paths = _virtual_paths(tree, dist)
-    value = _alg_values(paths, [f], universe, dist, assignment_cap, work_cap)[0]
+    value = _alg_values(paths, [f], universe, dist, work_cap)[0]
     return EvalReport(value=value, mode="exact")
 
 
@@ -332,7 +334,6 @@ def greedy_interleaved_exact(
     universe: Universe,
     dist: TypeDistribution,
     *,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> EvalReport:
     """Expected greedy count over the union of true and virtual path types.
@@ -346,16 +347,6 @@ def greedy_interleaved_exact(
     """
     nodes, _ = _tree_nodes(tree, universe)
     arcs = _positive_arcs(nodes, dist)
-    # the positive-probability path below each node with the most joint assignments
-    leaf_path: tuple[int, tuple[str, ...]] = (1, ())
-    widest: dict[int, tuple[int, tuple[str, ...]]] = {}
-    for node in nodes:  # children first
-        e, paths = node.element, []
-        for _, _, child in arcs[id(node)]:
-            n, path = widest.get(id(child), leaf_path)
-            paths.append((n * len(universe.type_space[e]), (e, *path)))
-        widest[id(node)] = max(paths, key=lambda got: got[0], default=leaf_path)
-    check_assignment_count(universe, widest.get(id(tree), leaf_path)[1], assignment_cap)
     meter = _WorkMeter(work_cap)
     add = functools.cache(functools.partial(greedy_add, family))  # a table per call
     memo: dict[tuple[int, frozenset[str]], tuple[Scalar, Scalar]] = {}
@@ -551,16 +542,16 @@ def best_nonadaptive_exact(
     max_len: int,
     *,
     sequence_cap: int = DEFAULT_SEQUENCE_CAP,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
+    work_cap: int = DEFAULT_WORK_CAP,
 ) -> tuple[tuple[str, ...], Scalar]:
     """Exhaustive best fixed probing set under the constraint.
 
     Value depends only on the probed set and feasibility on the constraint
-    state, so the search visits each distinct (set, state) pair once.
+    state, so the search visits each distinct (set, state) pair once, and
+    the fresh draws of every set it values spend one work meter.
     Returns the lexicographically smallest maximizing sequence.
     """
-    # the work is bounded by sequence_cap x assignment_cap
-    values = _set_values([f], universe, dist, _WorkMeter(math.inf), assignment_cap)
+    values = _set_values([f], universe, dist, _WorkMeter(work_cap))
     best_seq: tuple[str, ...] = ()
     best_val: Scalar = 0
     sequences = _feasible_sequences(constraint, sorted(universe.elements), max_len)
@@ -601,13 +592,12 @@ def kextendible_chain_report(
     universe: Universe,
     dist: TypeDistribution,
     *,
-    valuation: ValuationFunction | None = None,
+    valuation: ValuationFunction,
 ) -> dict:
-    """Check adap <= k*greedy and greedy <= 2*alg for an unweighted rank."""
-    f = valuation if valuation is not None else WeightedRankValuation(family, unit_weights(family))
-    adap = adap_exact(tree, f, universe, dist).value
+    """Check adap <= k*greedy and greedy <= 2*alg, adap and alg taken on ``valuation``."""
+    adap = adap_exact(tree, valuation, universe, dist).value
     greedy = greedy_interleaved_exact(tree, family, universe, dist).value
-    alg = alg_exact(tree, f, universe, dist).value
+    alg = alg_exact(tree, valuation, universe, dist).value
     return {
         "adap": adap,
         "greedy": greedy,

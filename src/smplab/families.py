@@ -283,11 +283,7 @@ def max_rank(
         return total
     if isinstance(family, PathChainFamily):
         return family._best_root_path(cand, w)
-    if len(cand) > cap:
-        raise ExactCapExceeded(
-            f"rank computation infeasible: {len(cand)} candidates exceed cap {cap}"
-        )
-    return _best_subset(family, cand, w)[1]
+    return _best_subset(family, cand, w, cap=cap)[1]
 
 
 def _best_subset(
@@ -295,13 +291,19 @@ def _best_subset(
     cand: Sequence[str],
     w: Mapping[str, Scalar],
     fixed: frozenset[str] = frozenset(),
+    cap: int = DEFAULT_RANK_CAP,
 ) -> tuple[frozenset[str], Scalar]:
     """Heaviest subset of ``cand`` independent together with ``fixed`` (which
     ``cand`` must not meet), and its weight.
 
     Include-first branch-and-bound in ``cand`` order, pruned by the weight
     left in the suffix; sums follow ``cand`` order and the first best wins.
+    Refuses more than ``cap`` candidates.
     """
+    if len(cand) > cap:
+        raise ExactCapExceeded(
+            f"exact subset search infeasible: {len(cand)} candidates exceed the cap of {cap}"
+        )
     suffix: list[Scalar] = [0] * (len(cand) + 1)
     for i in reversed(range(len(cand))):
         suffix[i] = suffix[i + 1] + w[cand[i]]

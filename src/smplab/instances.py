@@ -337,40 +337,24 @@ def gen_tree_lb(
 
     tree = None
     if w * k <= TREE_LB_PROBE_CAP:
-        def descend(vertex: str, depth: int) -> DecisionTree:
-            if depth == k:
-                return leaf()
-            kids = shape.children[vertex]
-            sib_edges = [_edge_id(shape.labels[c]) for c in kids]
-            memo: dict[tuple[int, int | None], DecisionTree] = {}
-
-            def probe_sibling(idx: int, first_active: int | None) -> DecisionTree:
-                key = (idx, first_active)
-                got = memo.get(key)
-                if got is not None:
-                    return got
-                if idx == len(sib_edges):
-                    chosen = kids[first_active if first_active is not None else 0]
-                    node = descend(chosen, depth + 1)
-                else:
-                    el = sib_edges[idx]
-                    on, off = type_space[el]
-                    node = probe(
-                        el,
-                        {
-                            on: probe_sibling(
-                                idx + 1,
-                                first_active if first_active is not None else idx,
-                            ),
-                            off: probe_sibling(idx + 1, first_active),
-                        },
-                    )
-                memo[key] = node
-                return node
-
-            return probe_sibling(0, None)
-
-        tree = descend(shape.root, 0)
+        # one node per (vertex, sibling index, first active sibling or None),
+        # built from the deepest vertices up, so a vertex's subtree is shared
+        # by every node that descends into it
+        end = leaf()
+        below: dict[str, DecisionTree] = {}  # vertex -> the probe of its first child edge
+        for vertex, kids in reversed(shape.children.items()):
+            # after the last sibling: descend below the first active one, or the first
+            after = [below.get(c, end) for c in kids]
+            nxt = {None: after[0], **dict(enumerate(after))}
+            for idx in range(len(kids) - 1, -1, -1):
+                el = _edge_id(shape.labels[kids[idx]])
+                on, off = type_space[el]
+                nxt = {
+                    first: probe(el, {on: nxt[idx if first is None else first], off: nxt[first]})
+                    for first in (None, *range(idx))
+                }
+            below[vertex] = nxt[None]
+        tree = below[shape.root]
 
     metadata = {
         "name": "kext_tree_lower_bound",

@@ -10,16 +10,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import (
-    DEFAULT_ASSIGNMENT_CAP,
-    ExactCapExceeded,
-    Scalar,
-    TypeDistribution,
-    Universe,
-    ValidationError,
-)
+from .core import Scalar, TypeDistribution, Universe, ValidationError
 from .evaluate import DEFAULT_WORK_CAP, EvalReport, _alg_values, _virtual_paths
-from .families import DEFAULT_RANK_CAP, IndependenceOracle, _best_subset
+from .families import IndependenceOracle, _best_subset
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, WeightedRankValuation
 
@@ -176,9 +169,6 @@ def greedy_optimal_combine(
     for _, j in representatives.selected:
         members = decomposition.class_types.get(j, frozenset())
         candidates = sorted(path_types & members & family.ground)
-        if len(candidates) > DEFAULT_RANK_CAP:
-            raise ExactCapExceeded(f"combiner bucket has {len(candidates)} candidates, "
-                                   f"above cap {DEFAULT_RANK_CAP}")
         chosen |= _best_subset(family, candidates, dict.fromkeys(candidates, 1), chosen)[0]
     return chosen
 
@@ -191,7 +181,6 @@ def combined_value(
     universe: Universe,
     dist: TypeDistribution,
     *,
-    assignment_cap: int = DEFAULT_ASSIGNMENT_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> EvalReport:
     """Expected true-weight value of the greedy-optimal combined selection.
@@ -208,7 +197,7 @@ def combined_value(
     decomposition = class_decompose(weights, family)
     paths = list(_virtual_paths(tree, dist))
     classes = decomposition.classes
-    values = _alg_values(paths, list(classes.values()), universe, dist, assignment_cap, work_cap)
+    values = _alg_values(paths, list(classes.values()), universe, dist, work_cap)
     class_alg = dict(zip(classes, values))
     scaled = {j: two_power(j) * v for j, v in class_alg.items()}
     buckets = bucketize(decomposition.hi, decomposition.lo, k)
@@ -218,7 +207,7 @@ def combined_value(
         picked = greedy_optimal_combine(types, decomposition, representatives, family)
         return sum(weights[t] for t in sorted(picked))
 
-    total = _alg_values(paths, [combined_weight], universe, dist, assignment_cap, work_cap)[0]
+    total = _alg_values(paths, [combined_weight], universe, dist, work_cap)[0]
 
     trace = {
         "class_alg": class_alg,

@@ -139,8 +139,3 @@ def partition_weighted_valuation(
     return WeightedCoverageValuation(
         {t: frozenset((p,)) for t, p in part_of.items()}, part_weight, "partition_weighted"
     )
-
-
-def unit_weights(family: IndependenceOracle) -> dict[str, int]:
-    """Weight 1 on every ground type: the unweighted rank's weight map."""
-    return {t: 1 for t in sorted(family.ground)}

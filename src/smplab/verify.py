@@ -44,8 +44,12 @@ def _subset(items: Sequence[str], mask: int) -> frozenset[str]:
     return frozenset(t for i, t in enumerate(items) if mask >> i & 1)
 
 
+#: Slack the submodularity and monotonicity checks allow for float rounding.
+VALUE_TOL = 1e-9
+
+
 def check_submodular(
-    f: ValuationFunction, ground: Iterable[str], tol: float = 1e-9
+    f: ValuationFunction, ground: Iterable[str]
 ) -> tuple[bool, tuple[frozenset, frozenset] | None]:
     """Exhaustively test f(A|B) + f(A&B) <= f(A) + f(B) over the ground."""
     items = _sorted_ground(ground, 10, "check_submodular")
@@ -54,13 +58,13 @@ def check_submodular(
     for a in range(1 << n):
         fa = values[a]
         for b in range(a, 1 << n):
-            if values[a | b] + values[a & b] > fa + values[b] + tol:
+            if values[a | b] + values[a & b] > fa + values[b] + VALUE_TOL:
                 return False, (_subset(items, a), _subset(items, b))
     return True, None
 
 
 def check_monotone(
-    f: ValuationFunction, ground: Iterable[str], tol: float = 1e-9
+    f: ValuationFunction, ground: Iterable[str]
 ) -> tuple[bool, tuple[frozenset, frozenset] | None]:
     """Exhaustively test A <= B implies f(A) <= f(B) (one-element steps)."""
     items = _sorted_ground(ground, 12, "check_monotone")
@@ -68,7 +72,7 @@ def check_monotone(
     values: list[Scalar] = [f(_subset(items, m)) for m in range(1 << n)]
     for m in range(1 << n):
         for i in range(n):
-            if m >> i & 1 and values[m & ~(1 << i)] > values[m] + tol:
+            if m >> i & 1 and values[m & ~(1 << i)] > values[m] + VALUE_TOL:
                 return False, (_subset(items, m & ~(1 << i)), _subset(items, m))
     return True, None
 
@@ -135,6 +139,18 @@ def _independent_sets(
     return out
 
 
+def _removal_set(
+    family: IndependenceOracle, keep: frozenset[str], e: str, candidates: Sequence[str], k: int
+) -> frozenset[str] | None:
+    """The first Z of at most ``k`` ``candidates``, by size and then in
+    ``itertools.combinations`` order, that leaves ``keep - Z + e`` independent."""
+    for size in range(min(k, len(candidates)) + 1):
+        for removal in itertools.combinations(candidates, size):
+            if family.is_independent(keep - frozenset(removal) | {e}):
+                return frozenset(removal)
+    return None
+
+
 def check_k_extendible(
     family: IndependenceOracle, ground: Iterable[str], k: int
 ) -> tuple[bool, tuple[frozenset, frozenset, str] | None]:
@@ -156,15 +172,7 @@ def check_k_extendible(
                     continue
                 if not family.is_independent(small | {e}):
                     continue
-                found = False
-                for size in range(min(k, len(rest)) + 1):
-                    for removal in itertools.combinations(rest, size):
-                        if family.is_independent(big - frozenset(removal) | {e}):
-                            found = True
-                            break
-                    if found:
-                        break
-                if not found:
+                if _removal_set(family, big, e, rest, k) is None:
                     return False, (small, big, e)
     return True, None
 
@@ -197,19 +205,8 @@ def find_extension_witness(
     removed: frozenset[str] = frozenset()
     inserted: frozenset[str] = frozenset()
     for e in sorted(e_all):
-        if family.is_independent(b - removed | inserted | {e}):
-            inserted = inserted | {e}
-            continue
         candidates = sorted(b - removed - a - inserted)
-        step: frozenset[str] | None = None
-        for size in range(1, min(k, len(candidates)) + 1):
-            for combo in itertools.combinations(candidates, size):
-                trial = frozenset(combo)
-                if family.is_independent(b - removed - trial | inserted | {e}):
-                    step = trial
-                    break
-            if step is not None:
-                break
+        step = _removal_set(family, b - removed | inserted, e, candidates, k)
         if step is None:
             raise NotKExtendibleError(
                 f"no witness of size <= {k} while inserting {e!r}; "

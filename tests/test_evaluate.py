@@ -64,6 +64,14 @@ def sure_chain():
     return universe, dist, f, chain_tree(universe, names)
 
 
+def on_off_chain(n, p_on):
+    """An ``n``-element chain whose elements are on with probability ``p_on``."""
+    names = [f"x{i}" for i in range(n)]
+    universe = universe_from_type_space({e: (f"{e}.on", f"{e}.off") for e in names})
+    dist = TypeDistribution({e: {f"{e}.on": p_on, f"{e}.off": 1 - p_on} for e in names})
+    return universe, dist, chain_tree(universe, names)
+
+
 def small_instances(seeds, **kwargs):
     params = RandomInstanceParams(max_elements=4, max_types=2, **kwargs)
     return [gen_random_instance(s, params) for s in seeds]
@@ -207,6 +215,15 @@ class TestAlgExact:
         assert alg_exact(tree, f, universe, dist).value == len(universe)
         assert adap_by_path_enumeration(tree, f, universe, dist) == len(universe)
 
+    def test_work_cap_counts_positive_draws_only(self):
+        # 2**21 joint assignments, one of positive probability: 21 draw units
+        universe, dist, tree = on_off_chain(21, 1)
+        f = coverage_valuation({f"x{i}.on": {i} for i in range(21)})
+        assert alg_exact(tree, f, universe, dist, work_cap=21).value == 21
+        need = "work cap of 20: fresh draws of a 21-element set need 21 units on top of 0;"
+        with pytest.raises(ExactCapExceeded, match=need):
+            alg_exact(tree, f, universe, dist, work_cap=20)
+
 
 class TestGreedyInterleaved:
     def test_leaf_only_tree(self):
@@ -240,6 +257,13 @@ class TestGreedyInterleaved:
         fam = make_uniform_matroid(sorted(universe.all_types), 2)
         rep = greedy_interleaved_exact(tree, fam, universe, dist)
         assert rep.value == rep.trace["online_value"] == 2
+
+    def test_rank_one_on_a_wide_chain(self):
+        # 2**21 joint assignments per path, but the walk meets two selections
+        universe, dist, tree = on_off_chain(21, Fraction(1, 2))
+        fam = make_uniform_matroid(sorted(universe.all_types), 1)
+        rep = greedy_interleaved_exact(tree, fam, universe, dist)
+        assert rep.value == rep.trace["online_value"] == 1
 
     def test_online_trace_lower_bounds_alg(self):
         for inst in small_instances(
@@ -508,47 +532,23 @@ _CAPPED = {
             b.universe, b.dist, b.valuation, b.constraint, 3, **cap),
     ),
 }
-_WORK = ({"work_cap": 3}, "work cap of 3")
-_ASSIGNMENTS = ({"assignment_cap": 3}, "more than 3 joint assignments")
 
 
 @pytest.mark.parametrize(
-    "evaluator, cap, message",
-    [
-        ("alg_exact", *_WORK),
-        ("alg_exact", *_ASSIGNMENTS),
-        ("greedy_interleaved_exact", *_WORK),
-        ("greedy_interleaved_exact", *_ASSIGNMENTS),
-        ("combined_value", *_WORK),
-        ("combined_value", *_ASSIGNMENTS),
-        # no work cap here: sequence_cap x assignment_cap bounds the work
-        ("best_nonadaptive_exact", *_ASSIGNMENTS),
+    "evaluator",
+    list(_CAPPED),
+    # fixed ids, so that a case keeps its id when cases are added or removed
+    ids=[
+        "alg_exact-cap0-work cap of 3",
+        "greedy_interleaved_exact-cap2-work cap of 3",
+        "combined_value-cap4-work cap of 3",
+        "best_nonadaptive_exact-cap6-work cap of 3",
     ],
 )
-def test_exact_caps_refuse_and_state_the_cap(evaluator, cap, message):
+def test_exact_caps_refuse_and_state_the_cap(evaluator):
     instance, evaluate = _CAPPED[evaluator]
-    with pytest.raises(ExactCapExceeded, match=message):
-        evaluate(instance(), **cap)
-
-
-def test_greedy_assignment_cap_is_the_widest_positive_path():
-    # every root-leaf path of the k=2, w=2 tree probes four coins: 16 draws
-    bundle = gen_tree_lb(2, 2, Fraction(1, 3))
-    args = (bundle.tree, bundle.family, bundle.universe, bundle.dist)
-    greedy_interleaved_exact(*args, assignment_cap=16)
-    with pytest.raises(ExactCapExceeded, match="more than 15 joint assignments"):
-        greedy_interleaved_exact(*args, assignment_cap=15)
-    universe = universe_from_type_space({"a": ("a0", "a1"), "b": ("b0", "b1", "b2")})
-    third = Fraction(1, 3)
-    dist = TypeDistribution(
-        {"a": {"a0": 0, "a1": 1}, "b": {"b0": third, "b1": third, "b2": third}}
-    )
-    deep = probe("b", {t: leaf() for t in ("b0", "b1", "b2")})
-    tree = probe("a", {"a0": deep, "a1": leaf()})  # b lies only below a zero arc
-    fam = make_uniform_matroid(["a1", "b0"], 1)
-    assert greedy_interleaved_exact(tree, fam, universe, dist, assignment_cap=2).value == 1
-    with pytest.raises(ExactCapExceeded, match="more than 1 joint assignments"):
-        greedy_interleaved_exact(tree, fam, universe, dist, assignment_cap=1)
+    with pytest.raises(ExactCapExceeded, match="work cap of 3"):
+        evaluate(instance(), work_cap=3)
 
 
 class TestInequalitySuites:

@@ -28,6 +28,7 @@ from smplab import (
     tree_lb_nonadaptive_bound,
 )
 from smplab.instances import WARY_EDGE_CAP
+from smplab.strategy import _tree_nodes
 
 
 class TestTriangularInstance:
@@ -128,6 +129,13 @@ class TestTreeInstance:
         bundle = gen_tree_lb(2, 2, Fraction(1, 4))
         ok, witness = check_tree_feasible(bundle.tree, bundle.constraint)
         assert ok, witness
+
+    def test_reference_tree_has_one_node_per_vertex_sibling_and_first_active(self):
+        # each vertex above depth k: w(w+1)/2 (sibling, first active or None) pairs
+        for k, w in ((2, 2), (3, 2), (3, 3), (2, 6)):
+            bundle = gen_tree_lb(k, w, Fraction(1, 3))
+            nodes = _tree_nodes(bundle.tree, bundle.universe)[0]
+            assert len(nodes) == sum(w**d for d in range(k)) * w * (w + 1) // 2
 
     def test_tree_skipped_beyond_probe_cap(self):
         bundle = gen_tree_lb(3, 5, 0.1)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from smplab import (
+    ExactCapExceeded,
     MatchingFamily,
     RandomInstanceParams,
     ValidationError,
@@ -17,6 +18,7 @@ from smplab import (
     combined_value,
     gen_random_instance,
     greedy_optimal_combine,
+    max_rank,
     select_representatives,
     weight_class,
 )
@@ -243,6 +245,17 @@ class TestCombiner:
                 assert len(inc) >= best_alone - k * len(fixed)
                 assert fam.is_independent(fixed | inc)
                 fixed |= inc
+
+    def test_refuses_past_the_rank_cap_as_max_rank_does(self):
+        edges = {f"e{i}": (f"u{2 * i}", f"u{2 * i + 1}") for i in range(21)}
+        fam = MatchingFamily(edges)
+        deco = class_decompose(dict.fromkeys(edges, 1), fam)
+        choice = select_representatives({0: 1}, bucketize(deco.hi, deco.lo, 2))
+        message = "21 candidates exceed the cap of 20"
+        with pytest.raises(ExactCapExceeded, match=message):
+            max_rank(fam, edges)
+        with pytest.raises(ExactCapExceeded, match=message):
+            greedy_optimal_combine(frozenset(edges), deco, choice, fam)
 
     def test_output_always_independent(self):
         rng = random.Random(13)
