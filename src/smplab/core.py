@@ -24,9 +24,6 @@ import numpy as np
 
 Scalar = int | float | Fraction
 
-#: Largest number of joint type assignments an exact enumeration will expand.
-DEFAULT_ASSIGNMENT_CAP = 1 << 20
-
 _PROB_SUM_TOL = 1e-12
 _SEED_DOMAIN = 0x5350  # namespaces this project's streams inside SeedSequence
 
@@ -191,34 +188,16 @@ def sample_type_codes(
     return codes
 
 
-def check_assignment_count(
-    universe: Universe, elements: Iterable[str], cap: int
-) -> None:
-    """Raise :class:`ExactCapExceeded` when the joint type assignments over
-    ``elements`` (the product of their type-space sizes) exceed ``cap``."""
-    total = 1
-    for e in elements:
-        total *= len(universe.type_space[e])
-        if total > cap:
-            raise ExactCapExceeded(
-                f"exact mode infeasible: more than {cap} joint assignments; "
-                "use the Monte Carlo evaluators"
-            )
-
-
 def iter_type_profiles(
     universe: Universe,
     dist: TypeDistribution,
     elements: Sequence[str],
-    cap: int = DEFAULT_ASSIGNMENT_CAP,
 ) -> Iterator[tuple[tuple[str, ...], Scalar]]:
     """Yield every joint assignment over ``elements`` with its probability.
 
     Probabilities multiply per-element masses and keep exact arithmetic when
-    the inputs are rational. Raises :class:`ExactCapExceeded` when the
-    product of type-space sizes exceeds ``cap``.
+    the inputs are rational.
     """
-    check_assignment_count(universe, elements, cap)
     spaces = [universe.type_space[e] for e in elements]
     for combo in itertools.product(*spaces):
         p: Scalar = 1

@@ -23,7 +23,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Generator, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -120,96 +120,79 @@ class _WorkMeter:
                 f"exact evaluation exceeded the work cap of {self.cap}{need}; use MC"
             )
 
+    def spend_draws(self, order: Sequence[str], dist: TypeDistribution) -> None:
+        """Charge the arcs of the fresh draws of ``order``: the sum, over its
+        elements, of the running product of their positive-probability type
+        counts."""
+        arcs, width = 0, 1
+        for e in order:
+            width *= sum(p != 0 for p in dist.probs[e].values())
+            arcs += width
+        self.spend(arcs, len(order))
 
-def _fresh_draws(
-    elements: Sequence[str],
+
+def _probed_sets(
+    tree: DecisionTree, dist: TypeDistribution, work_cap: int
+) -> list[list]:
+    """Each distinct set the virtual paths probe, in order of first appearance,
+    as ``[order of its first path, total probability of its paths]``.
+
+    A set's fresh draws are charged to one work meter when it is first met,
+    so a refusal comes before any draw.
+    """
+    meter = _WorkMeter(work_cap)
+    sets: dict[frozenset[str], list] = {}
+    for steps, p in iter_tree_paths(tree, dist):
+        order = tuple(e for e, _ in steps)
+        entry = sets.get(elements := frozenset(order))
+        if entry is None:
+            meter.spend_draws(order, dist)
+            sets[elements] = [order, p]
+        else:
+            entry[1] = entry[1] + p
+    return list(sets.values())
+
+
+def _draw_values(
+    fs: Sequence[Callable[[frozenset[str]], Scalar]],
+    order: Sequence[str],
     universe: Universe,
     dist: TypeDistribution,
-    meter: _WorkMeter,
-) -> Iterator[tuple[frozenset[str], Scalar]]:
-    """Every fresh true draw of ``elements``, as ``(true types, probability)``.
+) -> list[Scalar]:
+    """The expectation of each of ``fs`` over the fresh true draws of ``order``.
 
-    Draws come in the order of ``iter_type_profiles`` over the same elements
-    with the same probability products, so a float sum over them adds the
-    same terms in the same order. Drawn prefixes are shared and
-    zero-probability types are skipped. Each expanded arc costs one unit of
-    ``meter``, all charged before the first draw.
+    Draws come in the order of ``iter_type_profiles`` over ``order`` with the
+    same probability products, so each float sum adds the same terms in the
+    same order. Drawn prefixes are shared and zero-probability types skipped.
     """
     levels = [
         [(t, p) for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0]
-        for e in elements
+        for e in order
     ]
-    arcs, width = 0, 1
-    for draws in levels:
-        width *= len(draws)
-        arcs += width
-    meter.spend(arcs, len(elements))
+    values: list[Scalar] = [0] * len(fs)
     stack: list[tuple[int, frozenset[str], Scalar]] = [(0, frozenset(), 1)]
     while stack:
         i, types, q = stack.pop()
-        if i == len(levels):
-            yield types, q
+        if i < len(levels):
+            # pushed in reverse so the first type is drawn first
+            stack.extend((i + 1, types | {t}, q * p) for t, p in reversed(levels[i]))
             continue
-        # pushed in reverse so the first type is drawn first
-        for t, p in reversed(levels[i]):
-            stack.append((i + 1, types | {t}, q * p))
-
-
-def _set_values(
-    fs: Sequence[Callable[[frozenset[str]], Scalar]],
-    universe: Universe,
-    dist: TypeDistribution,
-    meter: _WorkMeter,
-) -> Callable[[frozenset[str], Sequence[str]], list[Scalar]]:
-    """``values(elements, order)``: the expectation of each of ``fs`` over
-    fresh true draws of ``elements``, from one pass over the draws per element
-    set. The draws follow ``order`` restricted to ``elements``, which fixes the
-    order of each float sum.
-    """
-    table: dict[frozenset[str], list[Scalar]] = {}
-
-    def values(elements: frozenset[str], order: Sequence[str]) -> list[Scalar]:
-        got = table.get(elements)
-        if got is None:
-            drawn = [e for e in order if e in elements]
-            got = [0] * len(fs)
-            for types, q in _fresh_draws(drawn, universe, dist, meter):
-                for i, f in enumerate(fs):
-                    got[i] = got[i] + q * f(types)
-            table[elements] = got
-        return got
-
+        for j, f in enumerate(fs):
+            values[j] = values[j] + q * f(types)
     return values
 
 
-def _virtual_paths(
-    tree: DecisionTree, dist: TypeDistribution
-) -> Iterator[tuple[tuple[frozenset[str], tuple[str, ...]], Scalar]]:
-    """``((probed set, order), probability)`` per virtual path, in
-    ``iter_tree_paths`` order. The paths that probe one set share one pair,
-    with the order of the first of them, which is the order its draws follow,
-    so a listing of the paths holds each set once."""
-    first: dict[frozenset[str], tuple[frozenset[str], tuple[str, ...]]] = {}
-    for steps, p in iter_tree_paths(tree, dist):
-        path = tuple(e for e, _ in steps)
-        elements = frozenset(path)
-        yield first.setdefault(elements, (elements, path)), p
-
-
-def _alg_values(
-    paths: Iterable[tuple[tuple[frozenset[str], tuple[str, ...]], Scalar]],
+def _walk_values(
+    sets: Sequence[list],
     fs: Sequence[Callable[[frozenset[str]], Scalar]],
     universe: Universe,
     dist: TypeDistribution,
-    work_cap: int,
 ) -> list[Scalar]:
-    """The random-walk value of each of ``fs`` over ``paths``: one fresh-draw
-    pass per distinct probed set values every function, and each total adds
-    its paths in order."""
-    values = _set_values(fs, universe, dist, _WorkMeter(work_cap))
+    """The random-walk value of each of ``fs``: over ``_probed_sets`` entries,
+    each set's probability times its fresh-draw expectation."""
     totals: list[Scalar] = [0] * len(fs)
-    for (elements, order), p in paths:
-        for i, v in enumerate(values(elements, order)):
+    for order, p in sets:
+        for i, v in enumerate(_draw_values(fs, order, universe, dist)):
             totals[i] = totals[i] + p * v
     return totals
 
@@ -318,14 +301,14 @@ def alg_exact(
 ) -> EvalReport:
     """Expected value of the random-walk non-adaptive strategy.
 
-    Outer sum over virtual root-leaf paths weighted by path probability;
-    inner sum over fresh independent types for the probed elements, once per
-    distinct probed set. ``f`` may be any function of the set of true types.
+    Outer sum over the distinct sets the virtual root-leaf paths probe,
+    weighted by the probability of their paths; inner sum over fresh
+    independent types for the set's elements. ``f`` may be any function of
+    the set of true types.
     """
     validate_tree(tree, universe)
-    paths = _virtual_paths(tree, dist)
-    value = _alg_values(paths, [f], universe, dist, work_cap)[0]
-    return EvalReport(value=value, mode="exact")
+    sets = _probed_sets(tree, dist, work_cap)
+    return EvalReport(value=_walk_values(sets, [f], universe, dist)[0], mode="exact")
 
 
 def greedy_interleaved_exact(
@@ -547,13 +530,13 @@ def best_nonadaptive_exact(
     """Exhaustive best fixed probing set under the constraint.
 
     Value depends only on the probed set and feasibility on the constraint
-    state, so the search visits each distinct (set, state) pair once, and
-    the fresh draws of every set it values spend one work meter.
-    Returns the lexicographically smallest maximizing sequence.
+    state, so the search visits each distinct (set, state) pair once. It
+    keeps the first sequence of each set and charges the set's fresh draws
+    to one work meter; each set is valued after the search, once. Returns
+    the lexicographically smallest maximizing sequence.
     """
-    values = _set_values([f], universe, dist, _WorkMeter(work_cap))
-    best_seq: tuple[str, ...] = ()
-    best_val: Scalar = 0
+    meter = _WorkMeter(work_cap)
+    firsts: dict[frozenset[str], tuple[tuple[str, ...], list[str]]] = {}
     sequences = _feasible_sequences(constraint, sorted(universe.elements), max_len)
     for expanded, seq in enumerate(sequences, 1):
         if expanded > sequence_cap:
@@ -561,7 +544,15 @@ def best_nonadaptive_exact(
                 f"more than {sequence_cap} distinct (set, constraint state) pairs; "
                 "use an instance-specific closed form"
             )
-        v = values(frozenset(seq), universe.elements)[0]
+        if (elements := frozenset(seq)) not in firsts:
+            # draws follow the universe order, whatever order the set was probed in
+            order = [e for e in universe.elements if e in elements]
+            meter.spend_draws(order, dist)
+            firsts[elements] = seq, order
+    best_seq: tuple[str, ...] = ()
+    best_val: Scalar = 0
+    for seq, order in firsts.values():
+        v = _draw_values([f], order, universe, dist)[0]
         if v > best_val:
             best_val = v
             best_seq = seq

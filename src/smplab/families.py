@@ -273,13 +273,9 @@ def max_rank(
     }
     cand.sort(key=lambda t: (-w[t], t))
     if family.is_matroid:
-        chosen: frozenset[str] = frozenset()
         total: Scalar = 0
-        for t in cand:
-            ext = chosen | {t}
-            if family.is_independent(ext):
-                chosen = ext
-                total = total + w[t]
+        for t in greedy_select(family, cand):  # left to right; sum() compensates on 3.12+
+            total = total + w[t]
         return total
     if isinstance(family, PathChainFamily):
         return family._best_root_path(cand, w)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .core import Scalar, TypeDistribution, Universe, ValidationError
-from .evaluate import DEFAULT_WORK_CAP, EvalReport, _alg_values, _virtual_paths
+from .evaluate import DEFAULT_WORK_CAP, EvalReport, _probed_sets, _walk_values
 from .families import IndependenceOracle, _best_subset
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, WeightedRankValuation
@@ -189,15 +189,15 @@ def combined_value(
     combined selection's weight is a function of the set of true types, so
     its expectation over virtual paths and fresh true types is the
     random-walk value of that function, crediting each selected type with
-    its actual weight. The tree is checked and its virtual paths listed once;
-    one fresh-draw pass per distinct probed set values every class, and one
-    more values the combined weight.
+    its actual weight. The tree is checked and its distinct probed sets
+    listed once; one fresh-draw pass per set values every class, and one more
+    values the combined weight.
     """
     validate_tree(tree, universe)
     decomposition = class_decompose(weights, family)
-    paths = list(_virtual_paths(tree, dist))
+    sets = _probed_sets(tree, dist, work_cap)
     classes = decomposition.classes
-    values = _alg_values(paths, list(classes.values()), universe, dist, work_cap)
+    values = _walk_values(sets, list(classes.values()), universe, dist)
     class_alg = dict(zip(classes, values))
     scaled = {j: two_power(j) * v for j, v in class_alg.items()}
     buckets = bucketize(decomposition.hi, decomposition.lo, k)
@@ -207,7 +207,7 @@ def combined_value(
         picked = greedy_optimal_combine(types, decomposition, representatives, family)
         return sum(weights[t] for t in sorted(picked))
 
-    total = _alg_values(paths, [combined_weight], universe, dist, work_cap)[0]
+    total = _walk_values(sets, [combined_weight], universe, dist)[0]
 
     trace = {
         "class_alg": class_alg,

@@ -146,7 +146,8 @@ def family_to_dict(family: IndependenceOracle) -> dict:
     raise ValidationError(f"cannot serialize family kind {family.kind!r}")
 
 
-def family_from_dict(doc: dict) -> IndependenceOracle:
+def family_from_dict(doc: Any) -> IndependenceOracle:
+    doc = _object(doc, "family")
     kind = doc.get("kind")
     if kind == "partition_matroid":
         return PartitionMatroid(
@@ -155,13 +156,15 @@ def family_from_dict(doc: dict) -> IndependenceOracle:
         )
     if kind == "matching":
         return MatchingFamily(
-            {t: _strings(uv, f"matching edge of {t!r}", 2) for t, uv in doc["edges"].items()}
+            {t: _strings(uv, f"matching edge of {t!r}", 2)
+             for t, uv in _object(doc["edges"], "matching edges").items()}
         )
     if kind == "intersection":
         return IntersectionFamily(tuple(family_from_dict(m) for m in doc["members"]))
     if kind == "path_chain":
         return PathChainFamily(
-            {t: _strings(uv, f"path_chain edge of {t!r}", 2) for t, uv in doc["edges"].items()},
+            {t: _strings(uv, f"path_chain edge of {t!r}", 2)
+             for t, uv in _object(doc["edges"], "path_chain edges").items()},
             doc["root"],
         )
     if kind == "explicit":
@@ -219,7 +222,8 @@ def valuation_from_dict(doc: Any) -> ValuationFunction:
     if kind == "weighted_rank":
         return WeightedRankValuation(
             family_from_dict(doc["family"]),
-            {t: _scalar(w, f"weight of type {t!r}") for t, w in doc["weights"].items()},
+            {t: _scalar(w, f"weight of type {t!r}")
+             for t, w in _object(doc["weights"], "weights").items()},
             _integer(doc.get("rank_cap", 20), "rank_cap"),
         )
     if kind == "explicit":
@@ -260,22 +264,26 @@ def constraint_to_dict(constraint: ConstraintOracle) -> dict:
     raise ValidationError(f"cannot serialize constraint kind {constraint.kind!r}")
 
 
-def constraint_from_dict(doc: dict) -> ConstraintOracle:
+def constraint_from_dict(doc: Any) -> ConstraintOracle:
+    doc = _object(doc, "constraint")
     kind = doc.get("kind")
     if kind == "budget":
         return BudgetConstraint(
-            {e: _scalar(c, f"cost of {e!r}") for e, c in doc["cost"].items()},
+            {e: _scalar(c, f"cost of {e!r}") for e, c in _object(doc["cost"], "cost").items()},
             _scalar(doc["budget"], "budget"),
         )
     if kind == "cardinality":
         return CardinalityConstraint(_integer(doc["limit"], "limit"))
     if kind == "dag_path":
         return DagPathConstraint(
-            {e: _strings(out, f"arcs of {e!r}") for e, out in doc["arcs"].items()}, doc["start"]
+            {e: _strings(out, f"arcs of {e!r}")
+             for e, out in _object(doc["arcs"], "arcs").items()},
+            doc["start"],
         )
     if kind == "tree_fan":
         return TreeFanConstraint(
-            {e: _strings(uv, f"tree_fan edge of {e!r}", 2) for e, uv in doc["edges"].items()},
+            {e: _strings(uv, f"tree_fan edge of {e!r}", 2)
+             for e, uv in _object(doc["edges"], "tree_fan edges").items()},
             doc["root"],
         )
     if kind == "table":
@@ -311,7 +319,7 @@ def tree_from_dict(doc) -> DecisionTree:
         return leaf()
     try:
         element = doc["element"]
-        children = doc["children"]
+        children = _object(doc["children"], "tree node children")
     except (TypeError, KeyError) as exc:
         raise ParseError("tree nodes need 'element' and 'children'") from exc
     return probe(element, {t: tree_from_dict(child) for t, child in children.items()})
@@ -375,10 +383,11 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
     if not isinstance(doc, dict) or doc.get("schema") != INSTANCE_SCHEMA:
         raise ParseError(f"expected schema {INSTANCE_SCHEMA!r}")
     try:
-        uni = doc["universe"]
+        uni = _object(doc["universe"], "universe")
         universe = Universe(
             _strings(uni["elements"], "universe elements"),
-            {e: _strings(ts, f"types of {e!r}") for e, ts in uni["types"].items()},
+            {e: _strings(ts, f"types of {e!r}")
+             for e, ts in _object(uni["types"], "universe types").items()},
         )
         rows = _object(doc["distribution"], "distribution")
         dist = TypeDistribution(
@@ -395,14 +404,12 @@ def instance_from_dict(doc: dict) -> InstanceBundle:
         tree = tree_from_dict(doc["tree"]) if doc.get("tree") is not None else None
         if tree is not None:
             validate_tree(tree, universe)
-        metadata = _meta_from_json(doc.get("metadata", {}))
+        metadata = _meta_from_json(_object(doc.get("metadata", {}), "metadata"))
         dist.validate_against(universe)
     except ParseError:
         raise
     # ValueError covers ValidationError; int() raises ValueError or OverflowError
-    except (
-        AttributeError, KeyError, TypeError, ValueError, OverflowError, RecursionError
-    ) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"malformed instance document: {exc}") from exc
     return InstanceBundle(universe, dist, valuation, constraint, tree, metadata)
 

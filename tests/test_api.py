@@ -10,7 +10,6 @@ import smplab
 
 OPTIONS = [
     "smplab.cli.main(argv)",
-    "smplab.core.iter_type_profiles(cap)",
     "smplab.evaluate.adap_by_path_enumeration(work_cap)",
     "smplab.evaluate.adap_exact(work_cap)",
     "smplab.evaluate.adap_mc(workers)",

@@ -312,6 +312,47 @@ class TestEvalCommands:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "key, part, named",
+        [
+            ("universe", [], "universe must be a JSON object, not list"),
+            ("universe", {"elements": ["e0"], "types": [["e0", ["e0.t0"]]]},
+             "universe types must be a JSON object, not list"),
+            ("metadata", [], "metadata must be a JSON object, not list"),
+            ("constraint", [], "constraint must be a JSON object, not list"),
+            ("constraint", {"kind": "budget", "cost": [["e0", "1"]], "budget": "1"},
+             "cost must be a JSON object, not list"),
+            ("constraint", {"kind": "dag_path", "arcs": [["e0", []]], "start": "e0"},
+             "arcs must be a JSON object, not list"),
+            ("constraint", {"kind": "tree_fan", "edges": [["e0", ["r", "v"]]], "root": "r"},
+             "tree_fan edges must be a JSON object, not list"),
+            ("valuation", {"kind": "weighted_rank", "weights": [["e0.t0", "1"]],
+                           "family": {"kind": "explicit", "ground": [], "sets": []}},
+             "weights must be a JSON object, not list"),
+            ("valuation", {"kind": "weighted_rank", "weights": {}, "family": ["matching"]},
+             "family must be a JSON object, not list"),
+            ("valuation", {"kind": "weighted_rank", "weights": {},
+                           "family": {"kind": "matching", "edges": [["e0.t0", ["u", "v"]]]}},
+             "matching edges must be a JSON object, not list"),
+            ("valuation", {"kind": "weighted_rank", "weights": {}, "family": {
+                "kind": "path_chain", "edges": [["e0.t0", ["r", "v"]]], "root": "r"}},
+             "path_chain edges must be a JSON object, not list"),
+            ("tree", {"element": "e0", "children": [["e0.t0", None]]},
+             "tree node children must be a JSON object, not list"),
+        ],
+        ids=["universe", "universe_types", "metadata", "constraint", "cost", "dag_arcs",
+             "tree_fan_edges", "weights", "family", "matching_edges", "path_chain_edges",
+             "tree_children"],
+    )
+    def test_eval_names_a_field_that_must_be_an_object(
+        self, instance_file, capsys, key, part, named
+    ):
+        doc = json.loads(instance_file.read_text())
+        doc[key] = part
+        instance_file.write_text(json.dumps(doc))
+        assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "valuation, named",
         [
             # read through dict() as a mapping, this pair would name a real part

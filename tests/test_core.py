@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from smplab import (
-    ExactCapExceeded,
     RandomStream,
     TypeDistribution,
     ValidationError,
@@ -185,19 +184,6 @@ class TestEnumeration:
         for subset in (("a",), ("b",), ("a", "b")):
             total = sum(p for _, p in iter_type_profiles(universe, dist, subset))
             assert abs(total - 1) <= 1e-9
-
-    def test_cap_exceeded(self):
-        space = {f"e{i}": (f"e{i}.x", f"e{i}.y") for i in range(21)}
-        universe = universe_from_type_space(space)
-        dist = TypeDistribution(
-            {e: {ts[0]: 0.5, ts[1]: 0.5} for e, ts in space.items()}
-        )
-        with pytest.raises(ExactCapExceeded, match="more than 1048576"):
-            list(iter_type_profiles(universe, dist, universe.elements, cap=1 << 20))
-        three = universe.elements[:3]
-        assert len(list(iter_type_profiles(universe, dist, three, cap=8))) == 8
-        with pytest.raises(ExactCapExceeded, match="more than 7"):
-            list(iter_type_profiles(universe, dist, three, cap=7))
 
     def test_unknown_element(self):
         universe, dist = two_coin_universe()

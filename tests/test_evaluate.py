@@ -35,7 +35,6 @@ from smplab import (
     universe_from_type_space,
     validate_tree,
 )
-from smplab.core import iter_type_profiles
 from smplab.evaluate import MC_BLOCK
 from oracles import (
     brute_adap,
@@ -223,6 +222,30 @@ class TestAlgExact:
         need = "work cap of 20: fresh draws of a 21-element set need 21 units on top of 0;"
         with pytest.raises(ExactCapExceeded, match=need):
             alg_exact(tree, f, universe, dist, work_cap=20)
+
+    @pytest.mark.parametrize(
+        "eps, cap, need",
+        [
+            (Fraction(1, 4), {"work_cap": 10_000}, "work cap of 10000: fresh draws of a "
+             "11-element set need 4094 units on top of 8188;"),
+            (Fraction(1, 5), {}, "work cap of 4194304: fresh draws of a "
+             "16-element set need 131070 units on top of 4194240;"),
+        ],
+        ids=["eps_1_4-cap_10000", "eps_1_5-default_cap"],
+    )
+    def test_refuses_before_any_draw(self, eps, cap, need):
+        # every distinct probed set is charged before the first one is valued
+        bundle = gen_submodular_lb(eps)
+        calls = 0
+
+        def f(types):
+            nonlocal calls
+            calls += 1
+            return bundle.valuation(types)
+
+        with pytest.raises(ExactCapExceeded, match=need):
+            alg_exact(bundle.tree, f, bundle.universe, bundle.dist, **cap)
+        assert calls == 0
 
 
 class TestGreedyInterleaved:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,16 +11,20 @@ from smplab import (
     ExactCapExceeded,
     MatchingFamily,
     RandomInstanceParams,
+    TypeDistribution,
     ValidationError,
     adap_exact,
     alg_exact,
     bucketize,
+    chain_tree,
     class_decompose,
     combined_value,
     gen_random_instance,
     greedy_optimal_combine,
+    make_uniform_matroid,
     max_rank,
     select_representatives,
+    universe_from_type_space,
     weight_class,
 )
 from smplab import evaluate, strategy
@@ -352,6 +357,24 @@ class TestCombinedValue:
             calls.update(nodes=0, paths=0)
             combined_value(inst.tree, inst.weights, inst.family, 2, inst.universe, inst.dist)
             assert calls == {"nodes": 1, "paths": 1}
+
+    def test_memory_stays_flat_in_the_path_count(self):
+        # 16384 virtual paths, all probing one 14-element set: the sums keep
+        # one entry per distinct set, where a per-path listing peaked at 1.7 MB
+        space = {f"e{i}": (f"e{i}.a", f"e{i}.b") for i in range(14)}
+        universe = universe_from_type_space(space)
+        dist = TypeDistribution({e: dict.fromkeys(ts, 0.5) for e, ts in space.items()})
+        weights = {t: int(t == "e0.a") for t in universe.all_types}
+        family = make_uniform_matroid(universe.all_types, 1)
+        tree = chain_tree(universe, universe.elements)
+        tracemalloc.start()
+        try:
+            rep = combined_value(tree, weights, family, 2, universe, dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.value == 0.5
+        assert peak < 1_000_000
 
     def test_single_class_instance_collapses(self):
         # all weights in one class: the combiner is the class-restricted pick
