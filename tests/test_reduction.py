@@ -360,7 +360,7 @@ class TestCombinedValue:
 
     def test_memory_stays_flat_in_the_path_count(self):
         # 16384 virtual paths, all probing one 14-element set: the sums keep
-        # one entry per distinct set, where a per-path listing peaked at 1.7 MB
+        # one entry per distinct set; one entry per path would peak near 1.7 MB
         space = {f"e{i}": (f"e{i}.a", f"e{i}.b") for i in range(14)}
         universe = universe_from_type_space(space)
         dist = TypeDistribution({e: dict.fromkeys(ts, 0.5) for e, ts in space.items()})
