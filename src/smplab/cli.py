@@ -8,6 +8,7 @@ errors and bound violations exit nonzero with the offending item named.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -321,6 +322,7 @@ def _write_outputs(records, timings, out: str) -> None:
     csv_path.write_text(report_to_csv(records))
 
 
+@functools.cache  # parsing leaves the parser as it was, so every call can share one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smplab",

@@ -116,13 +116,9 @@ class TypeDistribution:
         return self.probs[element][type_id]
 
     def validate_against(self, universe: Universe) -> None:
-        if set(self.probs) != set(universe.elements):
-            raise ValidationError("distribution does not cover exactly the universe")
-        for e in universe.elements:
-            if set(self.probs[e]) != set(universe.type_space[e]):
-                raise ValidationError(
-                    f"distribution for element {e!r} does not match its type space"
-                )
+        for e in [*universe.elements, *self.probs]:
+            if set(self.probs.get(e, ())) != set(universe.type_space.get(e, ())):
+                raise ValidationError(f"distribution[{e!r}] does not match universe.types[{e!r}]")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TypeDistribution) and self.probs == other.probs

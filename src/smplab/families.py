@@ -125,9 +125,9 @@ class IntersectionFamily(IndependenceOracle):
         if not self.members:
             raise ValidationError("intersection needs at least one family")
         ground = self.members[0].ground
-        for m in self.members[1:]:
+        for i, m in enumerate(self.members):
             if m.ground != ground:
-                raise ValidationError("intersected families must share one ground set")
+                raise ValidationError(f"members[{i}] has another ground set than members[0]")
         self.ground = ground
 
     @property
@@ -318,4 +318,5 @@ def _best_subset(
         search(i + 1, chosen, acc)
 
     search(0, fixed, 0)  # ``chosen`` carries ``fixed`` along
+    del search  # the closure refers to itself: a cycle only the collector would free
     return best[0] - fixed, best[1]

@@ -9,16 +9,17 @@ and exact-mode evaluation stays bit-exact after a round trip.
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .core import Scalar, TypeDistribution, Universe, ValidationError, check_finite
 from .families import (
     ExplicitFamily,
-    IndependenceOracle,
     IntersectionFamily,
     MatchingFamily,
     PartitionMatroid,
@@ -28,19 +29,16 @@ from .instances import InstanceBundle
 from .strategy import (
     BudgetConstraint,
     CardinalityConstraint,
-    ConstraintOracle,
     DagPathConstraint,
-    DecisionTree,
     TableConstraint,
     TreeFanConstraint,
+    _tree_nodes,
     leaf,
     probe,
     validate_tree,
 )
 from .valuation import (
     ExplicitValuation,
-    ValuationFunction,
-    WeightedCoverageValuation,
     WeightedRankValuation,
     coverage_valuation,
     partition_weighted_valuation,
@@ -53,7 +51,7 @@ _TREE_NODE_CAP = 200_000
 
 
 class ParseError(ValueError):
-    """A document failed to parse: bad JSON, schema, or unknown kind."""
+    """A document failed to parse; a bad field is named by its JSON path."""
 
 
 def scalar_to_str(x: Scalar) -> str:
@@ -74,344 +72,296 @@ def str_to_scalar(s: str) -> Scalar:
         raise ParseError(f"bad scalar {s!r}") from exc
 
 
-def _pairs(mapping: Mapping[Any, Scalar]) -> list[list]:
-    return [[key, scalar_to_str(val)] for key, val in mapping.items()]
+# --- field shapes -----------------------------------------------------------
+#
+# A shape writes one kind of model value as JSON and reads it back. ``read``
+# names a bad value by its JSON path: record fields join with ".", object
+# keys and array indices with "[...]", as in
+# ``valuation.family.members[0].capacity['q0']``.
 
 
-def _scalar(value: Any, field: str) -> Scalar:
-    """A scalar field, which travels as a JSON string; a JSON number is rejected."""
-    if not isinstance(value, str):
-        raise ParseError(f"{field} must be a JSON string, not {value!r}")
-    return str_to_scalar(value)
-
-
-def _integer(value: Any, field: str) -> int:
-    """A JSON integer field; bools, floats and strings are rejected."""
-    if type(value) is not int:
-        raise ParseError(f"{field} must be a JSON integer, not {value!r}")
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{path} must be a JSON object, not {reprlib.repr(value)}")
     return value
 
 
-def _strings(value: Any, field: str, size: int | None = None) -> tuple[str, ...]:
-    """A JSON array of strings, of ``size`` entries when given; a bare string
-    is rejected rather than split into its characters."""
-    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)
-            and size in (None, len(value))):
-        what = "strings" if size is None else f"{size} strings"
-        raise ParseError(f"{field} must be a JSON array of {what}, not {value!r}")
-    return tuple(value)
-
-
-def _label(value: Any, field: str) -> str | int:
-    if type(value) not in (str, int):
-        raise ParseError(f"{field} must be a JSON string or integer, not {value!r}")
-    return value
-
-
-def _unpairs(pairs: Any, field: str) -> dict:
-    """A JSON array of [label, scalar] pairs, as a dict in array order."""
-    if not (isinstance(pairs, list) and all(isinstance(kv, list) and len(kv) == 2
-                                            for kv in pairs)):
-        raise ParseError(f"{field} must be a JSON array of [label, scalar] pairs, not {pairs!r}")
-    return {_label(key, f"{field} label"): _scalar(val, f"{field} of {key!r}")
-            for key, val in pairs}
-
-
-# --- families ---------------------------------------------------------------
-
-
-def family_to_dict(family: IndependenceOracle) -> dict:
-    if isinstance(family, PartitionMatroid):
-        return {
-            "kind": "partition_matroid",
-            "part_of": dict(family.part_of),
-            "capacity": [[p, c] for p, c in family.capacity.items()],
-        }
-    if isinstance(family, MatchingFamily):
-        return {"kind": "matching", "edges": {t: list(uv) for t, uv in family.edges.items()}}
-    if isinstance(family, IntersectionFamily):
-        return {"kind": "intersection", "members": [family_to_dict(m) for m in family.members]}
-    if isinstance(family, PathChainFamily):
-        return {
-            "kind": "path_chain",
-            "edges": {t: list(uv) for t, uv in family.edges.items()},
-            "root": family.root,
-        }
-    if isinstance(family, ExplicitFamily):
-        return {
-            "kind": "explicit",
-            "ground": sorted(family.ground),
-            "sets": sorted(sorted(s) for s in family.sets),
-        }
-    raise ValidationError(f"cannot serialize family kind {family.kind!r}")
-
-
-def family_from_dict(doc: Any) -> IndependenceOracle:
-    doc = _object(doc, "family")
-    kind = doc.get("kind")
-    if kind == "partition_matroid":
-        return PartitionMatroid(
-            _object(doc["part_of"], "part_of"),
-            {p: _integer(c, f"capacity of part {p!r}") for p, c in doc["capacity"]},
-        )
-    if kind == "matching":
-        return MatchingFamily(
-            {t: _strings(uv, f"matching edge of {t!r}", 2)
-             for t, uv in _object(doc["edges"], "matching edges").items()}
-        )
-    if kind == "intersection":
-        return IntersectionFamily(tuple(family_from_dict(m) for m in doc["members"]))
-    if kind == "path_chain":
-        return PathChainFamily(
-            {t: _strings(uv, f"path_chain edge of {t!r}", 2)
-             for t, uv in _object(doc["edges"], "path_chain edges").items()},
-            doc["root"],
-        )
-    if kind == "explicit":
-        return ExplicitFamily(
-            _strings(doc["ground"], "family ground"),
-            [_strings(s, "family set") for s in doc["sets"]],
-        )
-    raise ParseError(f"unknown family kind {kind!r}")
-
-
-# --- valuations -------------------------------------------------------------
-
-
-def valuation_to_dict(valuation: ValuationFunction) -> dict:
-    if isinstance(valuation, WeightedCoverageValuation):
-        doc: dict = {"kind": valuation.kind}
-        if valuation.kind == "coverage":
-            doc["cover_sets"] = {t: sorted(s) for t, s in valuation.reach_of.items()}
-        else:
-            doc["part_of"] = {t: p for t, s in valuation.reach_of.items() for p in s}
-            doc["part_weight"] = _pairs(valuation.weight)
-        # unit weights on the cover sets, or one part per type, and nothing else
-        if valuation_from_dict(doc) != valuation:
-            raise ValidationError(f"a {valuation.kind} document cannot hold this valuation")
-        return doc
-    if isinstance(valuation, WeightedRankValuation):
-        return {
-            "kind": "weighted_rank",
-            "family": family_to_dict(valuation.family),
-            "weights": {t: scalar_to_str(w) for t, w in valuation.weights.items()},
-            "rank_cap": valuation.rank_cap,
-        }
-    if isinstance(valuation, ExplicitValuation):
-        return {
-            "kind": "explicit",
-            "ground": sorted(valuation.ground),
-            "table": [[sorted(k), scalar_to_str(v)] for k, v in
-                      sorted(valuation.table.items(), key=lambda kv: sorted(kv[0]))],
-        }
-    raise ValidationError(f"cannot serialize valuation kind {valuation.kind!r}")
-
-
-def valuation_from_dict(doc: Any) -> ValuationFunction:
-    doc = _object(doc, "valuation")
-    kind = doc.get("kind")
-    if kind == "coverage":
-        cover_sets = _object(doc["cover_sets"], "cover_sets").items()
-        return coverage_valuation({t: _strings(s, f"cover set of {t!r}") for t, s in cover_sets})
-    if kind == "partition_weighted":
-        part_of = _object(doc["part_of"], "part_of")
-        return partition_weighted_valuation(
-            {t: _label(p, f"part of {t!r}") for t, p in part_of.items()},
-            _unpairs(doc["part_weight"], "part_weight"),
-        )
-    if kind == "weighted_rank":
-        return WeightedRankValuation(
-            family_from_dict(doc["family"]),
-            {t: _scalar(w, f"weight of type {t!r}")
-             for t, w in _object(doc["weights"], "weights").items()},
-            _integer(doc.get("rank_cap", 20), "rank_cap"),
-        )
-    if kind == "explicit":
-        return ExplicitValuation(
-            _strings(doc["ground"], "valuation ground"),
-            {frozenset(_strings(k, "table key")): _scalar(v, f"table value for {k}")
-             for k, v in doc["table"]},
-        )
-    raise ParseError(f"unknown valuation kind {kind!r}")
-
-
-# --- constraints ------------------------------------------------------------
-
-
-def constraint_to_dict(constraint: ConstraintOracle) -> dict:
-    if isinstance(constraint, BudgetConstraint):
-        return {
-            "kind": "budget",
-            "cost": {e: scalar_to_str(c) for e, c in constraint.cost.items()},
-            "budget": scalar_to_str(constraint.budget),
-        }
-    if isinstance(constraint, CardinalityConstraint):
-        return {"kind": "cardinality", "limit": constraint.limit}
-    if isinstance(constraint, DagPathConstraint):
-        return {
-            "kind": "dag_path",
-            "arcs": {e: sorted(out) for e, out in constraint.arcs.items()},
-            "start": constraint.start,
-        }
-    if isinstance(constraint, TreeFanConstraint):
-        return {
-            "kind": "tree_fan",
-            "edges": {e: list(uv) for e, uv in constraint.edges.items()},
-            "root": constraint.root,
-        }
-    if isinstance(constraint, TableConstraint):
-        return {"kind": "table", "sequences": sorted(list(s) for s in constraint.sequences)}
-    raise ValidationError(f"cannot serialize constraint kind {constraint.kind!r}")
-
-
-def constraint_from_dict(doc: Any) -> ConstraintOracle:
-    doc = _object(doc, "constraint")
-    kind = doc.get("kind")
-    if kind == "budget":
-        return BudgetConstraint(
-            {e: _scalar(c, f"cost of {e!r}") for e, c in _object(doc["cost"], "cost").items()},
-            _scalar(doc["budget"], "budget"),
-        )
-    if kind == "cardinality":
-        return CardinalityConstraint(_integer(doc["limit"], "limit"))
-    if kind == "dag_path":
-        return DagPathConstraint(
-            {e: _strings(out, f"arcs of {e!r}")
-             for e, out in _object(doc["arcs"], "arcs").items()},
-            doc["start"],
-        )
-    if kind == "tree_fan":
-        return TreeFanConstraint(
-            {e: _strings(uv, f"tree_fan edge of {e!r}", 2)
-             for e, uv in _object(doc["edges"], "tree_fan edges").items()},
-            doc["root"],
-        )
-    if kind == "table":
-        return TableConstraint([_strings(s, "table sequence") for s in doc["sequences"]])
-    raise ParseError(f"unknown constraint kind {kind!r}")
-
-
-# --- trees ------------------------------------------------------------------
-
-
-def tree_to_dict(tree: DecisionTree) -> dict | None:
-    count = 0
-
-    def enc(node: DecisionTree):
-        nonlocal count
-        count += 1
-        if count > _TREE_NODE_CAP:
-            raise ValidationError(
-                f"tree too large to serialize: expands past {_TREE_NODE_CAP} nodes"
-            )
-        if node.is_leaf:
-            return None
-        return {
-            "element": node.element,
-            "children": {t: enc(child) for t, child in node.children.items()},
-        }
-
-    return enc(tree)
-
-
-def tree_from_dict(doc) -> DecisionTree:
-    if doc is None:
-        return leaf()
+def _construct(build: Callable, path: str, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValidationError prefixed by ``path``."""
     try:
-        element = doc["element"]
-        children = _object(doc["children"], "tree node children")
-    except (TypeError, KeyError) as exc:
-        raise ParseError("tree nodes need 'element' and 'children'") from exc
-    return probe(element, {t: tree_from_dict(child) for t, child in children.items()})
+        return build(*args, **kwargs)
+    except ValidationError as exc:
+        raise ParseError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
-# --- metadata and whole bundles ---------------------------------------------
+class _Leaf:
+    """A JSON value of one of ``types``, passed through ``load`` and ``dump``
+    when given."""
+
+    def __init__(self, what: str, types: tuple, load=None, dump=None):
+        self.what, self.types, self.load, self.dump = what, types, load, dump
+
+    def write(self, value):
+        return self.dump(value) if self.dump else value
+
+    def read(self, value, path):
+        if type(value) not in self.types:  # bools and floats are no JSON integers here
+            raise ParseError(f"{path} must be {self.what}, not {reprlib.repr(value)}")
+        try:
+            return self.load(value) if self.load else value
+        except ParseError as exc:  # a scalar string that is no number
+            raise ParseError(f"{path}: {exc}") from exc
 
 
-def _meta_to_json(meta: Mapping) -> dict:
-    out = {}
-    for key, val in meta.items():
-        if isinstance(val, bool) or val is None or isinstance(val, str):
-            out[key] = val
-        elif isinstance(val, (int, float, Fraction)):
-            out[key] = {"scalar": scalar_to_str(val)}
-        else:
-            raise ValidationError(f"metadata value for {key!r} is not serializable")
-    return out
+class _Array:
+    """A JSON array of ``item``, read as a tuple: of ``size`` entries when
+    given, and written sorted when ``sort`` is set."""
+
+    def __init__(self, item, size: int | None = None, sort: bool = False):
+        self.item, self.size, self.sort = item, size, sort
+
+    def write(self, values):
+        out = [self.item.write(x) for x in values]
+        return sorted(out) if self.sort else out
+
+    def read(self, value, path):
+        if not isinstance(value, list) or self.size not in (None, len(value)):
+            length = "" if self.size is None else f" of length {self.size}"
+            raise ParseError(f"{path} must be a JSON array{length}, not {reprlib.repr(value)}")
+        return tuple(self.item.read(x, f"{path}[{i}]") for i, x in enumerate(value))
 
 
-def _meta_from_json(doc: Mapping) -> dict:
-    out = {}
-    for key, val in doc.items():
-        if isinstance(val, dict) and set(val) == {"scalar"}:
-            out[key] = _scalar(val["scalar"], f"metadata value for {key!r}")
-            check_finite(out[key], f"metadata value for {key!r}")
-        else:
-            out[key] = val
-    return out
+class _Mapping:
+    """A JSON object whose values are ``item``."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def write(self, mapping):
+        return {key: self.item.write(val) for key, val in mapping.items()}
+
+    def read(self, value, path):
+        return {key: self.item.read(val, f"{path}[{key!r}]")
+                for key, val in _object(value, path).items()}
+
+
+class _Pairs:
+    """A mapping written as a JSON array of [key, value] pairs, for keys that
+    JSON objects cannot hold; written sorted when ``sort`` is set."""
+
+    def __init__(self, key, value, sort: bool = False):
+        self.key, self.value, self.sort = key, value, sort
+
+    def write(self, mapping):
+        out = [[self.key.write(k), self.value.write(v)] for k, v in mapping.items()]
+        return sorted(out) if self.sort else out
+
+    def read(self, value, path):
+        if not (isinstance(value, list)
+                and all(isinstance(kv, list) and len(kv) == 2 for kv in value)):
+            raise ParseError(
+                f"{path} must be a JSON array of [key, value] pairs, not {reprlib.repr(value)}"
+            )
+        return {self.key.read(k, f"{path}[{i}][0]"): self.value.read(v, f"{path}[{k!r}]")
+                for i, (k, v) in enumerate(value)}
+
+
+class _Record:
+    """A JSON object with one field per parameter of ``build``, which makes
+    the model object; a field whose parameter has a default may be left out.
+    ``dump`` gives an object's field values (default: its attributes)."""
+
+    def __init__(self, build: Callable, fields: dict, dump: Callable = vars):
+        self.build, self.fields, self.dump = build, fields, dump
+        params = inspect.signature(build).parameters.values()
+        self.optional = {p.name for p in params if p.default is not p.empty}
+
+    def write(self, obj):
+        values = self.dump(obj)
+        return {key: shape.write(values[key]) for key, shape in self.fields.items()}
+
+    def read(self, value, path):
+        _object(value, path)
+        args = {}
+        for key, shape in self.fields.items():
+            field = f"{path}.{key}" if path else key
+            if key in value:
+                args[key] = shape.read(value[key], field)
+            elif key not in self.optional:
+                raise ParseError(f"{field} is missing")
+        return _construct(self.build, path, **args)
+
+
+class _Kinds:
+    """A JSON object whose "kind" picks the record that holds the rest."""
+
+    def __init__(self, what: str, **kinds: _Record):
+        self.what, self.kinds = what, kinds
+
+    def write(self, obj):
+        record = self.kinds.get(obj.kind)
+        if record is None:
+            raise ValidationError(f"cannot serialize {self.what} kind {obj.kind!r}")
+        doc = {"kind": obj.kind, **record.write(obj)}
+        if record.read(doc, self.what) != obj:  # e.g. coverage weights other than 1
+            raise ValidationError(f"a {obj.kind} document cannot hold this {self.what}")
+        return doc
+
+    def read(self, value, path):
+        kind = _object(value, path).get("kind")
+        if not isinstance(kind, str) or kind not in self.kinds:
+            kinds = ", ".join(self.kinds)
+            raise ParseError(f"{path}.kind must be one of {kinds}, not {reprlib.repr(kind)}")
+        return self.kinds[kind].read(value, path)
+
+
+class _Tree:
+    """A decision tree node: JSON null for a leaf, else the probed element
+    and one child per type; a shared subtree is written once per path. Both
+    ways take two frames a level, as ``json`` does, to nest as deep as it."""
+
+    def write(self, tree):
+        if tree.is_leaf:
+            return None
+        return {"element": tree.element,
+                "children": {t: self.write(child) for t, child in tree.children.items()}}
+
+    def read(self, value, path):
+        if value is None:
+            return leaf()
+        element = _STRING.read(_object(value, path).get("element"), f"{path}.element")
+        children = _object(value.get("children"), f"{path}.children")
+        return _construct(probe, path, element, {
+            t: self.read(child, f"{path}.children[{t!r}]") for t, child in children.items()
+        })
+
+
+class _MetaValue:
+    """A metadata value: strings, booleans and nulls as they are, numbers as
+    {"scalar": ...} objects; other JSON values are read back as they are."""
+
+    def write(self, value):
+        if value is None or isinstance(value, (bool, str)):
+            return value
+        if isinstance(value, (int, float, Fraction)):
+            return {"scalar": scalar_to_str(value)}
+        raise ValidationError(f"metadata value {value!r} is not serializable")
+
+    def read(self, value, path):
+        if isinstance(value, dict) and set(value) == {"scalar"}:
+            value = _SCALAR.read(value["scalar"], f"{path}.scalar")
+            check_finite(value, f"{path}.scalar")
+        return value
+
+
+# --- the instance format ----------------------------------------------------
+
+_LABEL = _Leaf("a JSON string or integer", (str, int))
+_STRING = _Leaf("a JSON string", (str,))
+_INTEGER = _Leaf("a JSON integer", (int,))
+_SCALAR = _Leaf("a JSON string", (str,), str_to_scalar, scalar_to_str)
+_STRINGS = _Array(_STRING)
+_SORTED_STRINGS = _Array(_STRING, sort=True)
+_EDGE = _Array(_STRING, size=2)
+_TREE = _Tree()
+
+_FAMILY = _Kinds("family")
+_FAMILY.kinds.update(
+    partition_matroid=_Record(
+        PartitionMatroid, {"part_of": _Mapping(_LABEL), "capacity": _Pairs(_LABEL, _INTEGER)}
+    ),
+    matching=_Record(MatchingFamily, {"edges": _Mapping(_EDGE)}),
+    intersection=_Record(IntersectionFamily, {"members": _Array(_FAMILY)}),
+    path_chain=_Record(PathChainFamily, {"edges": _Mapping(_EDGE), "root": _STRING}),
+    explicit=_Record(
+        ExplicitFamily, {"ground": _SORTED_STRINGS, "sets": _Array(_SORTED_STRINGS, sort=True)}
+    ),
+)
+
+_VALUATION = _Kinds(
+    "valuation",
+    coverage=_Record(
+        coverage_valuation,
+        {"cover_sets": _Mapping(_SORTED_STRINGS)},
+        lambda v: {"cover_sets": v.reach_of},
+    ),
+    partition_weighted=_Record(
+        partition_weighted_valuation,
+        {"part_of": _Mapping(_LABEL), "part_weight": _Pairs(_LABEL, _SCALAR)},
+        lambda v: {"part_of": {t: p for t, s in v.reach_of.items() for p in s},
+                   "part_weight": v.weight},
+    ),
+    weighted_rank=_Record(
+        WeightedRankValuation,
+        {"family": _FAMILY, "weights": _Mapping(_SCALAR), "rank_cap": _INTEGER},
+    ),
+    explicit=_Record(
+        ExplicitValuation,
+        {"ground": _SORTED_STRINGS, "table": _Pairs(_SORTED_STRINGS, _SCALAR, sort=True)},
+    ),
+)
+
+_CONSTRAINT = _Kinds(
+    "constraint",
+    budget=_Record(BudgetConstraint, {"cost": _Mapping(_SCALAR), "budget": _SCALAR}),
+    cardinality=_Record(CardinalityConstraint, {"limit": _INTEGER}),
+    dag_path=_Record(DagPathConstraint, {"arcs": _Mapping(_SORTED_STRINGS), "start": _STRING}),
+    tree_fan=_Record(TreeFanConstraint, {"edges": _Mapping(_EDGE), "root": _STRING}),
+    table=_Record(TableConstraint, {"sequences": _Array(_STRINGS, sort=True)}),
+)
+
+
+def _bundle(universe, distribution, valuation, constraint, tree=None, metadata=None):
+    """An instance from its sections, checked against its universe."""
+    dist = _construct(TypeDistribution, "distribution", distribution)
+    dist.validate_against(universe)
+    tree = None if tree is None or tree.is_leaf else tree  # JSON null: no tree
+    if tree is not None:
+        _construct(validate_tree, "tree", tree, universe)
+    if isinstance(constraint, DagPathConstraint) and constraint.start not in universe.type_space:
+        start = constraint.start
+        raise ParseError(f"constraint.start must be in universe.elements, not {start!r}")
+    return InstanceBundle(universe, dist, valuation, constraint, tree, metadata or {})
+
+
+_INSTANCE = _Record(
+    _bundle,
+    {
+        "universe": _Record(
+            lambda elements, types: Universe(elements, types),
+            {"elements": _STRINGS, "types": _Mapping(_STRINGS)},
+            lambda u: {"elements": u.elements, "types": u.type_space},
+        ),
+        "distribution": _Mapping(_Mapping(_SCALAR)),
+        "valuation": _VALUATION,
+        "constraint": _CONSTRAINT,
+        "tree": _TREE,
+        "metadata": _Mapping(_MetaValue()),
+    },
+    lambda b: {**vars(b), "distribution": b.dist.probs, "tree": b.tree or leaf()},
+)
 
 
 def instance_to_dict(bundle: InstanceBundle) -> dict:
-    return {
-        "schema": INSTANCE_SCHEMA,
-        "universe": {
-            "elements": list(bundle.universe.elements),
-            "types": {e: list(ts) for e, ts in bundle.universe.type_space.items()},
-        },
-        "distribution": {
-            e: {t: scalar_to_str(p) for t, p in row.items()}
-            for e, row in bundle.dist.probs.items()
-        },
-        "valuation": valuation_to_dict(bundle.valuation),
-        "constraint": constraint_to_dict(bundle.constraint),
-        "tree": tree_to_dict(bundle.tree) if bundle.tree is not None else None,
-        "metadata": _meta_to_json(bundle.metadata),
-    }
+    size: dict[int, int] = {}  # nodes, leaves included, that writing a subtree takes
+    for node in _tree_nodes(bundle.tree, bundle.universe)[0] if bundle.tree else ():
+        size[id(node)] = 1 + sum(size.get(id(c), 1) for c in node.children.values())
+    if size.get(id(bundle.tree), 1) > _TREE_NODE_CAP:
+        raise ValidationError(f"tree too large to serialize: expands past {_TREE_NODE_CAP} nodes")
+    return {"schema": INSTANCE_SCHEMA, **_INSTANCE.write(bundle)}
 
 
 def serialize_instance(bundle: InstanceBundle) -> str:
     return json.dumps(instance_to_dict(bundle), indent=2, sort_keys=True) + "\n"
 
 
-def _object(value, field: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseError(f"{field} must be a JSON object, not {type(value).__name__}")
-    return value
-
-
-def instance_from_dict(doc: dict) -> InstanceBundle:
+def instance_from_dict(doc: Any) -> InstanceBundle:
     if not isinstance(doc, dict) or doc.get("schema") != INSTANCE_SCHEMA:
         raise ParseError(f"expected schema {INSTANCE_SCHEMA!r}")
     try:
-        uni = _object(doc["universe"], "universe")
-        universe = Universe(
-            _strings(uni["elements"], "universe elements"),
-            {e: _strings(ts, f"types of {e!r}")
-             for e, ts in _object(uni["types"], "universe types").items()},
-        )
-        rows = _object(doc["distribution"], "distribution")
-        dist = TypeDistribution(
-            {
-                e: {
-                    t: _scalar(p, f"probability of type {t!r}")
-                    for t, p in _object(row, f"distribution[{e!r}]").items()
-                }
-                for e, row in rows.items()
-            }
-        )
-        valuation = valuation_from_dict(doc["valuation"])
-        constraint = constraint_from_dict(doc["constraint"])
-        tree = tree_from_dict(doc["tree"]) if doc.get("tree") is not None else None
-        if tree is not None:
-            validate_tree(tree, universe)
-        metadata = _meta_from_json(_object(doc.get("metadata", {}), "metadata"))
-        dist.validate_against(universe)
-    except ParseError:
-        raise
-    # ValueError covers ValidationError; int() raises ValueError or OverflowError
-    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise ParseError(f"malformed instance document: {exc}") from exc
-    return InstanceBundle(universe, dist, valuation, constraint, tree, metadata)
+        return _INSTANCE.read(doc, "")
+    except RecursionError as exc:
+        raise ParseError(f"instance nested too deeply: {exc}") from exc
 
 
 def parse_instance(text: str) -> InstanceBundle:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .core import Scalar, ValidationError, check_finite
+from .core import ExactCapExceeded, Scalar, ValidationError, check_finite
 from .families import DEFAULT_RANK_CAP, IndependenceOracle, max_rank
 
 
@@ -124,7 +124,10 @@ class WeightedRankValuation(ValuationFunction):
                 raise ValidationError(f"type {t!r} has negative weight {w!r}")
 
     def _evaluate(self, types):
-        return max_rank(self.family, types, weights=self.weights, cap=self.rank_cap)
+        try:
+            return max_rank(self.family, types, weights=self.weights, cap=self.rank_cap)
+        except ExactCapExceeded as exc:  # name the knob that sets the cap
+            raise ExactCapExceeded(f"valuation.rank_cap: {exc}") from exc
 
 
 def coverage_valuation(cover_sets: Mapping[str, Iterable]) -> WeightedCoverageValuation:

@@ -136,6 +136,7 @@ def _independent_sets(
                 grow(i + 1, ext)
 
     grow(0, frozenset())
+    del grow  # the closure refers to itself: a cycle only the collector would free
     return out
 
 

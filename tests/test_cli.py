@@ -80,6 +80,10 @@ def _word_rank_cap(doc):
     doc["valuation"]["rank_cap"] = "abc"
 
 
+def _small_rank_cap(doc):
+    doc["valuation"]["rank_cap"] = 1
+
+
 def _fractional_limit(doc):
     doc["constraint"] = {"kind": "cardinality", "limit": 2.5}
 
@@ -119,6 +123,42 @@ def _number_cost(doc):
 
 def _number_budget(doc):
     doc["constraint"] = {"kind": "budget", "cost": {"e0": "1"}, "budget": 2}
+
+
+def _list_tree_element(doc):
+    doc["tree"]["element"] = []
+
+
+def _null_tree_element(doc):
+    doc["tree"]["element"] = None
+
+
+def _list_fan_root(doc):
+    doc["constraint"] = {"kind": "tree_fan", "edges": {"e0": ["r", "v"]}, "root": []}
+
+
+def _list_dag_start(doc):
+    doc["constraint"] = {"kind": "dag_path", "arcs": {"e0": []}, "start": []}
+
+
+def _unknown_dag_start(doc):
+    doc["constraint"] = {"kind": "dag_path", "arcs": {"e0": []}, "start": "zzz"}
+
+
+def _unpaired_capacity(doc):
+    doc["valuation"]["family"]["members"][0]["capacity"] = [["q0"]]
+
+
+def _number_capacity(doc):
+    doc["valuation"]["family"]["members"][0]["capacity"] = 5
+
+
+def _no_members(doc):
+    doc["valuation"]["family"]["members"] = []
+
+
+def _member_on_another_ground(doc):
+    doc["valuation"]["family"]["members"][1]["part_of"] = {}
 
 
 def _repeated_tree_element(doc):
@@ -227,30 +267,82 @@ class TestEvalCommands:
     @pytest.mark.parametrize(
         "edit, named",
         [
-            (_empty_distribution, "distribution must be a JSON object"),
-            (_nan_probabilities, "probability of type"),
-            (_inf_weights, "weight of type"),
-            (_nan_table_value, "table value for"),
-            (_nonzero_empty_table_value, "table value for [] must be 0, got 1"),
-            (_inf_metadata, "metadata value for 'seed'"),
-            (_word_limit, "limit must be a JSON integer, not 'abc'"),
-            (_infinite_limit, "limit must be a JSON integer, not inf"),
-            (_fractional_limit, "limit must be a JSON integer, not 2.5"),
-            (_huge_limit, "limit must be a JSON integer, not 1e+300"),
-            (_word_capacity, "capacity of part 'q0' must be a JSON integer, not 'abc'"),
-            (_float_capacity, "capacity of part 'q0' must be a JSON integer, not 1.0"),
-            (_word_rank_cap, "rank_cap must be a JSON integer, not 'abc'"),
-            (_bool_rank_cap, "rank_cap must be a JSON integer, not True"),
+            (_empty_distribution, "distribution must be a JSON object, not []"),
+            (_nan_probabilities, "distribution: probability of type 'e0.t0' is nan"),
+            (_inf_weights, "valuation: weight of type 'e0.t0' is inf"),
+            (_nan_table_value, "valuation: table value for ['e0.t0'] is nan"),
+            (_nonzero_empty_table_value, "valuation: table value for [] must be 0, got 1"),
+            (_inf_metadata, "metadata['seed'].scalar is inf"),
+            (_word_limit, "constraint.limit must be a JSON integer, not 'abc'"),
+            (_infinite_limit, "constraint.limit must be a JSON integer, not inf"),
+            (_fractional_limit, "constraint.limit must be a JSON integer, not 2.5"),
+            (_huge_limit, "constraint.limit must be a JSON integer, not 1e+300"),
+            (_word_capacity,
+             "valuation.family.members[0].capacity['q0'] must be a JSON integer, not 'abc'"),
+            (_float_capacity,
+             "valuation.family.members[0].capacity['q0'] must be a JSON integer, not 1.0"),
+            (_word_rank_cap, "valuation.rank_cap must be a JSON integer, not 'abc'"),
+            (_bool_rank_cap, "valuation.rank_cap must be a JSON integer, not True"),
+            (_small_rank_cap, "valuation.rank_cap: exact subset search infeasible: "
+                              "2 candidates exceed the cap of 1"),
             (_deep_tree, "recursion"),
-            (_repeated_tree_element, "element 'e0' repeats on a probing path"),
-            (_unknown_tree_element, "unknown element 'zz' in tree"),
-            (_missing_tree_arc, "node for 'e0' must have exactly one arc per type"),
-            (_number_probability, "probability of type 'e0.t0' must be a JSON string, not 0.5"),
-            (_number_weight, "weight of type 'e0.t0' must be a JSON string, not 1"),
-            (_number_table_value, "table value for ['e0.t0'] must be a JSON string, not 2"),
-            (_number_metadata, "metadata value for 'seed' must be a JSON string, not 11"),
-            (_number_cost, "cost of 'e0' must be a JSON string, not 1"),
-            (_number_budget, "budget must be a JSON string, not 2"),
+            (_repeated_tree_element, "tree: element 'e0' repeats on a probing path"),
+            (_unknown_tree_element, "tree: unknown element 'zz' in tree"),
+            (_missing_tree_arc, "tree: node for 'e0' must have exactly one arc per type"),
+            (_number_probability, "distribution['e0']['e0.t0'] must be a JSON string, not 0.5"),
+            (_number_weight, "valuation.weights['e0.t0'] must be a JSON string, not 1"),
+            (_number_table_value, "valuation.table[['e0.t0']] must be a JSON string, not 2"),
+            (_number_metadata, "metadata['seed'].scalar must be a JSON string, not 11"),
+            (_number_cost, "constraint.cost['e0'] must be a JSON string, not 1"),
+            (_number_budget, "constraint.budget must be a JSON string, not 2"),
+            (_list_tree_element, "tree.element must be a JSON string, not []"),
+            (_null_tree_element, "tree.element must be a JSON string, not None"),
+            (_list_fan_root, "constraint.root must be a JSON string, not []"),
+            (_list_dag_start, "constraint.start must be a JSON string, not []"),
+            (_unknown_dag_start, "constraint.start must be in universe.elements, not 'zzz'"),
+            (_unpaired_capacity, "valuation.family.members[0].capacity must be a JSON array of "
+                                 "[key, value] pairs, not [['q0']]"),
+            (_number_capacity, "valuation.family.members[0].capacity must be a JSON array of "
+                               "[key, value] pairs, not 5"),
+            (_no_members, "valuation.family: intersection needs at least one family"),
+            (_member_on_another_ground,
+             "valuation.family: members[1] has another ground set than members[0]"),
+        ],
+        ids=[
+            "_empty_distribution-distribution must be a JSON object",
+            "_nan_probabilities-probability of type",
+            "_inf_weights-weight of type",
+            "_nan_table_value-table value for",
+            "_nonzero_empty_table_value-table value for [] must be 0, got 1",
+            "_inf_metadata-metadata value for 'seed'",
+            "_word_limit-limit must be a JSON integer, not 'abc'",
+            "_infinite_limit-limit must be a JSON integer, not inf",
+            "_fractional_limit-limit must be a JSON integer, not 2.5",
+            "_huge_limit-limit must be a JSON integer, not 1e+300",
+            "_word_capacity-capacity of part 'q0' must be a JSON integer, not 'abc'",
+            "_float_capacity-capacity of part 'q0' must be a JSON integer, not 1.0",
+            "_word_rank_cap-rank_cap must be a JSON integer, not 'abc'",
+            "_bool_rank_cap-rank_cap must be a JSON integer, not True",
+            "_small_rank_cap",
+            "_deep_tree-recursion",
+            "_repeated_tree_element-element 'e0' repeats on a probing path",
+            "_unknown_tree_element-unknown element 'zz' in tree",
+            "_missing_tree_arc-node for 'e0' must have exactly one arc per type",
+            "_number_probability-probability of type 'e0.t0' must be a JSON string, not 0.5",
+            "_number_weight-weight of type 'e0.t0' must be a JSON string, not 1",
+            "_number_table_value-table value for ['e0.t0'] must be a JSON string, not 2",
+            "_number_metadata-metadata value for 'seed' must be a JSON string, not 11",
+            "_number_cost-cost of 'e0' must be a JSON string, not 1",
+            "_number_budget-budget must be a JSON string, not 2",
+            "_list_tree_element",
+            "_null_tree_element",
+            "_list_fan_root",
+            "_list_dag_start",
+            "_unknown_dag_start",
+            "_unpaired_capacity",
+            "_number_capacity",
+            "_no_members",
+            "_member_on_another_ground",
         ],
     )
     def test_eval_rejects_malformed_fields(self, instance_file, capsys, edit, named):
@@ -264,38 +356,39 @@ class TestEvalCommands:
         "key, part, named",
         [
             ("universe", {"elements": "e0", "types": {"e0": ["e0.t0"]}},
-             "universe elements must be a JSON array of strings, not 'e0'"),
+             "universe.elements must be a JSON array, not 'e0'"),
             ("universe", {"elements": ["e0"], "types": {"e0": "e0.t0"}},
-             "types of 'e0' must be a JSON array of strings, not 'e0.t0'"),
+             "universe.types['e0'] must be a JSON array, not 'e0.t0'"),
             ("valuation", {"kind": "coverage", "cover_sets": {"e0.t0": "g12"}},
-             "cover set of 'e0.t0' must be a JSON array of strings, not 'g12'"),
+             "valuation.cover_sets['e0.t0'] must be a JSON array, not 'g12'"),
             ("valuation", {"kind": "explicit", "ground": "e0.t0", "table": [[[], "0"]]},
-             "valuation ground must be a JSON array of strings, not 'e0.t0'"),
+             "valuation.ground must be a JSON array, not 'e0.t0'"),
             ("valuation", {"kind": "explicit", "ground": ["e0.t0"], "table": [["e0.t0", "1"]]},
-             "table key must be a JSON array of strings, not 'e0.t0'"),
+             "valuation.table[0][0] must be a JSON array, not 'e0.t0'"),
             ("valuation", {"kind": "weighted_rank", "weights": {},
                            "family": {"kind": "explicit", "ground": "ab", "sets": []}},
-             "family ground must be a JSON array of strings, not 'ab'"),
+             "valuation.family.ground must be a JSON array, not 'ab'"),
             ("valuation", {"kind": "weighted_rank", "weights": {},
                            "family": {"kind": "explicit", "ground": ["a"], "sets": ["a"]}},
-             "family set must be a JSON array of strings, not 'a'"),
+             "valuation.family.sets[0] must be a JSON array, not 'a'"),
             ("valuation", {"kind": "weighted_rank", "weights": {},
                            "family": {"kind": "matching", "edges": {"e0.t0": "uv"}}},
-             "matching edge of 'e0.t0' must be a JSON array of 2 strings, not 'uv'"),
+             "valuation.family.edges['e0.t0'] must be a JSON array of length 2, not 'uv'"),
             ("valuation", {"kind": "weighted_rank", "weights": {},
                            "family": {"kind": "matching", "edges": {"e0.t0": ["u", "v", "w"]}}},
-             "matching edge of 'e0.t0' must be a JSON array of 2 strings, not ['u', 'v', 'w']"),
+             "valuation.family.edges['e0.t0'] must be a JSON array of length 2, "
+             "not ['u', 'v', 'w']"),
             ("valuation", {"kind": "weighted_rank", "weights": {}, "family": {
                 "kind": "path_chain", "edges": {"e0.t0": "rv"}, "root": "r"}},
-             "path_chain edge of 'e0.t0' must be a JSON array of 2 strings, not 'rv'"),
+             "valuation.family.edges['e0.t0'] must be a JSON array of length 2, not 'rv'"),
             ("constraint", {"kind": "dag_path", "arcs": {"e0": "e1"}, "start": "e0"},
-             "arcs of 'e0' must be a JSON array of strings, not 'e1'"),
+             "constraint.arcs['e0'] must be a JSON array, not 'e1'"),
             ("constraint", {"kind": "table", "sequences": ["e0"]},
-             "table sequence must be a JSON array of strings, not 'e0'"),
+             "constraint.sequences[0] must be a JSON array, not 'e0'"),
             ("constraint", {"kind": "table", "sequences": [["e0", 1]]},
-             "table sequence must be a JSON array of strings, not ['e0', 1]"),
+             "constraint.sequences[0][1] must be a JSON string, not 1"),
             ("constraint", {"kind": "tree_fan", "edges": {"e0": "rv"}, "root": "r"},
-             "tree_fan edge of 'e0' must be a JSON array of 2 strings, not 'rv'"),
+             "constraint.edges['e0'] must be a JSON array of length 2, not 'rv'"),
         ],
         ids=["elements", "types", "cover_set", "valuation_ground", "table_key", "family_ground",
              "family_set", "matching_edge", "matching_triple", "path_chain_edge", "dag_arcs",
@@ -314,30 +407,30 @@ class TestEvalCommands:
     @pytest.mark.parametrize(
         "key, part, named",
         [
-            ("universe", [], "universe must be a JSON object, not list"),
+            ("universe", [], "universe must be a JSON object, not []"),
             ("universe", {"elements": ["e0"], "types": [["e0", ["e0.t0"]]]},
-             "universe types must be a JSON object, not list"),
-            ("metadata", [], "metadata must be a JSON object, not list"),
-            ("constraint", [], "constraint must be a JSON object, not list"),
+             "universe.types must be a JSON object, not [['e0', ['e0.t0']]]"),
+            ("metadata", [], "metadata must be a JSON object, not []"),
+            ("constraint", [], "constraint must be a JSON object, not []"),
             ("constraint", {"kind": "budget", "cost": [["e0", "1"]], "budget": "1"},
-             "cost must be a JSON object, not list"),
+             "constraint.cost must be a JSON object, not [['e0', '1']]"),
             ("constraint", {"kind": "dag_path", "arcs": [["e0", []]], "start": "e0"},
-             "arcs must be a JSON object, not list"),
+             "constraint.arcs must be a JSON object, not [['e0', []]]"),
             ("constraint", {"kind": "tree_fan", "edges": [["e0", ["r", "v"]]], "root": "r"},
-             "tree_fan edges must be a JSON object, not list"),
+             "constraint.edges must be a JSON object, not [['e0', ['r', 'v']]]"),
             ("valuation", {"kind": "weighted_rank", "weights": [["e0.t0", "1"]],
                            "family": {"kind": "explicit", "ground": [], "sets": []}},
-             "weights must be a JSON object, not list"),
+             "valuation.weights must be a JSON object, not [['e0.t0', '1']]"),
             ("valuation", {"kind": "weighted_rank", "weights": {}, "family": ["matching"]},
-             "family must be a JSON object, not list"),
+             "valuation.family must be a JSON object, not ['matching']"),
             ("valuation", {"kind": "weighted_rank", "weights": {},
                            "family": {"kind": "matching", "edges": [["e0.t0", ["u", "v"]]]}},
-             "matching edges must be a JSON object, not list"),
+             "valuation.family.edges must be a JSON object, not [['e0.t0', ['u', 'v']]]"),
             ("valuation", {"kind": "weighted_rank", "weights": {}, "family": {
                 "kind": "path_chain", "edges": [["e0.t0", ["r", "v"]]], "root": "r"}},
-             "path_chain edges must be a JSON object, not list"),
+             "valuation.family.edges must be a JSON object, not [['e0.t0', ['r', 'v']]]"),
             ("tree", {"element": "e0", "children": [["e0.t0", None]]},
-             "tree node children must be a JSON object, not list"),
+             "tree.children must be a JSON object, not [['e0.t0', None]]"),
         ],
         ids=["universe", "universe_types", "metadata", "constraint", "cost", "dag_arcs",
              "tree_fan_edges", "weights", "family", "matching_edges", "path_chain_edges",
@@ -358,25 +451,25 @@ class TestEvalCommands:
             # read through dict() as a mapping, this pair would name a real part
             ({"kind": "partition_weighted", "part_of": [["e0.t0", "p"]],
               "part_weight": [["p", "1"]]},
-             "part_of must be a JSON object, not list"),
+             "valuation.part_of must be a JSON object, not [['e0.t0', 'p']]"),
             ({"kind": "coverage", "cover_sets": [["e0.t0", ["g1"]]]},
-             "cover_sets must be a JSON object, not list"),
-            ("coverage", "valuation must be a JSON object, not str"),
+             "valuation.cover_sets must be a JSON object, not [['e0.t0', ['g1']]]"),
+            ("coverage", "valuation must be a JSON object, not 'coverage'"),
             ({"kind": "partition_weighted", "part_of": {"e0.t0": ["p"]},
               "part_weight": [["p", "1"]]},
-             "part of 'e0.t0' must be a JSON string or integer, not ['p']"),
+             "valuation.part_of['e0.t0'] must be a JSON string or integer, not ['p']"),
             ({"kind": "partition_weighted", "part_of": {"e0.t0": "p"},
               "part_weight": [[["p"], "1"]]},
-             "part_weight label must be a JSON string or integer, not ['p']"),
+             "valuation.part_weight[0][0] must be a JSON string or integer, not ['p']"),
             ({"kind": "partition_weighted", "part_of": {"e0.t0": "p"},
               "part_weight": {"p": "1"}},
-             "part_weight must be a JSON array of [label, scalar] pairs, not {'p': '1'}"),
+             "valuation.part_weight must be a JSON array of [key, value] pairs, not {'p': '1'}"),
             ({"kind": "weighted_rank", "weights": {}, "family": {
                 "kind": "partition_matroid", "part_of": [["e0.t0", "p"]], "capacity": [["p", 1]]}},
-             "part_of must be a JSON object, not list"),
+             "valuation.family.part_of must be a JSON object, not [['e0.t0', 'p']]"),
             ({"kind": "partition_weighted", "part_of": {"e0.t0": "p0"},
               "part_weight": [["p0", 1]]},
-             "part_weight of 'p0' must be a JSON string, not 1"),
+             "valuation.part_weight['p0'] must be a JSON string, not 1"),
         ],
         ids=["part_of_pairs", "cover_sets_list", "valuation_string", "part_of_list_label",
              "part_weight_list_label", "part_weight_object", "family_part_of_pairs",

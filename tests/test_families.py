@@ -1,5 +1,6 @@
 """Set systems: loops, greedy steps and scans, rank-vs-greedy bound."""
 
+import gc
 import itertools
 import random
 
@@ -328,3 +329,18 @@ def test_path_chain_rejects_vertices_off_the_root(edges, message):
     for make in (PathChainFamily, TreeFanConstraint):
         with pytest.raises(ValidationError, match=message):
             make(edges, "r")
+
+
+def test_exact_searches_leave_no_reference_cycle():
+    # both recursive searches are closures that refer to themselves; with
+    # the collector off, a cycle left behind shows as found garbage
+    fam = path_matching()
+    gc.collect()
+    gc.disable()
+    try:
+        assert max_rank(fam, sorted(fam.ground)) == 2
+        assert gc.collect() == 0
+        assert check_k_extendible(fam, sorted(fam.ground), 2)[0]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

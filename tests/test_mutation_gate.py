@@ -1,0 +1,34 @@
+"""Every malformed instance file exits 2 naming its field, or evaluates.
+
+The walk is in ``mutations.py``; ``scripts/mutation_pass.py`` runs it over
+more documents. Here it takes three small ones: a coverage valuation under a
+dag_path constraint, the w-ary tree instance, and a weighted-rank
+intersection under a budget.
+"""
+
+from fractions import Fraction
+
+from mutations import mutants, outcome
+from smplab import RandomInstanceParams, gen_random_instance, gen_tree_lb
+from smplab.serialize import instance_to_dict
+
+
+def test_every_mutation_is_named_or_evaluates(tmp_path):
+    coverage = RandomInstanceParams(valuation_kinds=("coverage",), constraint_kinds=("dag_path",))
+    weighted = RandomInstanceParams(
+        valuation_kinds=("matroid_intersection_rank",), k_extendible=2,
+        constraint_kinds=("budget",), weight_high=8,
+    )
+    bundles = [
+        gen_random_instance(0, coverage),
+        gen_tree_lb(2, 2, Fraction(1, 8)),
+        gen_random_instance(2, weighted),
+    ]
+    file = tmp_path / "mutant.json"
+    runs = 0
+    for bundle in bundles:
+        for text, *where in mutants(instance_to_dict(bundle)):
+            got = outcome(text, file, *where)
+            runs += 1
+            assert not got.startswith("FAIL"), got
+    assert runs == 3280

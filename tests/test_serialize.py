@@ -30,7 +30,6 @@ from smplab.serialize import (
     serialize_instance,
     serialize_report,
     str_to_scalar,
-    valuation_to_dict,
 )
 from smplab.valuation import WeightedCoverageValuation
 
@@ -57,12 +56,7 @@ class TestScalars:
 
 class TestInstanceRoundTrip:
     def test_empty_universe(self):
-        bundle = InstanceBundle(
-            universe=universe_from_type_space({}),
-            dist=TypeDistribution({}),
-            valuation=coverage_valuation({}),
-            constraint=CardinalityConstraint(0),
-        )
+        bundle = _bundle_with()
         assert parse_instance(serialize_instance(bundle)) == bundle
 
     def test_triangular_rational_bundle(self):
@@ -215,6 +209,15 @@ def test_weighted_coverage_documents_are_byte_stable(text, values):
     assert {s: bundle.valuation(s) for s in values} == values
 
 
+def _bundle_with(valuation=None, constraint=None):
+    return InstanceBundle(
+        universe=universe_from_type_space({}),
+        dist=TypeDistribution({}),
+        valuation=valuation or coverage_valuation({}),
+        constraint=constraint or CardinalityConstraint(0),
+    )
+
+
 def test_weighted_coverage_writes_only_what_its_kind_holds():
     # a coverage document has no weights, a partition document one part a type
     for valuation in (
@@ -222,7 +225,12 @@ def test_weighted_coverage_writes_only_what_its_kind_holds():
         WeightedCoverageValuation({"t": {"x", "y"}}, {"x": 1, "y": 1}, "partition_weighted"),
     ):
         with pytest.raises(ValidationError, match=f"a {valuation.kind} document cannot hold"):
-            valuation_to_dict(valuation)
+            serialize_instance(_bundle_with(valuation=valuation))
+
+
+def test_every_kind_refuses_to_write_what_it_cannot_read_back():
+    with pytest.raises(ParseError, match=r"constraint\.limit must be a JSON integer, not 2\.0"):
+        serialize_instance(_bundle_with(constraint=CardinalityConstraint(2.0)))
 
 
 class TestTreeCodec:
