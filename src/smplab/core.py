@@ -153,6 +153,22 @@ class RandomStream:
         )
 
 
+def _type_thresholds(universe: Universe, dist: TypeDistribution) -> np.ndarray:
+    """Per element, in universe order, the running sums of its type probabilities
+    but the last, padded with +inf to one less than the widest type space."""
+    spaces = [universe.type_space[e] for e in universe.elements]
+    width = max(map(len, spaces), default=1)
+    rows = [[float(dist.probs[e][t]) for t in ts[:-1]] + [np.inf] * (width - len(ts) + 1)
+            for e, ts in zip(universe.elements, spaces)]
+    return np.cumsum(np.reshape(rows, (len(spaces), width)), axis=1)[:, :-1]
+
+
+def _type_codes(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Each draw's code, the count of its element's thresholds (last axis) at most
+    the draw: ``searchsorted(cum, u, side="right")`` clipped to ``len(cum) - 1``."""
+    return (u[..., None] >= thresholds).sum(axis=-1)
+
+
 def sample_type_codes(
     universe: Universe,
     dist: TypeDistribution,
@@ -163,25 +179,13 @@ def sample_type_codes(
 
     Entry ``[i, j]`` is the position of row ``i``'s type for element
     ``universe.elements[j]`` within that element's type space. The whole
-    block is a single counter-addressed draw, which is what the Monte Carlo
-    evaluators parallelize over.
+    block is a single counter-addressed draw; the Monte Carlo evaluators draw
+    the same block and convert only the cells their walk visits.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    gen = stream.generator()
-    u = gen.random((count, len(universe.elements)))
-    # columns with equal cumulative vectors share one searchsorted call
-    groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    for j, e in enumerate(universe.elements):
-        row = dist.probs[e]
-        cum = np.cumsum([float(row[t]) for t in universe.type_space[e]])
-        groups.setdefault(cum.tobytes(), (cum, []))[1].append(j)
-    codes = np.empty(u.shape, dtype=np.intp)
-    for cum, cols in groups.values():
-        picked = u if len(cols) == u.shape[1] else u[:, cols]  # one group: no copy
-        got = np.searchsorted(cum, picked, side="right")
-        codes[:, cols] = np.minimum(got, len(cum) - 1, out=got)
-    return codes
+    u = stream.generator().random((count, len(universe.elements)))
+    return _type_codes(u, _type_thresholds(universe, dist))
 
 
 def iter_type_profiles(

@@ -34,13 +34,14 @@ from .core import (
     TypeDistribution,
     Universe,
     ValidationError,
+    _type_codes,
+    _type_thresholds,
     iter_type_profiles,  # noqa: F401  (perfbench traces this binding)
-    sample_type_codes,
 )
 from .families import IndependenceOracle, greedy_add
 from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
 from .strategy import validate_tree
-from .valuation import ValuationFunction
+from .valuation import ValuationFunction, WeightedCoverageValuation
 
 #: Hard limit on the exact work per evaluation: tree arcs and fresh-draw arcs expanded.
 DEFAULT_WORK_CAP = 1 << 22
@@ -378,80 +379,84 @@ def _mc_collect(
     return values
 
 
-def _finish_mc(values: np.ndarray, seed: int) -> EvalReport:
-    trials = len(values)
-    value = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return EvalReport(
-        value=value, mode="monte_carlo", trials=trials, seed=seed, stderr=stderr
-    )
-
-
 class _CodedTree:
     """A decision tree compiled to integer tables for vectorized walks.
 
     Nodes are numbered once per distinct object, so shared subtrees stay
     shared; the root is node 0 and all leaves share the last node. ``column[v]``
-    is the universe index of node ``v``'s element (-1 for the leaf) and
-    ``child[v, c]`` the node reached when that element takes the type at
-    position ``c`` of its type space.
+    is the universe index of node ``v``'s element (-1 for the leaf),
+    ``thresholds[v]`` that element's ``_type_thresholds`` row and ``child[v, c]``
+    the node reached when it takes the type at position ``c`` of its type space.
     """
 
-    def __init__(self, tree: DecisionTree, universe: Universe):
+    def __init__(self, tree: DecisionTree, universe: Universe, dist: TypeDistribution):
         nodes = _tree_nodes(tree, universe)[0][::-1]
         index = {e: j for j, e in enumerate(universe.elements)}
         spaces = [universe.type_space[e] for e in universe.elements]
-        sizes = [len(ts) for ts in spaces]
-        self.offset = np.cumsum([0] + sizes[:-1])
+        self.offset = np.cumsum([0] + [len(ts) for ts in spaces[:-1]])
         self.type_names = [t for ts in spaces for t in ts]
         row = {id(node): v for v, node in enumerate(nodes)}
-        self.column = np.full(len(nodes) + 1, -1, dtype=np.intp)
-        # every slot starts as a self-loop, so the leaf stays put on any code
-        self.child = np.repeat(np.arange(len(nodes) + 1)[:, None], max(sizes, default=1), axis=1)
+        leaf = len(nodes)
+        self.column = np.array([index[node.element] for node in nodes] + [-1], dtype=np.intp)
+        self.thresholds = _type_thresholds(universe, dist)[self.column]
+        # every slot starts at the leaf, so the leaf stays put on any code
+        self.child = np.full((leaf + 1, self.thresholds.shape[1] + 1), leaf, dtype=np.intp)
         for v, node in enumerate(nodes):
-            self.column[v] = index[node.element]
-            for c, t in enumerate(universe.type_space[node.element]):
-                self.child[v, c] = row.get(id(node.children[t]), len(nodes))
+            kids = [row.get(id(node.children[t]), leaf) for t in universe.type_space[node.element]]
+            self.child[v, : len(kids)] = kids
+        reached, self.height = np.zeros(1, dtype=np.intp), 0  # the most probes on a path
+        while (self.column[reached] >= 0).any():  # until only the leaf is reached
+            reached, self.height = np.unique(self.child[reached]), self.height + 1
 
     def walk(self, virtual: np.ndarray, true: np.ndarray) -> np.ndarray:
-        """Global type ids revealed along each row's path, padded with -1.
-
-        The path follows the ``virtual`` codes; each probe reveals the
-        ``true`` code of its element. Row ``i`` of the result lists, level
-        by level, the element's offset plus ``true[i, element]``.
-        """
-        trial = np.arange(len(virtual))
-        node = np.zeros(len(virtual), dtype=np.intp)
-        levels = []
-        while True:
-            col = self.column[node]
-            live = col >= 0
-            if not live.any():
-                break
-            # rows already at a leaf read column -1: harmless, since their
+        """Global type ids revealed along each row's path, one column per level
+        (one for a leaf tree), padded with -1. Of the uniform draws ``virtual``
+        (which pick the path) and ``true`` (which are revealed), only visited cells
+        become codes."""
+        trial, node = np.arange(len(virtual)), np.zeros(len(virtual), dtype=np.intp)
+        rows = np.full((len(virtual), max(self.height, 1)), -1, dtype=np.intp)
+        for level in range(self.height):
+            # rows already at the leaf read column -1: harmless, since their
             # level is masked and their child entry is the leaf itself
-            levels.append(np.where(live, self.offset[col] + true[trial, col], -1))
-            node = self.child[node, virtual[trial, col]]
-        if not levels:
-            return np.empty((len(virtual), 0), dtype=np.intp)
-        return np.stack(levels, axis=1)
+            col, th = self.column[node], self.thresholds[node]
+            code = _type_codes(virtual[trial, col], th)
+            got = code if true is virtual else _type_codes(true[trial, col], th)
+            rows[:, level] = np.where(col >= 0, self.offset[col] + got, -1)
+            node = self.child[node, code]
+        return rows
 
-    def values(self, rows: np.ndarray, f: ValuationFunction, table: dict) -> np.ndarray:
-        """``float(f(types on the row))`` per row.
 
-        ``table`` maps a path's revealed codes to its value; ``f`` is called
-        only for paths it does not hold yet.
-        """
-        distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-        names = self.type_names
-        got = np.empty(len(distinct))
-        for k, row in enumerate(distinct.tolist()):
-            key = tuple(g for g in row if g >= 0)
-            value = table.get(key)
-            if value is None:
-                value = table[key] = float(f(frozenset([names[g] for g in key])))
-            got[k] = value
-        return got[inverse.reshape(-1)]
+def _row_values(f: ValuationFunction, type_names: Sequence[str]):
+    """A function from walked rows to ``float(f(types on the row))`` per row: by
+    arrays for a weighted coverage whose weights are floats, or ints totalling at
+    most 2**53, adding a row's covered weights to 0.0 in declaration order as ``f``
+    does; otherwise by a table from a row's bytes to its value, shared by the
+    call's blocks, ``f`` filling misses."""
+    weights = list(f.weight.values()) if type(f) is WeightedCoverageValuation else [None]
+    if all(isinstance(w, (int, float)) for w in weights) and sum(
+            w for w in weights if isinstance(w, int)) <= 1 << 53:
+        item = {x: i for i, x in enumerate(f.weight, 1)}  # column 0 holds the leading 0.0
+        hits = [(g, item[x]) for g, t in enumerate(type_names) for x in f.reach_of.get(t, ())]
+        # one row per global type id and an empty last one, which the padding -1 reads
+        incidence = np.zeros((len(type_names) + 1, len(item) + 1), dtype=bool)
+        incidence[tuple(np.array(hits, dtype=np.intp).reshape(-1, 2).T)] = True
+        terms = np.array([0.0] + weights, dtype=float)
+
+        def covered_values(rows: np.ndarray) -> np.ndarray:  # a level at a time: rows x items
+            covered = functools.reduce(np.logical_or, (incidence[level] for level in rows.T))
+            return np.cumsum(np.where(covered, terms, 0.0), axis=1)[:, -1]
+
+        return covered_values
+    table: dict[bytes, float] = {}
+
+    def table_values(rows: np.ndarray) -> np.ndarray:
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        for key in {key for key in keys if key not in table}:
+            ids = np.frombuffer(key, dtype=np.intp).tolist()
+            table[key] = float(f(frozenset([type_names[g] for g in ids if g >= 0])))
+        return np.array([table[key] for key in keys])
+
+    return table_values
 
 
 def _path_mc(
@@ -467,26 +472,26 @@ def _path_mc(
     """Walk virtual draws (stream 0) and value the revealed types.
 
     The revealed types are the virtual ones, or with ``resample`` fresh
-    draws from stream 1 at the same counter.
+    draws from stream 1 at the same counter. A stream draws the block of
+    uniforms that ``sample_type_codes`` draws, so the codes are its codes.
     """
-    coded = _CodedTree(tree, universe)
+    coded = _CodedTree(tree, universe, dist)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    table: dict[tuple[int, ...], float] = {}  # shared by the call's blocks
+    value_of = _row_values(f, coded.type_names)
 
     def fill_block(b: int, values: np.ndarray) -> None:
         start = b * MC_BLOCK
         stop = min(trials, start + MC_BLOCK)
+        shape = (stop - start, len(universe.elements))
+        virtual = RandomStream(seed, 0, b).generator().random(shape)
+        true = RandomStream(seed, 1, b).generator().random(shape) if resample else virtual
+        values[start:stop] = value_of(coded.walk(virtual, true))
 
-        def draw(stream: int) -> np.ndarray:
-            addr = RandomStream(seed, stream=stream, counter=b)
-            return sample_type_codes(universe, dist, addr, stop - start)
-
-        virtual = draw(0)
-        true = draw(1) if resample else virtual
-        values[start:stop] = coded.values(coded.walk(virtual, true), f, table)
-
-    return _finish_mc(_mc_collect(trials, workers, fill_block), seed)
+    values = _mc_collect(trials, workers, fill_block)
+    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return EvalReport(value=float(values.mean()), mode="monte_carlo", trials=trials,
+                      seed=seed, stderr=stderr)
 
 
 def adap_mc(

@@ -538,6 +538,7 @@ def gen_random_instance(
         )
 
     tree = build(constraint.initial, frozenset(), 0)
+    del build  # the closure refers to itself: a cycle only the collector would free
     metadata = {
         "name": "random",
         "seed": seed,

@@ -185,6 +185,10 @@ class CardinalityConstraint(ConstraintOracle):
     kind = "cardinality"
     initial = 0
 
+    def __post_init__(self):
+        if self.limit < 0:
+            raise ValidationError(f"limit must be >= 0, got {self.limit!r}")
+
     def step(self, state, nxt):
         return state + 1 if state < self.limit else None
 

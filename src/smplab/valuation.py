@@ -93,9 +93,12 @@ class WeightedCoverageValuation(ValuationFunction):
             s = self.reach_of.get(t)
             if s:
                 covered |= s
-        # sum in the fixed order of weight: set order follows string
-        # hashing, which is salted per process, and float sums depend on order
-        return sum(w for x, w in self.weight.items() if x in covered)
+        # left to right in weight's order (set order is salted); sum() compensates from 3.12
+        total: Scalar = 0
+        for x, w in self.weight.items():
+            if x in covered:
+                total = total + w
+        return total
 
     def reach(self, types):
         return frozenset().union(*(self.reach_of.get(t, ()) for t in types))

@@ -357,3 +357,25 @@ def test_criterion_9_monte_carlo_soundness():
         f"{hits}/{runs} runs within 3*stderr (>=99%), "
         f"worker counts 1/2/8 byte-identical={identical}",
     )
+
+
+def test_criterion_9_monte_carlo_on_the_triangle_at_paper_scale():
+    # past every exact cap of the generic route: 7021 elements, two workers
+    eps, trials, sigmas = 0.05, 16384, 4
+    bundle = gen_submodular_lb(eps)
+    args = (bundle.tree, bundle.valuation, bundle.universe, bundle.dist, trials, 5)
+    start = time.monotonic()
+    adap = adap_mc(*args, workers=2)
+    alg = alg_mc(*args, workers=2)
+    elapsed = time.monotonic() - start
+    want = submodular_lb_adap_recurrence(eps)
+    low = want / 2 - sigmas * alg.stderr
+    high = submodular_lb_alg_opt(eps) + sigmas * alg.stderr
+    _criterion(
+        "Monte Carlo on the triangle at paper scale",
+        abs(adap.value - want) <= sigmas * adap.stderr and low <= alg.value <= high
+        and elapsed < 20.0,
+        f"eps={eps} trials={trials}: adap_mc={adap.value:.5f}+-{adap.stderr:.5f} "
+        f"vs recurrence {want:.5f}; alg_mc={alg.value:.5f} in [{low:.5f}, {high:.5f}]; "
+        f"t={elapsed:.2f}s < 20s",
+    )

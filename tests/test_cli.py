@@ -72,6 +72,10 @@ def _infinite_limit(doc):
     doc["constraint"] = {"kind": "cardinality", "limit": float("inf")}
 
 
+def _negative_limit(doc):
+    doc["constraint"] = {"kind": "cardinality", "limit": -1}
+
+
 def _word_capacity(doc):
     doc["valuation"]["family"]["members"][0]["capacity"][0][1] = "abc"
 
@@ -275,6 +279,7 @@ class TestEvalCommands:
             (_inf_metadata, "metadata['seed'].scalar is inf"),
             (_word_limit, "constraint.limit must be a JSON integer, not 'abc'"),
             (_infinite_limit, "constraint.limit must be a JSON integer, not inf"),
+            (_negative_limit, "constraint: limit must be >= 0, got -1"),
             (_fractional_limit, "constraint.limit must be a JSON integer, not 2.5"),
             (_huge_limit, "constraint.limit must be a JSON integer, not 1e+300"),
             (_word_capacity,
@@ -317,6 +322,7 @@ class TestEvalCommands:
             "_inf_metadata-metadata value for 'seed'",
             "_word_limit-limit must be a JSON integer, not 'abc'",
             "_infinite_limit-limit must be a JSON integer, not inf",
+            "_negative_limit-limit must be >= 0, got -1",
             "_fractional_limit-limit must be a JSON integer, not 2.5",
             "_huge_limit-limit must be a JSON integer, not 1e+300",
             "_word_capacity-capacity of part 'q0' must be a JSON integer, not 'abc'",

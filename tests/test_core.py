@@ -13,7 +13,7 @@ from smplab import (
     ValidationError,
     universe_from_type_space,
 )
-from smplab.core import iter_type_profiles, sample_type_codes
+from smplab.core import _type_codes, _type_thresholds, iter_type_profiles, sample_type_codes
 
 
 def two_coin_universe():
@@ -131,6 +131,18 @@ class TestSampling:
             for e, c in zip(universe.elements, row)
         }
         assert drawn == universe.all_types
+
+    def test_codes_clip_a_running_sum_below_one(self):
+        # r's float running sum ends at the largest double below 1.0, so a
+        # draw there is past every entry and takes the last code
+        universe = universe_from_type_space({"r": ("r0", "r1", "r2")})
+        dist = TypeDistribution({"r": {"r0": 0.7, "r1": 0.2, "r2": 0.1}})
+        cum = np.cumsum([0.7, 0.2, 0.1])
+        assert cum[-1] == np.nextafter(1.0, 0.0)
+        u = np.array([[0.0], [0.7], [0.8999999999999999], [cum[-1]]])
+        want = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
+        got = _type_codes(u, _type_thresholds(universe, dist))
+        assert got[:, 0].tolist() == want.tolist() == [0, 1, 2, 2]
 
     def test_frequencies_within_three_sigma(self):
         # 2 elements x 2 types, seed 7, 1e5 draws: counts near expectation

@@ -1,9 +1,11 @@
 """Evaluators vs independent oracles, Monte Carlo soundness, and the gap
 inequality suites at module scale (the acceptance suite runs them big)."""
 
+import itertools
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from smplab import (
@@ -35,7 +37,8 @@ from smplab import (
     universe_from_type_space,
     validate_tree,
 )
-from smplab.evaluate import MC_BLOCK
+from smplab.evaluate import MC_BLOCK, _CodedTree, _row_values
+from smplab.valuation import WeightedCoverageValuation
 from oracles import (
     brute_adap,
     brute_alg,
@@ -414,6 +417,69 @@ def test_mc_bit_identical_to_row_walk_reference(case, fn, resample):
         for workers in (1, 2):
             rep = fn(*MC_CASES[case](), trials, 13, workers=workers)
             assert (rep.value, rep.stderr) == want, (trials, workers)
+
+
+REACH = {"r1": {"c"}, "r2": {"a", "b", "c"}, "p0": {"a"}, "p1": {"b"}, "q0": {"a", "c"}}
+
+
+def coverage_case(weights, reach=REACH):
+    """A chain over three elements under a coverage with ``weights``. Types q1
+    and r0 have no ``REACH``, and r's float running sum ends below 1.0
+    (0.9999999999999999), so its codes take the clip."""
+    universe = universe_from_type_space(
+        {"r": ("r0", "r1", "r2"), "p": ("p0", "p1"), "q": ("q0", "q1")}
+    )
+    dist = TypeDistribution(
+        {
+            "r": {"r0": 0.7, "r1": 0.2, "r2": 0.1},
+            "p": {"p0": 0.25, "p1": 0.75},
+            "q": {"q0": 0.5, "q1": 0.5},
+        }
+    )
+    f = WeightedCoverageValuation(reach, weights, "coverage")
+    return chain_tree(universe, ["r", "p", "q"]), f, universe, dist
+
+
+EVERY_TYPE_REACHES_A = {t: {"a"} for t in ("r0", "r1", "r2", "p0", "p1", "q0", "q1")}
+COVERAGE_CASES = {
+    # weights, reach, and whether the per-path table (which calls f) values the rows
+    "fraction": ({"a": Fraction(1, 3), "b": Fraction(2, 7), "c": 1}, REACH, True),
+    # f adds -0.0 to the int 0, which gives 0.0
+    "negative_zero": ({"a": -0.0}, EVERY_TYPE_REACHES_A, False),
+    "negative_zero_among_others": ({"a": 0.1, "b": -0.0, "c": 0.7}, REACH, False),
+    "mixed_int_float": ({"a": 3, "b": 0.1, "c": 0.7}, REACH, False),
+    "ints_past_2_53": ({"a": 2**53, "b": 1, "c": 1}, REACH, True),
+}
+
+
+@pytest.mark.parametrize("weights, reach, tabled", list(COVERAGE_CASES.values()),
+                         ids=list(COVERAGE_CASES))
+@pytest.mark.parametrize("fn, resample", [(adap_mc, False), (alg_mc, True)])
+def test_coverage_mc_bit_identical_to_row_walk_reference(weights, reach, tabled, fn, resample):
+    for trials in (1, 1025, 2500):
+        want = reference_mc(*coverage_case(weights, reach), trials, 13, resample)
+        for workers in (1, 2):
+            tree, f, universe, dist = coverage_case(weights, reach)
+            calls = []
+            f._evaluate = lambda types, value=f._evaluate: calls.append(types) or value(types)
+            rep = fn(tree, f, universe, dist, trials, 13, workers=workers)
+            # in float hex, which tells -0.0 from 0.0
+            assert [rep.value.hex(), rep.stderr.hex()] == [x.hex() for x in want], trials
+            assert bool(calls) == tabled
+
+
+@pytest.mark.parametrize("weights, reach, tabled", list(COVERAGE_CASES.values()),
+                         ids=list(COVERAGE_CASES))
+def test_coverage_row_values_equal_f(weights, reach, tabled):
+    # every joint profile as a walked row, and a row with nothing revealed,
+    # compared in float hex, which tells -0.0 from 0.0
+    tree, f, universe, dist = coverage_case(weights, reach)
+    coded = _CodedTree(tree, universe, dist)
+    ids = {t: g for g, t in enumerate(coded.type_names)}
+    profiles = [[ids[t] for t in p] for p in itertools.product(*universe.type_space.values())]
+    rows = np.array(profiles + [[-1, -1, -1]], dtype=np.intp)
+    want = [float(f(coded.type_names[g] for g in row if g >= 0)).hex() for row in rows.tolist()]
+    assert [x.hex() for x in _row_values(f, coded.type_names)(rows)] == want
 
 
 def test_mc_path_table_shared_by_threads():

@@ -1,5 +1,6 @@
 """Instance generators: depths, closed forms, encodings, determinism."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -253,6 +254,17 @@ class TestRandomInstances:
                 assert inst.metadata["k"] == 2
             else:
                 assert inst.metadata["k"] == 3
+
+    def test_generation_leaves_no_reference_cycle(self):
+        # the tree builder is a closure that refers to itself; with the
+        # collector off, a cycle left behind shows as found garbage
+        gc.collect()
+        gc.disable()
+        try:
+            assert gen_random_instance(3).tree is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_weights_within_requested_range(self):
         params = RandomInstanceParams(

@@ -172,6 +172,10 @@ def test_validate_tree_finds_exactly_the_path_repeats(data):
 
 
 class TestFeasibility:
+    def test_negative_cardinality_limit_rejected(self):
+        with pytest.raises(ValidationError, match="limit must be >= 0, got -1"):
+            CardinalityConstraint(-1)
+
     def test_leaf_only_tree_is_feasible(self):
         ok, witness = check_tree_feasible(leaf(), CardinalityConstraint(0))
         assert ok and witness is None
