@@ -50,7 +50,7 @@ DEFAULT_WORK_CAP = 1 << 22
 MC_BLOCK = 1024
 
 #: Most distinct (set, constraint state) pairs the exhaustive non-adaptive search visits.
-DEFAULT_SEQUENCE_CAP = 10**6
+SEQUENCE_CAP = 10**6
 
 #: Slack the gap reports allow their inequalities for float rounding.
 GAP_REPORT_TOL = 1e-9
@@ -279,12 +279,10 @@ def adap_by_path_enumeration(
     f: ValuationFunction,
     universe: Universe,
     dist: TypeDistribution,
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> Scalar:
     """Reference route for the adaptive value: sum over root-leaf paths."""
     validate_tree(tree, universe)
-    meter = _WorkMeter(work_cap)
+    meter = _WorkMeter(DEFAULT_WORK_CAP)
     total: Scalar = 0
     for steps, p in iter_tree_paths(tree, dist):
         meter.spend(max(1, len(steps)))
@@ -529,7 +527,6 @@ def best_nonadaptive_exact(
     constraint: ConstraintOracle,
     max_len: int,
     *,
-    sequence_cap: int = DEFAULT_SEQUENCE_CAP,
     work_cap: int = DEFAULT_WORK_CAP,
 ) -> tuple[tuple[str, ...], Scalar]:
     """Exhaustive best fixed probing set under the constraint.
@@ -544,9 +541,9 @@ def best_nonadaptive_exact(
     firsts: dict[frozenset[str], tuple[tuple[str, ...], list[str]]] = {}
     sequences = _feasible_sequences(constraint, sorted(universe.elements), max_len)
     for expanded, seq in enumerate(sequences, 1):
-        if expanded > sequence_cap:
+        if expanded > SEQUENCE_CAP:
             raise ExactCapExceeded(
-                f"more than {sequence_cap} distinct (set, constraint state) pairs; "
+                f"more than {SEQUENCE_CAP} distinct (set, constraint state) pairs; "
                 "use an instance-specific closed form"
             )
         if (elements := frozenset(seq)) not in firsts:

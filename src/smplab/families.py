@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 from .core import ExactCapExceeded, Scalar, ValidationError
 
 #: Largest candidate set an exhaustive rank search will explore.
-DEFAULT_RANK_CAP = 20
+RANK_CAP = 20
 
 
 class IndependenceOracle:
@@ -252,14 +252,13 @@ def max_rank(
     types: Iterable[str],
     *,
     weights: Mapping[str, Scalar] | None = None,
-    cap: int = DEFAULT_RANK_CAP,
 ) -> Scalar:
     """Maximum weight (cardinality when ``weights`` is None) of an independent
     subset of ``types``.
 
     Matroids use the exchange greedy, which is exact, and path chains the
     best root path. Other families fall back to an exhaustive
-    branch-and-bound over independent subsets, capped at ``cap`` candidates.
+    branch-and-bound over independent subsets, capped at ``RANK_CAP`` candidates.
     """
     cand = [
         t
@@ -279,7 +278,7 @@ def max_rank(
         return total
     if isinstance(family, PathChainFamily):
         return family._best_root_path(cand, w)
-    return _best_subset(family, cand, w, cap=cap)[1]
+    return _best_subset(family, cand, w)[1]
 
 
 def _best_subset(
@@ -287,18 +286,17 @@ def _best_subset(
     cand: Sequence[str],
     w: Mapping[str, Scalar],
     fixed: frozenset[str] = frozenset(),
-    cap: int = DEFAULT_RANK_CAP,
 ) -> tuple[frozenset[str], Scalar]:
     """Heaviest subset of ``cand`` independent together with ``fixed`` (which
     ``cand`` must not meet), and its weight.
 
     Include-first branch-and-bound in ``cand`` order, pruned by the weight
     left in the suffix; sums follow ``cand`` order and the first best wins.
-    Refuses more than ``cap`` candidates.
+    Refuses more than ``RANK_CAP`` candidates.
     """
-    if len(cand) > cap:
+    if len(cand) > RANK_CAP:
         raise ExactCapExceeded(
-            f"exact subset search infeasible: {len(cand)} candidates exceed the cap of {cap}"
+            f"exact subset search infeasible: {len(cand)} candidates exceed the cap of {RANK_CAP}"
         )
     suffix: list[Scalar] = [0] * (len(cand) + 1)
     for i in reversed(range(len(cand))):

@@ -9,7 +9,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping
 
 from .core import (
     ExactCapExceeded,
@@ -297,42 +297,32 @@ def tree_lb_nonadaptive_bound(k: int, p: Scalar) -> Scalar:
     return 1 + k * p
 
 
-def gen_tree_lb(
-    k: int,
-    w: int,
-    p: Scalar,
-    weights: Sequence[Scalar] | None = None,
-) -> InstanceBundle:
+def gen_tree_lb(k: int, w: int, p: Scalar) -> InstanceBundle:
     """Perfect w-ary tree of depth k whose edges are Bernoulli(p) elements.
 
-    The objective is the (optionally per-depth weighted) rank of the family
-    of edge sets lying on a single root-leaf path; the constraint lets a
-    sequence be probed only while some root-leaf vertex path touches every
-    probed edge. The reference tree probes sibling edges in child order and
-    descends below the first active one (below the first child if none);
-    it is materialized only when w*k <= ``TREE_LB_PROBE_CAP``.
+    The objective is the rank of the family of edge sets lying on a single
+    root-leaf path; the constraint lets a sequence be probed only while some
+    root-leaf vertex path touches every probed edge. The reference tree
+    probes sibling edges in child order and descends below the first active
+    one (below the first child if none); it is materialized only when
+    w*k <= ``TREE_LB_PROBE_CAP``.
     """
     _check_tree_lb(k, p, w)
-    if weights is not None and len(weights) != k:
-        raise ValidationError("per-depth weights need exactly k entries")
     shape = _build_wary_tree(w, k)
     type_space = {}
     probs = {}
     on_endpoints = {}
-    weight_map: dict[str, Scalar] = {}
     q = 1 - p
     for el in shape.edges:
         on, off = f"{el}:on", f"{el}:off"
         type_space[el] = (on, off)
         probs[el] = {on: p, off: q}
         on_endpoints[on] = shape.endpoints[el]
-        d = len(shape.labels[shape.endpoints[el][1]])
-        weight_map[on] = 1 if weights is None else weights[d - 1]
 
     universe = universe_from_type_space(type_space)
     dist = TypeDistribution(probs)
     family = PathChainFamily(on_endpoints, shape.root)
-    valuation = WeightedRankValuation(family, weight_map)
+    valuation = WeightedRankValuation(family, dict.fromkeys(on_endpoints, 1))
     constraint = TreeFanConstraint(shape.endpoints, shape.root)
 
     tree = None

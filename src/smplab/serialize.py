@@ -33,6 +33,7 @@ from .strategy import (
     TableConstraint,
     TreeFanConstraint,
     _tree_nodes,
+    check_tree_feasible,
     leaf,
     probe,
     validate_tree,
@@ -293,7 +294,7 @@ _VALUATION = _Kinds(
     ),
     weighted_rank=_Record(
         WeightedRankValuation,
-        {"family": _FAMILY, "weights": _Mapping(_SCALAR), "rank_cap": _INTEGER},
+        {"family": _FAMILY, "weights": _Mapping(_SCALAR)},
     ),
     explicit=_Record(
         ExplicitValuation,
@@ -321,6 +322,10 @@ def _bundle(universe, distribution, valuation, constraint, tree=None, metadata=N
     if isinstance(constraint, DagPathConstraint) and constraint.start not in universe.type_space:
         start = constraint.start
         raise ParseError(f"constraint.start must be in universe.elements, not {start!r}")
+    for e in universe.elements:  # a missing budget cost or tree-fan edge raises here
+        _construct(constraint.step, "constraint", constraint.initial, e)
+    if tree is not None and (broken := check_tree_feasible(tree, constraint)[1]):
+        raise ParseError(f"tree: probing path {list(broken)} breaks the constraint")
     return InstanceBundle(universe, dist, valuation, constraint, tree, metadata or {})
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
-from .core import ExactCapExceeded, Scalar, ValidationError, check_finite
-from .families import DEFAULT_RANK_CAP, IndependenceOracle, max_rank
+from .core import Scalar, ValidationError, check_finite
+from .families import IndependenceOracle, max_rank
 
 
 class ValuationFunction:
@@ -115,7 +115,6 @@ class WeightedRankValuation(ValuationFunction):
 
     family: IndependenceOracle
     weights: Mapping[str, Scalar]
-    rank_cap: int = DEFAULT_RANK_CAP
 
     kind = "weighted_rank"
 
@@ -127,10 +126,7 @@ class WeightedRankValuation(ValuationFunction):
                 raise ValidationError(f"type {t!r} has negative weight {w!r}")
 
     def _evaluate(self, types):
-        try:
-            return max_rank(self.family, types, weights=self.weights, cap=self.rank_cap)
-        except ExactCapExceeded as exc:  # name the knob that sets the cap
-            raise ExactCapExceeded(f"valuation.rank_cap: {exc}") from exc
+        return max_rank(self.family, types, weights=self.weights)
 
 
 def coverage_valuation(cover_sets: Mapping[str, Iterable]) -> WeightedCoverageValuation:

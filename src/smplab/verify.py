@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Scalar, Universe, ValidationError
 from .families import IndependenceOracle, IntersectionFamily, PartitionMatroid
-from .strategy import ConstraintOracle, TableConstraint, _feasible_sequences
+from .strategy import ConstraintOracle, TableConstraint
 from .valuation import ValuationFunction
 
 
@@ -93,11 +93,6 @@ def check_downward_closed(
     return True, None
 
 
-#: Most distinct (set, constraint state) pairs the prefix-closure walk of a
-#: stepwise oracle visits.
-PREFIX_WALK_CAP = 200_000
-
-
 def check_prefix_closed(
     constraint: ConstraintOracle,
     universe: Universe,
@@ -106,20 +101,18 @@ def check_prefix_closed(
     """Validate prefix-closure of a probing constraint.
 
     Stepwise oracles are prefix-closed by construction, so for them this
-    exhaustively walks the feasible sequences, one per (set, state) pair
-    (surfacing crashes or cap blowups). Table-backed constraints are checked
-    for real: every declared sequence must have all its prefixes declared.
+    only steps each element once from ``initial``: a budget cost or tree-fan
+    edge depends on the element alone, so one that is missing raises there.
+    Table-backed constraints are checked for real, up to ``max_len``: every
+    declared sequence must have all its prefixes declared.
     """
     if isinstance(constraint, TableConstraint):
         for seq in sorted(s for s in constraint.sequences if len(s) <= max_len):
             if any(seq[:cut] not in constraint.sequences for cut in range(1, len(seq))):
                 return False, seq
         return True, None
-
-    for seen, _ in enumerate(_feasible_sequences(constraint, universe.elements, max_len), 1):
-        if seen > PREFIX_WALK_CAP:
-            raise ValidationError(f"prefix-closure walk exceeded its cap of {PREFIX_WALK_CAP} "
-                                  "distinct (set, constraint state) pairs")
+    for e in universe.elements:
+        constraint.step(constraint.initial, e)
     return True, None
 
 

@@ -1,11 +1,13 @@
 """The mutation walk over instance documents.
 
 Every JSON node up to a depth is replaced, in turn, by each of a fixed set
-of bad values, and the document is run through ``smplab eval --file``. A run
-passes when it exits 2 with a message that names the mutated node, its
-parent, or the innermost kind object, tree node or section that holds it
-(or that starts with the path of any object holding it, whose constructor
-refused it), or when it exits 0 or 1 and prints only finite values.
+of bad values, and the document is run through ``smplab eval --file`` with
+each ``--what`` of ``WHATS``: ``adap`` walks the tree, ``best-na`` steps the
+constraint through its feasible sequences. A run passes when it exits 2
+with a message that names the mutated node, its parent, or the innermost
+kind object, tree node or section that holds it (or that starts with the
+path of any object holding it, whose constructor refused it), or when it
+exits 0 or 1 and prints only finite values.
 
 Paths are written as the instance codec writes them: a field of a kind
 object, tree node, section or ``{"scalar": ...}`` metadata value joins with
@@ -22,6 +24,7 @@ from smplab.cli import main
 
 REPLACEMENTS = ([], {}, "x", 1, None, [[]], True, "nan", "-1", "1e400")
 DEPTH = 6
+WHATS = ("adap", "best-na")
 
 
 def nodes(node, depth=DEPTH, keys=(), path="", holders=()):
@@ -55,14 +58,14 @@ def mutants(doc, depth=DEPTH):
         owner[keys[-1]] = original
 
 
-def outcome(text, file, path, parent, holders):
-    """How ``smplab eval --file`` treats the document: "exit 2, named",
-    "exit 0", "exit 1", or a line that starts with "FAIL" and says why."""
+def outcome(text, file, what, path, parent, holders):
+    """How ``smplab eval --file --what <what>`` treats the document: "exit 2,
+    named", "exit 0", "exit 1", or a line that starts with "FAIL" and says why."""
     file.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            status = main(["eval", "--file", str(file)])
+            status = main(["eval", "--file", str(file), "--what", what])
     except Exception as exc:  # a traceback is the failure this walk looks for
         return f"FAIL traceback at {path}: {type(exc).__name__}: {exc}"
     message = err.getvalue().removeprefix("error: ").strip()

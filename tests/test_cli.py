@@ -11,10 +11,15 @@ from pathlib import Path
 import pytest
 
 import smplab
-from smplab import gen_random_instance, gen_submodular_lb, RandomInstanceParams
+from smplab import gen_random_instance, gen_submodular_lb, gen_tree_lb, RandomInstanceParams
 from smplab.cli import main, run
 from smplab.core import ValidationError
-from smplab.serialize import parse_report, serialize_instance, serialize_report
+from smplab.serialize import (
+    instance_to_dict,
+    parse_report,
+    serialize_instance,
+    serialize_report,
+)
 
 
 @pytest.fixture
@@ -80,14 +85,6 @@ def _word_capacity(doc):
     doc["valuation"]["family"]["members"][0]["capacity"][0][1] = "abc"
 
 
-def _word_rank_cap(doc):
-    doc["valuation"]["rank_cap"] = "abc"
-
-
-def _small_rank_cap(doc):
-    doc["valuation"]["rank_cap"] = 1
-
-
 def _fractional_limit(doc):
     doc["constraint"] = {"kind": "cardinality", "limit": 2.5}
 
@@ -98,10 +95,6 @@ def _huge_limit(doc):
 
 def _float_capacity(doc):
     doc["valuation"]["family"]["members"][0]["capacity"][0][1] = 1.0
-
-
-def _bool_rank_cap(doc):
-    doc["valuation"]["rank_cap"] = True
 
 
 def _number_probability(doc):
@@ -286,10 +279,6 @@ class TestEvalCommands:
              "valuation.family.members[0].capacity['q0'] must be a JSON integer, not 'abc'"),
             (_float_capacity,
              "valuation.family.members[0].capacity['q0'] must be a JSON integer, not 1.0"),
-            (_word_rank_cap, "valuation.rank_cap must be a JSON integer, not 'abc'"),
-            (_bool_rank_cap, "valuation.rank_cap must be a JSON integer, not True"),
-            (_small_rank_cap, "valuation.rank_cap: exact subset search infeasible: "
-                              "2 candidates exceed the cap of 1"),
             (_deep_tree, "recursion"),
             (_repeated_tree_element, "tree: element 'e0' repeats on a probing path"),
             (_unknown_tree_element, "tree: unknown element 'zz' in tree"),
@@ -327,9 +316,6 @@ class TestEvalCommands:
             "_huge_limit-limit must be a JSON integer, not 1e+300",
             "_word_capacity-capacity of part 'q0' must be a JSON integer, not 'abc'",
             "_float_capacity-capacity of part 'q0' must be a JSON integer, not 1.0",
-            "_word_rank_cap-rank_cap must be a JSON integer, not 'abc'",
-            "_bool_rank_cap-rank_cap must be a JSON integer, not True",
-            "_small_rank_cap",
             "_deep_tree-recursion",
             "_repeated_tree_element-element 'e0' repeats on a probing path",
             "_unknown_tree_element-unknown element 'zz' in tree",
@@ -490,6 +476,27 @@ class TestEvalCommands:
         assert main(["eval", "--file", str(instance_file), "--what", "adap"]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("what", ["adap", "best-na"])
+    @pytest.mark.parametrize(
+        "constraint, named",
+        [
+            ({"kind": "budget", "cost": {"e0": "1"}, "budget": "3"},
+             "constraint: no probing cost for element 'e1'"),
+            ({"kind": "tree_fan", "edges": {"e0": ["r", "v"]}, "root": "r"},
+             "constraint: element 'e1' is not an edge of the tree"),
+            ({"kind": "cardinality", "limit": 1},
+             "tree: probing path ['e0', 'e1'] breaks the constraint"),
+        ],
+        ids=["budget_cost", "tree_fan_edge", "tree_breaks_constraint"],
+    )
+    def test_eval_checks_the_constraint_at_parse(self, tmp_path, capsys, constraint, named, what):
+        doc = instance_to_dict(gen_random_instance(11))
+        doc["constraint"] = constraint
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--file", str(path), "--what", what]) == 2
+        assert named in capsys.readouterr().err
+
     def test_mc_estimate_deterministic(self, instance_file):
         argv = ["mc-estimate", "--file", str(instance_file), "--what", "adap",
                 "--trials", "2000", "--seed", "5"]
@@ -621,3 +628,16 @@ def test_triangular_instance_file_round_trips_through_eval(tmp_path):
     assert main(["eval", "--file", str(path), "--what", "adap", "--out", str(out)]) == 0
     records, _ = parse_report(out.read_text())
     assert records[0].value == pytest.approx(41 / 32)
+
+
+def test_a_rank_cap_field_is_ignored(tmp_path):
+    # a weighted-rank file may hold "rank_cap": 20, which the codec does not
+    # read: the exact rank search is capped at families.RANK_CAP
+    doc = instance_to_dict(gen_tree_lb(2, 2, Fraction(1, 8)))
+    doc["valuation"]["rank_cap"] = 20
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--file", str(path), "--what", "adap", "--out", str(out)]) == 0
+    records, _ = parse_report(out.read_text())
+    assert records[0].value == 0.46875

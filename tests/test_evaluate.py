@@ -546,18 +546,12 @@ class TestBestNonadaptive:
             )
             assert value <= bundle.metadata["nonadaptive_bound"]
 
-    def test_sequence_cap(self):
+    def test_sequence_cap(self, monkeypatch):
         inst = gen_random_instance(80)
+        monkeypatch.setattr("smplab.evaluate.SEQUENCE_CAP", 1)
         pairs = r"more than 1 distinct \(set, constraint state\) pairs"
         with pytest.raises(ExactCapExceeded, match=pairs):
-            best_nonadaptive_exact(
-                inst.universe,
-                inst.dist,
-                inst.valuation,
-                inst.constraint,
-                4,
-                sequence_cap=1,
-            )
+            best_nonadaptive_exact(inst.universe, inst.dist, inst.valuation, inst.constraint, 4)
 
     def test_chain_tree_value_equals_probed_set_value(self):
         # evaluating the best fixed sequence as a degenerate tree reproduces it

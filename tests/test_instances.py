@@ -146,11 +146,6 @@ class TestTreeInstance:
         with pytest.raises(ExactCapExceeded):
             gen_tree_lb(3, 81, 1 / 27)
 
-    def test_per_depth_weights(self):
-        bundle = gen_tree_lb(2, 2, Fraction(1, 2), weights=[4, 1])
-        w = bundle.weights
-        assert w["e0:on"] == 4 and w["e0.0:on"] == 1
-
     def test_family_is_downward_closed(self):
         bundle = gen_tree_lb(2, 2, Fraction(1, 2))
         fam = bundle.family
@@ -162,8 +157,6 @@ class TestTreeInstance:
             gen_tree_lb(0, 2, 0.5)
         with pytest.raises(ValidationError):
             gen_tree_lb(2, 2, 0)
-        with pytest.raises(ValidationError):
-            gen_tree_lb(2, 2, 0.5, weights=[1])
 
 
 class TestPrimeEncoding:

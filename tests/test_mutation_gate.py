@@ -3,12 +3,12 @@
 The walk is in ``mutations.py``; ``scripts/mutation_pass.py`` runs it over
 more documents. Here it takes three small ones: a coverage valuation under a
 dag_path constraint, the w-ary tree instance, and a weighted-rank
-intersection under a budget.
+intersection under a budget, 3,260 runs for each ``--what``.
 """
 
 from fractions import Fraction
 
-from mutations import mutants, outcome
+from mutations import WHATS, mutants, outcome
 from smplab import RandomInstanceParams, gen_random_instance, gen_tree_lb
 from smplab.serialize import instance_to_dict
 
@@ -25,10 +25,11 @@ def test_every_mutation_is_named_or_evaluates(tmp_path):
         gen_random_instance(2, weighted),
     ]
     file = tmp_path / "mutant.json"
-    runs = 0
-    for bundle in bundles:
-        for text, *where in mutants(instance_to_dict(bundle)):
-            got = outcome(text, file, *where)
-            runs += 1
-            assert not got.startswith("FAIL"), got
-    assert runs == 3280
+    for what in WHATS:
+        runs = 0
+        for bundle in bundles:
+            for text, *where in mutants(instance_to_dict(bundle)):
+                got = outcome(text, file, what, *where)
+                runs += 1
+                assert not got.startswith("FAIL"), got
+        assert runs == 3260

@@ -15,6 +15,7 @@ from smplab import (
     NotKExtendibleError,
     PartitionMatroid,
     TableConstraint,
+    TreeFanConstraint,
     ValidationError,
     check_downward_closed,
     check_encoding,
@@ -99,17 +100,31 @@ class TestCheckPrefixClosed:
         ok, witness = check_prefix_closed(c, universe, 2)
         assert not ok and witness == ("a", "b")
 
-    def test_walk_refuses_past_its_cap_of_set_state_pairs(self, monkeypatch):
-        # four elements under a cardinality limit: 64 feasible sequences, but
-        # only 15 distinct (set, length) pairs
-        universe = universe_from_type_space({e: (f"{e}.x",) for e in "abcd"})
-        c = CardinalityConstraint(4)
-        monkeypatch.setattr(verify, "PREFIX_WALK_CAP", 15)
-        assert check_prefix_closed(c, universe, 4) == (True, None)
-        monkeypatch.setattr(verify, "PREFIX_WALK_CAP", 14)
-        pairs = r"cap of 14 distinct \(set, constraint state\) pairs"
-        with pytest.raises(ValidationError, match=pairs):
-            check_prefix_closed(c, universe, 4)
+    def test_stepwise_check_steps_each_element_once(self):
+        # 18 elements under a cardinality limit of 18 have 2**18 distinct
+        # (set, length) pairs; one step per element visits none of them
+        universe = universe_from_type_space({f"e{i}": (f"e{i}.x",) for i in range(18)})
+        tracemalloc.start()
+        try:
+            got = check_prefix_closed(CardinalityConstraint(18), universe, 18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == (True, None)
+        assert peak < 1 << 20, f"peak {peak / 2**20:.1f} MB"
+
+    @pytest.mark.parametrize(
+        "constraint, named",
+        [
+            (BudgetConstraint({"a": 1}, 2), "no probing cost for element 'b'"),
+            (TreeFanConstraint({"a": ("r", "v")}, "r"), "element 'b' is not an edge of the tree"),
+        ],
+        ids=["budget", "tree_fan"],
+    )
+    def test_stepwise_check_raises_on_a_missing_label(self, constraint, named):
+        universe = universe_from_type_space({e: (f"{e}.x",) for e in "ab"})
+        with pytest.raises(ValidationError, match=named):
+            check_prefix_closed(constraint, universe, 2)
 
 
 class TestCheckKExtendible:
