@@ -8,22 +8,27 @@ elements with fresh independent types. ``greedy_interleaved_exact`` scores
 the greedy selection that scans the path in root-to-leaf order, feeding the
 true draw before the virtual draw at each element.
 
-Exact evaluators keep rational arithmetic when all inputs are rational. The
-tree check lists each distinct node once, children first; ``adap_exact``,
-``greedy_interleaved_exact`` and the Monte Carlo walk read that list and its
-positive-probability arcs, and the first two expand a shared subtree once per
-state that can still change its value, on a stack of their own. Monte Carlo
-evaluators are deterministic given (seed, trials) and bit-identical for any
-worker count, because trials are split into fixed counter-addressed blocks.
+Exact evaluators keep rational arithmetic when all inputs are rational: each
+element's probabilities become int numerators over their lcm, and the
+expectation at a node or over a probed set's draws is summed in ints and
+normalized by one gcd. Float probabilities and values are summed as Scalars, in
+arc or draw order. The tree check lists each distinct node once, children
+first; ``adap_exact``, ``greedy_interleaved_exact`` and the Monte Carlo walk
+read that list, and the first two expand a shared subtree once per state that
+can still change its value, on a stack of their own. Monte Carlo evaluators
+are deterministic given (seed, trials) and bit-identical for any worker count,
+because trials are split into fixed counter-addressed blocks.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterator, Mapping, Sequence
+from fractions import Fraction
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +56,9 @@ MC_BLOCK = 1024
 
 #: Most distinct (set, constraint state) pairs the exhaustive non-adaptive search visits.
 SEQUENCE_CAP = 10**6
+
+#: Fresh draws of a probed set held at a time while their values are summed.
+DRAW_CHUNK = 1 << 6
 
 #: Slack the gap reports allow their inequalities for float rounding.
 GAP_REPORT_TOL = 1e-9
@@ -154,33 +162,53 @@ def _probed_sets(
     return list(sets.values())
 
 
-def _draw_values(
-    fs: Sequence[Callable[[frozenset[str]], Scalar]],
-    order: Sequence[str],
-    universe: Universe,
-    dist: TypeDistribution,
-) -> list[Scalar]:
-    """The expectation of each of ``fs`` over the fresh true draws of ``order``.
+def _element_rows(universe: Universe, dist: TypeDistribution) -> Callable[[str], tuple]:
+    """A table per call, element -> ``(probs, weights, scale, fractional)``: its positive
+    probabilities by type in type-space order and, if all are ints or Fractions, their
+    numerators over their denominators' lcm ``scale`` and whether one is a Fraction."""
+    @functools.cache
+    def row(e: str) -> tuple:
+        probs = {t: p for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0}
+        if not all(isinstance(p, (int, Fraction)) for p in probs.values()):
+            return probs, probs, None, False
+        scale = math.lcm(*[p.denominator for p in probs.values()])
+        return (probs, {t: p.numerator * (scale // p.denominator) for t, p in probs.items()},
+                scale, any(isinstance(p, Fraction) for p in probs.values()))
 
-    Draws come in the order of ``iter_type_profiles`` over ``order`` with the
-    same probability products, so each float sum adds the same terms in the
-    same order. Drawn prefixes are shared and zero-probability types skipped.
-    """
-    levels = [
-        [(t, p) for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0]
-        for e in order
-    ]
-    values: list[Scalar] = [0] * len(fs)
-    stack: list[tuple[int, frozenset[str], Scalar]] = [(0, frozenset(), 1)]
-    while stack:
-        i, types, q = stack.pop()
-        if i < len(levels):
-            # pushed in reverse so the first type is drawn first
-            stack.extend((i + 1, types | {t}, q * p) for t, p in reversed(levels[i]))
-            continue
-        for j, f in enumerate(fs):
-            values[j] = values[j] + q * f(types)
-    return values
+    return row
+
+
+def _weighted_sum(terms: Iterable[tuple], scale: int | None, fractional: bool):
+    """The sum of ``w / scale * (x + y)`` over ``(w, x, y)`` terms: in ints over the
+    lcm of int, Fraction or ``(numerator, denominator)`` values' denominators, then
+    one gcd to an int or, if ``fractional``, a pair in lowest terms; from a float
+    value on, or with no scale, adding ``w / scale * (x + y)`` as Scalars in order."""
+    num, den, rest = 0, 1, iter(terms)
+    for w, x, y in rest if scale else ():
+        if isinstance(x, float) or isinstance(y, float):
+            rest = itertools.chain([(w, x, y)], rest)
+            break
+        for v in (x, y):
+            if isinstance(v, int):
+                num += w * v * den
+                continue
+            a, b = v if type(v) is tuple else v.as_integer_ratio()
+            if den % b:
+                num, den = num * (math.lcm(den, b) // den), math.lcm(den, b)
+            num, fractional = num + w * a * (den // b), True
+    else:  # no float met
+        if scale:
+            g = math.gcd(num, den * scale)
+            return (num // g, den * scale // g) if fractional else num
+    total = Fraction(num, den * scale) if fractional else num
+    for w, x, y in rest:
+        total = total + (Fraction(w, scale) if fractional else w) * (x + _scalar(y))
+    return total
+
+
+def _scalar(value) -> Scalar:
+    """A value of ``_weighted_sum`` as a Scalar."""
+    return Fraction(*value) if type(value) is tuple else value
 
 
 def _walk_values(
@@ -189,12 +217,24 @@ def _walk_values(
     universe: Universe,
     dist: TypeDistribution,
 ) -> list[Scalar]:
-    """The random-walk value of each of ``fs``: over ``_probed_sets`` entries,
-    each set's probability times its fresh-draw expectation."""
+    """The random-walk value of each of ``fs``: over ``_probed_sets`` entries, each
+    set's probability times the ``_weighted_sum`` over its fresh true draws, in
+    ``iter_type_profiles`` order, of their weight (or probability) products."""
+    row = _element_rows(universe, dist)
     totals: list[Scalar] = [0] * len(fs)
     for order, p in sets:
-        for i, v in enumerate(_draw_values(fs, order, universe, dist)):
-            totals[i] = totals[i] + p * v
+        rows = [row(e) for e in order]
+        scale = None if any(r[2] is None for r in rows) else math.prod(r[2] for r in rows)
+        fractional = scale is not None and any(r[3] for r in rows)
+        levels = [r[1] if scale else r[0] for r in rows]
+        draws = zip(map(math.prod, itertools.product(*[lv.values() for lv in levels])),
+                    map(frozenset, itertools.product(*levels)))
+        values: list = [0] * len(fs)
+        while chunk := list(itertools.islice(draws, DRAW_CHUNK)):  # each sum carries over
+            (weights, types), zeros = zip(*chunk), [0] * len(chunk)
+            values = [_weighted_sum([(scale or 1, v, 0), *zip(weights, map(f, types), zeros)],
+                                    scale, fractional) for f, v in zip(fs, values)]
+        totals = [total + p * _scalar(v) for total, v in zip(totals, values)]
     return totals
 
 
@@ -216,13 +256,6 @@ def _unrecursed(call: Generator):
     return sent
 
 
-def _positive_arcs(nodes: Sequence[DecisionTree], dist: TypeDistribution) -> dict:
-    """Node id -> the node's ``(type, probability, child)`` arcs of positive
-    probability, in child order."""
-    return {id(node): [(t, p, child) for t, child in node.children.items()
-                       if (p := dist.prob(node.element, t)) != 0] for node in nodes}
-
-
 def adap_exact(
     tree: DecisionTree,
     f: ValuationFunction,
@@ -240,7 +273,7 @@ def adap_exact(
     the walk expands each such ``(node, reach)`` pair once.
     """
     nodes, shared = _tree_nodes(tree, universe)
-    arcs = _positive_arcs(nodes, dist)
+    row = _element_rows(universe, dist)
     meter = _WorkMeter(work_cap)
     # without a shared subtree each node is entered once and no key repeats
     memoize = shared and f.reach(frozenset()) is not None
@@ -249,28 +282,32 @@ def adap_exact(
         for node in nodes:  # children first
             below[id(node)] = f.reach(frozenset(node.children)).union(
                 *(below.get(id(c), ()) for c in node.children.values()))
-    memo: dict[tuple[int, frozenset], Scalar] = {}
+    memo: dict[tuple[int, frozenset], object] = {}  # values as ``_weighted_sum`` gives them
 
     def expand(node: DecisionTree, fixed: frozenset[str], base: Scalar, key):
         # base is f(fixed), passed down so each arc calls f once
-        meter.spend(len(arcs[id(node)]))
-        total: Scalar = 0
-        for t, p, child in arcs[id(node)]:
+        _, weights, scale, fractional = row(node.element)
+        meter.spend(len(weights))
+        terms = []  # (weight, value gained at the arc, value gained below it) per arc
+        for t, child in node.children.items():
+            if (w := weights.get(t)) is None:
+                continue  # a zero-probability arc
             ext = fixed | {t}
             value = f(ext)
-            sub: Scalar = 0
+            sub = 0
             if not child.is_leaf:
                 child_key = (id(child), f.reach(ext) & below[id(child)]) if memoize else None
                 sub = memo.get(child_key)
                 if sub is None:
                     sub = yield expand(child, ext, value, child_key)
-            total = total + p * ((value - base) + sub)
+            terms.append((w, value - base, sub))
+        total = _weighted_sum(terms, scale, fractional)
         if key is not None:
             memo[key] = total
         return total
 
     base = f(frozenset())
-    value = 0 if tree.is_leaf else _unrecursed(expand(tree, frozenset(), base, None))
+    value = 0 if tree.is_leaf else _scalar(_unrecursed(expand(tree, frozenset(), base, None)))
     return EvalReport(value=value, mode="exact")
 
 
@@ -327,38 +364,40 @@ def greedy_interleaved_exact(
     selection). ``trace["online_value"]`` is the online value that only
     counts true-type selections while still selecting virtual types.
     """
-    nodes, _ = _tree_nodes(tree, universe)
-    arcs = _positive_arcs(nodes, dist)
+    _tree_nodes(tree, universe)  # the tree check
+    row = _element_rows(universe, dist)
     meter = _WorkMeter(work_cap)
     add = functools.cache(functools.partial(greedy_add, family))  # a table per call
-    memo: dict[tuple[int, frozenset[str]], tuple[Scalar, Scalar]] = {}
+    memo: dict[tuple[int, frozenset[str]], tuple] = {}
 
     def expand(node: DecisionTree, chosen: frozenset[str]):
         """(expected final size, expected online gain) below ``node``."""
-        e = node.element
+        _, weights, scale, fractional = row(node.element)
         # true draws in type-space order, virtual arcs in child order
-        draws = [(add(chosen, t), q)
-                 for t in universe.type_space[e] if (q := dist.prob(e, t)) != 0]
-        size = online = 0
-        for virtual, p, child in arcs[id(node)]:
+        draws = [(add(chosen, t), q) for t, q in weights.items()]
+        got = []  # (weight, selections gained, child's (size, online gain)) per arc and draw
+        for virtual, child in node.children.items():
+            if (p := weights.get(virtual)) is None:
+                continue  # a zero-probability arc
             meter.spend(len(draws))
             for grown, q in draws:
                 nxt = add(grown, virtual)
                 if child.is_leaf:
-                    got = len(nxt), 0
+                    sub = len(nxt), 0
                 else:
-                    got = memo.get((id(child), nxt))
-                    if got is None:
-                        got = yield expand(child, nxt)
-                child_size, child_online = got
-                w = p * q
-                size = size + w * child_size
-                online = online + w * ((len(grown) - len(chosen)) + child_online)
+                    sub = memo.get((id(child), nxt))
+                    if sub is None:
+                        sub = yield expand(child, nxt)
+                got.append((p * q, len(grown) - len(chosen), sub))
+        square = scale and scale * scale
+        size = _weighted_sum([(w, s, 0) for w, _, (s, _) in got], square, fractional)
+        online = _weighted_sum([(w, g, o) for w, g, (_, o) in got], square, fractional)
         memo[id(node), chosen] = size, online
         return size, online
 
     total, online_total = (0, 0) if tree.is_leaf else _unrecursed(expand(tree, frozenset()))
-    return EvalReport(value=total, mode="exact", trace={"online_value": online_total})
+    return EvalReport(value=_scalar(total), mode="exact",
+                      trace={"online_value": _scalar(online_total)})
 
 
 def _mc_collect(
@@ -538,23 +577,23 @@ def best_nonadaptive_exact(
     the lexicographically smallest maximizing sequence.
     """
     meter = _WorkMeter(work_cap)
-    firsts: dict[frozenset[str], tuple[tuple[str, ...], list[str]]] = {}
-    sequences = _feasible_sequences(constraint, sorted(universe.elements), max_len)
-    for expanded, seq in enumerate(sequences, 1):
+    bit = {e: 1 << i for i, e in enumerate(sorted(universe.elements))}
+    firsts: dict[int, tuple[str, ...]] = {}  # set as a bitmask over ``bit`` -> first sequence
+    for expanded, seq in enumerate(_feasible_sequences(constraint, list(bit), max_len), 1):
         if expanded > SEQUENCE_CAP:
             raise ExactCapExceeded(
                 f"more than {SEQUENCE_CAP} distinct (set, constraint state) pairs; "
                 "use an instance-specific closed form"
             )
-        if (elements := frozenset(seq)) not in firsts:
+        if (mask := sum(bit[e] for e in seq)) not in firsts:
             # draws follow the universe order, whatever order the set was probed in
-            order = [e for e in universe.elements if e in elements]
-            meter.spend_draws(order, dist)
-            firsts[elements] = seq, order
+            meter.spend_draws([e for e in universe.elements if bit[e] & mask], dist)
+            firsts[mask] = seq
     best_seq: tuple[str, ...] = ()
     best_val: Scalar = 0
-    for seq, order in firsts.values():
-        v = _draw_values([f], order, universe, dist)[0]
+    for mask, seq in firsts.items():
+        v = _walk_values([([e for e in universe.elements if bit[e] & mask], 1)], [f], universe,
+                         dist)[0]
         if v > best_val:
             best_val = v
             best_seq = seq

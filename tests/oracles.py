@@ -144,20 +144,22 @@ def brute_alg(tree, f, universe, dist):
     return total
 
 
-def brute_greedy_interleaved(tree, family, universe, dist):
-    """Greedy count over joint enumeration, scanning true-then-virtual."""
+def brute_greedy_interleaved(tree, family, universe, dist, online=False):
+    """Greedy count over joint enumeration, scanning true-then-virtual; with
+    ``online``, only the selections of true types count."""
     total = 0
     for vx, px in profiles(universe, dist):
         elems = [e for e, _ in walk(tree, vx)]
         for vt, pt in profiles(universe, dist):
-            chosen = []
+            chosen, counted = [], 0
             for e in elems:
-                for t in (vt[e], vx[e]):
+                for t, true in ((vt[e], True), (vx[e], False)):
                     if t in chosen:
                         continue
                     if family.is_independent(frozenset(chosen) | {t}):
                         chosen.append(t)
-            total = total + px * pt * len(chosen)
+                        counted += true or not online
+            total = total + px * pt * counted
     return total
 
 

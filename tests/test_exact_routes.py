@@ -1,0 +1,225 @@
+"""The exact kernels' two routes: sums in int numerators when every probability
+of a row is an int or a Fraction, and Scalar sums in arc or draw order when a
+probability or a value is a float."""
+
+import tracemalloc
+from fractions import Fraction
+
+import pytest
+
+from smplab import (
+    CardinalityConstraint,
+    ExactCapExceeded,
+    RandomInstanceParams,
+    TypeDistribution,
+    adap_exact,
+    alg_exact,
+    best_nonadaptive_exact,
+    combined_value,
+    coverage_valuation,
+    gen_random_instance,
+    gen_submodular_lb,
+    gen_tree_lb,
+    greedy_interleaved_exact,
+    make_uniform_matroid,
+    universe_from_type_space,
+)
+from smplab.strategy import _feasible_sequences
+from smplab.valuation import WeightedCoverageValuation
+from oracles import (
+    brute_adap,
+    brute_alg,
+    brute_best_nonadaptive,
+    brute_combined,
+    brute_greedy_interleaved,
+)
+
+RANK_KINDS = ("matroid_intersection_rank", "matching_rank")
+
+
+def sure_rows(dist, elements):
+    """``dist`` with each of ``elements`` sure of its first type, in ints."""
+    return TypeDistribution({
+        e: {t: int(t == next(iter(row))) for t in row} if e in elements else row
+        for e, row in dist.probs.items()
+    })
+
+
+def routes(inst):
+    """The instance's Fraction rows; int rows on every other element but the
+    root's, which keeps its Fractions; and int rows only."""
+    elements = inst.universe.elements
+    mixed = [e for e in elements[1::2] if e != inst.tree.element]
+    return [inst.dist, sure_rows(inst.dist, mixed), sure_rows(inst.dist, elements)]
+
+
+def instances(seeds, **params):
+    made = [gen_random_instance(s, RandomInstanceParams(max_elements=4, **params))
+            for s in seeds]
+    return [inst for inst in made if not inst.tree.is_leaf]
+
+
+def assert_same(got, want):
+    # an all-int computation stays an int, as it does in Fractions
+    assert got == want and type(got) is type(want), (got, want)
+
+
+class TestRationalRouteAgainstBruteForce:
+    def test_adap_alg_and_best_nonadaptive(self):
+        # coverage, partition-weighted (weights over 4) and rank valuations
+        for inst in instances(range(60), max_types=3):
+            for dist in routes(inst):
+                args = (inst.tree, inst.valuation, inst.universe, dist)
+                assert_same(adap_exact(*args).value, brute_adap(*args))
+                assert_same(alg_exact(*args).value, brute_alg(*args))
+                search = (inst.universe, dist, inst.valuation, inst.constraint, 3)
+                got, want = best_nonadaptive_exact(*search), brute_best_nonadaptive(*search)
+                assert got[0] == want[0]
+                assert_same(got[1], want[1])
+
+    def test_greedy_value_and_online_value(self):
+        for inst in instances(range(30), max_types=2, valuation_kinds=RANK_KINDS):
+            for dist in routes(inst):
+                args = (inst.tree, inst.family, inst.universe, dist)
+                rep = greedy_interleaved_exact(*args)
+                assert_same(rep.value, brute_greedy_interleaved(*args))
+                online = brute_greedy_interleaved(*args, online=True)
+                assert_same(rep.trace["online_value"], online)
+
+    @pytest.mark.parametrize("scale_weights", [1, Fraction(1, 4)], ids=["int", "fraction"])
+    def test_combined_value(self, scale_weights):
+        params = dict(max_types=2, valuation_kinds=RANK_KINDS, k_extendible=2, weight_high=64)
+        for inst in instances(range(16), **params):
+            weights = {t: w * scale_weights for t, w in inst.weights.items()}
+            for dist in routes(inst):
+                args = (inst.tree, weights, inst.family, 2, inst.universe, dist)
+                assert_same(combined_value(*args).value, brute_combined(*args))
+
+
+def _floated(dist):
+    return TypeDistribution({e: {t: float(p) for t, p in row.items()}
+                             for e, row in dist.probs.items()})
+
+
+def _float_results():
+    """Float results that must not move by an ulp, by instance and evaluator."""
+    tri = gen_submodular_lb(0.25)
+    uniform = make_uniform_matroid(sorted(tri.universe.all_types), 2)
+    greedy = greedy_interleaved_exact(tri.tree, uniform, tri.universe, tri.dist)
+    # the eps = 1/4 triangle's 1024 probed sets take seconds in floats; 1/3 has the same shape
+    tri3 = gen_submodular_lb(1 / 3.)
+    yield "tri adap", adap_exact(tri.tree, tri.valuation, tri.universe, tri.dist).value
+    yield "tri greedy", greedy.value
+    yield "tri greedy online", greedy.trace["online_value"]
+    yield "tri3 alg", alg_exact(tri3.tree, tri3.valuation, tri3.universe, tri3.dist).value
+    tree = gen_tree_lb(3, 2, 1 / 3.)
+    args = (tree.tree, tree.valuation, tree.universe, tree.dist)
+    greedy = greedy_interleaved_exact(tree.tree, tree.family, tree.universe, tree.dist)
+    yield "tree adap", adap_exact(*args).value
+    yield "tree alg", alg_exact(*args).value
+    yield "tree greedy", greedy.value
+    yield "tree greedy online", greedy.trace["online_value"]
+    params = RandomInstanceParams(valuation_kinds=RANK_KINDS, k_extendible=2, weight_high=1024)
+    inst = gen_random_instance(20, params)
+    dist = _floated(inst.dist)
+    args = (inst.tree, inst.valuation, inst.universe, dist)
+    greedy = greedy_interleaved_exact(inst.tree, inst.family, inst.universe, dist)
+    yield "random adap", adap_exact(*args).value
+    yield "random alg", alg_exact(*args).value
+    yield "random greedy", greedy.value
+    yield "random greedy online", greedy.trace["online_value"]
+    yield "random combined", combined_value(
+        inst.tree, inst.weights, inst.family, 2, inst.universe, dist).value
+    # Fraction probabilities, float weights: coverage values are ints (0) or floats
+    inst = gen_random_instance(7, RandomInstanceParams(valuation_kinds=("coverage",)))
+    items = sorted(inst.valuation.weight)
+    f = WeightedCoverageValuation(inst.valuation.reach_of,
+                                  {x: 0.1 * (1 + n) for n, x in enumerate(items)}, "coverage")
+    yield "mixed adap", adap_exact(inst.tree, f, inst.universe, inst.dist).value
+    yield "mixed alg", alg_exact(inst.tree, f, inst.universe, inst.dist).value
+    yield "mixed best", best_nonadaptive_exact(
+        inst.universe, inst.dist, f, inst.constraint, 3)[1]
+
+
+FLOAT_HEX = {
+    "tri adap": "0x1.8f585a0000000p+0",
+    "tri greedy": "0x1.0000000000000p+1",
+    "tri greedy online": "0x1.a000000000000p+0",
+    "tri3 alg": "0x1.e208a97f014a1p-1",
+    "tree adap": "0x1.aaaaaaaaaaaacp+0",
+    "tree alg": "0x1.5d68ffa619fcap+0",
+    "tree greedy": "0x1.01f4daadb9fb0p+1",
+    "tree greedy online": "0x1.358c399d45937p+0",
+    "random adap": "0x1.a442128bd367ep+9",
+    "random alg": "0x1.b20ab93b76f58p+9",
+    "random greedy": "0x1.c070f5d449935p+0",
+    "random greedy online": "0x1.29d6a30a8aae5p+0",
+    "random combined": "0x1.7d4d7634b8a0cp+9",
+    "mixed adap": "0x1.ac3514ff26befp-1",
+    "mixed alg": "0x1.cf88198edcf4bp-1",
+    "mixed best": "0x1.426c684fbc479p+0",
+}
+
+
+def test_float_results_are_bit_identical():
+    got = {name: value.hex() for name, value in _float_results()}
+    assert got == FLOAT_HEX
+
+
+_KERNELS = {
+    "adap_exact": lambda b, cap: adap_exact(
+        b.tree, b.valuation, b.universe, b.dist, work_cap=cap),
+    "alg_exact": lambda b, cap: alg_exact(
+        b.tree, b.valuation, b.universe, b.dist, work_cap=cap),
+    "greedy_interleaved_exact": lambda b, cap: greedy_interleaved_exact(
+        b.tree, b.family, b.universe, b.dist, work_cap=cap),
+}
+
+
+def _refusal(kernel, bundle, cap):
+    try:
+        kernel(bundle, cap)
+    except ExactCapExceeded as refused:
+        return str(refused)
+    return None
+
+
+@pytest.mark.parametrize("name", list(_KERNELS))
+def test_both_routes_refuse_at_the_same_cap(name):
+    kernel = _KERNELS[name]
+    exact, approx = gen_tree_lb(2, 2, Fraction(1, 3)), gen_tree_lb(2, 2, 1 / 3.)
+    lo, hi = 0, 1
+    while _refusal(kernel, exact, hi) is not None:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # the least cap the exact copy fits in
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _refusal(kernel, exact, mid) is not None else (lo, mid)
+    message = _refusal(kernel, exact, hi - 1)
+    assert message is not None and f"work cap of {hi - 1}" in message
+    assert _refusal(kernel, approx, hi - 1) == message
+    assert _refusal(kernel, approx, hi) is None
+
+
+def test_best_nonadaptive_memory_per_distinct_set():
+    # 20 one-type elements: every sequence that the search meets is a new set, and
+    # the work cap ends it; the search keeps a bitmask and a first sequence per set
+    n, cap = 20, 50_000
+    names = [f"e{i:02d}" for i in range(n)]
+    universe = universe_from_type_space({e: (f"{e}.on",) for e in names})
+    dist = TypeDistribution({e: {f"{e}.on": 1} for e in names})
+    f = coverage_valuation({f"{e}.on": {e} for e in names})
+    used = sets = 0
+    for seq in _feasible_sequences(CardinalityConstraint(n), names, n):
+        used += len(seq)  # a set of one-type elements has one draw arc per element
+        if used > cap:
+            break
+        sets += 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExactCapExceeded, match=f"work cap of {cap}: fresh draws"):
+            best_nonadaptive_exact(universe, dist, f, CardinalityConstraint(n), n, work_cap=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sets > 3000
+    assert peak / sets < 600  # bytes; a frozenset key and a draw order per set take over 1200
