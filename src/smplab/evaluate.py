@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,10 +44,10 @@ from .core import (
     _type_thresholds,
     iter_type_profiles,  # noqa: F401  (perfbench traces this binding)
 )
-from .families import IndependenceOracle, greedy_add
+from .families import IndependenceOracle, PathChainFamily, greedy_add
 from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
 from .strategy import validate_tree
-from .valuation import ValuationFunction, WeightedCoverageValuation
+from .valuation import ValuationFunction, WeightedCoverageValuation, WeightedRankValuation
 
 #: Hard limit on the exact work per evaluation: tree arcs and fresh-draw arcs expanded.
 DEFAULT_WORK_CAP = 1 << 22
@@ -407,11 +408,11 @@ def _mc_collect(
 ) -> np.ndarray:
     values = np.empty(trials, dtype=np.float64)
     blocks = range((trials + MC_BLOCK - 1) // MC_BLOCK)
-    if workers <= 1:
+    if (threads := min(workers, len(blocks), os.cpu_count() or 1)) <= 1:
         for b in blocks:
             fill_block(b, values)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(lambda b: fill_block(b, values), blocks))
     return values
 
@@ -463,15 +464,48 @@ class _CodedTree:
         return rows
 
 
+def _path_chain_values(f: WeightedRankValuation, type_names: Sequence[str]):
+    """Rows -> ``max_rank``'s best root path: a row's cells in its candidate order
+    ``(-w, name)``, a name met twice counted once, and per candidate cell the weights of
+    the cells whose lower endpoint's preorder range holds its start, added to 0.0 left
+    to right as ``_best_root_path`` does; a column at a time, so rows x height cells."""
+    family = f.family
+    weight = {t: w for t in type_names if t in family.ground and (w := f.weights.get(t, 0)) > 0}
+    names = sorted(set(type_names), key=lambda t: (-weight.get(t, 0), t))
+    order = {t: r for r, t in enumerate(names)}
+    # one entry per global type id and a last one, which the padding -1 reads
+    low = [family._subtree[family.edges[t][1]] if t in weight else range(0) for t in type_names]
+    start, stop = (np.array([getattr(r, a) for r in low] + [0]) for a in ("start", "stop"))
+    rank = np.array([order[t] for t in type_names] + [len(order)])
+    terms = np.array([weight.get(t, 0) for t in type_names] + [0], dtype=float)
+
+    def chain_values(rows: np.ndarray) -> np.ndarray:
+        rows = np.take_along_axis(rows, np.argsort(rank[rows], axis=1), axis=1)
+        w, r, lo, hi = terms[rows], rank[rows], start[rows], stop[rows]
+        w[:, 1:][r[:, 1:] == r[:, :-1]] = 0.0
+        best = np.zeros(len(rows))  # a non-candidate's start, 0, is the root's: no range holds it
+        for j in range(rows.shape[1]):
+            at = lo[:, j, None]
+            total = np.cumsum(np.where((lo <= at) & (at < hi), w, 0.0), axis=1)[:, -1]
+            best = np.maximum(best, total)
+        return best
+
+    return chain_values
+
+
 def _row_values(f: ValuationFunction, type_names: Sequence[str]):
     """A function from walked rows to ``float(f(types on the row))`` per row: by
-    arrays for a weighted coverage whose weights are floats, or ints totalling at
-    most 2**53, adding a row's covered weights to 0.0 in declaration order as ``f``
-    does; otherwise by a table from a row's bytes to its value, shared by the
-    call's blocks, ``f`` filling misses."""
-    weights = list(f.weight.values()) if type(f) is WeightedCoverageValuation else [None]
+    arrays for a weighted coverage, or a weighted rank of a path-chain family, whose
+    weights are floats, or ints totalling at most 2**53, adding a row's weights to 0.0
+    in the order ``f`` does; otherwise by a table from a row's bytes to its value,
+    shared by the call's blocks, ``f`` filling misses."""
+    chain = type(f) is WeightedRankValuation and type(f.family) is PathChainFamily
+    weights = list(f.weights.values() if chain else f.weight.values()
+                   if type(f) is WeightedCoverageValuation else [None])
     if all(isinstance(w, (int, float)) for w in weights) and sum(
             w for w in weights if isinstance(w, int)) <= 1 << 53:
+        if chain:
+            return _path_chain_values(f, type_names)
         item = {x: i for i, x in enumerate(f.weight, 1)}  # column 0 holds the leading 0.0
         hits = [(g, item[x]) for g, t in enumerate(type_names) for x in f.reach_of.get(t, ())]
         # one row per global type id and an empty last one, which the padding -1 reads
@@ -512,9 +546,10 @@ def _path_mc(
     draws from stream 1 at the same counter. A stream draws the block of
     uniforms that ``sample_type_codes`` draws, so the codes are its codes.
     """
-    coded = _CodedTree(tree, universe, dist)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    RandomStream(seed)  # refuses a bad seed before the tree is compiled
+    coded = _CodedTree(tree, universe, dist)
     value_of = _row_values(f, coded.type_names)
 
     def fill_block(b: int, values: np.ndarray) -> None:

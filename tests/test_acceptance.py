@@ -379,3 +379,26 @@ def test_criterion_9_monte_carlo_on_the_triangle_at_paper_scale():
         f"vs recurrence {want:.5f}; alg_mc={alg.value:.5f} in [{low:.5f}, {high:.5f}]; "
         f"t={elapsed:.2f}s < 20s",
     )
+
+
+def test_criterion_9_monte_carlo_on_the_wary_tree():
+    # the largest w-ary tree that is materialized (w*k = TREE_LB_PROBE_CAP),
+    # whose unit path-chain rank the walk values by arrays
+    k, w, p, trials, sigmas = 3, 4, 0.25, 10**5, 4
+    bundle = gen_tree_lb(k, w, p)
+    args = (bundle.tree, bundle.valuation, bundle.universe, bundle.dist, trials, 5)
+    start = time.monotonic()
+    adap = adap_mc(*args, workers=2)
+    alg = alg_mc(*args, workers=2)
+    elapsed = time.monotonic() - start
+    want = tree_lb_adaptive_value(k, w, p)
+    low = want / (2 * k) - sigmas * alg.stderr
+    high = tree_lb_nonadaptive_bound(k, p) + sigmas * alg.stderr
+    _criterion(
+        "Monte Carlo on the w-ary tree",
+        abs(adap.value - want) <= sigmas * adap.stderr and low <= alg.value <= high
+        and elapsed < 5.0,
+        f"k={k} w={w} p={p} trials={trials}: adap_mc={adap.value:.5f}+-{adap.stderr:.5f} "
+        f"vs closed form {want:.5f}; alg_mc={alg.value:.5f} in [{low:.5f}, {high:.5f}]; "
+        f"t={elapsed:.2f}s < 5s",
+    )

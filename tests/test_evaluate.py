@@ -8,11 +8,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import smplab.evaluate
+
 from smplab import (
     DagPathConstraint,
     ExactCapExceeded,
     RandomInstanceParams,
+    PathChainFamily,
     TypeDistribution,
+    ValidationError,
     WeightedRankValuation,
     adap_by_path_enumeration,
     adap_exact,
@@ -482,18 +486,129 @@ def test_coverage_row_values_equal_f(weights, reach, tabled):
     assert [x.hex() for x in _row_values(f, coded.type_names)(rows)] == want
 
 
+# each type of r, p and q an edge of the tree v-a-b-e, a-c, v-d-f, but for
+# r0, pX and q0; pX and r0 may still carry a weight
+CHAIN_EDGES = {"rA": ("v", "a"), "rD": ("v", "d"), "pB": ("a", "b"), "pC": ("a", "c"),
+               "qE": ("b", "e"), "qF": ("d", "f")}
+
+
+def path_chain_case(weights):
+    """A chain over three elements under the weighted rank of ``CHAIN_EDGES``'s
+    path chains with ``weights``; r's float running sum ends below 1.0, so its
+    codes take the clip."""
+    universe = universe_from_type_space(
+        {"r": ("rA", "rD", "r0"), "p": ("pB", "pC", "pX"), "q": ("qE", "qF", "q0")}
+    )
+    dist = TypeDistribution(
+        {
+            "r": {"rA": 0.7, "rD": 0.2, "r0": 0.1},
+            "p": {"pB": 0.25, "pC": 0.25, "pX": 0.5},
+            "q": {"qE": 0.5, "qF": 0.3, "q0": 0.2},
+        }
+    )
+    f = WeightedRankValuation(PathChainFamily(CHAIN_EDGES, "v"), weights)
+    return chain_tree(universe, ["r", "p", "q"]), f, universe, dist
+
+
+PATH_CHAIN_CASES = {
+    # weights, and whether the per-path table (which calls f) values the rows
+    "unit_ints": (dict.fromkeys(CHAIN_EDGES, 1), False),
+    # on v-a-b-e, (0.7 + 0.2) + 0.1 != (0.1 + 0.2) + 0.7: the order is the value
+    "floats_with_ties": ({"rA": 0.1, "pB": 0.2, "qE": 0.7, "rD": 0.2, "pC": 0.7, "qF": 0.1},
+                         False),
+    "mixed_int_float": ({"rA": 3, "pB": 0.1, "qE": 0.7, "rD": 1, "pC": 0.3, "qF": 2}, False),
+    "zero_and_negative_zero": (
+        {"rA": 0, "pB": -0.0, "qE": 0.5, "rD": 0.25, "pC": 1.5, "qF": 0.75}, False),
+    "weighted_outside_ground": ({"rA": 1, "pB": 0.5, "pX": 5.0, "r0": 2, "qF": 0.25}, False),
+    "ints_past_2_53": ({"rA": 2**53, "pB": 1, "qE": 1}, True),
+    "fraction": ({"rA": Fraction(1, 3), "pB": Fraction(2, 7), "qE": 1, "rD": 1}, True),
+}
+
+
+@pytest.mark.parametrize("weights, tabled", list(PATH_CHAIN_CASES.values()),
+                         ids=list(PATH_CHAIN_CASES))
+@pytest.mark.parametrize("fn, resample", [(adap_mc, False), (alg_mc, True)])
+def test_path_chain_mc_bit_identical_to_row_walk_reference(weights, tabled, fn, resample):
+    for trials in (1, 1025, 2500):
+        want = reference_mc(*path_chain_case(weights), trials, 13, resample)
+        for workers in (1, 2):
+            tree, f, universe, dist = path_chain_case(weights)
+            calls = []
+            f._evaluate = lambda types, value=f._evaluate: calls.append(types) or value(types)
+            rep = fn(tree, f, universe, dist, trials, 13, workers=workers)
+            assert [rep.value.hex(), rep.stderr.hex()] == [x.hex() for x in want], trials
+            assert bool(calls) == tabled
+
+
+@pytest.mark.parametrize("weights, tabled", list(PATH_CHAIN_CASES.values()),
+                         ids=list(PATH_CHAIN_CASES))
+def test_path_chain_row_values_equal_f(weights, tabled):
+    # every joint profile as a walked row, a row with nothing revealed, and rows
+    # where two ids share a type name (a last id repeats rA), which counts once
+    tree, f, universe, dist = path_chain_case(weights)
+    names = _CodedTree(tree, universe, dist).type_names + ["rA"]
+    ids = {t: g for g, t in enumerate(names[:-1])}
+    profiles = [[ids[t] for t in p] for p in itertools.product(*universe.type_space.values())]
+    shared = [[ids["rA"], ids[t], len(names) - 1] for t in ("pB", "pC", "pX")]
+    rows = np.array(profiles + shared + [[-1, -1, -1]], dtype=np.intp)
+    want = [float(f(names[g] for g in row if g >= 0)).hex() for row in rows.tolist()]
+    assert [x.hex() for x in _row_values(f, names)(rows)] == want
+
+
 def test_mc_path_table_shared_by_threads():
     # the blocks of one call share its path table; a thread switch between a
-    # lookup and a store may only repeat a valuation, never change a value
-    args = MC_CASES["wary_tree"]()
-    want = alg_mc(*args, 8 * MC_BLOCK, 21)
+    # lookup and a store may only repeat a valuation, never change a value.
+    # Fraction weights keep the w-ary tree's rank on the table.
+    tree, f, universe, dist = MC_CASES["wary_tree"]()
+    f = WeightedRankValuation(f.family, dict.fromkeys(f.weights, Fraction(1)))
+    want = alg_mc(tree, f, universe, dist, 8 * MC_BLOCK, 21)
+    calls = []
+    f._evaluate = lambda types, value=f._evaluate: calls.append(types) or value(types)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = alg_mc(*args, 8 * MC_BLOCK, 21, workers=8)
+        got = alg_mc(tree, f, universe, dist, 8 * MC_BLOCK, 21, workers=8)
     finally:
         sys.setswitchinterval(interval)
     assert (got.value, got.stderr) == (want.value, want.stderr)
+    assert calls
+
+
+def test_mc_thread_pool_bounded_by_cpus(monkeypatch):
+    # a serial stand-in records the pool size; no thread starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(smplab.evaluate, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(smplab.evaluate.os, "cpu_count", lambda: 3)
+    args = MC_CASES["random_0"]()
+    want = alg_mc(*args, 5 * MC_BLOCK, 4)
+    got = [alg_mc(*args, trials, 4, workers=10**6) for trials in (5 * MC_BLOCK, 2 * MC_BLOCK)]
+    assert sizes == [3, 2]  # at most one thread per CPU, and per block
+    assert (got[0].value, got[0].stderr) == (want.value, want.stderr)
+
+
+@pytest.mark.parametrize("fn", [adap_mc, alg_mc])
+@pytest.mark.parametrize("trials, seed, error", [(0, 1, "trials"), (8, -1, "seed")])
+def test_mc_refuses_before_any_tree_work(monkeypatch, fn, trials, seed, error):
+    def compile_tree(*args):
+        raise AssertionError("the tree was compiled")
+
+    monkeypatch.setattr(smplab.evaluate, "_CodedTree", compile_tree)
+    with pytest.raises(ValidationError, match=error):
+        fn(*MC_CASES["random_0"](), trials, seed)
 
 
 class TestBestNonadaptive:
