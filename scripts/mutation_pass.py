@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """The full mutation pass: count how ``smplab eval --file`` treats every
-one-node corruption of 18 instance documents, with ``--what adap`` and with
-``--what best-na``.
+one-node corruption of 18 instance documents, with ``--what adap``, with
+``--what best-na`` and, on the weighted-rank ones, with ``--what greedy``.
 
 The documents are ``gen_random_instance`` seeds 0-15 with default
 parameters, the triangle at eps 1/3 and ``gen_tree_lb(2, 2, 1/8)``. The walk
 and the verdict are the tier-1 gate's own (``tests/mutations.py``): every
 JSON node up to depth 6 is replaced by each of its bad values, 23,820 runs
-per mode. Prints each failing run, then the count per mode and outcome;
+per mode (fewer for ``greedy``). Prints each failing run, then the count per mode and outcome;
 exits 1 if any run failed.
 
 Usage: PYTHONPATH=src python scripts/mutation_pass.py
@@ -23,7 +23,7 @@ from smplab import gen_random_instance, gen_submodular_lb, gen_tree_lb
 from smplab.serialize import instance_to_dict
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests"))
-from mutations import WHATS, mutants, outcome  # noqa: E402
+from mutations import WHATS, mutants, outcome, walks  # noqa: E402
 
 
 def main() -> int:
@@ -33,8 +33,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         file = pathlib.Path(tmp) / "mutant.json"
         for what in WHATS:
-            for bundle in bundles:
-                for text, *where in mutants(instance_to_dict(bundle)):
+            for doc in map(instance_to_dict, bundles):
+                for text, *where in mutants(doc) if walks(what, doc) else ():
                     got = outcome(text, file, what, *where)
                     if got.startswith("FAIL"):
                         print(f"{what}: {got}")

@@ -101,7 +101,8 @@ def _run_gap_kext(args: argparse.Namespace) -> list[ReportRecord]:
     if k < 1:
         raise ValidationError("gap-kext requires --k >= 1")
     default_params = args.w is None and args.p is None
-    w = args.w if args.w is not None else k**4
+    # w = k**4 leaves k = 2 (ratio 1.411) short of k - 0.5; w = 64 gives 1.600 there
+    w = args.w if args.w is not None else max(k**4, 64)
     p = args.p if args.p is not None else 1 / k**3
     adaptive = tree_lb_adaptive_value(k, w, p)
     bound = tree_lb_nonadaptive_bound(k, p)

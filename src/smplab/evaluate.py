@@ -12,10 +12,12 @@ Exact evaluators keep rational arithmetic when all inputs are rational: each
 element's probabilities become int numerators over their lcm, and the
 expectation at a node or over a probed set's draws is summed in ints and
 normalized by one gcd. Float probabilities and values are summed as Scalars, in
-arc or draw order. The tree check lists each distinct node once, children
-first; ``adap_exact``, ``greedy_interleaved_exact`` and the Monte Carlo walk
-read that list, and the first two expand a shared subtree once per state that
-can still change its value, on a stack of their own. Monte Carlo evaluators
+arc or draw order. The exact evaluators compile the valuation, or the greedy's
+family, once per call over the universe's types, so a set of types is an int
+mask. The tree check lists each distinct node once, children first;
+``adap_exact``, ``greedy_interleaved_exact`` and the Monte Carlo walk read
+that list, and the first two expand a shared subtree once per state that can
+still change its value, on a stack of their own. Monte Carlo evaluators
 are deterministic given (seed, trials) and bit-identical for any worker count,
 because trials are split into fixed counter-addressed blocks.
 """
@@ -44,7 +46,7 @@ from .core import (
     _type_thresholds,
     iter_type_profiles,  # noqa: F401  (perfbench traces this binding)
 )
-from .families import IndependenceOracle, PathChainFamily, greedy_add
+from .families import IndependenceOracle, PathChainFamily, _union
 from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
 from .strategy import validate_tree
 from .valuation import ValuationFunction, WeightedCoverageValuation, WeightedRankValuation
@@ -212,29 +214,37 @@ def _scalar(value) -> Scalar:
     return Fraction(*value) if type(value) is tuple else value
 
 
+def _type_names(universe: Universe) -> list[str]:
+    """Every type of the universe, element by element: what an evaluator compiles over."""
+    return [t for e in universe.elements for t in universe.type_space[e]]
+
+
 def _walk_values(
     sets: Sequence[list],
-    fs: Sequence[Callable[[frozenset[str]], Scalar]],
+    forms: Sequence[tuple[Mapping[str, int], Callable[[int], Scalar]]],
     universe: Universe,
     dist: TypeDistribution,
 ) -> list[Scalar]:
-    """The random-walk value of each of ``fs``: over ``_probed_sets`` entries, each
-    set's probability times the ``_weighted_sum`` over its fresh true draws, in
-    ``iter_type_profiles`` order, of their weight (or probability) products."""
+    """The random-walk value of each compiled form ``(masks, value)``: over
+    ``_probed_sets`` entries, each set's probability times the ``_weighted_sum``
+    over its fresh true draws, in ``iter_type_profiles`` order, of their weight
+    (or probability) products times the value of the union of their masks."""
     row = _element_rows(universe, dist)
-    totals: list[Scalar] = [0] * len(fs)
+    totals: list[Scalar] = [0] * len(forms)
     for order, p in sets:
         rows = [row(e) for e in order]
         scale = None if any(r[2] is None for r in rows) else math.prod(r[2] for r in rows)
         fractional = scale is not None and any(r[3] for r in rows)
         levels = [r[1] if scale else r[0] for r in rows]
         draws = zip(map(math.prod, itertools.product(*[lv.values() for lv in levels])),
-                    map(frozenset, itertools.product(*levels)))
-        values: list = [0] * len(fs)
+                    *[map(_union, itertools.product(*[[m[t] for t in lv] for lv in levels]))
+                      for m, _ in forms])
+        values: list = [0] * len(forms)
         while chunk := list(itertools.islice(draws, DRAW_CHUNK)):  # each sum carries over
-            (weights, types), zeros = zip(*chunk), [0] * len(chunk)
-            values = [_weighted_sum([(scale or 1, v, 0), *zip(weights, map(f, types), zeros)],
-                                    scale, fractional) for f, v in zip(fs, values)]
+            (weights, *unions), zeros = zip(*chunk), [0] * len(chunk)
+            values = [_weighted_sum([(scale or 1, v, 0), *zip(weights, map(f, us), zeros)],
+                                    scale, fractional)
+                      for (_, f), us, v in zip(forms, unions, values)]
         totals = [total + p * _scalar(v) for total, v in zip(totals, values)]
     return totals
 
@@ -269,35 +279,37 @@ def adap_exact(
 
     At each node the probe's marginal value is added to the value of the
     subtree below, evaluated with the revealed type fixed; this equals the
-    direct sum over root-leaf paths. A subtree's value depends on the revealed
-    set only through its ``f.reach`` within what the subtree's types reach, so
-    the walk expands each such ``(node, reach)`` pair once.
+    direct sum over root-leaf paths. ``f`` is compiled once; when its masks are
+    reach, a subtree's value depends on the revealed set only through its mask
+    within what the subtree's types reach, so the walk expands each such
+    ``(node, reach)`` pair once.
     """
     nodes, shared = _tree_nodes(tree, universe)
     row = _element_rows(universe, dist)
     meter = _WorkMeter(work_cap)
+    masks, f_of = f._compiled(_type_names(universe))
     # without a shared subtree each node is entered once and no key repeats
-    memoize = shared and f.reach(frozenset()) is not None
-    below: dict[int, frozenset] = {}  # reach of the types under each node
+    memoize = shared and f.masks_reach
+    below: dict[int, int] = {}  # reach of the types under each node
     if memoize:
         for node in nodes:  # children first
-            below[id(node)] = f.reach(frozenset(node.children)).union(
-                *(below.get(id(c), ()) for c in node.children.values()))
-    memo: dict[tuple[int, frozenset], object] = {}  # values as ``_weighted_sum`` gives them
+            below[id(node)] = _union(masks[t] for t in node.children) | _union(
+                below.get(id(c), 0) for c in node.children.values())
+    memo: dict[tuple[int, int], object] = {}  # values as ``_weighted_sum`` gives them
 
-    def expand(node: DecisionTree, fixed: frozenset[str], base: Scalar, key):
-        # base is f(fixed), passed down so each arc calls f once
+    def expand(node: DecisionTree, fixed: int, base: Scalar, key):
+        # base is f(fixed), passed down so each arc values f once
         _, weights, scale, fractional = row(node.element)
         meter.spend(len(weights))
         terms = []  # (weight, value gained at the arc, value gained below it) per arc
         for t, child in node.children.items():
             if (w := weights.get(t)) is None:
                 continue  # a zero-probability arc
-            ext = fixed | {t}
-            value = f(ext)
+            ext = fixed | masks[t]
+            value = f_of(ext)
             sub = 0
             if not child.is_leaf:
-                child_key = (id(child), f.reach(ext) & below[id(child)]) if memoize else None
+                child_key = (id(child), ext & below[id(child)]) if memoize else None
                 sub = memo.get(child_key)
                 if sub is None:
                     sub = yield expand(child, ext, value, child_key)
@@ -307,8 +319,8 @@ def adap_exact(
             memo[key] = total
         return total
 
-    base = f(frozenset())
-    value = 0 if tree.is_leaf else _scalar(_unrecursed(expand(tree, frozenset(), base, None)))
+    base = f_of(0)
+    value = 0 if tree.is_leaf else _scalar(_unrecursed(expand(tree, 0, base, None)))
     return EvalReport(value=value, mode="exact")
 
 
@@ -345,7 +357,8 @@ def alg_exact(
     """
     validate_tree(tree, universe)
     sets = _probed_sets(tree, dist, work_cap)
-    return EvalReport(value=_walk_values(sets, [f], universe, dist)[0], mode="exact")
+    form = f._compiled(_type_names(universe))
+    return EvalReport(value=_walk_values(sets, [form], universe, dist)[0], mode="exact")
 
 
 def greedy_interleaved_exact(
@@ -362,16 +375,29 @@ def greedy_interleaved_exact(
     type is considered before the virtual type. Non-loops get selected and
     counted, loops are skipped; equal draws collapse to one occurrence. The
     walk branches on the virtual arc, then the true type, once per (node,
-    selection). ``trace["online_value"]`` is the online value that only
-    counts true-type selections while still selecting virtual types.
+    selection), the selection a mask over the universe's types stepped through
+    the family's ``_stepper``. ``trace["online_value"]`` is the online value
+    that only counts true-type selections while still selecting virtual types.
     """
     _tree_nodes(tree, universe)  # the tree check
     row = _element_rows(universe, dist)
     meter = _WorkMeter(work_cap)
-    add = functools.cache(functools.partial(greedy_add, family))  # a table per call
-    memo: dict[tuple[int, frozenset[str]], tuple] = {}
+    names = _type_names(universe)
+    index = {t: i for i, t in enumerate(names)}
+    initial, step = family._stepper(names)
+    states = {0: initial}  # the family state of each selection met
+    memo: dict[tuple[int, int], tuple] = {}
 
-    def expand(node: DecisionTree, chosen: frozenset[str]):
+    @functools.cache  # a table per call
+    def add(chosen: int, t: str) -> int:
+        """``chosen`` plus ``t``, or ``chosen`` itself when ``t`` is a loop."""
+        i = index[t]
+        if chosen >> i & 1 or (state := step(states[chosen], i)) is None:
+            return chosen
+        states[chosen | 1 << i] = state
+        return chosen | 1 << i
+
+    def expand(node: DecisionTree, chosen: int):
         """(expected final size, expected online gain) below ``node``."""
         _, weights, scale, fractional = row(node.element)
         # true draws in type-space order, virtual arcs in child order
@@ -384,19 +410,19 @@ def greedy_interleaved_exact(
             for grown, q in draws:
                 nxt = add(grown, virtual)
                 if child.is_leaf:
-                    sub = len(nxt), 0
+                    sub = nxt.bit_count(), 0
                 else:
                     sub = memo.get((id(child), nxt))
                     if sub is None:
                         sub = yield expand(child, nxt)
-                got.append((p * q, len(grown) - len(chosen), sub))
+                got.append((p * q, grown.bit_count() - chosen.bit_count(), sub))
         square = scale and scale * scale
         size = _weighted_sum([(w, s, 0) for w, _, (s, _) in got], square, fractional)
         online = _weighted_sum([(w, g, o) for w, g, (_, o) in got], square, fractional)
         memo[id(node), chosen] = size, online
         return size, online
 
-    total, online_total = (0, 0) if tree.is_leaf else _unrecursed(expand(tree, frozenset()))
+    total, online_total = (0, 0) if tree.is_leaf else _unrecursed(expand(tree, 0))
     return EvalReport(value=_scalar(total), mode="exact",
                       trace={"online_value": _scalar(online_total)})
 
@@ -468,7 +494,7 @@ def _path_chain_values(f: WeightedRankValuation, type_names: Sequence[str]):
     """Rows -> ``max_rank``'s best root path: a row's cells in its candidate order
     ``(-w, name)``, a name met twice counted once, and per candidate cell the weights of
     the cells whose lower endpoint's preorder range holds its start, added to 0.0 left
-    to right as ``_best_root_path`` does; a column at a time, so rows x height cells."""
+    to right as ``max_rank`` does; a column at a time, so rows x height cells."""
     family = f.family
     weight = {t: w for t in type_names if t in family.ground and (w := f.weights.get(t, 0)) > 0}
     names = sorted(set(type_names), key=lambda t: (-weight.get(t, 0), t))
@@ -626,9 +652,10 @@ def best_nonadaptive_exact(
             firsts[mask] = seq
     best_seq: tuple[str, ...] = ()
     best_val: Scalar = 0
+    form = f._compiled(_type_names(universe))
     for mask, seq in firsts.items():
-        v = _walk_values([([e for e in universe.elements if bit[e] & mask], 1)], [f], universe,
-                         dist)[0]
+        v = _walk_values([([e for e in universe.elements if bit[e] & mask], 1)], [form],
+                         universe, dist)[0]
         if v > best_val:
             best_val = v
             best_seq = seq

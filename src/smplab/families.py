@@ -4,8 +4,10 @@ selection, and exact rank search.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import ExactCapExceeded, Scalar, ValidationError
 
@@ -30,6 +32,16 @@ class IndependenceOracle:
 
     def _independent(self, types: frozenset[str]) -> bool:
         raise NotImplementedError
+
+    def _stepper(self, types: Sequence[str]) -> tuple[object, Callable[[object, int], object]]:
+        """``(initial, step)`` over the positions of the distinct ``types``: ``step(state,
+        i)`` is the state of the set plus ``types[i]`` (which it must not hold), or None
+        when that is dependent, as it is for a type outside the ground. Here a frozenset."""
+        def step(state, i):
+            grown = state | {types[i]}
+            return grown if self.is_independent(grown) else None
+
+        return frozenset(), step
 
 
 @dataclass(eq=True)
@@ -80,6 +92,31 @@ class PartitionMatroid(IndependenceOracle):
             counts[p] = n
         return True
 
+    def _stepper(self, types):
+        return _count_stepper([self], types)
+
+
+def _count_stepper(matroids: Sequence[PartitionMatroid], types: Sequence[str]) -> tuple:
+    """The stepper of an intersection of partition matroids: one int holds a bit field
+    per part met, as wide as its capacity plus a top bit and started at
+    2**(width - 1) - 1 - capacity, so the top bit sets when the part overflows."""
+    initial = top = shift = 0
+    add = [0] * len(types)  # 0 outside the ground
+    for m in matroids:
+        field = {}
+        for p in dict.fromkeys(m.part_of[t] for t in types if t in m.part_of):
+            width = m.capacity[p].bit_length() + 1
+            initial |= ((1 << width - 1) - 1 - m.capacity[p]) << shift
+            field[p], shift = shift, shift + width
+            top |= 1 << shift - 1
+        add = [a + (1 << field[m.part_of[t]]) if t in m.part_of else 0
+               for a, t in zip(add, types)]
+
+    def step(state, i):
+        return None if not add[i] or (state + add[i]) & top else state + add[i]
+
+    return initial, step
+
 
 @dataclass(eq=True)
 class MatchingFamily(IndependenceOracle):
@@ -107,6 +144,12 @@ class MatchingFamily(IndependenceOracle):
             seen.add(u)
             seen.add(v)
         return True
+
+    def _stepper(self, types):  # the state is a mask of the vertices covered
+        vertex: dict[str, int] = {}
+        ends = [sum(1 << vertex.setdefault(v, len(vertex)) for v in self.edges[t])
+                if t in self.edges else 0 for t in types]
+        return 0, lambda state, i: None if not ends[i] or state & ends[i] else state | ends[i]
 
 
 @dataclass(eq=True)
@@ -136,6 +179,11 @@ class IntersectionFamily(IndependenceOracle):
 
     def _independent(self, types):
         return all(m.is_independent(types) for m in self.members)
+
+    def _stepper(self, types):  # partition matroids share one count state
+        if all(isinstance(m, PartitionMatroid) for m in self.members):
+            return _count_stepper(self.members, types)
+        return super()._stepper(types)
 
 
 def _subtree_ranges(edges: Iterable[tuple[str, str]], root: str) -> dict[str, range]:
@@ -191,56 +239,47 @@ class PathChainFamily(IndependenceOracle):
         deepest = max(r.start for r in low)
         return all(deepest in r for r in low)
 
-    def _best_root_path(self, cand: Sequence[str], w: Mapping[str, Scalar]) -> Scalar:
-        """Largest total weight of ``cand`` on one root path, summed in ``cand`` order.
-
-        A maximal independent subset is every candidate on the ancestor chain
-        of some candidate's lower endpoint.
-        """
-        low = {t: self._subtree[self.edges[t][1]] for t in cand}
-        best: Scalar = 0
-        for pos in dict.fromkeys(r.start for r in low.values()):  # in ``cand`` order
-            total: Scalar = 0
-            for t in cand:
-                if pos in low[t]:
-                    total = total + w[t]
-            if total > best:
-                best = total
-        return best
-
 
 def make_uniform_matroid(ground: Iterable[str], rank: int) -> PartitionMatroid:
     return PartitionMatroid({t: "all" for t in ground}, {"all": rank})
 
 
-def greedy_add(
-    family: IndependenceOracle, chosen: frozenset[str], type_id: str
-) -> frozenset[str]:
-    """One greedy step: ``chosen`` plus ``type_id`` if that stays independent.
+def _bits(mask: int) -> list[int]:
+    """The positions of the bits set in ``mask``, ascending."""
+    got = []
+    while mask:
+        got.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return got
 
-    Otherwise ``chosen`` itself: a type already chosen, outside the ground,
-    or dependent on ``chosen`` is a loop of the contracted family.
-    """
-    if type_id in chosen:
-        return chosen
-    grown = chosen | {type_id}
-    return grown if family.is_independent(grown) else chosen
+
+def _union(masks: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, masks, 0)
+
+
+def _total(terms: Iterable[Scalar]) -> Scalar:
+    """``terms`` added to 0 left to right on any Python (``sum()`` compensates from 3.12)."""
+    return functools.reduce(operator.add, terms, 0)
+
+
+def _greedy(step: Callable, state, cand: Iterable[int]) -> Iterator[int]:
+    """The positions of ``cand`` that one greedy scan from ``state`` selects, in order."""
+    for i in cand:
+        if (grown := step(state, i)) is not None:
+            state = grown
+            yield i
 
 
 def greedy_select(family: IndependenceOracle, ordered: Iterable[str]) -> tuple[str, ...]:
-    """Scan once in the given order: select non-loops, skip loops.
+    """Scan once in the given order: select non-loops, skip loops (a type chosen
+    already, outside the ground, or dependent on the chosen set).
 
     Returns the selected types in order; the returned set is a maximal
     independent subset of the scanned support.
     """
-    chosen: frozenset[str] = frozenset()
-    picked: list[str] = []
-    for t in ordered:
-        grown = greedy_add(family, chosen, t)
-        if len(grown) > len(chosen):
-            picked.append(t)
-        chosen = grown
-    return tuple(picked)
+    ordered = list(dict.fromkeys(ordered))  # a type met again is chosen or still dependent
+    initial, step = family._stepper(ordered)
+    return tuple(ordered[i] for i in _greedy(step, initial, range(len(ordered))))
 
 
 def greedy_rank(family: IndependenceOracle, ordered: Iterable[str]) -> int:
@@ -260,35 +299,53 @@ def max_rank(
     best root path. Other families fall back to an exhaustive
     branch-and-bound over independent subsets, capped at ``RANK_CAP`` candidates.
     """
-    cand = [
-        t
-        for t in frozenset(types) & family.ground
-        if weights is None or weights.get(t, 0) > 0
-    ]
-    if not cand:
-        return 0
+    masks, value = _rank_form(family, types, weights)
+    return value(_union(masks.values()))
+
+
+def _rank_form(
+    family: IndependenceOracle, types: Iterable[str], weights: Mapping[str, Scalar] | None
+) -> tuple[dict[str, int], Callable[[int], Scalar]]:
+    """``max_rank`` compiled over ``types``: a mask per type, and a table from the union
+    of a set's masks to its rank. The candidates (in the ground, of positive weight) get
+    a bit each in the order ``(-w, name)``: a set's candidates are its bits, ascending,
+    and sums run in that order."""
+    names = list(dict.fromkeys(types))
     w: dict[str, Scalar] = {
-        t: (1 if weights is None else weights[t]) for t in cand
+        t: 1 if weights is None else weights[t]
+        for t in names
+        if t in family.ground and (weights is None or weights.get(t, 0) > 0)
     }
-    cand.sort(key=lambda t: (-w[t], t))
-    if family.is_matroid:
-        total: Scalar = 0
-        for t in greedy_select(family, cand):  # left to right; sum() compensates on 3.12+
-            total = total + w[t]
-        return total
-    if isinstance(family, PathChainFamily):
-        return family._best_root_path(cand, w)
-    return _best_subset(family, cand, w)[1]
+    cand = sorted(w, key=lambda t: (-w[t], t))
+    ws = [w[t] for t in cand]
+    initial, step = family._stepper(cand)
+    low = ([family._subtree[family.edges[t][1]] for t in cand]
+           if isinstance(family, PathChainFamily) else None)
+
+    @functools.cache  # a table per call: sets often share their candidates
+    def value(mask: int) -> Scalar:
+        got = _bits(mask)
+        if family.is_matroid:
+            return _total(ws[i] for i in _greedy(step, initial, got))
+        if low is None:
+            return _best_subset(step, initial, got, ws)[2]
+        # the best root path: the candidates on the ancestor chain of one's lower endpoint
+        best: Scalar = 0
+        for pos in dict.fromkeys(low[i].start for i in got):
+            total: Scalar = 0
+            for i in got:
+                if pos in low[i]:
+                    total = total + ws[i]
+            if total > best:
+                best = total
+        return best
+
+    return dict.fromkeys(names, 0) | {t: 1 << i for i, t in enumerate(cand)}, value
 
 
-def _best_subset(
-    family: IndependenceOracle,
-    cand: Sequence[str],
-    w: Mapping[str, Scalar],
-    fixed: frozenset[str] = frozenset(),
-) -> tuple[frozenset[str], Scalar]:
-    """Heaviest subset of ``cand`` independent together with ``fixed`` (which
-    ``cand`` must not meet), and its weight.
+def _best_subset(step: Callable, state, cand: Sequence[int], w: Sequence[Scalar]) -> tuple:
+    """Heaviest subset of the positions ``cand`` that ``step`` accepts from ``state``,
+    as ``(its state, its positions as a mask, its weight)``, ``w[i]`` weighing ``i``.
 
     Include-first branch-and-bound in ``cand`` order, pruned by the weight
     left in the suffix; sums follow ``cand`` order and the first best wins.
@@ -299,22 +356,20 @@ def _best_subset(
             f"exact subset search infeasible: {len(cand)} candidates exceed the cap of {RANK_CAP}"
         )
     suffix: list[Scalar] = [0] * (len(cand) + 1)
-    for i in reversed(range(len(cand))):
-        suffix[i] = suffix[i + 1] + w[cand[i]]
-    best: tuple[frozenset[str], Scalar] = (fixed, 0)
+    for j in reversed(range(len(cand))):
+        suffix[j] = suffix[j + 1] + w[cand[j]]
+    best = [state, 0, 0]
 
-    def search(i: int, chosen: frozenset[str], acc: Scalar) -> None:
-        nonlocal best
-        if acc > best[1]:
-            best = (chosen, acc)
-        if i == len(cand) or acc + suffix[i] <= best[1]:
+    def search(j: int, state, chosen: int, acc: Scalar) -> None:
+        if acc > best[2]:
+            best[:] = state, chosen, acc
+        if j == len(cand) or acc + suffix[j] <= best[2]:
             return
-        t = cand[i]
-        ext = chosen | {t}
-        if family.is_independent(ext):
-            search(i + 1, ext, acc + w[t])
-        search(i + 1, chosen, acc)
+        i = cand[j]
+        if (grown := step(state, i)) is not None:
+            search(j + 1, grown, chosen | 1 << i, acc + w[i])
+        search(j + 1, state, chosen, acc)
 
-    search(0, fixed, 0)  # ``chosen`` carries ``fixed`` along
+    search(0, state, 0, 0)
     del search  # the closure refers to itself: a cycle only the collector would free
-    return best[0] - fixed, best[1]
+    return tuple(best)

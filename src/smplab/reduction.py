@@ -5,14 +5,16 @@ non-adaptive value, and the greedy-optimal combiner.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .core import Scalar, TypeDistribution, Universe, ValidationError
-from .evaluate import DEFAULT_WORK_CAP, EvalReport, _probed_sets, _walk_values
-from .families import IndependenceOracle, _best_subset
+from .evaluate import DEFAULT_WORK_CAP, EvalReport, _probed_sets, _type_names, _walk_values
+from .families import IndependenceOracle, _best_subset, _bits, _union
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, WeightedRankValuation
 
@@ -165,12 +167,33 @@ def greedy_optimal_combine(
     maximum independent extension from its representative class, which then
     stays fixed. The returned set is independent in the family.
     """
-    chosen: frozenset[str] = frozenset()
-    for _, j in representatives.selected:
-        members = decomposition.class_types.get(j, frozenset())
-        candidates = sorted(path_types & members & family.ground)
-        chosen |= _best_subset(family, candidates, dict.fromkeys(candidates, 1), chosen)[0]
-    return chosen
+    flat, pick = _combine_form(decomposition, representatives, family)
+    return frozenset(flat[i] for i in _bits(pick(_union(
+        1 << i for i, t in enumerate(flat) if t in path_types))))
+
+
+def _combine_form(
+    decomposition: ClassDecomposition, representatives: RepresentativeChoice,
+    family: IndependenceOracle,
+) -> tuple[list[str], Callable[[int], int]]:
+    """``greedy_optimal_combine`` compiled: its candidates, by selected class and then
+    name, and ``pick``, from a mask of candidates to the mask of the selection."""
+    runs = [sorted(decomposition.class_types.get(j, frozenset()) & family.ground)
+            for _, j in representatives.selected]
+    ends = itertools.accumulate(map(len, runs))
+    spans = [(1 << end) - (1 << end - len(run)) for end, run in zip(ends, runs)]
+    flat = [t for run in runs for t in run]
+    initial, step = family._stepper(flat)
+    ones = [1] * len(flat)
+
+    def pick(mask: int) -> int:
+        state, chosen = initial, 0
+        for span in spans:
+            state, got, _ = _best_subset(step, state, _bits(mask & span), ones)
+            chosen |= got
+        return chosen
+
+    return flat, pick
 
 
 def combined_value(
@@ -197,17 +220,21 @@ def combined_value(
     decomposition = class_decompose(weights, family)
     sets = _probed_sets(tree, dist, work_cap)
     classes = decomposition.classes
-    values = _walk_values(sets, list(classes.values()), universe, dist)
+    names = _type_names(universe)
+    values = _walk_values(sets, [c._compiled(names) for c in classes.values()], universe, dist)
     class_alg = dict(zip(classes, values))
     scaled = {j: two_power(j) * v for j, v in class_alg.items()}
     buckets = bucketize(decomposition.hi, decomposition.lo, k)
     representatives = select_representatives(scaled, buckets)
 
-    def combined_weight(types: frozenset[str]) -> Scalar:
-        picked = greedy_optimal_combine(types, decomposition, representatives, family)
-        return sum(weights[t] for t in sorted(picked))
+    flat, pick = _combine_form(decomposition, representatives, family)
+    masks = dict.fromkeys(names, 0) | {t: 1 << i for i, t in enumerate(flat)}
 
-    total = _walk_values(sets, [combined_weight], universe, dist)[0]
+    @functools.cache  # a table per call
+    def combined_weight(mask: int) -> Scalar:
+        return sum(weights[t] for t in sorted(flat[i] for i in _bits(pick(mask))))
+
+    total = _walk_values(sets, [(masks, combined_weight)], universe, dist)[0]
 
     trace = {
         "class_alg": class_alg,

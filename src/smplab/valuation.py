@@ -2,34 +2,43 @@
 
 Every valuation maps a set of types to a non-negative value, is monotone,
 and gives the empty set value 0. Values keep the arithmetic of their inputs
-(int, float, or Fraction). Valuations keep no state between calls; an
-evaluator that asks for one set more than once keeps its own table.
+(int, float, or Fraction). Valuations keep no state between calls. An
+evaluator compiles a valuation once per call over the types it will meet
+(``_compiled``): a set is then the union of its types' int masks, and any
+table lives only as long as the compiled form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .core import Scalar, ValidationError, check_finite
-from .families import IndependenceOracle, max_rank
+from .families import IndependenceOracle, _bits, _rank_form, _total, _union
 
 
 class ValuationFunction:
-    """Base class; subclasses implement ``_evaluate`` over frozensets."""
+    """Base class; subclasses implement ``_evaluate`` over frozensets or ``_compiled``."""
 
     kind = "abstract"
+    #: True when ``_compiled``'s masks are what the types reach: ``f(F | X) - f(F)``,
+    #: X within B, then depends on F only via ``mask(F) & mask(B)``.
+    masks_reach = False
 
     def __call__(self, types: Iterable[str]) -> Scalar:
         return self._evaluate(types if isinstance(types, frozenset) else frozenset(types))
 
     def _evaluate(self, types: frozenset[str]) -> Scalar:
-        raise NotImplementedError
+        masks, value = self._compiled(types)
+        return value(_union(masks.values()))
 
-    def reach(self, types: frozenset[str]) -> frozenset | None:
-        """What ``types`` touch (None: unknown). Reach is additive over unions, and
-        ``f(F | X) - f(F)``, X within B, depends on F only via ``reach(F) & reach(B)``."""
-        return None
+    def _compiled(self, types: Iterable[str]) -> tuple[dict[str, int], Callable[[int], Scalar]]:
+        """``f`` for one call over ``types``: a mask per type, and ``value`` with ``f(S) ==
+        value(union of the masks of S)``. Here a bit per type, valued by ``_evaluate``."""
+        names = list(dict.fromkeys(types))
+        return ({t: 1 << i for i, t in enumerate(names)},
+                lambda mask: self._evaluate(frozenset(names[i] for i in _bits(mask))))
 
 
 @dataclass(eq=True)
@@ -73,6 +82,8 @@ class WeightedCoverageValuation(ValuationFunction):
     weight: Mapping[Hashable, Scalar]
     kind: str
 
+    masks_reach = True
+
     def __post_init__(self):
         if self.kind not in ("coverage", "partition_weighted"):
             raise ValidationError(f"unknown weighted coverage kind {self.kind!r}")
@@ -87,21 +98,12 @@ class WeightedCoverageValuation(ValuationFunction):
         if missing:
             raise ValidationError(f"{item}s without a weight: {sorted(map(str, missing))}")
 
-    def _evaluate(self, types):
-        covered: set = set()
-        for t in types:
-            s = self.reach_of.get(t)
-            if s:
-                covered |= s
-        # left to right in weight's order (set order is salted); sum() compensates from 3.12
-        total: Scalar = 0
-        for x, w in self.weight.items():
-            if x in covered:
-                total = total + w
-        return total
-
-    def reach(self, types):
-        return frozenset().union(*(self.reach_of.get(t, ()) for t in types))
+    def _compiled(self, types):
+        # an item's bit is its place in ``weight``; a table per call from a covered mask
+        bit = {x: 1 << i for i, x in enumerate(self.weight)}
+        terms = list(self.weight.values())
+        value = functools.cache(lambda covered: _total(terms[i] for i in _bits(covered)))
+        return {t: sum(bit[x] for x in self.reach_of.get(t, ())) for t in types}, value
 
 
 @dataclass(eq=True)
@@ -125,8 +127,8 @@ class WeightedRankValuation(ValuationFunction):
             if w < 0:
                 raise ValidationError(f"type {t!r} has negative weight {w!r}")
 
-    def _evaluate(self, types):
-        return max_rank(self.family, types, weights=self.weights)
+    def _compiled(self, types):
+        return _rank_form(self.family, types, self.weights)
 
 
 def coverage_valuation(cover_sets: Mapping[str, Iterable]) -> WeightedCoverageValuation:

@@ -12,6 +12,7 @@ import bisect
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,17 +49,39 @@ def _subset(items: Sequence[str], mask: int) -> frozenset[str]:
 VALUE_TOL = 1e-9
 
 
+def _value_table(f: ValuationFunction, items: Sequence[str]) -> tuple[list, Scalar]:
+    """``f`` of every subset of ``items``, by bitmask, and the slack to compare with.
+
+    Rational values below 2**20 with a common denominator D <= 2**29 come as int
+    numerators over D, with the slack ``floor(VALUE_TOL * D)``: there a nonzero gap is
+    at least 1/D and the float rounding in ``y + VALUE_TOL`` under 5e-10, so verdicts
+    are those of comparing the values themselves with VALUE_TOL, as other values are.
+    """
+    masks, value = f._compiled(items)
+    unions = [0]
+    for t in items:
+        unions += [u | masks[t] for u in unions]
+    values: list[Scalar] = [value(u) for u in unions]
+    if not all(isinstance(v, (int, Fraction)) for v in values):
+        return values, VALUE_TOL
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    if den > 1 << 29 or max(map(abs, nums)) >= den << 20:
+        return values, VALUE_TOL
+    return nums, math.floor(Fraction(VALUE_TOL) * den)
+
+
 def check_submodular(
     f: ValuationFunction, ground: Iterable[str]
 ) -> tuple[bool, tuple[frozenset, frozenset] | None]:
     """Exhaustively test f(A|B) + f(A&B) <= f(A) + f(B) over the ground."""
     items = _sorted_ground(ground, 10, "check_submodular")
     n = len(items)
-    values: list[Scalar] = [f(_subset(items, m)) for m in range(1 << n)]
+    values, tol = _value_table(f, items)
     for a in range(1 << n):
         fa = values[a]
         for b in range(a, 1 << n):
-            if values[a | b] + values[a & b] > fa + values[b] + VALUE_TOL:
+            if values[a | b] + values[a & b] > fa + values[b] + tol:
                 return False, (_subset(items, a), _subset(items, b))
     return True, None
 
@@ -69,10 +92,10 @@ def check_monotone(
     """Exhaustively test A <= B implies f(A) <= f(B) (one-element steps)."""
     items = _sorted_ground(ground, 12, "check_monotone")
     n = len(items)
-    values: list[Scalar] = [f(_subset(items, m)) for m in range(1 << n)]
+    values, tol = _value_table(f, items)
     for m in range(1 << n):
         for i in range(n):
-            if m >> i & 1 and values[m & ~(1 << i)] > values[m] + VALUE_TOL:
+            if m >> i & 1 and values[m & ~(1 << i)] > values[m] + tol:
                 return False, (_subset(items, m & ~(1 << i)), _subset(items, m))
     return True, None
 

@@ -2,8 +2,9 @@
 
 Every JSON node up to a depth is replaced, in turn, by each of a fixed set
 of bad values, and the document is run through ``smplab eval --file`` with
-each ``--what`` of ``WHATS``: ``adap`` walks the tree, ``best-na`` steps the
-constraint through its feasible sequences. A run passes when it exits 2
+each ``--what`` of ``WHATS`` that ``walks`` it: ``adap`` walks the tree,
+``best-na`` steps the constraint through its feasible sequences, ``greedy``
+steps the family of a weighted-rank document along the tree. A run passes when it exits 2
 with a message that names the mutated node, its parent, or the innermost
 kind object, tree node or section that holds it (or that starts with the
 path of any object holding it, whose constructor refused it), or when it
@@ -24,7 +25,12 @@ from smplab.cli import main
 
 REPLACEMENTS = ([], {}, "x", 1, None, [[]], True, "nan", "-1", "1e400")
 DEPTH = 6
-WHATS = ("adap", "best-na")
+WHATS = ("adap", "best-na", "greedy")
+
+
+def walks(what, doc):
+    """Whether ``what`` applies to ``doc``: ``greedy`` needs a weighted-rank valuation."""
+    return what != "greedy" or doc["valuation"].get("kind") == "weighted_rank"
 
 
 def nodes(node, depth=DEPTH, keys=(), path="", holders=()):

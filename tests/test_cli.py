@@ -205,6 +205,10 @@ class TestGapCommands:
     def test_gap_kext_default_parameters(self):
         assert main(["gap-kext", "--k", "3"]) == 0
 
+    def test_gap_kext_default_parameters_reach_the_threshold_at_k2(self, capsys):
+        assert main(["gap-kext", "--k", "2"]) == 0
+        assert "[PASS] ratio value=1.599" in capsys.readouterr().out
+
     def test_gap_kext_custom_parameters_report_only(self):
         assert main(["gap-kext", "--k", "2", "--w", "2", "--p", "0.125"]) == 0
 

@@ -20,7 +20,6 @@ from smplab import (
     make_uniform_matroid,
     max_rank,
 )
-from smplab.families import greedy_add
 from smplab.strategy import TreeFanConstraint
 from oracles import brute_max_weight_independent, powerset
 
@@ -32,33 +31,33 @@ def path_matching():
 
 
 class TestLoops:
-    """A loop is a type ``greedy_add`` skips: chosen already, outside the
+    """A loop is a type the greedy skips: chosen already, outside the
     ground, or dependent on the chosen set."""
 
     def test_fresh_state_has_no_loops(self):
         fam = make_uniform_matroid(["t1", "t2"], 1)
-        assert greedy_add(fam, frozenset(), "t1") == {"t1"}
+        assert greedy_select(fam, ["t1"]) == ("t1",)
 
     def test_full_rank_one_slot_makes_loops(self):
         fam = make_uniform_matroid(["t1", "t2"], 1)
-        assert greedy_add(fam, frozenset({"t1"}), "t2") == {"t1"}
+        assert greedy_select(fam, ["t1", "t2"]) == ("t1",)
 
     def test_matching_contraction_blocks_neighbors(self):
         fam = MatchingFamily(
             {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"), "de": ("d", "e")}
         )
-        chosen = frozenset({"ab"})
-        assert greedy_add(fam, chosen, "bc") == {"ab"}
-        assert greedy_add(fam, chosen, "de") == {"ab", "de"}
+        assert greedy_select(fam, ["ab", "bc"]) == ("ab",)
+        assert greedy_select(fam, ["ab", "de"]) == ("ab", "de")
 
     def test_contracted_type_is_its_own_loop(self):
         fam = make_uniform_matroid(["t1", "t2"], 2)
-        chosen = frozenset({"t1"})
-        assert greedy_add(fam, chosen, "t1") is chosen
+        assert greedy_select(fam, ["t1", "t1"]) == ("t1",)
 
     def test_type_outside_ground_is_loop(self):
         fam = make_uniform_matroid(["t1"], 1)
-        assert greedy_add(fam, frozenset(), "zzz") == frozenset()
+        assert greedy_select(fam, ["zzz"]) == ()
+        initial, step = fam._stepper(["zzz"])
+        assert step(initial, 0) is None
 
 
 class TestGreedy:
@@ -91,13 +90,13 @@ class TestGreedy:
 
     def test_steps_leave_the_prefix_unchanged(self):
         # branches that share a prefix may extend it independently
-        fam = make_uniform_matroid(["a", "b", "c"], 3)
-        base = greedy_add(fam, frozenset(), "a")
-        left = greedy_add(fam, base, "b")
-        right = greedy_add(fam, base, "c")
-        assert base == {"a"}
-        assert left == {"a", "b"}
-        assert right == {"a", "c"}
+        fam = PartitionMatroid({"a": 0, "b": 1, "c": 2}, {0: 1, 1: 1, 2: 1})
+        initial, step = fam._stepper(["a", "b", "c"])
+        base = step(initial, 0)
+        left, right = step(base, 1), step(base, 2)
+        assert base == step(initial, 0)
+        assert left != right and None not in (left, right)
+        assert step(left, 2) == step(right, 1) is not None
 
     def test_greedy_output_is_maximal(self):
         rng = random.Random(3)

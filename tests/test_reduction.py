@@ -244,9 +244,14 @@ class TestCombiner:
                 best_alone = deco.classes[j](members)
                 picked = greedy_optimal_combine(members, deco, choice_only(j, choice), fam)
                 # recompute the incremental pick against the running fixed set
-                from smplab.families import _best_subset
+                from smplab.families import _best_subset, _bits
 
-                inc = _best_subset(fam, sorted(members), dict.fromkeys(members, 1), fixed)[0]
+                order = [*sorted(fixed), *sorted(members)]
+                state, step = fam._stepper(order)
+                for i in range(len(fixed)):
+                    state = step(state, i)
+                got = _best_subset(step, state, range(len(fixed), len(order)), [1] * len(order))[1]
+                inc = frozenset(order[i] for i in _bits(got))
                 assert len(inc) >= best_alone - k * len(fixed)
                 assert fam.is_independent(fixed | inc)
                 fixed |= inc

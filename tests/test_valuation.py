@@ -1,6 +1,8 @@
 """Valuations: weighted rank, coverage, partition weights, explicit tables."""
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -207,7 +209,7 @@ class TestWeightedCoverage:
                     (part, reference_partition_weighted(part_of, part_weight, s)),
                 ):
                     assert (type(f(s)), f(s)) == (type(value), value)
-                    assert f.reach(s) == reach
+                    assert reach_of(f, s) == reach
 
     def test_kind_is_one_of_the_two_file_kinds(self):
         with pytest.raises(ValidationError, match="unknown weighted coverage kind 'matroid'"):
@@ -292,10 +294,18 @@ def test_monotone_on_random_pairs(data):
     assert f(small) <= f(small | extra)
 
 
+def reach_of(f, types):
+    """The items that the compiled masks of ``types`` name, by their place in ``weight``."""
+    masks, _ = f._compiled(types)
+    union = functools.reduce(operator.or_, masks.values(), 0)
+    return frozenset(x for i, x in enumerate(f.weight) if union >> i & 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_reach_decides_the_marginals_below(data):
-    # adap_exact keys a subtree's value on reach(fixed) & reach(types below):
+    # adap_exact keys a subtree's value on reach(fixed) & reach(types below),
+    # the union of the compiled masks:
     # fixed sets that agree there must have equal marginals on every X below
     rng = random.Random(data.draw(st.integers(0, 10_000)))
     types = [f"t{i}" for i in range(5)]
@@ -310,15 +320,17 @@ def test_reach_decides_the_marginals_below(data):
         )
     below = frozenset(data.draw(st.sets(st.sampled_from(types))))
     a = frozenset(data.draw(st.sets(st.sampled_from(types))))
-    assert f.reach(a | below) == f.reach(a) | f.reach(below)
+    assert f.masks_reach
+    assert reach_of(f, a | below) == reach_of(f, a) | reach_of(f, below)
     marginals = {}
     for fixed in powerset(types):
-        key = f.reach(fixed) & f.reach(below)
+        key = reach_of(f, fixed) & reach_of(f, below)
         got = [f(fixed | x) - f(fixed) for x in powerset(below)]
         assert marginals.setdefault(key, got) == got, (sorted(fixed), sorted(below))
 
 
 def test_reach_defaults_to_unknown():
+    # masks that are not reach: adap_exact keys no subtree on them
     fam = make_uniform_matroid(["t1", "t2"], 1)
-    assert WeightedRankValuation(fam, {"t1": 1, "t2": 1}).reach(frozenset({"t1"})) is None
-    assert ValuationFunction().reach(frozenset()) is None
+    assert not WeightedRankValuation(fam, {"t1": 1, "t2": 1}).masks_reach
+    assert not ValuationFunction().masks_reach
