@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Print every exact result of a fixed battery, one line each, so that a
+refactor that must not move a bit can be checked with ``diff``.
+
+A float prints as its ``float.hex``, any other value as its type and
+``repr``; a refused evaluation prints its message. The battery is
+``gen_random_instance`` seeds 0-149 under three parameter sets (default,
+rank-only with ``weight_high=8``, coverage-only), the triangle at eps 1/3
+and ``gen_tree_lb(3, 2, 1/3)``, each with its Fraction probabilities and
+again with floats. Each instance gets ``adap_exact``, ``alg_exact`` and
+``best_nonadaptive_exact`` at ``max_len`` 3; one with an independence
+family also gets ``greedy_interleaved_exact`` with its ``online_value`` and
+``combined_value`` with its class values.
+
+It prints 6,176 lines in about 3 s on a 2-vCPU VM.
+
+Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
+"""
+
+import sys
+from fractions import Fraction
+
+from smplab import (
+    ExactCapExceeded,
+    RandomInstanceParams,
+    TypeDistribution,
+    adap_exact,
+    alg_exact,
+    best_nonadaptive_exact,
+    combined_value,
+    gen_random_instance,
+    gen_submodular_lb,
+    gen_tree_lb,
+    greedy_interleaved_exact,
+)
+
+PARAMS = {
+    "default": RandomInstanceParams(),
+    "rank": RandomInstanceParams(
+        valuation_kinds=("matroid_intersection_rank", "matching_rank"), weight_high=8),
+    "coverage": RandomInstanceParams(valuation_kinds=("coverage",)),
+}
+
+
+def show(value) -> str:
+    return value.hex() if isinstance(value, float) else f"{type(value).__name__} {value!r}"
+
+
+def greedy(b, dist) -> dict:
+    rep = greedy_interleaved_exact(b.tree, b.family, b.universe, dist)
+    return {"value": rep.value, "online_value": rep.trace["online_value"]}
+
+
+def combined(b, dist) -> dict:
+    k = max(b.metadata.get("k") or 2, 2)  # a 1-extendible family is 2-extendible too
+    rep = combined_value(b.tree, b.weights, b.family, k, b.universe, dist)
+    classes = {f"class_alg[{j}]": v for j, v in rep.trace["class_alg"].items()}
+    return {"value": rep.value, **classes}
+
+
+def results(b, dist):
+    """(evaluator, thunk) pairs; each thunk returns the evaluator's results by name."""
+    args = (b.tree, b.valuation, b.universe, dist)
+    yield "adap", lambda: {"value": adap_exact(*args).value}
+    yield "alg", lambda: {"value": alg_exact(*args).value}
+    yield "best-na", lambda: dict(zip(("sequence", "value"), best_nonadaptive_exact(
+        b.universe, dist, b.valuation, b.constraint, 3)))
+    if b.family is not None:
+        yield "greedy", lambda: greedy(b, dist)
+        yield "combined", lambda: combined(b, dist)
+
+
+def digest(label: str, b) -> None:
+    floated = TypeDistribution({e: {t: float(p) for t, p in row.items()}
+                                for e, row in b.dist.probs.items()})
+    for arithmetic, dist in (("fraction", b.dist), ("float", floated)):
+        for evaluator, thunk in results(b, dist):
+            try:
+                lines = [f"{name} {show(value)}" for name, value in thunk().items()]
+            except ExactCapExceeded as refused:
+                lines = [f"refused: {refused}"]
+            for line in lines:
+                print(f"{label} {arithmetic} {evaluator} {line}")
+
+
+def main() -> int:
+    for kind, params in PARAMS.items():
+        for seed in range(150):
+            digest(f"random:{kind}:{seed}", gen_random_instance(seed, params))
+    digest("triangle:1/3", gen_submodular_lb(Fraction(1, 3)))
+    digest("tree:3,2,1/3", gen_tree_lb(3, 2, Fraction(1, 3)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,7 @@ from .evaluate import (
     kextendible_chain_report,
     submodular_gap_report,
 )
+from .families import _total
 from .instances import (
     RandomInstanceParams,
     gen_prime_matroid_encoding,
@@ -221,9 +222,7 @@ def _run_reduce_weighted(args: argparse.Namespace) -> list[ReportRecord]:
     adap = adap_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist).value
     rep = combined_value(bundle.tree, weights, family, k, bundle.universe, bundle.dist)
     trace = rep.trace
-    selected_sum = sum(
-        trace["scaled_class_alg"][j] for _, j in trace["selected"]
-    )
+    selected_sum = _total(trace["scaled_class_alg"][j] for _, j in trace["selected"])
     tol = args.tolerance if args.tolerance is not None else 1e-9
     overall_factor = 32 * k * math.log2(k)
     records = [

@@ -60,9 +60,6 @@ MC_BLOCK = 1024
 #: Most distinct (set, constraint state) pairs the exhaustive non-adaptive search visits.
 SEQUENCE_CAP = 10**6
 
-#: Fresh draws of a probed set held at a time while their values are summed.
-DRAW_CHUNK = 1 << 6
-
 #: Slack the gap reports allow their inequalities for float rounding.
 GAP_REPORT_TOL = 1e-9
 
@@ -226,9 +223,10 @@ def _walk_values(
     dist: TypeDistribution,
 ) -> list[Scalar]:
     """The random-walk value of each compiled form ``(masks, value)``: over
-    ``_probed_sets`` entries, each set's probability times the ``_weighted_sum``
-    over its fresh true draws, in ``iter_type_profiles`` order, of their weight
-    (or probability) products times the value of the union of their masks."""
+    ``_probed_sets`` entries, each set's probability times one ``_weighted_sum``
+    per form over its fresh true draws, listed lazily in ``iter_type_profiles``
+    order, of their weight (or probability) products times the value of the
+    union of their masks."""
     row = _element_rows(universe, dist)
     totals: list[Scalar] = [0] * len(forms)
     for order, p in sets:
@@ -236,16 +234,11 @@ def _walk_values(
         scale = None if any(r[2] is None for r in rows) else math.prod(r[2] for r in rows)
         fractional = scale is not None and any(r[3] for r in rows)
         levels = [r[1] if scale else r[0] for r in rows]
-        draws = zip(map(math.prod, itertools.product(*[lv.values() for lv in levels])),
-                    *[map(_union, itertools.product(*[[m[t] for t in lv] for lv in levels]))
-                      for m, _ in forms])
-        values: list = [0] * len(forms)
-        while chunk := list(itertools.islice(draws, DRAW_CHUNK)):  # each sum carries over
-            (weights, *unions), zeros = zip(*chunk), [0] * len(chunk)
-            values = [_weighted_sum([(scale or 1, v, 0), *zip(weights, map(f, us), zeros)],
-                                    scale, fractional)
-                      for (_, f), us, v in zip(forms, unions, values)]
-        totals = [total + p * _scalar(v) for total, v in zip(totals, values)]
+        for i, (masks, f) in enumerate(forms):
+            unions = map(_union, itertools.product(*[[masks[t] for t in lv] for lv in levels]))
+            weights = map(math.prod, itertools.product(*[lv.values() for lv in levels]))
+            draws = zip(weights, map(f, unions), itertools.repeat(0))
+            totals[i] = totals[i] + p * _scalar(_weighted_sum(draws, scale, fractional))
     return totals
 
 

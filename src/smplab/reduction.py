@@ -14,7 +14,7 @@ from typing import Callable, Mapping
 
 from .core import Scalar, TypeDistribution, Universe, ValidationError
 from .evaluate import DEFAULT_WORK_CAP, EvalReport, _probed_sets, _type_names, _walk_values
-from .families import IndependenceOracle, _best_subset, _bits, _union
+from .families import IndependenceOracle, _best_subset, _bits, _total, _union
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, WeightedRankValuation
 
@@ -232,7 +232,7 @@ def combined_value(
 
     @functools.cache  # a table per call
     def combined_weight(mask: int) -> Scalar:
-        return sum(weights[t] for t in sorted(flat[i] for i in _bits(pick(mask))))
+        return _total(weights[t] for t in sorted(flat[i] for i in _bits(pick(mask))))
 
     total = _walk_values(sets, [(masks, combined_weight)], universe, dist)[0]
 

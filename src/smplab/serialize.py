@@ -353,11 +353,19 @@ def instance_to_dict(bundle: InstanceBundle) -> dict:
         size[id(node)] = 1 + sum(size.get(id(c), 1) for c in node.children.values())
     if size.get(id(bundle.tree), 1) > _TREE_NODE_CAP:
         raise ValidationError(f"tree too large to serialize: expands past {_TREE_NODE_CAP} nodes")
-    return {"schema": INSTANCE_SCHEMA, **_INSTANCE.write(bundle)}
+    return {"schema": INSTANCE_SCHEMA, **_shallow(_INSTANCE.write, bundle)}
 
 
 def serialize_instance(bundle: InstanceBundle) -> str:
-    return json.dumps(instance_to_dict(bundle), indent=2, sort_keys=True) + "\n"
+    return _shallow(json.dumps, instance_to_dict(bundle), indent=2, sort_keys=True) + "\n"
+
+
+def _shallow(write: Callable, *args, **kwargs):
+    """``write(*args, **kwargs)``, refusing a tree nested past Python's recursion limit."""
+    try:
+        return write(*args, **kwargs)
+    except RecursionError as exc:
+        raise ValidationError(f"tree nested too deeply to serialize: {exc}") from exc
 
 
 def instance_from_dict(doc: Any) -> InstanceBundle:

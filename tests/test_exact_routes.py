@@ -184,20 +184,30 @@ def _refusal(kernel, bundle, cap):
     return None
 
 
+#: The least work cap each kernel fits in on ``gen_tree_lb(k, w, 1/3)``, by (k, w).
+LEAST_CAPS = {
+    "adap_exact": {(2, 2): 30, (3, 2): 126, (3, 3): 1022},
+    "alg_exact": {(2, 2): 60, (3, 2): 504, (3, 3): 9198},
+    "greedy_interleaved_exact": {(2, 2): 88, (3, 2): 352, (3, 3): 1800},
+}
+
+
 @pytest.mark.parametrize("name", list(_KERNELS))
 def test_both_routes_refuse_at_the_same_cap(name):
     kernel = _KERNELS[name]
-    exact, approx = gen_tree_lb(2, 2, Fraction(1, 3)), gen_tree_lb(2, 2, 1 / 3.)
-    lo, hi = 0, 1
-    while _refusal(kernel, exact, hi) is not None:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:  # the least cap the exact copy fits in
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if _refusal(kernel, exact, mid) is not None else (lo, mid)
-    message = _refusal(kernel, exact, hi - 1)
-    assert message is not None and f"work cap of {hi - 1}" in message
-    assert _refusal(kernel, approx, hi - 1) == message
-    assert _refusal(kernel, approx, hi) is None
+    for (k, w), least in LEAST_CAPS[name].items():
+        exact, approx = gen_tree_lb(k, w, Fraction(1, 3)), gen_tree_lb(k, w, 1 / 3.)
+        lo, hi = 0, 1
+        while _refusal(kernel, exact, hi) is not None:
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:  # the least cap the exact copy fits in
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _refusal(kernel, exact, mid) is not None else (lo, mid)
+        message = _refusal(kernel, exact, hi - 1)
+        assert message is not None and f"work cap of {hi - 1}" in message
+        assert _refusal(kernel, approx, hi - 1) == message
+        assert _refusal(kernel, approx, hi) is None
+        assert hi == least, (k, w)
 
 
 def test_best_nonadaptive_memory_per_distinct_set():

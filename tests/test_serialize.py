@@ -13,6 +13,7 @@ from smplab import (
     RandomInstanceParams,
     TypeDistribution,
     ValidationError,
+    chain_tree,
     coverage_valuation,
     gen_random_instance,
     gen_submodular_lb,
@@ -239,6 +240,21 @@ class TestTreeCodec:
         # shared nodes expand to 2^46 - 1 nodes, leaves included
         with pytest.raises(ValidationError, match="expands past 200000 nodes"):
             serialize_instance(gen_submodular_lb(Fraction(1, 10)))
+
+    def test_deep_tree_refused_on_write(self):
+        # each level takes frames to write, so 600 levels pass Python's recursion limit
+        names = [f"x{i}" for i in range(600)]
+        universe = universe_from_type_space({e: [f"{e}.t"] for e in names})
+        bundle = InstanceBundle(
+            universe=universe,
+            dist=TypeDistribution({e: {f"{e}.t": 1} for e in names}),
+            valuation=coverage_valuation({}),
+            constraint=CardinalityConstraint(600),
+            tree=chain_tree(universe, names),
+        )
+        for write in (instance_to_dict, serialize_instance):
+            with pytest.raises(ValidationError, match="tree nested too deeply to serialize"):
+                write(bundle)
 
 
 class TestParseFailures:
