@@ -10,9 +10,11 @@ and ``gen_tree_lb(3, 2, 1/3)``, each with its Fraction probabilities and
 again with floats. Each instance gets ``adap_exact``, ``alg_exact`` and
 ``best_nonadaptive_exact`` at ``max_len`` 3; one with an independence
 family also gets ``greedy_interleaved_exact`` with its ``online_value`` and
-``combined_value`` with its class values.
+``combined_value`` with its class values. Two searches past the default
+work cap print their refusals: ``alg_exact`` on the triangle at eps 1/5 and
+``best_nonadaptive_exact`` on the triangle at eps 1/4, over every element.
 
-It prints 6,176 lines in about 3 s on a 2-vCPU VM.
+It prints 6,178 lines in about 3 s on a 2-vCPU VM.
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
@@ -83,12 +85,29 @@ def digest(label: str, b) -> None:
                 print(f"{label} {arithmetic} {evaluator} {line}")
 
 
+def refusals() -> None:
+    """Two searches that pass the default work cap, so their messages state it."""
+    t5, t4 = gen_submodular_lb(Fraction(1, 5)), gen_submodular_lb(Fraction(1, 4))
+    for label, thunk in (
+        ("triangle:1/5 fraction alg", lambda: alg_exact(
+            t5.tree, t5.valuation, t5.universe, t5.dist)),
+        ("triangle:1/4 fraction best-na", lambda: best_nonadaptive_exact(
+            t4.universe, t4.dist, t4.valuation, t4.constraint, len(t4.universe))),
+    ):
+        try:
+            thunk()
+            print(f"{label} not refused")
+        except ExactCapExceeded as refused:
+            print(f"{label} refused: {refused}")
+
+
 def main() -> int:
     for kind, params in PARAMS.items():
         for seed in range(150):
             digest(f"random:{kind}:{seed}", gen_random_instance(seed, params))
     digest("triangle:1/3", gen_submodular_lb(Fraction(1, 3)))
     digest("tree:3,2,1/3", gen_tree_lb(3, 2, Fraction(1, 3)))
+    refusals()
     return 0
 
 

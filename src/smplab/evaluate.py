@@ -52,7 +52,7 @@ from .strategy import validate_tree
 from .valuation import ValuationFunction, WeightedCoverageValuation, WeightedRankValuation
 
 #: Hard limit on the exact work per evaluation: tree arcs and fresh-draw arcs expanded.
-DEFAULT_WORK_CAP = 1 << 22
+WORK_CAP = 1 << 22
 
 #: Trials per counter-addressed Monte Carlo block.
 MC_BLOCK = 1024
@@ -113,9 +113,9 @@ def iter_tree_paths(
 class _WorkMeter:
     __slots__ = ("used", "cap")
 
-    def __init__(self, cap: int):
+    def __init__(self):
         self.used = 0
-        self.cap = cap
+        self.cap = WORK_CAP  # read per evaluation, so a test can patch it
 
     def spend(self, amount: int, drawn: int | None = None) -> None:
         """Charge ``amount`` units; ``drawn`` is the size of the set whose
@@ -140,16 +140,14 @@ class _WorkMeter:
         self.spend(arcs, len(order))
 
 
-def _probed_sets(
-    tree: DecisionTree, dist: TypeDistribution, work_cap: int
-) -> list[list]:
+def _probed_sets(tree: DecisionTree, dist: TypeDistribution) -> list[list]:
     """Each distinct set the virtual paths probe, in order of first appearance,
     as ``[order of its first path, total probability of its paths]``.
 
     A set's fresh draws are charged to one work meter when it is first met,
     so a refusal comes before any draw.
     """
-    meter = _WorkMeter(work_cap)
+    meter = _WorkMeter()
     sets: dict[frozenset[str], list] = {}
     for steps, p in iter_tree_paths(tree, dist):
         order = tuple(e for e, _ in steps)
@@ -219,15 +217,13 @@ def _type_names(universe: Universe) -> list[str]:
 def _walk_values(
     sets: Sequence[list],
     forms: Sequence[tuple[Mapping[str, int], Callable[[int], Scalar]]],
-    universe: Universe,
-    dist: TypeDistribution,
+    row: Callable[[str], tuple],
 ) -> list[Scalar]:
     """The random-walk value of each compiled form ``(masks, value)``: over
     ``_probed_sets`` entries, each set's probability times one ``_weighted_sum``
     per form over its fresh true draws, listed lazily in ``iter_type_profiles``
     order, of their weight (or probability) products times the value of the
-    union of their masks."""
-    row = _element_rows(universe, dist)
+    union of their masks. ``row`` is the call's ``_element_rows`` table."""
     totals: list[Scalar] = [0] * len(forms)
     for order, p in sets:
         rows = [row(e) for e in order]
@@ -265,8 +261,6 @@ def adap_exact(
     f: ValuationFunction,
     universe: Universe,
     dist: TypeDistribution,
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> EvalReport:
     """Expected adaptive value, by root decomposition.
 
@@ -279,7 +273,7 @@ def adap_exact(
     """
     nodes, shared = _tree_nodes(tree, universe)
     row = _element_rows(universe, dist)
-    meter = _WorkMeter(work_cap)
+    meter = _WorkMeter()
     masks, f_of = f._compiled(_type_names(universe))
     # without a shared subtree each node is entered once and no key repeats
     memoize = shared and f.masks_reach
@@ -325,7 +319,7 @@ def adap_by_path_enumeration(
 ) -> Scalar:
     """Reference route for the adaptive value: sum over root-leaf paths."""
     validate_tree(tree, universe)
-    meter = _WorkMeter(DEFAULT_WORK_CAP)
+    meter = _WorkMeter()
     total: Scalar = 0
     for steps, p in iter_tree_paths(tree, dist):
         meter.spend(max(1, len(steps)))
@@ -338,8 +332,6 @@ def alg_exact(
     f: ValuationFunction,
     universe: Universe,
     dist: TypeDistribution,
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> EvalReport:
     """Expected value of the random-walk non-adaptive strategy.
 
@@ -349,9 +341,10 @@ def alg_exact(
     the set of true types.
     """
     validate_tree(tree, universe)
-    sets = _probed_sets(tree, dist, work_cap)
+    sets = _probed_sets(tree, dist)
     form = f._compiled(_type_names(universe))
-    return EvalReport(value=_walk_values(sets, [form], universe, dist)[0], mode="exact")
+    row = _element_rows(universe, dist)
+    return EvalReport(value=_walk_values(sets, [form], row)[0], mode="exact")
 
 
 def greedy_interleaved_exact(
@@ -359,8 +352,6 @@ def greedy_interleaved_exact(
     family: IndependenceOracle,
     universe: Universe,
     dist: TypeDistribution,
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> EvalReport:
     """Expected greedy count over the union of true and virtual path types.
 
@@ -374,7 +365,7 @@ def greedy_interleaved_exact(
     """
     _tree_nodes(tree, universe)  # the tree check
     row = _element_rows(universe, dist)
-    meter = _WorkMeter(work_cap)
+    meter = _WorkMeter()
     names = _type_names(universe)
     index = {t: i for i, t in enumerate(names)}
     initial, step = family._stepper(names)
@@ -619,8 +610,6 @@ def best_nonadaptive_exact(
     f: ValuationFunction,
     constraint: ConstraintOracle,
     max_len: int,
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> tuple[tuple[str, ...], Scalar]:
     """Exhaustive best fixed probing set under the constraint.
 
@@ -630,7 +619,7 @@ def best_nonadaptive_exact(
     to one work meter; each set is valued after the search, once. Returns
     the lexicographically smallest maximizing sequence.
     """
-    meter = _WorkMeter(work_cap)
+    meter = _WorkMeter()
     bit = {e: 1 << i for i, e in enumerate(sorted(universe.elements))}
     firsts: dict[int, tuple[str, ...]] = {}  # set as a bitmask over ``bit`` -> first sequence
     for expanded, seq in enumerate(_feasible_sequences(constraint, list(bit), max_len), 1):
@@ -646,9 +635,9 @@ def best_nonadaptive_exact(
     best_seq: tuple[str, ...] = ()
     best_val: Scalar = 0
     form = f._compiled(_type_names(universe))
+    row = _element_rows(universe, dist)
     for mask, seq in firsts.items():
-        v = _walk_values([([e for e in universe.elements if bit[e] & mask], 1)], [form],
-                         universe, dist)[0]
+        v = _walk_values([([e for e in universe.elements if bit[e] & mask], 1)], [form], row)[0]
         if v > best_val:
             best_val = v
             best_seq = seq

@@ -6,6 +6,7 @@ oracles, and seeded random instances that fuel the property suites.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -83,16 +84,23 @@ class InstanceBundle:
 # ---------------------------------------------------------------------------
 
 
-def _check_eps(eps: Scalar) -> None:
+#: Deepest triangular instance (columns) that ``submodular_lb_depth`` allows.
+SUBMODULAR_LB_DEPTH_CAP = 1 << 14
+
+
+def submodular_lb_depth(eps: Scalar) -> int:
+    """Smallest depth whose residual tail (1-eps)^D drops below eps**2; refuses one
+    past ``SUBMODULAR_LB_DEPTH_CAP``, estimated in floats before any exact step."""
     # the gap guarantees are stated for eps < 1/2, but the construction and
     # its recurrences are well defined on all of (0, 1)
     if not (0 < eps < 1):
         raise ValidationError("eps must satisfy 0 < eps < 1")
-
-
-def submodular_lb_depth(eps: Scalar) -> int:
-    """Smallest depth whose residual tail (1-eps)^D drops below eps**2."""
-    _check_eps(eps)
+    x = float(eps)  # 0.0 when a Fraction eps underflows; 1.0 when it rounds up
+    estimate = 2 * math.log(x) / math.log1p(-x) if 0 < x < 1 else 0 if x else math.inf
+    if estimate >= SUBMODULAR_LB_DEPTH_CAP:
+        raise ExactCapExceeded(
+            f"eps={eps} needs about {estimate:.4g} columns, past the depth cap of "
+            f"{SUBMODULAR_LB_DEPTH_CAP}; use the limits 2 - eps and 1")
     q = 1 - eps
     threshold = eps * eps
     depth = 0
@@ -101,6 +109,16 @@ def submodular_lb_depth(eps: Scalar) -> int:
         acc = acc * q
         depth += 1
     return depth
+
+
+def _column_weights(eps: Scalar) -> tuple[int, list[Scalar]]:
+    """The triangle's depth at ``eps`` and (1-eps)^j for j = 0 .. depth + 2,
+    each the product of the one before and 1 - eps."""
+    depth = submodular_lb_depth(eps)
+    qpow: list[Scalar] = [1]
+    for _ in range(depth + 2):
+        qpow.append(qpow[-1] * (1 - eps))
+    return depth, qpow
 
 
 def _submod_element(k: int, l: int) -> str:
@@ -118,9 +136,7 @@ def gen_submodular_lb(eps: Scalar) -> InstanceBundle:
     is always materialized: it holds one node per element, shared between
     the paths that reach it, so it is no larger than the universe.
     """
-    _check_eps(eps)
-    q = 1 - eps
-    depth = submodular_lb_depth(eps)
+    depth, qpow = _column_weights(eps)
     coords = [(k, l) for k in range(depth + 1) for l in range(depth + 1 - k)]
     type_space = {}
     probs = {}
@@ -129,13 +145,9 @@ def gen_submodular_lb(eps: Scalar) -> InstanceBundle:
         e = _submod_element(k, l)
         on, off = f"{e}:on", f"{e}:off"
         type_space[e] = (on, off)
-        probs[e] = {on: eps, off: q}
+        probs[e] = {on: eps, off: qpow[1]}
         part_of[on] = f"col{k}"
-    part_weight: dict[str, Scalar] = {}
-    acc: Scalar = 1
-    for k in range(depth + 1):
-        part_weight[f"col{k}"] = acc
-        acc = acc * q
+    part_weight = {f"col{k}": qpow[k] for k in range(depth + 1)}
 
     # (k, l) leads only to (k + l + 1, 0) and (k, l + 1), one diagonal further
     # on, so the diagonals are built from the last one back; past the last
@@ -173,20 +185,13 @@ def submodular_lb_adap_recurrence(eps: Scalar) -> Scalar:
     sum_i (1-eps)^i * eps * ((1-eps)^k + adap(k+i+1)), with values past the
     last column equal to zero. Runs in O(depth^2).
     """
-    _check_eps(eps)
-    depth = submodular_lb_depth(eps)
-    q = 1 - eps
-    qpow: list[Scalar] = [1]
-    for _ in range(depth + 1):
-        qpow.append(qpow[-1] * q)
+    depth, qpow = _column_weights(eps)
     adap: list[Scalar] = [0] * (depth + 2)
     for k in range(depth, -1, -1):
         s: Scalar = 0
-        qi: Scalar = 1
         for i in range(depth - k + 1):
             nxt = adap[k + i + 1] if k + i + 1 <= depth else 0
-            s = s + qi * eps * (qpow[k] + nxt)
-            qi = qi * q
+            s = s + qpow[i] * eps * (qpow[k] + nxt)
         adap[k] = s
     return adap[0]
 
@@ -198,12 +203,7 @@ def submodular_lb_alg_opt(eps: Scalar) -> Scalar:
     column, so alg(k) = max_i [(1-eps)^k (1-(1-eps)^(i+1)) + alg(k+i+1)].
     The result stays strictly below 1.
     """
-    _check_eps(eps)
-    depth = submodular_lb_depth(eps)
-    q = 1 - eps
-    qpow: list[Scalar] = [1]
-    for _ in range(depth + 2):
-        qpow.append(qpow[-1] * q)
+    depth, qpow = _column_weights(eps)
     alg: list[Scalar] = [0] * (depth + 2)
     for k in range(depth, -1, -1):
         best: Scalar = 0

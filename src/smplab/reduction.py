@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .core import Scalar, TypeDistribution, Universe, ValidationError
-from .evaluate import DEFAULT_WORK_CAP, EvalReport, _probed_sets, _type_names, _walk_values
+from .evaluate import EvalReport, _element_rows, _probed_sets, _type_names, _walk_values
 from .families import IndependenceOracle, _best_subset, _bits, _total, _union
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, WeightedRankValuation
@@ -203,8 +203,6 @@ def combined_value(
     k: int,
     universe: Universe,
     dist: TypeDistribution,
-    *,
-    work_cap: int = DEFAULT_WORK_CAP,
 ) -> EvalReport:
     """Expected true-weight value of the greedy-optimal combined selection.
 
@@ -218,10 +216,11 @@ def combined_value(
     """
     validate_tree(tree, universe)
     decomposition = class_decompose(weights, family)
-    sets = _probed_sets(tree, dist, work_cap)
+    sets = _probed_sets(tree, dist)
     classes = decomposition.classes
     names = _type_names(universe)
-    values = _walk_values(sets, [c._compiled(names) for c in classes.values()], universe, dist)
+    row = _element_rows(universe, dist)
+    values = _walk_values(sets, [c._compiled(names) for c in classes.values()], row)
     class_alg = dict(zip(classes, values))
     scaled = {j: two_power(j) * v for j, v in class_alg.items()}
     buckets = bucketize(decomposition.hi, decomposition.lo, k)
@@ -234,7 +233,7 @@ def combined_value(
     def combined_weight(mask: int) -> Scalar:
         return _total(weights[t] for t in sorted(flat[i] for i in _bits(pick(mask))))
 
-    total = _walk_values(sets, [(masks, combined_weight)], universe, dist)[0]
+    total = _walk_values(sets, [(masks, combined_weight)], row)[0]
 
     trace = {
         "class_alg": class_alg,

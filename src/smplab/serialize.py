@@ -50,6 +50,9 @@ REPORT_SCHEMA = "smplab-report/1"
 
 _TREE_NODE_CAP = 200_000
 
+#: Deepest tree written: one that reads back under the default recursion limit.
+_TREE_DEPTH_CAP = 400
+
 
 class ParseError(ValueError):
     """A document failed to parse; a bad field is named by its JSON path."""
@@ -349,10 +352,16 @@ _INSTANCE = _Record(
 
 def instance_to_dict(bundle: InstanceBundle) -> dict:
     size: dict[int, int] = {}  # nodes, leaves included, that writing a subtree takes
+    height: dict[int, int] = {}  # internal levels, each a few frames to write and to read
     for node in _tree_nodes(bundle.tree, bundle.universe)[0] if bundle.tree else ():
-        size[id(node)] = 1 + sum(size.get(id(c), 1) for c in node.children.values())
+        kids = node.children.values()
+        size[id(node)] = 1 + sum(size.get(id(c), 1) for c in kids)
+        height[id(node)] = 1 + max((height.get(id(c), 0) for c in kids), default=0)
     if size.get(id(bundle.tree), 1) > _TREE_NODE_CAP:
         raise ValidationError(f"tree too large to serialize: expands past {_TREE_NODE_CAP} nodes")
+    if (depth := height.get(id(bundle.tree), 0)) > _TREE_DEPTH_CAP:
+        raise ValidationError(f"tree nested too deeply to serialize: {depth} levels "
+                              f"exceed the cap of {_TREE_DEPTH_CAP}")
     return {"schema": INSTANCE_SCHEMA, **_shallow(_INSTANCE.write, bundle)}
 
 

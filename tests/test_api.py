@@ -10,15 +10,10 @@ import smplab
 
 OPTIONS = [
     "smplab.cli.main(argv)",
-    "smplab.evaluate.adap_exact(work_cap)",
     "smplab.evaluate.adap_mc(workers)",
-    "smplab.evaluate.alg_exact(work_cap)",
     "smplab.evaluate.alg_mc(workers)",
-    "smplab.evaluate.best_nonadaptive_exact(work_cap)",
-    "smplab.evaluate.greedy_interleaved_exact(work_cap)",
     "smplab.families.max_rank(weights)",
     "smplab.instances.gen_random_instance(params)",
-    "smplab.reduction.combined_value(work_cap)",
     "smplab.serialize.serialize_report(timings)",
     "smplab.verify.check_encoding(seed)",
     "smplab.verify.check_encoding(set_samples)",

@@ -202,6 +202,20 @@ class TestGapCommands:
     def test_gap_submodular_bound_violation_fails(self):
         assert main(["gap-submodular", "--eps", "0.05", "--tolerance", "1.99"]) == 1
 
+    def test_gap_submodular_refuses_a_tiny_eps_past_the_depth_cap(self):
+        # 1 - eps rounds to 1, so counting the depth would never end: a subprocess
+        # with a timeout fails instead of hanging
+        src = str(Path(smplab.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "smplab", "gap-submodular", "--eps", "1e-300"],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert done.returncode == 2
+        assert "eps=1e-300 needs about 1.382e+303 columns, past the depth cap of 16384" in (
+            done.stderr)
+
     def test_gap_kext_default_parameters(self):
         assert main(["gap-kext", "--k", "3"]) == 0
 

@@ -146,7 +146,7 @@ class TestAdapExact:
         got = adap_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist).value
         assert abs(got - submodular_lb_adap_recurrence(0.3)) <= 1e-9
 
-    def test_zero_probability_arcs_never_expanded(self):
+    def test_zero_probability_arcs_never_expanded(self, monkeypatch):
         # random trees share no node, so the walk expands exactly the
         # positive arcs of every reached prefix, and none of the others
         for inst in [gen_random_instance(s) for s in range(10)]:
@@ -154,21 +154,27 @@ class TestAdapExact:
             args = (inst.tree, inst.valuation, inst.universe, dist)
             arcs = _positive_arcs(inst.tree, dist, dag=False)
             assert 0 < arcs < _positive_arcs(inst.tree, inst.dist, dag=False)
-            assert adap_exact(*args, work_cap=arcs).value == adap_by_path_enumeration(*args)
+            want = adap_by_path_enumeration(*args)
+            monkeypatch.setattr(smplab.evaluate, "WORK_CAP", arcs)
+            assert adap_exact(*args).value == want
+            monkeypatch.setattr(smplab.evaluate, "WORK_CAP", arcs - 1)
             with pytest.raises(ExactCapExceeded, match=f"work cap of {arcs - 1};"):
-                adap_exact(*args, work_cap=arcs - 1)
+                adap_exact(*args)
+            monkeypatch.undo()
 
-    def test_memo_expands_each_triangle_arc_once(self):
+    def test_memo_expands_each_triangle_arc_once(self, monkeypatch):
         bundle = gen_submodular_lb(Fraction(1, 4))
         arcs = _positive_arcs(bundle.tree, bundle.dist, dag=True)
         assert arcs == 2 * len(bundle.universe) == 2 * 66
         args = (bundle.tree, bundle.valuation, bundle.universe, bundle.dist)
-        got = adap_exact(*args, work_cap=arcs).value
+        monkeypatch.setattr(smplab.evaluate, "WORK_CAP", arcs)
+        got = adap_exact(*args).value
         assert got == submodular_lb_adap_recurrence(Fraction(1, 4))
+        monkeypatch.setattr(smplab.evaluate, "WORK_CAP", arcs - 1)
         with pytest.raises(ExactCapExceeded, match=f"work cap of {arcs - 1};"):
-            adap_exact(*args, work_cap=arcs - 1)
+            adap_exact(*args)
 
-    def test_memo_matches_path_enumeration_on_chain_dags(self):
+    def test_memo_matches_path_enumeration_on_chain_dags(self, monkeypatch):
         # chain_tree hangs one node under every arc of the level above, so
         # fixed sets with equal reach below share its expansion
         params = RandomInstanceParams(valuation_kinds=("coverage", "partition_weighted"))
@@ -179,19 +185,20 @@ class TestAdapExact:
             args = (tree, inst.valuation, inst.universe, inst.dist)
             assert adap_exact(*args).value == adap_by_path_enumeration(*args), seed
             walked = _positive_arcs(tree, inst.dist, dag=False)
+            monkeypatch.setattr(smplab.evaluate, "WORK_CAP", walked - 1)
             try:
-                adap_exact(*args, work_cap=walked - 1)
+                adap_exact(*args)
                 hits += 1
             except ExactCapExceeded:
                 pass
+            monkeypatch.undo()
         assert hits >= 50
 
-    def test_work_cap(self):
+    def test_work_cap(self, monkeypatch):
         bundle = gen_submodular_lb(Fraction(1, 4))
+        monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 3)
         with pytest.raises(ExactCapExceeded):
-            adap_exact(
-                bundle.tree, bundle.valuation, bundle.universe, bundle.dist, work_cap=3
-            )
+            adap_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist)
 
     def test_tree_deeper_than_the_recursion_limit(self):
         universe, dist, f, tree = sure_chain()
@@ -221,26 +228,28 @@ class TestAlgExact:
         assert alg_exact(tree, f, universe, dist).value == len(universe)
         assert adap_by_path_enumeration(tree, f, universe, dist) == len(universe)
 
-    def test_work_cap_counts_positive_draws_only(self):
+    def test_work_cap_counts_positive_draws_only(self, monkeypatch):
         # 2**21 joint assignments, one of positive probability: 21 draw units
         universe, dist, tree = on_off_chain(21, 1)
         f = coverage_valuation({f"x{i}.on": {i} for i in range(21)})
-        assert alg_exact(tree, f, universe, dist, work_cap=21).value == 21
+        monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 21)
+        assert alg_exact(tree, f, universe, dist).value == 21
         need = "work cap of 20: fresh draws of a 21-element set need 21 units on top of 0;"
+        monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 20)
         with pytest.raises(ExactCapExceeded, match=need):
-            alg_exact(tree, f, universe, dist, work_cap=20)
+            alg_exact(tree, f, universe, dist)
 
     @pytest.mark.parametrize(
         "eps, cap, need",
         [
-            (Fraction(1, 4), {"work_cap": 10_000}, "work cap of 10000: fresh draws of a "
+            (Fraction(1, 4), 10_000, "work cap of 10000: fresh draws of a "
              "11-element set need 4094 units on top of 8188;"),
-            (Fraction(1, 5), {}, "work cap of 4194304: fresh draws of a "
+            (Fraction(1, 5), None, "work cap of 4194304: fresh draws of a "
              "16-element set need 131070 units on top of 4194240;"),
         ],
         ids=["eps_1_4-cap_10000", "eps_1_5-default_cap"],
     )
-    def test_refuses_before_any_draw(self, eps, cap, need):
+    def test_refuses_before_any_draw(self, monkeypatch, eps, cap, need):
         # every distinct probed set is charged before the first one is valued
         bundle = gen_submodular_lb(eps)
         calls = 0
@@ -250,8 +259,10 @@ class TestAlgExact:
             calls += 1
             return bundle.valuation(types)
 
+        if cap is not None:
+            monkeypatch.setattr(smplab.evaluate, "WORK_CAP", cap)
         with pytest.raises(ExactCapExceeded, match=need):
-            alg_exact(bundle.tree, f, bundle.universe, bundle.dist, **cap)
+            alg_exact(bundle.tree, f, bundle.universe, bundle.dist)
         assert calls == 0
 
 
@@ -708,26 +719,31 @@ def _weighted_instance():
     return gen_random_instance(0, params)
 
 
-# evaluator -> (instance builder, call with cap keywords)
+# evaluator -> (instance builder, call)
 _CAPPED = {
     "alg_exact": (
         lambda: gen_submodular_lb(Fraction(1, 4)),
-        lambda b, **cap: alg_exact(b.tree, b.valuation, b.universe, b.dist, **cap),
+        lambda b: alg_exact(b.tree, b.valuation, b.universe, b.dist),
     ),
     "greedy_interleaved_exact": (
         lambda: gen_tree_lb(2, 2, Fraction(1, 3)),
-        lambda b, **cap: greedy_interleaved_exact(
-            b.tree, b.family, b.universe, b.dist, **cap),
+        lambda b: greedy_interleaved_exact(b.tree, b.family, b.universe, b.dist),
     ),
     "combined_value": (
         _weighted_instance,
-        lambda b, **cap: combined_value(
-            b.tree, b.weights, b.family, 2, b.universe, b.dist, **cap),
+        lambda b: combined_value(b.tree, b.weights, b.family, 2, b.universe, b.dist),
     ),
     "best_nonadaptive_exact": (
         lambda: gen_submodular_lb(Fraction(1, 4)),
-        lambda b, **cap: best_nonadaptive_exact(
-            b.universe, b.dist, b.valuation, b.constraint, 3, **cap),
+        lambda b: best_nonadaptive_exact(b.universe, b.dist, b.valuation, b.constraint, 3),
+    ),
+    "adap_exact": (
+        lambda: gen_submodular_lb(Fraction(1, 4)),
+        lambda b: adap_exact(b.tree, b.valuation, b.universe, b.dist),
+    ),
+    "adap_by_path_enumeration": (
+        lambda: gen_submodular_lb(Fraction(1, 4)),
+        lambda b: adap_by_path_enumeration(b.tree, b.valuation, b.universe, b.dist),
     ),
 }
 
@@ -741,12 +757,16 @@ _CAPPED = {
         "greedy_interleaved_exact-cap2-work cap of 3",
         "combined_value-cap4-work cap of 3",
         "best_nonadaptive_exact-cap6-work cap of 3",
+        "adap_exact-work cap of 3",
+        "adap_by_path_enumeration-work cap of 3",
     ],
 )
-def test_exact_caps_refuse_and_state_the_cap(evaluator):
+def test_exact_caps_refuse_and_state_the_cap(monkeypatch, evaluator):
+    # every exact route reads the one cap when its evaluation starts
     instance, evaluate = _CAPPED[evaluator]
+    monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 3)
     with pytest.raises(ExactCapExceeded, match="work cap of 3"):
-        evaluate(instance(), work_cap=3)
+        evaluate(instance())
 
 
 class TestInequalitySuites:

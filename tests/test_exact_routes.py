@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 
+import smplab.evaluate
+
 from smplab import (
     CardinalityConstraint,
     ExactCapExceeded,
@@ -167,18 +169,18 @@ def test_float_results_are_bit_identical():
 
 
 _KERNELS = {
-    "adap_exact": lambda b, cap: adap_exact(
-        b.tree, b.valuation, b.universe, b.dist, work_cap=cap),
-    "alg_exact": lambda b, cap: alg_exact(
-        b.tree, b.valuation, b.universe, b.dist, work_cap=cap),
-    "greedy_interleaved_exact": lambda b, cap: greedy_interleaved_exact(
-        b.tree, b.family, b.universe, b.dist, work_cap=cap),
+    "adap_exact": lambda b: adap_exact(b.tree, b.valuation, b.universe, b.dist),
+    "alg_exact": lambda b: alg_exact(b.tree, b.valuation, b.universe, b.dist),
+    "greedy_interleaved_exact": lambda b: greedy_interleaved_exact(
+        b.tree, b.family, b.universe, b.dist),
 }
 
 
 def _refusal(kernel, bundle, cap):
     try:
-        kernel(bundle, cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(smplab.evaluate, "WORK_CAP", cap)
+            kernel(bundle)
     except ExactCapExceeded as refused:
         return str(refused)
     return None
@@ -210,7 +212,7 @@ def test_both_routes_refuse_at_the_same_cap(name):
         assert hi == least, (k, w)
 
 
-def test_best_nonadaptive_memory_per_distinct_set():
+def test_best_nonadaptive_memory_per_distinct_set(monkeypatch):
     # 20 one-type elements: every sequence that the search meets is a new set, and
     # the work cap ends it; the search keeps a bitmask and a first sequence per set
     n, cap = 20, 50_000
@@ -224,10 +226,11 @@ def test_best_nonadaptive_memory_per_distinct_set():
         if used > cap:
             break
         sets += 1
+    monkeypatch.setattr(smplab.evaluate, "WORK_CAP", cap)
     tracemalloc.start()
     try:
         with pytest.raises(ExactCapExceeded, match=f"work cap of {cap}: fresh draws"):
-            best_nonadaptive_exact(universe, dist, f, CardinalityConstraint(n), n, work_cap=cap)
+            best_nonadaptive_exact(universe, dist, f, CardinalityConstraint(n), n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

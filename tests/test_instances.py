@@ -41,6 +41,14 @@ class TestTriangularInstance:
     def test_depth_at_point_one(self):
         assert submodular_lb_depth(0.1) == 44
 
+    def test_depth_cap_keeps_the_depths_in_use(self):
+        for eps, depth in ((0.05, 117), (0.01, 917), (Fraction(1, 100), 917), (0.001, 13809)):
+            assert submodular_lb_depth(eps) == depth
+        with pytest.raises(ExactCapExceeded,
+                           match=r"eps=0.0008 needs about 1.782e\+04 columns, past the depth "
+                                 r"cap of 16384"):
+            submodular_lb_depth(0.0008)
+
     def test_eps_range_validated(self):
         for bad in (0, 1, -0.2, 1.5):
             with pytest.raises(ValidationError):

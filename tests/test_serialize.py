@@ -241,20 +241,33 @@ class TestTreeCodec:
         with pytest.raises(ValidationError, match="expands past 200000 nodes"):
             serialize_instance(gen_submodular_lb(Fraction(1, 10)))
 
-    def test_deep_tree_refused_on_write(self):
-        # each level takes frames to write, so 600 levels pass Python's recursion limit
-        names = [f"x{i}" for i in range(600)]
+    @staticmethod
+    def _chain(levels: int) -> InstanceBundle:
+        names = [f"x{i}" for i in range(levels)]
         universe = universe_from_type_space({e: [f"{e}.t"] for e in names})
-        bundle = InstanceBundle(
+        return InstanceBundle(
             universe=universe,
             dist=TypeDistribution({e: {f"{e}.t": 1} for e in names}),
             valuation=coverage_valuation({}),
-            constraint=CardinalityConstraint(600),
+            constraint=CardinalityConstraint(levels),
             tree=chain_tree(universe, names),
         )
+
+    def test_deep_tree_refused_on_write(self):
+        # each level takes frames to write, so 600 levels pass Python's recursion limit
+        bundle = self._chain(600)
         for write in (instance_to_dict, serialize_instance):
             with pytest.raises(ValidationError, match="tree nested too deeply to serialize"):
                 write(bundle)
+
+    def test_depth_cap_is_where_writer_and_reader_agree(self):
+        # 401 levels still fit the writer's stack but not always the reader's
+        for write in (instance_to_dict, serialize_instance):
+            with pytest.raises(ValidationError,
+                               match="nested too deeply to serialize: 401 levels exceed the cap of 400"):
+                write(self._chain(401))
+        bundle = self._chain(400)
+        assert parse_instance(serialize_instance(bundle)).tree == bundle.tree
 
 
 class TestParseFailures:
