@@ -6,15 +6,17 @@ A float prints as its ``float.hex``, any other value as its type and
 ``repr``; a refused evaluation prints its message. The battery is
 ``gen_random_instance`` seeds 0-149 under three parameter sets (default,
 rank-only with ``weight_high=8``, coverage-only), the triangle at eps 1/3
-and ``gen_tree_lb(3, 2, 1/3)``, each with its Fraction probabilities and
-again with floats. Each instance gets ``adap_exact``, ``alg_exact`` and
+and 1/10 and ``gen_tree_lb`` at (3, 2, 1/3) and (3, 3, 1/3), each with its
+Fraction probabilities and again with floats; at eps 1/10 and (3, 3, 1/3)
+``adap_exact``'s reach memo and the greedy's selection memo work at scale.
+Each instance gets ``adap_exact``, ``alg_exact`` and
 ``best_nonadaptive_exact`` at ``max_len`` 3; one with an independence
 family also gets ``greedy_interleaved_exact`` with its ``online_value`` and
 ``combined_value`` with its class values. Two searches past the default
 work cap print their refusals: ``alg_exact`` on the triangle at eps 1/5 and
 ``best_nonadaptive_exact`` on the triangle at eps 1/4, over every element.
 
-It prints 6,178 lines in about 3 s on a 2-vCPU VM.
+It prints 6,202 lines in about 3 s on a 2-vCPU VM.
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
@@ -106,7 +108,9 @@ def main() -> int:
         for seed in range(150):
             digest(f"random:{kind}:{seed}", gen_random_instance(seed, params))
     digest("triangle:1/3", gen_submodular_lb(Fraction(1, 3)))
+    digest("triangle:1/10", gen_submodular_lb(Fraction(1, 10)))
     digest("tree:3,2,1/3", gen_tree_lb(3, 2, Fraction(1, 3)))
+    digest("tree:3,3,1/3", gen_tree_lb(3, 3, Fraction(1, 3)))
     refusals()
     return 0
 

@@ -16,10 +16,10 @@ arc or draw order. The exact evaluators compile the valuation, or the greedy's
 family, once per call over the universe's types, so a set of types is an int
 mask. The tree check lists each distinct node once, children first;
 ``adap_exact``, ``greedy_interleaved_exact`` and the Monte Carlo walk read
-that list, and the first two expand a shared subtree once per state that can
-still change its value, on a stack of their own. Monte Carlo evaluators
-are deterministic given (seed, trials) and bit-identical for any worker count,
-because trials are split into fixed counter-addressed blocks.
+that list; the first two run on one memoized walk, ``_walk``, which expands
+a shared subtree once per state that can still change its value, on a stack
+of its own. Monte Carlo evaluators are deterministic given (seed, trials) and
+bit-identical for any worker count, as trials form counter-addressed blocks.
 """
 
 from __future__ import annotations
@@ -110,12 +110,17 @@ def iter_tree_paths(
                 stack.append((child, steps + ((e, t),), prob * p))
 
 
-class _WorkMeter:
-    __slots__ = ("used", "cap")
+#: What a work-cap refusal advises for the exact routes that no Monte Carlo route matches.
+_NO_MC_ADVICE = "this value has no Monte Carlo route, so use a smaller instance"
 
-    def __init__(self):
+
+class _WorkMeter:
+    __slots__ = ("used", "cap", "advice")
+
+    def __init__(self, advice: str = "use MC"):
         self.used = 0
         self.cap = WORK_CAP  # read per evaluation, so a test can patch it
+        self.advice = advice
 
     def spend(self, amount: int, drawn: int | None = None) -> None:
         """Charge ``amount`` units; ``drawn`` is the size of the set whose
@@ -126,7 +131,7 @@ class _WorkMeter:
                 f": fresh draws of a {drawn}-element set need {amount} units "
                 f"on top of {self.used - amount}")
             raise ExactCapExceeded(
-                f"exact evaluation exceeded the work cap of {self.cap}{need}; use MC"
+                f"exact evaluation exceeded the work cap of {self.cap}{need}; {self.advice}"
             )
 
     def spend_draws(self, order: Sequence[str], dist: TypeDistribution) -> None:
@@ -140,14 +145,13 @@ class _WorkMeter:
         self.spend(arcs, len(order))
 
 
-def _probed_sets(tree: DecisionTree, dist: TypeDistribution) -> list[list]:
+def _probed_sets(tree: DecisionTree, dist: TypeDistribution, meter: _WorkMeter) -> list[list]:
     """Each distinct set the virtual paths probe, in order of first appearance,
     as ``[order of its first path, total probability of its paths]``.
 
-    A set's fresh draws are charged to one work meter when it is first met,
-    so a refusal comes before any draw.
+    A set's fresh draws are charged to ``meter`` when it is first met, so a
+    refusal comes before any draw.
     """
-    meter = _WorkMeter()
     sets: dict[frozenset[str], list] = {}
     for steps, p in iter_tree_paths(tree, dist):
         order = tuple(e for e, _ in steps)
@@ -238,20 +242,25 @@ def _walk_values(
     return totals
 
 
-def _unrecursed(call: Generator):
-    """The return value of ``call``, a recursion written as generators and run
-    on a stack of its own rather than Python's: each generator yields the
-    generator of a sub-call and is sent that sub-call's return value."""
-    stack = [call]
-    sent = None
+def _walk(expand: Callable[..., Generator], *root):
+    """The value of ``expand(*root)``, a recursion written as generators and run
+    on a stack of its own rather than Python's: a generator yields ``(key, args)``
+    for a sub-call and is sent the value of ``expand(*args)``, computed once per
+    key per walk and then reused, whatever it is; a None key is never reused."""
+    memo: dict = {}
+    stack, sent = [(None, expand(*root))], None
     while stack:
         try:
-            sub = stack[-1].send(sent)
+            key, args = stack[-1][1].send(sent)
         except StopIteration as done:
-            stack.pop()
-            sent = done.value
+            key, sent = stack.pop()[0], done.value
+            if key is not None:
+                memo[key] = sent
+            continue
+        if key in memo:
+            sent = memo[key]
         else:
-            stack.append(sub)
+            stack.append((key, expand(*args)))
             sent = None
     return sent
 
@@ -282,9 +291,8 @@ def adap_exact(
         for node in nodes:  # children first
             below[id(node)] = _union(masks[t] for t in node.children) | _union(
                 below.get(id(c), 0) for c in node.children.values())
-    memo: dict[tuple[int, int], object] = {}  # values as ``_weighted_sum`` gives them
 
-    def expand(node: DecisionTree, fixed: int, base: Scalar, key):
+    def expand(node: DecisionTree, fixed: int, base: Scalar):
         # base is f(fixed), passed down so each arc values f once
         _, weights, scale, fractional = row(node.element)
         meter.spend(len(weights))
@@ -296,18 +304,13 @@ def adap_exact(
             value = f_of(ext)
             sub = 0
             if not child.is_leaf:
-                child_key = (id(child), ext & below[id(child)]) if memoize else None
-                sub = memo.get(child_key)
-                if sub is None:
-                    sub = yield expand(child, ext, value, child_key)
+                key = (id(child), ext & below[id(child)]) if memoize else None
+                sub = yield key, (child, ext, value)
             terms.append((w, value - base, sub))
-        total = _weighted_sum(terms, scale, fractional)
-        if key is not None:
-            memo[key] = total
-        return total
+        return _weighted_sum(terms, scale, fractional)  # memoized as it gives them
 
     base = f_of(0)
-    value = 0 if tree.is_leaf else _scalar(_unrecursed(expand(tree, 0, base, None)))
+    value = 0 if tree.is_leaf else _scalar(_walk(expand, tree, 0, base))
     return EvalReport(value=value, mode="exact")
 
 
@@ -341,7 +344,7 @@ def alg_exact(
     the set of true types.
     """
     validate_tree(tree, universe)
-    sets = _probed_sets(tree, dist)
+    sets = _probed_sets(tree, dist, _WorkMeter())
     form = f._compiled(_type_names(universe))
     row = _element_rows(universe, dist)
     return EvalReport(value=_walk_values(sets, [form], row)[0], mode="exact")
@@ -365,12 +368,11 @@ def greedy_interleaved_exact(
     """
     _tree_nodes(tree, universe)  # the tree check
     row = _element_rows(universe, dist)
-    meter = _WorkMeter()
+    meter = _WorkMeter(_NO_MC_ADVICE)
     names = _type_names(universe)
     index = {t: i for i, t in enumerate(names)}
     initial, step = family._stepper(names)
     states = {0: initial}  # the family state of each selection met
-    memo: dict[tuple[int, int], tuple] = {}
 
     @functools.cache  # a table per call
     def add(chosen: int, t: str) -> int:
@@ -396,17 +398,14 @@ def greedy_interleaved_exact(
                 if child.is_leaf:
                     sub = nxt.bit_count(), 0
                 else:
-                    sub = memo.get((id(child), nxt))
-                    if sub is None:
-                        sub = yield expand(child, nxt)
+                    sub = yield (id(child), nxt), (child, nxt)
                 got.append((p * q, grown.bit_count() - chosen.bit_count(), sub))
         square = scale and scale * scale
         size = _weighted_sum([(w, s, 0) for w, _, (s, _) in got], square, fractional)
         online = _weighted_sum([(w, g, o) for w, g, (_, o) in got], square, fractional)
-        memo[id(node), chosen] = size, online
         return size, online
 
-    total, online_total = (0, 0) if tree.is_leaf else _unrecursed(expand(tree, 0))
+    total, online_total = (0, 0) if tree.is_leaf else _walk(expand, tree, 0)
     return EvalReport(value=_scalar(total), mode="exact",
                       trace={"online_value": _scalar(online_total)})
 
@@ -619,7 +618,7 @@ def best_nonadaptive_exact(
     to one work meter; each set is valued after the search, once. Returns
     the lexicographically smallest maximizing sequence.
     """
-    meter = _WorkMeter()
+    meter = _WorkMeter(_NO_MC_ADVICE)
     bit = {e: 1 << i for i, e in enumerate(sorted(universe.elements))}
     firsts: dict[int, tuple[str, ...]] = {}  # set as a bitmask over ``bit`` -> first sequence
     for expanded, seq in enumerate(_feasible_sequences(constraint, list(bit), max_len), 1):

@@ -87,6 +87,9 @@ class InstanceBundle:
 #: Deepest triangular instance (columns) that ``submodular_lb_depth`` allows.
 SUBMODULAR_LB_DEPTH_CAP = 1 << 14
 
+#: Most elements a triangular instance may have to be built by ``gen_submodular_lb``.
+SUBMODULAR_LB_ELEMENT_CAP = 10**5
+
 
 def submodular_lb_depth(eps: Scalar) -> int:
     """Smallest depth whose residual tail (1-eps)^D drops below eps**2; refuses one
@@ -111,14 +114,13 @@ def submodular_lb_depth(eps: Scalar) -> int:
     return depth
 
 
-def _column_weights(eps: Scalar) -> tuple[int, list[Scalar]]:
-    """The triangle's depth at ``eps`` and (1-eps)^j for j = 0 .. depth + 2,
-    each the product of the one before and 1 - eps."""
-    depth = submodular_lb_depth(eps)
+def _column_weights(eps: Scalar, depth: int) -> list[Scalar]:
+    """(1-eps)^j for j = 0 .. depth + 2, each the product of the one before
+    and 1 - eps."""
     qpow: list[Scalar] = [1]
     for _ in range(depth + 2):
         qpow.append(qpow[-1] * (1 - eps))
-    return depth, qpow
+    return qpow
 
 
 def _submod_element(k: int, l: int) -> str:
@@ -134,9 +136,15 @@ def gen_submodular_lb(eps: Scalar) -> InstanceBundle:
     the start element (0, 0). The reference tree walks down a column until
     it finds an active element and then jumps to the next fresh column. It
     is always materialized: it holds one node per element, shared between
-    the paths that reach it, so it is no larger than the universe.
+    the paths that reach it, so it is no larger than the universe. An eps
+    whose (depth+1)(depth+2)/2 elements pass ``SUBMODULAR_LB_ELEMENT_CAP`` is
+    refused before anything is built.
     """
-    depth, qpow = _column_weights(eps)
+    depth = submodular_lb_depth(eps)
+    if (count := (depth + 1) * (depth + 2) // 2) > SUBMODULAR_LB_ELEMENT_CAP:
+        raise ExactCapExceeded(f"eps={eps} needs {count} elements, past the element cap of "
+                               f"{SUBMODULAR_LB_ELEMENT_CAP}; use the column recurrences")
+    qpow = _column_weights(eps, depth)
     coords = [(k, l) for k in range(depth + 1) for l in range(depth + 1 - k)]
     type_space = {}
     probs = {}
@@ -185,7 +193,8 @@ def submodular_lb_adap_recurrence(eps: Scalar) -> Scalar:
     sum_i (1-eps)^i * eps * ((1-eps)^k + adap(k+i+1)), with values past the
     last column equal to zero. Runs in O(depth^2).
     """
-    depth, qpow = _column_weights(eps)
+    depth = submodular_lb_depth(eps)
+    qpow = _column_weights(eps, depth)
     adap: list[Scalar] = [0] * (depth + 2)
     for k in range(depth, -1, -1):
         s: Scalar = 0
@@ -203,7 +212,8 @@ def submodular_lb_alg_opt(eps: Scalar) -> Scalar:
     column, so alg(k) = max_i [(1-eps)^k (1-(1-eps)^(i+1)) + alg(k+i+1)].
     The result stays strictly below 1.
     """
-    depth, qpow = _column_weights(eps)
+    depth = submodular_lb_depth(eps)
+    qpow = _column_weights(eps, depth)
     alg: list[Scalar] = [0] * (depth + 2)
     for k in range(depth, -1, -1):
         best: Scalar = 0

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .core import Scalar, TypeDistribution, Universe, ValidationError
-from .evaluate import EvalReport, _element_rows, _probed_sets, _type_names, _walk_values
+from .evaluate import _NO_MC_ADVICE, EvalReport, _WorkMeter, _element_rows, _probed_sets
+from .evaluate import _type_names, _walk_values
 from .families import IndependenceOracle, _best_subset, _bits, _total, _union
 from .strategy import DecisionTree, validate_tree
 from .valuation import ValuationFunction, WeightedRankValuation
@@ -216,7 +217,7 @@ def combined_value(
     """
     validate_tree(tree, universe)
     decomposition = class_decompose(weights, family)
-    sets = _probed_sets(tree, dist)
+    sets = _probed_sets(tree, dist, _WorkMeter(_NO_MC_ADVICE))
     classes = decomposition.classes
     names = _type_names(universe)
     row = _element_rows(universe, dist)

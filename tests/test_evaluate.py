@@ -748,6 +748,22 @@ _CAPPED = {
 }
 
 
+_NO_MC = "this value has no Monte Carlo route, so use a smaller instance"
+
+#: Each ``_CAPPED`` refusal at work cap 3: "use MC" only where ``smplab eval --mode mc`` has a route.
+_REFUSALS = {
+    "alg_exact": "exact evaluation exceeded the work cap of 3: fresh draws of a 11-element "
+                 "set need 4094 units on top of 0; use MC",
+    "greedy_interleaved_exact": f"exact evaluation exceeded the work cap of 3; {_NO_MC}",
+    "combined_value": "exact evaluation exceeded the work cap of 3: fresh draws of a 3-element "
+                      f"set need 39 units on top of 3; {_NO_MC}",
+    "best_nonadaptive_exact": "exact evaluation exceeded the work cap of 3: fresh draws of a "
+                              f"2-element set need 6 units on top of 2; {_NO_MC}",
+    "adap_exact": "exact evaluation exceeded the work cap of 3; use MC",
+    "adap_by_path_enumeration": "exact evaluation exceeded the work cap of 3; use MC",
+}
+
+
 @pytest.mark.parametrize(
     "evaluator",
     list(_CAPPED),
@@ -765,8 +781,9 @@ def test_exact_caps_refuse_and_state_the_cap(monkeypatch, evaluator):
     # every exact route reads the one cap when its evaluation starts
     instance, evaluate = _CAPPED[evaluator]
     monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 3)
-    with pytest.raises(ExactCapExceeded, match="work cap of 3"):
+    with pytest.raises(ExactCapExceeded, match="work cap of 3") as refused:
         evaluate(instance())
+    assert str(refused.value) == _REFUSALS[evaluator]
 
 
 class TestInequalitySuites:

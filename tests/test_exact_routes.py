@@ -2,6 +2,8 @@
 of a row is an int or a Fraction, and Scalar sums in arc or draw order when a
 probability or a value is a float."""
 
+import collections
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from smplab import (
     make_uniform_matroid,
     universe_from_type_space,
 )
+from smplab.evaluate import _walk
 from smplab.strategy import _feasible_sequences
 from smplab.valuation import WeightedCoverageValuation
 from oracles import (
@@ -236,3 +239,47 @@ def test_best_nonadaptive_memory_per_distinct_set(monkeypatch):
         tracemalloc.stop()
     assert sets > 3000
     assert peak / sets < 600  # bytes; a frozenset key and a draw order per set take over 1200
+
+
+def _diamonds(levels: int, key, value, limit: int):
+    """A recursion for ``_walk`` over a chain of ``levels`` diamonds: the node at
+    each level has two arcs to the one node below, so a walk that never reuses
+    a value expands level l 2**l times. It returns ``value`` at every node and
+    counts its expansions, failing once they pass ``limit``."""
+    expanded = collections.Counter()
+
+    def expand(level: int):
+        expanded[level] += 1
+        assert expanded.total() <= limit, "expanded past the limit"
+        for _ in range(2 if level < levels else 0):
+            yield key(level + 1), (level + 1,)
+        return value
+
+    return expand, expanded
+
+
+@pytest.mark.parametrize("value", [None, 0, False], ids=["None", "0", "False"])
+def test_walk_reuses_every_value_once_per_key(value):
+    # a memo that takes a stored None, 0 or False for a miss would expand 2**40 times
+    expand, expanded = _diamonds(40, lambda level: level, value, limit=100)
+    assert _walk(expand, 0) is value
+    assert expanded == dict.fromkeys(range(41), 1)
+    _walk(expand, 0)  # the memo lives for one walk
+    assert expanded == dict.fromkeys(range(41), 2)
+
+
+def test_walk_expands_a_none_key_every_time():
+    expand, expanded = _diamonds(5, lambda level: None, 1, limit=100)
+    assert _walk(expand, 0) == 1
+    assert expanded == {level: 2**level for level in range(6)}
+
+
+def test_walk_runs_deeper_than_the_recursion_limit():
+    depth = 5 * sys.getrecursionlimit()
+
+    def expand(level: int):
+        if level == depth:
+            return 0
+        return 1 + (yield level + 1, (level + 1,))
+
+    assert _walk(expand, 0) == depth

@@ -28,7 +28,8 @@ from smplab import (
     tree_lb_adaptive_value,
     tree_lb_nonadaptive_bound,
 )
-from smplab.instances import WARY_EDGE_CAP
+import smplab.instances
+from smplab.instances import SUBMODULAR_LB_ELEMENT_CAP, WARY_EDGE_CAP
 from smplab.strategy import _tree_nodes
 
 
@@ -48,6 +49,16 @@ class TestTriangularInstance:
                            match=r"eps=0.0008 needs about 1.782e\+04 columns, past the depth "
                                  r"cap of 16384"):
             submodular_lb_depth(0.0008)
+
+    def test_element_cap_refuses_before_building(self, monkeypatch):
+        # eps 0.02, the smallest built anywhere, has 75,855 elements and stays in
+        assert (389 * 390 // 2, submodular_lb_depth(0.02)) == (75855, 388)
+        assert 75855 <= SUBMODULAR_LB_ELEMENT_CAP < 421821
+        monkeypatch.setattr(smplab.instances, "probe", None)  # any build would call it
+        monkeypatch.setattr(smplab.instances, "_column_weights", None)
+        need = f"eps=0.01 needs 421821 elements, past the element cap of {SUBMODULAR_LB_ELEMENT_CAP};"
+        with pytest.raises(ExactCapExceeded, match=need):
+            gen_submodular_lb(0.01)
 
     def test_eps_range_validated(self):
         for bad in (0, 1, -0.2, 1.5):
