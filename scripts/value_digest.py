@@ -15,8 +15,17 @@ family also gets ``greedy_interleaved_exact`` with its ``online_value`` and
 ``combined_value`` with its class values. Two searches past the default
 work cap print their refusals: ``alg_exact`` on the triangle at eps 1/5 and
 ``best_nonadaptive_exact`` on the triangle at eps 1/4, over every element.
+The random instances, the triangle at 1/3 and ``gen_tree_lb(3, 2, 1/3)``
+also get the path-sum reference ``adap_by_path_enumeration``.
 
-It prints 6,202 lines in about 3 s on a 2-vCPU VM.
+The Monte Carlo lines give ``adap_mc`` and ``alg_mc`` value and stderr at
+1 and 2 workers, seed 7 and 2,048 trials, on the triangle at eps 1/5 in
+Fraction (the table route) and at 0.2 in float (coverage arrays), on
+``gen_tree_lb(3, 2, 1/3)`` in float (path-chain arrays) and with Fraction
+weights (the table route over a rank), and on ``gen_random_instance`` seeds
+0-29 of the default parameters.
+
+It prints 7,242 lines in about 4 s on a 2-vCPU VM.
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
@@ -28,8 +37,12 @@ from smplab import (
     ExactCapExceeded,
     RandomInstanceParams,
     TypeDistribution,
+    WeightedRankValuation,
+    adap_by_path_enumeration,
     adap_exact,
+    adap_mc,
     alg_exact,
+    alg_mc,
     best_nonadaptive_exact,
     combined_value,
     gen_random_instance,
@@ -44,6 +57,8 @@ PARAMS = {
         valuation_kinds=("matroid_intersection_rank", "matching_rank"), weight_high=8),
     "coverage": RandomInstanceParams(valuation_kinds=("coverage",)),
 }
+
+MC_TRIALS, MC_SEED = 2048, 7
 
 
 def show(value) -> str:
@@ -62,10 +77,12 @@ def combined(b, dist) -> dict:
     return {"value": rep.value, **classes}
 
 
-def results(b, dist):
+def results(b, dist, paths: bool):
     """(evaluator, thunk) pairs; each thunk returns the evaluator's results by name."""
     args = (b.tree, b.valuation, b.universe, dist)
     yield "adap", lambda: {"value": adap_exact(*args).value}
+    if paths:
+        yield "path-sum", lambda: {"value": adap_by_path_enumeration(*args)}
     yield "alg", lambda: {"value": alg_exact(*args).value}
     yield "best-na", lambda: dict(zip(("sequence", "value"), best_nonadaptive_exact(
         b.universe, dist, b.valuation, b.constraint, 3)))
@@ -74,11 +91,11 @@ def results(b, dist):
         yield "combined", lambda: combined(b, dist)
 
 
-def digest(label: str, b) -> None:
+def digest(label: str, b, paths: bool = False) -> None:
     floated = TypeDistribution({e: {t: float(p) for t, p in row.items()}
                                 for e, row in b.dist.probs.items()})
     for arithmetic, dist in (("fraction", b.dist), ("float", floated)):
-        for evaluator, thunk in results(b, dist):
+        for evaluator, thunk in results(b, dist, paths):
             try:
                 lines = [f"{name} {show(value)}" for name, value in thunk().items()]
             except ExactCapExceeded as refused:
@@ -103,15 +120,33 @@ def refusals() -> None:
             print(f"{label} refused: {refused}")
 
 
+def monte_carlo(label: str, b, valuation=None) -> None:
+    """Both Monte Carlo estimates of ``b`` (under ``valuation`` if given) at 1 and 2 workers."""
+    for fn in (adap_mc, alg_mc):
+        for workers in (1, 2):
+            rep = fn(b.tree, valuation or b.valuation, b.universe, b.dist, MC_TRIALS, MC_SEED,
+                     workers=workers)
+            print(f"{label} mc {fn.__name__} workers={workers} "
+                  f"value {rep.value.hex()} stderr {rep.stderr.hex()}")
+
+
 def main() -> int:
     for kind, params in PARAMS.items():
         for seed in range(150):
-            digest(f"random:{kind}:{seed}", gen_random_instance(seed, params))
-    digest("triangle:1/3", gen_submodular_lb(Fraction(1, 3)))
+            digest(f"random:{kind}:{seed}", gen_random_instance(seed, params), paths=True)
+    digest("triangle:1/3", gen_submodular_lb(Fraction(1, 3)), paths=True)
     digest("triangle:1/10", gen_submodular_lb(Fraction(1, 10)))
-    digest("tree:3,2,1/3", gen_tree_lb(3, 2, Fraction(1, 3)))
+    digest("tree:3,2,1/3", gen_tree_lb(3, 2, Fraction(1, 3)), paths=True)
     digest("tree:3,3,1/3", gen_tree_lb(3, 3, Fraction(1, 3)))
     refusals()
+    monte_carlo("triangle:1/5 fraction", gen_submodular_lb(Fraction(1, 5)))
+    monte_carlo("triangle:0.2 float", gen_submodular_lb(0.2))
+    tree = gen_tree_lb(3, 2, Fraction(1, 3))
+    monte_carlo("tree:3,2,1/3 float", gen_tree_lb(3, 2, 1 / 3))
+    monte_carlo("tree:3,2,1/3 fraction-weights", tree, WeightedRankValuation(
+        tree.valuation.family, dict.fromkeys(tree.valuation.weights, Fraction(1))))
+    for seed in range(30):
+        monte_carlo(f"random:default:{seed}", gen_random_instance(seed, PARAMS["default"]))
     return 0
 
 

@@ -12,9 +12,9 @@ Exact evaluators keep rational arithmetic when all inputs are rational: each
 element's probabilities become int numerators over their lcm, and the
 expectation at a node or over a probed set's draws is summed in ints and
 normalized by one gcd. Float probabilities and values are summed as Scalars, in
-arc or draw order. The exact evaluators compile the valuation, or the greedy's
-family, once per call over the universe's types, so a set of types is an int
-mask. The tree check lists each distinct node once, children first;
+arc or draw order. Every evaluator that values sets compiles the valuation, or
+the greedy's family, once per call over the universe's types, so a set of types
+is an int mask. The tree check lists each distinct node once, children first;
 ``adap_exact``, ``greedy_interleaved_exact`` and the Monte Carlo walk read
 that list; the first two run on one memoized walk, ``_walk``, which expands
 a shared subtree once per state that can still change its value, on a stack
@@ -323,10 +323,11 @@ def adap_by_path_enumeration(
     """Reference route for the adaptive value: sum over root-leaf paths."""
     validate_tree(tree, universe)
     meter = _WorkMeter()
+    masks, f_of = f._compiled(_type_names(universe))
     total: Scalar = 0
     for steps, p in iter_tree_paths(tree, dist):
         meter.spend(max(1, len(steps)))
-        total = total + p * f(frozenset(t for _, t in steps))
+        total = total + p * f_of(_union(masks[t] for _, t in steps))
     return total
 
 
@@ -362,8 +363,8 @@ def greedy_interleaved_exact(
     type is considered before the virtual type. Non-loops get selected and
     counted, loops are skipped; equal draws collapse to one occurrence. The
     walk branches on the virtual arc, then the true type, once per (node,
-    selection), the selection a mask over the universe's types stepped through
-    the family's ``_stepper``. ``trace["online_value"]`` is the online value
+    selection), the selection a mask over the universe's types and its state
+    in the family's ``_stepper``. ``trace["online_value"]`` is the online value
     that only counts true-type selections while still selecting virtual types.
     """
     _tree_nodes(tree, universe)  # the tree check
@@ -372,18 +373,16 @@ def greedy_interleaved_exact(
     names = _type_names(universe)
     index = {t: i for i, t in enumerate(names)}
     initial, step = family._stepper(names)
-    states = {0: initial}  # the family state of each selection met
 
     @functools.cache  # a table per call
-    def add(chosen: int, t: str) -> int:
+    def add(chosen: tuple[int, object], t: str) -> tuple[int, object]:
         """``chosen`` plus ``t``, or ``chosen`` itself when ``t`` is a loop."""
-        i = index[t]
-        if chosen >> i & 1 or (state := step(states[chosen], i)) is None:
+        (mask, state), i = chosen, index[t]
+        if mask >> i & 1 or (grown := step(state, i)) is None:
             return chosen
-        states[chosen | 1 << i] = state
-        return chosen | 1 << i
+        return mask | 1 << i, grown
 
-    def expand(node: DecisionTree, chosen: int):
+    def expand(node: DecisionTree, chosen: tuple[int, object]):
         """(expected final size, expected online gain) below ``node``."""
         _, weights, scale, fractional = row(node.element)
         # true draws in type-space order, virtual arcs in child order
@@ -396,16 +395,16 @@ def greedy_interleaved_exact(
             for grown, q in draws:
                 nxt = add(grown, virtual)
                 if child.is_leaf:
-                    sub = nxt.bit_count(), 0
+                    sub = nxt[0].bit_count(), 0
                 else:
-                    sub = yield (id(child), nxt), (child, nxt)
-                got.append((p * q, grown.bit_count() - chosen.bit_count(), sub))
+                    sub = yield (id(child), nxt[0]), (child, nxt)
+                got.append((p * q, grown[0].bit_count() - chosen[0].bit_count(), sub))
         square = scale and scale * scale
         size = _weighted_sum([(w, s, 0) for w, _, (s, _) in got], square, fractional)
         online = _weighted_sum([(w, g, o) for w, g, (_, o) in got], square, fractional)
         return size, online
 
-    total, online_total = (0, 0) if tree.is_leaf else _walk(expand, tree, 0)
+    total, online_total = (0, 0) if tree.is_leaf else _walk(expand, tree, (0, initial))
     return EvalReport(value=_scalar(total), mode="exact",
                       trace={"online_value": _scalar(online_total)})
 
@@ -506,8 +505,8 @@ def _row_values(f: ValuationFunction, type_names: Sequence[str]):
     """A function from walked rows to ``float(f(types on the row))`` per row: by
     arrays for a weighted coverage, or a weighted rank of a path-chain family, whose
     weights are floats, or ints totalling at most 2**53, adding a row's weights to 0.0
-    in the order ``f`` does; otherwise by a table from a row's bytes to its value,
-    shared by the call's blocks, ``f`` filling misses."""
+    in the order ``f`` does; otherwise by ``f`` compiled once per call, a row valued
+    by the union of its cells' masks, so the call's blocks share the form's table."""
     chain = type(f) is WeightedRankValuation and type(f.family) is PathChainFamily
     weights = list(f.weights.values() if chain else f.weight.values()
                    if type(f) is WeightedCoverageValuation else [None])
@@ -527,16 +526,10 @@ def _row_values(f: ValuationFunction, type_names: Sequence[str]):
             return np.cumsum(np.where(covered, terms, 0.0), axis=1)[:, -1]
 
         return covered_values
-    table: dict[bytes, float] = {}
-
-    def table_values(rows: np.ndarray) -> np.ndarray:
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-        for key in {key for key in keys if key not in table}:
-            ids = np.frombuffer(key, dtype=np.intp).tolist()
-            table[key] = float(f(frozenset([type_names[g] for g in ids if g >= 0])))
-        return np.array([table[key] for key in keys])
-
-    return table_values
+    masks, value = f._compiled(type_names)
+    cells = [masks[t] for t in type_names] + [0]  # the padding -1 reads the last, mask 0
+    return lambda rows: np.array([float(value(_union(cells[g] for g in row)))
+                                  for row in rows.tolist()])
 
 
 def _path_mc(

@@ -186,6 +186,11 @@ class IntersectionFamily(IndependenceOracle):
         return super()._stepper(types)
 
 
+def _deeper(ranges: Mapping[str, range], a: str, b: str) -> str | None:
+    """The deeper of vertices ``a`` and ``b`` if one lies at or below the other, else None."""
+    return b if ranges[b].start in ranges[a] else a if ranges[a].start in ranges[b] else None
+
+
 def _subtree_ranges(edges: Iterable[tuple[str, str]], root: str) -> dict[str, range]:
     """Each vertex of the tree of ``(parent, child)`` edges, mapped to the
     preorder positions of its subtree: ``a`` is ``v`` or an ancestor of ``v``
@@ -238,6 +243,10 @@ class PathChainFamily(IndependenceOracle):
         low = [self._subtree[self.edges[t][1]] for t in types]
         deepest = max(r.start for r in low)
         return all(deepest in r for r in low)
+
+    def _stepper(self, types):  # the state is the deepest lower endpoint, the root at first
+        low = [self.edges[t][1] if t in self.edges else None for t in types]
+        return self.root, lambda s, i: None if low[i] is None else _deeper(self._subtree, s, low[i])
 
 
 def make_uniform_matroid(ground: Iterable[str], rank: int) -> PartitionMatroid:

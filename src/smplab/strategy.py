@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping, Sequence
 
 from .core import Scalar, Universe, ValidationError, check_finite
-from .families import _subtree_ranges
+from .families import _deeper, _subtree_ranges
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,10 +238,7 @@ class TreeFanConstraint(ConstraintOracle):
     def step(self, state, nxt):
         if nxt not in self.edges:
             raise ValidationError(f"element {nxt!r} is not an edge of the tree")
-        top = self.edges[nxt][0]
-        if self._subtree[top].start in self._subtree[state]:  # top is at or below state
-            return top
-        return state if self._subtree[state].start in self._subtree[top] else None
+        return _deeper(self._subtree, state, self.edges[nxt][0])
 
 
 @dataclass(eq=True)

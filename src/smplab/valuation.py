@@ -19,7 +19,7 @@ from .families import IndependenceOracle, _bits, _rank_form, _total, _union
 
 
 class ValuationFunction:
-    """Base class; subclasses implement ``_evaluate`` over frozensets or ``_compiled``."""
+    """Base class; subclasses implement ``_compiled``."""
 
     kind = "abstract"
     #: True when ``_compiled``'s masks are what the types reach: ``f(F | X) - f(F)``,
@@ -27,18 +27,13 @@ class ValuationFunction:
     masks_reach = False
 
     def __call__(self, types: Iterable[str]) -> Scalar:
-        return self._evaluate(types if isinstance(types, frozenset) else frozenset(types))
-
-    def _evaluate(self, types: frozenset[str]) -> Scalar:
         masks, value = self._compiled(types)
         return value(_union(masks.values()))
 
     def _compiled(self, types: Iterable[str]) -> tuple[dict[str, int], Callable[[int], Scalar]]:
         """``f`` for one call over ``types``: a mask per type, and ``value`` with ``f(S) ==
-        value(union of the masks of S)``. Here a bit per type, valued by ``_evaluate``."""
-        names = list(dict.fromkeys(types))
-        return ({t: 1 << i for i, t in enumerate(names)},
-                lambda mask: self._evaluate(frozenset(names[i] for i in _bits(mask))))
+        value(union of the masks of S)``."""
+        raise NotImplementedError
 
 
 @dataclass(eq=True)
@@ -58,13 +53,17 @@ class ExplicitValuation(ValuationFunction):
             if not k and v != 0:
                 raise ValidationError(f"table value for [] must be 0, got {v!r}")
 
-    def _evaluate(self, types):
-        if not types:
-            return self.table.get(frozenset(), 0)
-        try:
-            return self.table[types]
-        except KeyError:
-            raise ValidationError(f"explicit valuation has no entry for {sorted(types)}")
+    def _compiled(self, types):
+        names = list(dict.fromkeys(types))  # a bit each; a table per call from mask to entry
+
+        @functools.cache
+        def value(mask: int) -> Scalar:
+            key = frozenset(names[i] for i in _bits(mask))
+            if key and key not in self.table:
+                raise ValidationError(f"explicit valuation has no entry for {sorted(key)}")
+            return self.table.get(key, 0)
+
+        return {t: 1 << i for i, t in enumerate(names)}, value
 
 
 @dataclass(eq=True)

@@ -58,7 +58,8 @@ def families():
     matching = MatchingFamily({"a": ("u", "v"), "b": ("v", "w"), "c": ("w", "x"),
                                "d": ("x", "u"), "e": ("y", "z")})
     explicit = ExplicitFamily(ground, [s for s in powerset(ground) if len(s) <= 2])
-    chain = PathChainFamily({"a": ("r", "1"), "b": ("1", "2"), "c": ("1", "3"),
+    # "" is a vertex id a file may give: a lower endpoint that is falsy, not missing
+    chain = PathChainFamily({"a": ("r", ""), "b": ("", "2"), "c": ("", "3"),
                              "d": ("2", "4"), "e": ("r", "5")}, "r")
     return {
         "partition": partition,

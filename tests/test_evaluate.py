@@ -434,6 +434,24 @@ def test_mc_bit_identical_to_row_walk_reference(case, fn, resample):
             assert (rep.value, rep.stderr) == want, (trials, workers)
 
 
+def record_values(f, calls):
+    """Make each compiled form of ``f`` append the masks it values to ``calls``."""
+    compiled = f._compiled
+
+    def recorded(types):
+        masks, value = compiled(types)
+        return masks, lambda mask: calls.append(mask) or value(mask)
+
+    f._compiled = recorded
+
+
+def count_compiles(f) -> list:
+    """A list that gets an entry each time ``f`` is compiled."""
+    compiles, compiled = [], f._compiled
+    f._compiled = lambda types: compiles.append(types) or compiled(types)
+    return compiles
+
+
 REACH = {"r1": {"c"}, "r2": {"a", "b", "c"}, "p0": {"a"}, "p1": {"b"}, "q0": {"a", "c"}}
 
 
@@ -457,7 +475,7 @@ def coverage_case(weights, reach=REACH):
 
 EVERY_TYPE_REACHES_A = {t: {"a"} for t in ("r0", "r1", "r2", "p0", "p1", "q0", "q1")}
 COVERAGE_CASES = {
-    # weights, reach, and whether the per-path table (which calls f) values the rows
+    # weights, reach, and whether the table route (f's compiled form) values the rows
     "fraction": ({"a": Fraction(1, 3), "b": Fraction(2, 7), "c": 1}, REACH, True),
     # f adds -0.0 to the int 0, which gives 0.0
     "negative_zero": ({"a": -0.0}, EVERY_TYPE_REACHES_A, False),
@@ -476,7 +494,7 @@ def test_coverage_mc_bit_identical_to_row_walk_reference(weights, reach, tabled,
         for workers in (1, 2):
             tree, f, universe, dist = coverage_case(weights, reach)
             calls = []
-            f._evaluate = lambda types, value=f._evaluate: calls.append(types) or value(types)
+            record_values(f, calls)
             rep = fn(tree, f, universe, dist, trials, 13, workers=workers)
             # in float hex, which tells -0.0 from 0.0
             assert [rep.value.hex(), rep.stderr.hex()] == [x.hex() for x in want], trials
@@ -522,7 +540,7 @@ def path_chain_case(weights):
 
 
 PATH_CHAIN_CASES = {
-    # weights, and whether the per-path table (which calls f) values the rows
+    # weights, and whether the table route (f's compiled form) values the rows
     "unit_ints": (dict.fromkeys(CHAIN_EDGES, 1), False),
     # on v-a-b-e, (0.7 + 0.2) + 0.1 != (0.1 + 0.2) + 0.7: the order is the value
     "floats_with_ties": ({"rA": 0.1, "pB": 0.2, "qE": 0.7, "rD": 0.2, "pC": 0.7, "qF": 0.1},
@@ -545,7 +563,7 @@ def test_path_chain_mc_bit_identical_to_row_walk_reference(weights, tabled, fn, 
         for workers in (1, 2):
             tree, f, universe, dist = path_chain_case(weights)
             calls = []
-            f._evaluate = lambda types, value=f._evaluate: calls.append(types) or value(types)
+            record_values(f, calls)
             rep = fn(tree, f, universe, dist, trials, 13, workers=workers)
             assert [rep.value.hex(), rep.stderr.hex()] == [x.hex() for x in want], trials
             assert bool(calls) == tabled
@@ -566,15 +584,34 @@ def test_path_chain_row_values_equal_f(weights, tabled):
     assert [x.hex() for x in _row_values(f, names)(rows)] == want
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_table_route_compiles_f_once_per_call(workers):
+    # Fraction weights take the table route; its 2,500 rows hold many distinct paths
+    tree, f, universe, dist = coverage_case(*COVERAGE_CASES["fraction"][:2])
+    compiles, calls = count_compiles(f), []
+    record_values(f, calls)
+    alg_mc(tree, f, universe, dist, 2500, 13, workers=workers)
+    assert len(compiles) == 1 and len(set(calls)) > 1
+
+
+def test_path_sum_compiles_f_once_per_call():
+    b = gen_random_instance(3)
+    args = (b.tree, b.valuation, b.universe, b.dist)
+    want = adap_exact(*args).value
+    compiles = count_compiles(b.valuation)
+    assert adap_by_path_enumeration(*args) == want
+    assert len(compiles) == 1
+
+
 def test_mc_path_table_shared_by_threads():
-    # the blocks of one call share its path table; a thread switch between a
-    # lookup and a store may only repeat a valuation, never change a value.
+    # the blocks of one call share its compiled form's table; a thread switch between
+    # a lookup and a store may only repeat a valuation, never change a value.
     # Fraction weights keep the w-ary tree's rank on the table.
     tree, f, universe, dist = MC_CASES["wary_tree"]()
     f = WeightedRankValuation(f.family, dict.fromkeys(f.weights, Fraction(1)))
     want = alg_mc(tree, f, universe, dist, 8 * MC_BLOCK, 21)
     calls = []
-    f._evaluate = lambda types, value=f._evaluate: calls.append(types) or value(types)
+    record_values(f, calls)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -246,6 +246,21 @@ def test_nonzero_empty_set_value_rejected():
     assert zero(frozenset()) == 0
 
 
+def test_explicit_table_names_a_missing_entry():
+    f = ExplicitValuation(frozenset({"a1", "a2"}), {frozenset({"a1"}): 2})
+    assert (f([]), f(["a1", "a1"])) == (0, 2)
+    with pytest.raises(ValidationError, match=r"explicit valuation has no entry for \['a1', 'a2'\]"):
+        f(["a2", "a1"])
+
+
+def test_a_valuation_without_a_compiled_form_refuses_to_be_called():
+    class Bare(ValuationFunction):
+        pass
+
+    with pytest.raises(NotImplementedError):
+        Bare()({"a"})
+
+
 def test_monotone_on_a_thousand_seeded_pairs():
     rng = random.Random(31)
     types = [f"t{i}" for i in range(12)]
