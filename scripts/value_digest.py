@@ -16,7 +16,9 @@ family also gets ``greedy_interleaved_exact`` with its ``online_value`` and
 work cap print their refusals: ``alg_exact`` on the triangle at eps 1/5 and
 ``best_nonadaptive_exact`` on the triangle at eps 1/4, over every element.
 The random instances, the triangle at 1/3 and ``gen_tree_lb(3, 2, 1/3)``
-also get the path-sum reference ``adap_by_path_enumeration``.
+also get the path-sum reference ``adap_by_path_enumeration``. The triangle's
+closed forms ``submodular_lb_adap_recurrence`` and ``submodular_lb_alg_opt``
+print at eps 1/4, 1/10 and 1/20 in Fraction.
 
 The Monte Carlo lines give ``adap_mc`` and ``alg_mc`` value and stderr at
 1 and 2 workers, seed 7 and 2,048 trials, on the triangle at eps 1/5 in
@@ -25,7 +27,7 @@ Fraction (the table route) and at 0.2 in float (coverage arrays), on
 weights (the table route over a rank), and on ``gen_random_instance`` seeds
 0-29 of the default parameters.
 
-It prints 7,242 lines in about 4 s on a 2-vCPU VM.
+It prints 7,248 lines in about 4 s on a 2-vCPU VM.
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
@@ -49,6 +51,8 @@ from smplab import (
     gen_submodular_lb,
     gen_tree_lb,
     greedy_interleaved_exact,
+    submodular_lb_adap_recurrence,
+    submodular_lb_alg_opt,
 )
 
 PARAMS = {
@@ -120,6 +124,13 @@ def refusals() -> None:
             print(f"{label} refused: {refused}")
 
 
+def closed_forms() -> None:
+    for eps in (Fraction(1, 4), Fraction(1, 10), Fraction(1, 20)):
+        for name, form in (("adap", submodular_lb_adap_recurrence),
+                           ("alg-opt", submodular_lb_alg_opt)):
+            print(f"closed-form:{eps} fraction {name} {show(form(eps))}")
+
+
 def monte_carlo(label: str, b, valuation=None) -> None:
     """Both Monte Carlo estimates of ``b`` (under ``valuation`` if given) at 1 and 2 workers."""
     for fn in (adap_mc, alg_mc):
@@ -139,6 +150,7 @@ def main() -> int:
     digest("tree:3,2,1/3", gen_tree_lb(3, 2, Fraction(1, 3)), paths=True)
     digest("tree:3,3,1/3", gen_tree_lb(3, 3, Fraction(1, 3)))
     refusals()
+    closed_forms()
     monte_carlo("triangle:1/5 fraction", gen_submodular_lb(Fraction(1, 5)))
     monte_carlo("triangle:0.2 float", gen_submodular_lb(0.2))
     tree = gen_tree_lb(3, 2, Fraction(1, 3))

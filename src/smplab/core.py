@@ -169,25 +169,6 @@ def _type_codes(u: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return (u[..., None] >= thresholds).sum(axis=-1)
 
 
-def sample_type_codes(
-    universe: Universe,
-    dist: TypeDistribution,
-    stream: RandomStream,
-    count: int,
-) -> np.ndarray:
-    """Draw ``count`` joint type profiles as integer codes, one block per stream.
-
-    Entry ``[i, j]`` is the position of row ``i``'s type for element
-    ``universe.elements[j]`` within that element's type space. The whole
-    block is a single counter-addressed draw; the Monte Carlo evaluators draw
-    the same block and convert only the cells their walk visits.
-    """
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    u = stream.generator().random((count, len(universe.elements)))
-    return _type_codes(u, _type_thresholds(universe, dist))
-
-
 def iter_type_profiles(
     universe: Universe,
     dist: TypeDistribution,

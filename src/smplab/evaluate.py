@@ -1,25 +1,21 @@
 """Exact and Monte Carlo evaluation of probing strategies.
 
-``adap_*`` evaluators compute the expected value received by an adaptive
-decision tree: the valuation of the realized types on the walked path.
-``alg_*`` evaluators compute the value of the random-walk non-adaptive
-strategy, which samples a virtual root-leaf path and then truly probes its
-elements with fresh independent types. ``greedy_interleaved_exact`` scores
-the greedy selection that scans the path in root-to-leaf order, feeding the
-true draw before the virtual draw at each element.
+``adap_*`` evaluators value an adaptive decision tree: the valuation of the realized
+types on the walked path. ``alg_*`` evaluators value the random-walk non-adaptive
+strategy, which samples a virtual root-leaf path and then probes its elements for fresh
+independent types. ``greedy_interleaved_exact`` scores the greedy selection that scans
+the path root first, the true draw before the virtual one at each element.
 
-Exact evaluators keep rational arithmetic when all inputs are rational: each
-element's probabilities become int numerators over their lcm, and the
-expectation at a node or over a probed set's draws is summed in ints and
-normalized by one gcd. Float probabilities and values are summed as Scalars, in
-arc or draw order. Every evaluator that values sets compiles the valuation, or
-the greedy's family, once per call over the universe's types, so a set of types
-is an int mask. The tree check lists each distinct node once, children first;
-``adap_exact``, ``greedy_interleaved_exact`` and the Monte Carlo walk read
-that list; the first two run on one memoized walk, ``_walk``, which expands
-a shared subtree once per state that can still change its value, on a stack
-of its own. Monte Carlo evaluators are deterministic given (seed, trials) and
-bit-identical for any worker count, as trials form counter-addressed blocks.
+Each exact evaluation, and each report, prepares its instance once (``_Prepared``): one
+tree check lists the distinct nodes children first, each element's rational
+probabilities become int numerators over their lcm, and each valuation is compiled once,
+so a set of types is an int mask. ``adap_exact`` and the greedy run on one memoized walk,
+``_walk``, summing a node's arcs in ints with one gcd. A virtual path's weight is its
+numerator product, and a probed set's fresh draws are grouped by the union of their
+masks, each union valued once, in int tables shared along an order prefix. Float
+probabilities, and a valuation's float values, are summed as Scalars in arc or draw
+order, draws listed one by one, so floats keep their bits. Monte Carlo evaluators are
+deterministic given (seed, trials) and bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -48,7 +44,6 @@ from .core import (
 )
 from .families import IndependenceOracle, PathChainFamily, _union
 from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
-from .strategy import validate_tree
 from .valuation import ValuationFunction, WeightedCoverageValuation, WeightedRankValuation
 
 #: Hard limit on the exact work per evaluation: tree arcs and fresh-draw arcs expanded.
@@ -91,23 +86,19 @@ class EvalReport:
                 raise ValidationError("monte_carlo reports need stderr >= 0")
 
 
-def iter_tree_paths(
-    tree: DecisionTree, dist: TypeDistribution
-) -> Iterator[tuple[tuple[tuple[str, str], ...], Scalar]]:
-    """Yield every positive-probability root-leaf path with its probability,
-    depth first in arc order, with a stack of its own rather than Python's."""
+def _tree_paths(tree: DecisionTree, level: Callable[[str], Mapping[str, Scalar]]) -> Iterator:
+    """Each root-leaf path whose arcs have nonzero weights in ``level(element)``, with their
+    product, root first: depth first in arc order, on a stack of its own."""
     stack: list[tuple[DecisionTree, tuple, Scalar]] = [(tree, (), 1)]
     while stack:
-        node, steps, prob = stack.pop()
+        node, steps, weight = stack.pop()
         if node.is_leaf:
-            yield steps, prob
+            yield steps, weight
             continue
-        e = node.element
-        # pushed in reverse so the first arc is walked first
-        for t, child in reversed(node.children.items()):
-            p = dist.prob(e, t)
-            if p != 0:
-                stack.append((child, steps + ((e, t),), prob * p))
+        e, weights = node.element, level(node.element)
+        for t, child in reversed(node.children.items()):  # so the first arc is walked first
+            if w := weights.get(t):
+                stack.append((child, (*steps, (e, t)), weight * w))
 
 
 #: What a work-cap refusal advises for the exact routes that no Monte Carlo route matches.
@@ -134,50 +125,70 @@ class _WorkMeter:
                 f"exact evaluation exceeded the work cap of {self.cap}{need}; {self.advice}"
             )
 
-    def spend_draws(self, order: Sequence[str], dist: TypeDistribution) -> None:
-        """Charge the arcs of the fresh draws of ``order``: the sum, over its
-        elements, of the running product of their positive-probability type
-        counts."""
+    def spend_draws(self, order: Sequence[str], rows: Mapping[str, tuple]) -> None:
+        """Charge the arcs of the fresh draws of ``order``: the sum, over its elements, of
+        the running product of their positive-probability type counts in ``rows``."""
         arcs, width = 0, 1
         for e in order:
-            width *= sum(p != 0 for p in dist.probs[e].values())
+            width *= len(rows[e][0])
             arcs += width
         self.spend(arcs, len(order))
 
 
-def _probed_sets(tree: DecisionTree, dist: TypeDistribution, meter: _WorkMeter) -> list[list]:
-    """Each distinct set the virtual paths probe, in order of first appearance,
-    as ``[order of its first path, total probability of its paths]``.
+class _Prepared:
+    """An instance made ready once per public call or report: its tree checked, its distinct
+    internal nodes children first and whether a node has two parents; the universe's type
+    names; ``rows``; and each valuation compiled once (``form``). No tree: None."""
 
-    A set's fresh draws are charged to ``meter`` when it is first met, so a
-    refusal comes before any draw.
-    """
+    def __init__(self, tree: DecisionTree | None, universe: Universe, dist: TypeDistribution):
+        self.tree, self.universe, self.dist = tree, universe, dist
+        self.nodes, self.shared = ([], False) if tree is None else _tree_nodes(tree, universe)
+        self.names = [t for e in universe.elements for t in universe.type_space[e]]
+        self._forms: dict[int, tuple] = {}  # id -> (valuation, its compiled form)
+
+    @functools.cached_property
+    def rows(self) -> dict[str, tuple]:
+        """Per element the tree probes (each element if no tree), ``(probs, weights, scale,
+        fractional)``: its positive probabilities by type in type-space order and, if all are
+        ints or Fractions, their numerators over their denominators' lcm ``scale`` and
+        whether one is a Fraction; else the probabilities again, None and False."""
+        rows = {}
+        space, probs_of = self.universe.type_space, self.dist.probs
+        for e in dict.fromkeys(n.element for n in self.nodes) if self.tree else space:
+            probs = {t: p for t in space[e] if (p := probs_of[e][t]) != 0}
+            if not all(isinstance(p, (int, Fraction)) for p in probs.values()):
+                rows[e] = probs, probs, None, False
+                continue
+            scale = math.lcm(*[p.denominator for p in probs.values()])
+            rows[e] = (probs, {t: p.numerator * (scale // p.denominator) for t, p in probs.items()},
+                       scale, any(isinstance(p, Fraction) for p in probs.values()))
+        return rows
+
+    def form(self, f: ValuationFunction) -> tuple[dict[str, int], Callable[[int], Scalar]]:
+        """``f._compiled`` over the type names, once per valuation."""
+        if id(f) not in self._forms:
+            self._forms[id(f)] = f, f._compiled(self.names)
+        return self._forms[id(f)][1]
+
+
+def _probed_sets(prep: _Prepared, meter: _WorkMeter) -> list[list]:
+    """Each distinct set the virtual paths probe, in order of first appearance, as ``[order
+    of its first path, its probability]``: when every row on the tree is rational, an int,
+    or a (sum of its paths' numerator products, product of its scales) pair if a row of it
+    holds a Fraction; else the sum of its paths' probability products, in path order. A
+    set's fresh draws are charged to ``meter`` when it is first met, before any draw."""
+    rows = prep.rows
+    rational = all(rows[node.element][2] for node in prep.nodes)
     sets: dict[frozenset[str], list] = {}
-    for steps, p in iter_tree_paths(tree, dist):
+    for steps, weight in _tree_paths(prep.tree, lambda e: rows[e][1 if rational else 0]):
         order = tuple(e for e, _ in steps)
-        entry = sets.get(elements := frozenset(order))
-        if entry is None:
-            meter.spend_draws(order, dist)
-            sets[elements] = [order, p]
+        if (entry := sets.get(elements := frozenset(order))) is None:
+            meter.spend_draws(order, rows)
+            sets[elements] = [order, weight]
         else:
-            entry[1] = entry[1] + p
-    return list(sets.values())
-
-
-def _element_rows(universe: Universe, dist: TypeDistribution) -> Callable[[str], tuple]:
-    """A table per call, element -> ``(probs, weights, scale, fractional)``: its positive
-    probabilities by type in type-space order and, if all are ints or Fractions, their
-    numerators over their denominators' lcm ``scale`` and whether one is a Fraction."""
-    @functools.cache
-    def row(e: str) -> tuple:
-        probs = {t: p for t in universe.type_space[e] if (p := dist.prob(e, t)) != 0}
-        if not all(isinstance(p, (int, Fraction)) for p in probs.values()):
-            return probs, probs, None, False
-        scale = math.lcm(*[p.denominator for p in probs.values()])
-        return (probs, {t: p.numerator * (scale // p.denominator) for t, p in probs.items()},
-                scale, any(isinstance(p, Fraction) for p in probs.values()))
-
-    return row
+            entry[1] = entry[1] + weight
+    return [[order, (w, math.prod(rows[e][2] for e in order))
+             if rational and any(rows[e][3] for e in order) else w] for order, w in sets.values()]
 
 
 def _weighted_sum(terms: Iterable[tuple], scale: int | None, fractional: bool):
@@ -187,17 +198,17 @@ def _weighted_sum(terms: Iterable[tuple], scale: int | None, fractional: bool):
     value on, or with no scale, adding ``w / scale * (x + y)`` as Scalars in order."""
     num, den, rest = 0, 1, iter(terms)
     for w, x, y in rest if scale else ():
+        if type(x) is int is type(y):
+            num += w * (x + y) * den
+            continue
         if isinstance(x, float) or isinstance(y, float):
             rest = itertools.chain([(w, x, y)], rest)
             break
         for v in (x, y):
-            if isinstance(v, int):
-                num += w * v * den
-                continue
             a, b = v if type(v) is tuple else v.as_integer_ratio()
             if den % b:
                 num, den = num * (math.lcm(den, b) // den), math.lcm(den, b)
-            num, fractional = num + w * a * (den // b), True
+            num, fractional = num + w * a * (den // b), fractional or type(v) is not int
     else:  # no float met
         if scale:
             g = math.gcd(num, den * scale)
@@ -213,33 +224,51 @@ def _scalar(value) -> Scalar:
     return Fraction(*value) if type(value) is tuple else value
 
 
-def _type_names(universe: Universe) -> list[str]:
-    """Every type of the universe, element by element: what an evaluator compiles over."""
-    return [t for e in universe.elements for t in universe.type_space[e]]
-
-
-def _walk_values(
-    sets: Sequence[list],
-    forms: Sequence[tuple[Mapping[str, int], Callable[[int], Scalar]]],
-    row: Callable[[str], tuple],
-) -> list[Scalar]:
-    """The random-walk value of each compiled form ``(masks, value)``: over
-    ``_probed_sets`` entries, each set's probability times one ``_weighted_sum``
-    per form over its fresh true draws, listed lazily in ``iter_type_profiles``
-    order, of their weight (or probability) products times the value of the
-    union of their masks. ``row`` is the call's ``_element_rows`` table."""
-    totals: list[Scalar] = [0] * len(forms)
-    for order, p in sets:
-        rows = [row(e) for e in order]
-        scale = None if any(r[2] is None for r in rows) else math.prod(r[2] for r in rows)
-        fractional = scale is not None and any(r[3] for r in rows)
-        levels = [r[1] if scale else r[0] for r in rows]
-        for i, (masks, f) in enumerate(forms):
-            unions = map(_union, itertools.product(*[[masks[t] for t in lv] for lv in levels]))
+def _draw_sums(sets: Iterable[Sequence], form: tuple, rows: Mapping[str, tuple]) -> Iterator:
+    """Per ``_probed_sets`` entry ``(order, p)``, ``p`` times the expectation of ``form``'s
+    value over the set's fresh draws. On rational rows, a table from the draws' mask unions
+    to their int weights grows an element at a time, kept while the next order starts with
+    the same prefix; each union is valued once, in one exact sum. A set with a float row,
+    and all from ``form``'s first float value on, list their draws lazily instead."""
+    masks, f = form
+    chain: list[dict[int, int]] = []  # the tables of a prefix of the current order
+    grouped = True  # until f gives a float
+    for (order, p), (nxt, _) in itertools.pairwise(itertools.chain(sets, [((), 0)])):
+        rs = [rows[e] for e in order]
+        scale = None if any(r[2] is None for r in rs) else math.prod(r[2] for r in rs)
+        fractional = scale is not None and any(r[3] for r in rs)
+        keep = len(os.path.commonprefix([order, nxt]))  # the tables the next order reuses
+        if scale and grouped:
+            table = chain[-1] if chain else {0: 1}
+            for r in rs[len(chain):]:
+                grown: dict[int, int] = {}
+                level = [(masks[t], w) for t, w in r[1].items()]
+                for m, w in table.items():
+                    for b, v in level:
+                        key = m | b
+                        grown[key] = grown.get(key, 0) + w * v
+                table = grown
+                if len(chain) < keep:
+                    chain.append(table)
+            values = list(map(f, table))
+            if grouped := not any(isinstance(v, float) for v in values):
+                n, d = p if type(p) is tuple else (p.numerator, p.denominator)
+                yield _weighted_sum(zip(map(n.__mul__, table.values()), values,
+                                        itertools.repeat(0)), scale * d, fractional)
+        del chain[keep:]
+        if not (scale and grouped):
+            levels = [r[1] if scale else r[0] for r in rs]
             weights = map(math.prod, itertools.product(*[lv.values() for lv in levels]))
-            draws = zip(weights, map(f, unions), itertools.repeat(0))
-            totals[i] = totals[i] + p * _scalar(_weighted_sum(draws, scale, fractional))
-    return totals
+            unions = map(_union, itertools.product(*[[masks[t] for t in lv] for lv in levels]))
+            drawn = _weighted_sum(zip(weights, map(f, unions), itertools.repeat(0)), scale,
+                                  fractional)
+            yield _scalar(p) * _scalar(drawn)
+
+
+def _walk_values(sets: Sequence[list], forms: Sequence[tuple], rows: Mapping[str, tuple]) -> list:
+    """The random-walk value of each compiled form: its ``_draw_sums``, exact until a float."""
+    return [_scalar(_weighted_sum(((1, 0, term) for term in _draw_sums(sets, form, rows)), 1,
+                                  False)) for form in forms]
 
 
 def _walk(expand: Callable[..., Generator], *root):
@@ -280,21 +309,23 @@ def adap_exact(
     within what the subtree's types reach, so the walk expands each such
     ``(node, reach)`` pair once.
     """
-    nodes, shared = _tree_nodes(tree, universe)
-    row = _element_rows(universe, dist)
-    meter = _WorkMeter()
-    masks, f_of = f._compiled(_type_names(universe))
+    return EvalReport(value=_adap(_Prepared(tree, universe, dist), f), mode="exact")
+
+
+def _adap(prep: _Prepared, f: ValuationFunction) -> Scalar:
+    rows, meter = prep.rows, _WorkMeter()
+    masks, f_of = prep.form(f)
     # without a shared subtree each node is entered once and no key repeats
-    memoize = shared and f.masks_reach
+    memoize = prep.shared and f.masks_reach
     below: dict[int, int] = {}  # reach of the types under each node
     if memoize:
-        for node in nodes:  # children first
+        for node in prep.nodes:  # children first
             below[id(node)] = _union(masks[t] for t in node.children) | _union(
                 below.get(id(c), 0) for c in node.children.values())
 
     def expand(node: DecisionTree, fixed: int, base: Scalar):
         # base is f(fixed), passed down so each arc values f once
-        _, weights, scale, fractional = row(node.element)
+        _, weights, scale, fractional = rows[node.element]
         meter.spend(len(weights))
         terms = []  # (weight, value gained at the arc, value gained below it) per arc
         for t, child in node.children.items():
@@ -309,9 +340,7 @@ def adap_exact(
             terms.append((w, value - base, sub))
         return _weighted_sum(terms, scale, fractional)  # memoized as it gives them
 
-    base = f_of(0)
-    value = 0 if tree.is_leaf else _scalar(_walk(expand, tree, 0, base))
-    return EvalReport(value=value, mode="exact")
+    return 0 if prep.tree.is_leaf else _scalar(_walk(expand, prep.tree, 0, f_of(0)))
 
 
 def adap_by_path_enumeration(
@@ -321,11 +350,11 @@ def adap_by_path_enumeration(
     dist: TypeDistribution,
 ) -> Scalar:
     """Reference route for the adaptive value: sum over root-leaf paths."""
-    validate_tree(tree, universe)
+    prep = _Prepared(tree, universe, dist)
+    masks, f_of = prep.form(f)
     meter = _WorkMeter()
-    masks, f_of = f._compiled(_type_names(universe))
     total: Scalar = 0
-    for steps, p in iter_tree_paths(tree, dist):
+    for steps, p in _tree_paths(tree, lambda e: prep.rows[e][0]):
         meter.spend(max(1, len(steps)))
         total = total + p * f_of(_union(masks[t] for _, t in steps))
     return total
@@ -344,11 +373,11 @@ def alg_exact(
     independent types for the set's elements. ``f`` may be any function of
     the set of true types.
     """
-    validate_tree(tree, universe)
-    sets = _probed_sets(tree, dist, _WorkMeter())
-    form = f._compiled(_type_names(universe))
-    row = _element_rows(universe, dist)
-    return EvalReport(value=_walk_values(sets, [form], row)[0], mode="exact")
+    return EvalReport(value=_alg(_Prepared(tree, universe, dist), f), mode="exact")
+
+
+def _alg(prep: _Prepared, f: ValuationFunction) -> Scalar:
+    return _walk_values(_probed_sets(prep, _WorkMeter()), [prep.form(f)], prep.rows)[0]
 
 
 def greedy_interleaved_exact(
@@ -367,12 +396,14 @@ def greedy_interleaved_exact(
     in the family's ``_stepper``. ``trace["online_value"]`` is the online value
     that only counts true-type selections while still selecting virtual types.
     """
-    _tree_nodes(tree, universe)  # the tree check
-    row = _element_rows(universe, dist)
-    meter = _WorkMeter(_NO_MC_ADVICE)
-    names = _type_names(universe)
-    index = {t: i for i, t in enumerate(names)}
-    initial, step = family._stepper(names)
+    total, online = _greedy(_Prepared(tree, universe, dist), family)
+    return EvalReport(value=total, mode="exact", trace={"online_value": online})
+
+
+def _greedy(prep: _Prepared, family: IndependenceOracle) -> tuple[Scalar, Scalar]:
+    rows, meter = prep.rows, _WorkMeter(_NO_MC_ADVICE)
+    index = {t: i for i, t in enumerate(prep.names)}
+    initial, step = family._stepper(prep.names)
 
     @functools.cache  # a table per call
     def add(chosen: tuple[int, object], t: str) -> tuple[int, object]:
@@ -384,7 +415,7 @@ def greedy_interleaved_exact(
 
     def expand(node: DecisionTree, chosen: tuple[int, object]):
         """(expected final size, expected online gain) below ``node``."""
-        _, weights, scale, fractional = row(node.element)
+        _, weights, scale, fractional = rows[node.element]
         # true draws in type-space order, virtual arcs in child order
         draws = [(add(chosen, t), q) for t, q in weights.items()]
         got = []  # (weight, selections gained, child's (size, online gain)) per arc and draw
@@ -400,13 +431,13 @@ def greedy_interleaved_exact(
                     sub = yield (id(child), nxt[0]), (child, nxt)
                 got.append((p * q, grown[0].bit_count() - chosen[0].bit_count(), sub))
         square = scale and scale * scale
-        size = _weighted_sum([(w, s, 0) for w, _, (s, _) in got], square, fractional)
+        size = _weighted_sum([(w, 0, s) for w, _, (s, _) in got], square, fractional)
         online = _weighted_sum([(w, g, o) for w, g, (_, o) in got], square, fractional)
         return size, online
 
-    total, online_total = (0, 0) if tree.is_leaf else _walk(expand, tree, (0, initial))
-    return EvalReport(value=_scalar(total), mode="exact",
-                      trace={"online_value": _scalar(online_total)})
+    if prep.tree.is_leaf:
+        return 0, 0
+    return tuple(map(_scalar, _walk(expand, prep.tree, (0, initial))))
 
 
 def _mc_collect(
@@ -435,16 +466,15 @@ class _CodedTree:
     the node reached when it takes the type at position ``c`` of its type space.
     """
 
-    def __init__(self, tree: DecisionTree, universe: Universe, dist: TypeDistribution):
-        nodes = _tree_nodes(tree, universe)[0][::-1]
+    def __init__(self, prep: _Prepared):
+        universe, nodes = prep.universe, prep.nodes[::-1]
         index = {e: j for j, e in enumerate(universe.elements)}
         spaces = [universe.type_space[e] for e in universe.elements]
         self.offset = np.cumsum([0] + [len(ts) for ts in spaces[:-1]])
-        self.type_names = [t for ts in spaces for t in ts]
         row = {id(node): v for v, node in enumerate(nodes)}
         leaf = len(nodes)
         self.column = np.array([index[node.element] for node in nodes] + [-1], dtype=np.intp)
-        self.thresholds = _type_thresholds(universe, dist)[self.column]
+        self.thresholds = _type_thresholds(universe, prep.dist)[self.column]
         # every slot starts at the leaf, so the leaf stays put on any code
         self.child = np.full((leaf + 1, self.thresholds.shape[1] + 1), leaf, dtype=np.intp)
         for v, node in enumerate(nodes):
@@ -544,15 +574,15 @@ def _path_mc(
 ) -> EvalReport:
     """Walk virtual draws (stream 0) and value the revealed types.
 
-    The revealed types are the virtual ones, or with ``resample`` fresh
-    draws from stream 1 at the same counter. A stream draws the block of
-    uniforms that ``sample_type_codes`` draws, so the codes are its codes.
+    The revealed types are the virtual ones, or with ``resample`` fresh draws from
+    stream 1 at the same counter. A stream draws the block of uniforms that the test
+    oracle ``tests/oracles.py:sample_type_codes`` converts whole: the same codes.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     RandomStream(seed)  # refuses a bad seed before the tree is compiled
-    coded = _CodedTree(tree, universe, dist)
-    value_of = _row_values(f, coded.type_names)
+    coded = _CodedTree(prep := _Prepared(tree, universe, dist))
+    value_of = _row_values(f, prep.names)
 
     def fill_block(b: int, values: np.ndarray) -> None:
         start = b * MC_BLOCK
@@ -612,6 +642,7 @@ def best_nonadaptive_exact(
     the lexicographically smallest maximizing sequence.
     """
     meter = _WorkMeter(_NO_MC_ADVICE)
+    prep = _Prepared(None, universe, dist)
     bit = {e: 1 << i for i, e in enumerate(sorted(universe.elements))}
     firsts: dict[int, tuple[str, ...]] = {}  # set as a bitmask over ``bit`` -> first sequence
     for expanded, seq in enumerate(_feasible_sequences(constraint, list(bit), max_len), 1):
@@ -622,18 +653,12 @@ def best_nonadaptive_exact(
             )
         if (mask := sum(bit[e] for e in seq)) not in firsts:
             # draws follow the universe order, whatever order the set was probed in
-            meter.spend_draws([e for e in universe.elements if bit[e] & mask], dist)
+            meter.spend_draws([e for e in universe.elements if bit[e] & mask], prep.rows)
             firsts[mask] = seq
-    best_seq: tuple[str, ...] = ()
-    best_val: Scalar = 0
-    form = f._compiled(_type_names(universe))
-    row = _element_rows(universe, dist)
-    for mask, seq in firsts.items():
-        v = _walk_values([([e for e in universe.elements if bit[e] & mask], 1)], [form], row)[0]
-        if v > best_val:
-            best_val = v
-            best_seq = seq
-    return best_seq, best_val
+    sets = ((tuple(e for e in universe.elements if bit[e] & mask), 1) for mask in firsts)
+    values = map(_scalar, _draw_sums(sets, prep.form(f), prep.rows))
+    # the first best set, or none when no set gains
+    return max(itertools.chain([((), 0)], zip(firsts.values(), values)), key=lambda sv: sv[1])
 
 
 def submodular_gap_report(
@@ -643,8 +668,8 @@ def submodular_gap_report(
     dist: TypeDistribution,
 ) -> dict:
     """Check the submodular half-gap inequality alg >= adap/2 on one tree."""
-    adap = adap_exact(tree, f, universe, dist).value
-    alg = alg_exact(tree, f, universe, dist).value
+    prep = _Prepared(tree, universe, dist)
+    adap, alg = _adap(prep, f), _alg(prep, f)
     return {
         "adap": adap,
         "alg": alg,
@@ -663,9 +688,8 @@ def kextendible_chain_report(
     valuation: ValuationFunction,
 ) -> dict:
     """Check adap <= k*greedy and greedy <= 2*alg, adap and alg taken on ``valuation``."""
-    adap = adap_exact(tree, valuation, universe, dist).value
-    greedy = greedy_interleaved_exact(tree, family, universe, dist).value
-    alg = alg_exact(tree, valuation, universe, dist).value
+    prep = _Prepared(tree, universe, dist)
+    adap, greedy, alg = _adap(prep, valuation), _greedy(prep, family)[0], _alg(prep, valuation)
     return {
         "adap": adap,
         "greedy": greedy,

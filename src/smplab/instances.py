@@ -191,39 +191,36 @@ def submodular_lb_adap_recurrence(eps: Scalar) -> Scalar:
     Summing over the number of inactive elements seen on a column: the
     expected extra value from column k is
     sum_i (1-eps)^i * eps * ((1-eps)^k + adap(k+i+1)), with values past the
-    last column equal to zero. Runs in O(depth^2).
+    last column equal to zero. With q = 1 - eps and depth D that is
+    q^k (1 - q^(D-k+1)) + eps * S(k), where S(k) = adap(k+1) + q * S(k+1)
+    is carried from column to column, so it runs in O(depth).
     """
     depth = submodular_lb_depth(eps)
     qpow = _column_weights(eps, depth)
-    adap: list[Scalar] = [0] * (depth + 2)
+    adap = carried = 0  # adap(k + 1) and S(k)
     for k in range(depth, -1, -1):
-        s: Scalar = 0
-        for i in range(depth - k + 1):
-            nxt = adap[k + i + 1] if k + i + 1 <= depth else 0
-            s = s + qpow[i] * eps * (qpow[k] + nxt)
-        adap[k] = s
-    return adap[0]
+        adap = qpow[k] * (1 - qpow[depth - k + 1]) + eps * carried
+        carried = adap + qpow[1] * carried
+    return adap
 
 
 def submodular_lb_alg_opt(eps: Scalar) -> Scalar:
     """Best non-adaptive value, by dynamic programming over columns.
 
     A feasible probing set is a column prefix followed by a jump to a fresh
-    column, so alg(k) = max_i [(1-eps)^k (1-(1-eps)^(i+1)) + alg(k+i+1)].
-    The result stays strictly below 1.
+    column, so alg(k) = max_i [(1-eps)^k (1-(1-eps)^(i+1)) + alg(k+i+1)], which
+    is max(0, q^k + the largest alg(j) - q^j over j > k) with q = 1 - eps, that
+    largest carried from column to column: O(depth). The result stays strictly
+    below 1.
     """
     depth = submodular_lb_depth(eps)
     qpow = _column_weights(eps, depth)
-    alg: list[Scalar] = [0] * (depth + 2)
+    alg: Scalar = 0  # alg(depth + 1)
+    best = -qpow[depth + 1]  # the largest alg(j) - q^j over j > k
     for k in range(depth, -1, -1):
-        best: Scalar = 0
-        for i in range(depth - k + 1):
-            nxt = alg[k + i + 1] if k + i + 1 <= depth else 0
-            v = qpow[k] * (1 - qpow[i + 1]) + nxt
-            if v > best:
-                best = v
-        alg[k] = best
-    return alg[0]
+        alg = max(0, qpow[k] + best)
+        best = max(best, alg - qpow[k])
+    return alg
 
 
 # ---------------------------------------------------------------------------

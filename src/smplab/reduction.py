@@ -13,10 +13,9 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .core import Scalar, TypeDistribution, Universe, ValidationError
-from .evaluate import _NO_MC_ADVICE, EvalReport, _WorkMeter, _element_rows, _probed_sets
-from .evaluate import _type_names, _walk_values
+from .evaluate import _NO_MC_ADVICE, EvalReport, _Prepared, _WorkMeter, _probed_sets, _walk_values
 from .families import IndependenceOracle, _best_subset, _bits, _total, _union
-from .strategy import DecisionTree, validate_tree
+from .strategy import DecisionTree
 from .valuation import ValuationFunction, WeightedRankValuation
 
 
@@ -215,26 +214,24 @@ def combined_value(
     listed once; one fresh-draw pass per set values every class, and one more
     values the combined weight.
     """
-    validate_tree(tree, universe)
+    prep = _Prepared(tree, universe, dist)
     decomposition = class_decompose(weights, family)
-    sets = _probed_sets(tree, dist, _WorkMeter(_NO_MC_ADVICE))
+    sets = _probed_sets(prep, _WorkMeter(_NO_MC_ADVICE))
     classes = decomposition.classes
-    names = _type_names(universe)
-    row = _element_rows(universe, dist)
-    values = _walk_values(sets, [c._compiled(names) for c in classes.values()], row)
+    values = _walk_values(sets, [prep.form(c) for c in classes.values()], prep.rows)
     class_alg = dict(zip(classes, values))
     scaled = {j: two_power(j) * v for j, v in class_alg.items()}
     buckets = bucketize(decomposition.hi, decomposition.lo, k)
     representatives = select_representatives(scaled, buckets)
 
     flat, pick = _combine_form(decomposition, representatives, family)
-    masks = dict.fromkeys(names, 0) | {t: 1 << i for i, t in enumerate(flat)}
+    masks = dict.fromkeys(prep.names, 0) | {t: 1 << i for i, t in enumerate(flat)}
 
     @functools.cache  # a table per call
     def combined_weight(mask: int) -> Scalar:
         return _total(weights[t] for t in sorted(flat[i] for i in _bits(pick(mask))))
 
-    total = _walk_values(sets, [(masks, combined_weight)], row)[0]
+    total = _walk_values(sets, [(masks, combined_weight)], prep.rows)[0]
 
     trace = {
         "class_alg": class_alg,

@@ -100,13 +100,13 @@ def _tree_nodes(tree: DecisionTree, universe: Universe) -> tuple[list[DecisionTr
         if node is None:  # the children of the last expanded node are done
             post.append(expanded.pop())
             continue
-        if node.is_leaf or id(node) in seen:
-            shared = shared or not node.is_leaf
+        if node.element is None or id(node) in seen:  # a leaf, or a node met before
+            shared = shared or node.element is not None
             continue
         seen.add(id(node))
         if node.element not in universe.type_space:
             raise ValidationError(f"unknown element {node.element!r} in tree")
-        if set(node.children) != set(universe.type_space[node.element]):
+        if node.children.keys() != set(universe.type_space[node.element]):
             raise ValidationError(
                 f"node for {node.element!r} must have exactly one arc per type"
             )

@@ -21,9 +21,10 @@ from smplab import (
     greedy_optimal_combine,
     select_representatives,
 )
-from smplab.core import sample_type_codes
+from smplab.core import _type_codes, _type_thresholds
 from smplab.evaluate import MC_BLOCK
 from smplab.families import IntersectionFamily
+from smplab.instances import _column_weights, submodular_lb_depth
 from smplab.reduction import two_power
 
 
@@ -68,6 +69,20 @@ def repeats_on_a_path(tree):
             return True
         stack.extend((child, above | {node.element}) for child in node.children.values())
     return False
+
+
+def sample_type_codes(universe, dist, stream, count):
+    """Draw ``count`` joint type profiles as integer codes, one block per stream.
+
+    Entry ``[i, j]`` is the position of row ``i``'s type for element
+    ``universe.elements[j]`` within that element's type space. The whole
+    block is a single counter-addressed draw; the Monte Carlo evaluators draw
+    the same block and convert only the cells their walk visits.
+    """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    u = stream.generator().random((count, len(universe.elements)))
+    return _type_codes(u, _type_thresholds(universe, dist))
 
 
 def sampled_rows(universe, dist, stream, count):
@@ -181,6 +196,39 @@ def brute_combined(tree, weights, family, k, universe, dist):
             )
             total = total + px * pt * sum(weights[t] for t in picked)
     return total
+
+
+def quadratic_adap_recurrence(eps):
+    """``submodular_lb_adap_recurrence`` as a double loop over (column, run of
+    inactive elements), in O(depth^2): the column k term sums
+    (1-eps)^i * eps * ((1-eps)^k + adap(k+i+1)) over i."""
+    depth = submodular_lb_depth(eps)
+    qpow = _column_weights(eps, depth)
+    adap = [0] * (depth + 2)
+    for k in range(depth, -1, -1):
+        s = 0
+        for i in range(depth - k + 1):
+            nxt = adap[k + i + 1] if k + i + 1 <= depth else 0
+            s = s + qpow[i] * eps * (qpow[k] + nxt)
+        adap[k] = s
+    return adap[0]
+
+
+def quadratic_alg_opt(eps):
+    """``submodular_lb_alg_opt`` as a double loop, in O(depth^2): alg(k) is the
+    best of (1-eps)^k (1-(1-eps)^(i+1)) + alg(k+i+1) over i, and at least 0."""
+    depth = submodular_lb_depth(eps)
+    qpow = _column_weights(eps, depth)
+    alg = [0] * (depth + 2)
+    for k in range(depth, -1, -1):
+        best = 0
+        for i in range(depth - k + 1):
+            nxt = alg[k + i + 1] if k + i + 1 <= depth else 0
+            v = qpow[k] * (1 - qpow[i + 1]) + nxt
+            if v > best:
+                best = v
+        alg[k] = best
+    return alg[0]
 
 
 def reference_allows(constraint, sequence):

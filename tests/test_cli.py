@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -215,6 +216,13 @@ class TestGapCommands:
         assert done.returncode == 2
         assert "eps=1e-300 needs about 1.382e+303 columns, past the depth cap of 16384" in (
             done.stderr)
+
+    def test_gap_submodular_at_eps_one_thousandth_takes_under_a_second(self, capsys):
+        # 13,809 columns: the closed forms carry one sum and one maximum per column
+        start = time.perf_counter()
+        assert main(["gap-submodular", "--eps", "0.001"]) == 0
+        assert time.perf_counter() - start < 1
+        assert "[PASS] ratio value=1.99898" in capsys.readouterr().out
 
     def test_gap_kext_default_parameters(self):
         assert main(["gap-kext", "--k", "3"]) == 0

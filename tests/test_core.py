@@ -13,7 +13,8 @@ from smplab import (
     ValidationError,
     universe_from_type_space,
 )
-from smplab.core import _type_codes, _type_thresholds, iter_type_profiles, sample_type_codes
+from smplab.core import _type_codes, _type_thresholds, iter_type_profiles
+from oracles import sample_type_codes
 
 
 def two_coin_universe():

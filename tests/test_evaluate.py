@@ -1,6 +1,7 @@
 """Evaluators vs independent oracles, Monte Carlo soundness, and the gap
 inequality suites at module scale (the acceptance suite runs them big)."""
 
+import collections
 import itertools
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import smplab.evaluate
+from smplab import strategy
 
 from smplab import (
     DagPathConstraint,
@@ -41,7 +43,7 @@ from smplab import (
     universe_from_type_space,
     validate_tree,
 )
-from smplab.evaluate import MC_BLOCK, _CodedTree, _row_values
+from smplab.evaluate import MC_BLOCK, _Prepared, _row_values
 from smplab.valuation import WeightedCoverageValuation
 from oracles import (
     brute_adap,
@@ -507,12 +509,12 @@ def test_coverage_row_values_equal_f(weights, reach, tabled):
     # every joint profile as a walked row, and a row with nothing revealed,
     # compared in float hex, which tells -0.0 from 0.0
     tree, f, universe, dist = coverage_case(weights, reach)
-    coded = _CodedTree(tree, universe, dist)
-    ids = {t: g for g, t in enumerate(coded.type_names)}
+    names = _Prepared(tree, universe, dist).names
+    ids = {t: g for g, t in enumerate(names)}
     profiles = [[ids[t] for t in p] for p in itertools.product(*universe.type_space.values())]
     rows = np.array(profiles + [[-1, -1, -1]], dtype=np.intp)
-    want = [float(f(coded.type_names[g] for g in row if g >= 0)).hex() for row in rows.tolist()]
-    assert [x.hex() for x in _row_values(f, coded.type_names)(rows)] == want
+    want = [float(f(names[g] for g in row if g >= 0)).hex() for row in rows.tolist()]
+    assert [x.hex() for x in _row_values(f, names)(rows)] == want
 
 
 # each type of r, p and q an edge of the tree v-a-b-e, a-c, v-d-f, but for
@@ -575,7 +577,7 @@ def test_path_chain_row_values_equal_f(weights, tabled):
     # every joint profile as a walked row, a row with nothing revealed, and rows
     # where two ids share a type name (a last id repeats rA), which counts once
     tree, f, universe, dist = path_chain_case(weights)
-    names = _CodedTree(tree, universe, dist).type_names + ["rA"]
+    names = _Prepared(tree, universe, dist).names + ["rA"]
     ids = {t: g for g, t in enumerate(names[:-1])}
     profiles = [[ids[t] for t in p] for p in itertools.product(*universe.type_space.values())]
     shared = [[ids["rA"], ids[t], len(names) - 1] for t in ("pB", "pC", "pX")]
@@ -848,3 +850,31 @@ class TestInequalitySuites:
                 inst.universe, inst.dist, valuation=inst.valuation,
             )
             assert rep["ok_k"] and rep["ok_2"], (seed, rep)
+
+    def test_reports_check_each_tree_and_compile_each_valuation_once(self, monkeypatch):
+        # a report prepares its instance once, so its evaluators share the tree check
+        # and the compiled valuation; before, each evaluator did both again
+        calls = collections.Counter()
+
+        def counted(fn, key):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        checks = counted(strategy._tree_nodes, "checks")
+        monkeypatch.setattr(strategy, "_tree_nodes", checks)
+        monkeypatch.setattr(smplab.evaluate, "_tree_nodes", checks)
+        half = RandomInstanceParams(valuation_kinds=("coverage", "partition_weighted"))
+        rank = RandomInstanceParams(valuation_kinds=("matroid_intersection_rank", "matching_rank"))
+        for seed in range(8):
+            for params in (half, rank):
+                inst = gen_random_instance(seed, params)
+                inst.valuation._compiled = counted(inst.valuation._compiled, "compiles")
+                calls.clear()
+                if params is half:
+                    submodular_gap_report(inst.tree, inst.valuation, inst.universe, inst.dist)
+                else:
+                    kextendible_chain_report(inst.tree, inst.family, inst.metadata["k"],
+                                             inst.universe, inst.dist, valuation=inst.valuation)
+                assert calls == {"checks": 1, "compiles": 1}, (seed, params)

@@ -3,6 +3,8 @@ of a row is an int or a Fraction, and Scalar sums in arc or draw order when a
 probability or a value is a float."""
 
 import collections
+import itertools
+import math
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -19,6 +21,7 @@ from smplab import (
     adap_exact,
     alg_exact,
     best_nonadaptive_exact,
+    chain_tree,
     combined_value,
     coverage_valuation,
     gen_random_instance,
@@ -28,9 +31,11 @@ from smplab import (
     make_uniform_matroid,
     universe_from_type_space,
 )
-from smplab.evaluate import _walk
+from smplab.evaluate import _Prepared, _WorkMeter, _draw_sums, _probed_sets, _scalar, _walk
+from smplab.evaluate import _weighted_sum
+from smplab.families import _union
 from smplab.strategy import _feasible_sequences
-from smplab.valuation import WeightedCoverageValuation
+from smplab.valuation import WeightedCoverageValuation, WeightedRankValuation
 from oracles import (
     brute_adap,
     brute_alg,
@@ -106,6 +111,11 @@ def _floated(dist):
                              for e, row in dist.probs.items()})
 
 
+def _odd_rows_floated(dist):
+    return TypeDistribution({e: {t: float(p) for t, p in row.items()} if i % 2 else row
+                             for i, (e, row) in enumerate(dist.probs.items())})
+
+
 def _float_results():
     """Float results that must not move by an ulp, by instance and evaluator."""
     tri = gen_submodular_lb(0.25)
@@ -144,6 +154,20 @@ def _float_results():
     yield "mixed alg", alg_exact(inst.tree, f, inst.universe, inst.dist).value
     yield "mixed best", best_nonadaptive_exact(
         inst.universe, inst.dist, f, inst.constraint, 3)[1]
+    # Fraction probabilities, float weights: the classes are ints, the combined weight floats
+    inst = gen_random_instance(20, params)
+    weights = {t: 0.1 * w for t, w in inst.weights.items()}
+    yield "mixed combined", combined_value(
+        inst.tree, weights, inst.family, 2, inst.universe, inst.dist).value
+    # float rows on every other element: the first probed set has one, the other three not
+    inst = gen_random_instance(28, RandomInstanceParams())
+    dist = _odd_rows_floated(inst.dist)
+    yield "rows mixed alg", alg_exact(inst.tree, inst.valuation, inst.universe, dist).value
+    yield "rows mixed best", best_nonadaptive_exact(
+        inst.universe, dist, inst.valuation, inst.constraint, 3)[1]
+    inst = gen_random_instance(32, RandomInstanceParams())
+    yield "rows mixed combined", combined_value(
+        inst.tree, inst.weights, inst.family, 2, inst.universe, _odd_rows_floated(inst.dist)).value
 
 
 FLOAT_HEX = {
@@ -163,12 +187,85 @@ FLOAT_HEX = {
     "mixed adap": "0x1.ac3514ff26befp-1",
     "mixed alg": "0x1.cf88198edcf4bp-1",
     "mixed best": "0x1.426c684fbc479p+0",
+    "mixed combined": "0x1.dbdda69d76082p+5",
+    "rows mixed alg": "0x1.9a45b6f9b0c4fp+1",
+    "rows mixed best": "0x1.1f07c1f07c1f0p+2",
+    "rows mixed combined": "0x1.26152832c6e04p+0",
 }
 
 
 def test_float_results_are_bit_identical():
     got = {name: value.hex() for name, value in _float_results()}
     assert got == FLOAT_HEX
+
+
+def test_float_and_rational_rows_against_brute_force():
+    # float rows on every other element: the sets with one list their draws, and the
+    # grouped tables kept between the others must follow the orders all the same; the
+    # greedy's nodes with a float row sum their children's int or pair entries
+    for inst in instances(range(60), max_types=3):
+        dist = _odd_rows_floated(inst.dist)
+        args = (inst.tree, inst.valuation, inst.universe, dist)
+        assert math.isclose(adap_exact(*args).value, brute_adap(*args), rel_tol=1e-12)
+        assert math.isclose(alg_exact(*args).value, brute_alg(*args), rel_tol=1e-12)
+        search = (inst.universe, dist, inst.valuation, inst.constraint, 4)
+        got, want = best_nonadaptive_exact(*search), brute_best_nonadaptive(*search)
+        assert math.isclose(got[1], want[1], rel_tol=1e-12)
+        if inst.family is not None:
+            args = (inst.tree, inst.family, inst.universe, dist)
+            rep = greedy_interleaved_exact(*args)
+            assert math.isclose(rep.value, brute_greedy_interleaved(*args), rel_tol=1e-12)
+            online = brute_greedy_interleaved(*args, online=True)
+            assert math.isclose(rep.trace["online_value"], online, rel_tol=1e-12)
+
+
+def _listed_draws(order, form, rows):
+    """The ``_draw_sums`` entry of a probed set of probability 1 by the lazy listing:
+    every joint draw of ``order`` in ``iter_type_profiles`` order, valued at its own
+    union of masks."""
+    masks, f = form
+    combos = itertools.product(*[rows[e][1].items() for e in order])
+    draws = [(math.prod(w for _, w in combo), f(_union(masks[t] for t, _ in combo)), 0)
+             for combo in combos]
+    return _weighted_sum(draws, math.prod(rows[e][2] for e in order),
+                         any(rows[e][3] for e in order))
+
+
+@pytest.mark.parametrize("kinds", [{}, {"valuation_kinds": RANK_KINDS, "weight_high": 8},
+                                   {"valuation_kinds": ("coverage",)}],
+                         ids=["default", "rank", "coverage"])
+def test_grouped_draw_sums_equal_the_lazy_listing(kinds):
+    for seed in range(40):
+        inst = gen_random_instance(seed, RandomInstanceParams(**kinds))
+        for dist in routes(inst) if not inst.tree.is_leaf else [inst.dist]:
+            prep = _Prepared(inst.tree, inst.universe, dist)
+            orders = [order for order, _ in _probed_sets(prep, _WorkMeter())]
+            form = prep.form(inst.valuation)
+            grouped = list(_draw_sums([(order, 1) for order in orders], form, prep.rows))
+            for order, got in zip(orders, grouped, strict=True):
+                # Fraction-equal and of one type: an all-int set stays an int
+                assert_same(_scalar(got), _scalar(_listed_draws(order, form, prep.rows)))
+
+
+def test_grouped_draw_sums_memory_on_a_long_chain():
+    # one probed set of 14 two-type elements under a rank-5 uniform matroid: 2**14
+    # distinct union masks; no later set reuses a prefix, so only the last two tables
+    # are live, where keeping one table per element of the order peaks near 3.7 MB
+    space = {f"e{i:02d}": (f"e{i:02d}.a", f"e{i:02d}.b") for i in range(14)}
+    universe = universe_from_type_space(space)
+    dist = TypeDistribution({e: {a: Fraction(1, 3), b: Fraction(2, 3)}
+                             for e, (a, b) in space.items()})
+    f = WeightedRankValuation(make_uniform_matroid(universe.all_types, 5),
+                              dict.fromkeys(universe.all_types, 1))
+    tree = chain_tree(universe, universe.elements)
+    tracemalloc.start()
+    try:
+        value = alg_exact(tree, f, universe, dist).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 5
+    assert peak <= 3_000_000
 
 
 _KERNELS = {

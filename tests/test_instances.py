@@ -31,6 +31,7 @@ from smplab import (
 import smplab.instances
 from smplab.instances import SUBMODULAR_LB_ELEMENT_CAP, WARY_EDGE_CAP
 from smplab.strategy import _tree_nodes
+from oracles import quadratic_adap_recurrence, quadratic_alg_opt
 
 
 class TestTriangularInstance:
@@ -114,6 +115,20 @@ class TestTriangularRecurrences:
 
     def test_adap_approaches_two(self):
         assert submodular_lb_adap_recurrence(0.01) >= 1.9
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 10), Fraction(1, 20)],
+                             ids=str)
+    def test_closed_forms_equal_the_quadratic_sums(self, eps):
+        # the carried suffix sum and suffix maximum against the O(depth^2) loops
+        assert submodular_lb_adap_recurrence(eps) == quadratic_adap_recurrence(eps)
+        assert submodular_lb_alg_opt(eps) == quadratic_alg_opt(eps)
+
+    def test_closed_forms_in_floats_stay_within_rounding(self):
+        for eps in (0.3, 0.1, 0.05):
+            assert math.isclose(submodular_lb_adap_recurrence(eps),
+                                quadratic_adap_recurrence(eps), rel_tol=1e-14)
+            assert math.isclose(submodular_lb_alg_opt(eps), quadratic_alg_opt(eps),
+                                rel_tol=1e-14)
 
     def test_alg_dp_matches_exhaustive_search(self):
         for eps in (Fraction(1, 2), Fraction(2, 5)):

@@ -27,7 +27,7 @@ from smplab import (
     universe_from_type_space,
     weight_class,
 )
-from smplab import evaluate, strategy
+from smplab import evaluate, reduction, strategy
 from smplab.reduction import Bucket, bucket_width, two_power
 from oracles import brute_combined
 
@@ -344,8 +344,9 @@ class TestCombinedValue:
             assert adap_total <= scaled_sum + 1e-9
 
     def test_checks_the_tree_and_lists_its_paths_once(self, monkeypatch):
-        # one pass values every class; before, each class and the combination
-        # checked the tree and listed its paths again (7 checks, 6 listings)
+        # one prepared instance and one listing of its probed sets value every class
+        # and the combination; before, each checked the tree and listed its paths
+        # again (7 checks, 6 listings)
         calls = {"nodes": 0, "paths": 0}
 
         def counted(fn, key):
@@ -354,9 +355,8 @@ class TestCombinedValue:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(strategy, "_tree_nodes", counted(strategy._tree_nodes, "nodes"))
-        paths = counted(evaluate.iter_tree_paths, "paths")
-        monkeypatch.setattr(evaluate, "iter_tree_paths", paths)
+        monkeypatch.setattr(evaluate, "_tree_nodes", counted(strategy._tree_nodes, "nodes"))
+        monkeypatch.setattr(reduction, "_probed_sets", counted(evaluate._probed_sets, "paths"))
         for inst in self.weighted_instances(range(3), 2):
             assert len(class_decompose(inst.weights, inst.family).classes) == 5
             calls.update(nodes=0, paths=0)

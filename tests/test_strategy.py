@@ -25,7 +25,7 @@ from smplab import (
     universe_from_type_space,
     validate_tree,
 )
-from smplab.evaluate import iter_tree_paths
+from smplab.evaluate import _tree_paths
 from smplab.instances import RandomInstanceParams
 from smplab.strategy import _feasible_sequences
 
@@ -101,7 +101,7 @@ class TestTreeConstruction:
         universe, dist = coin_universe(["a", "b"])
         tree = chain_tree(universe, ["b", "a"])
         validate_tree(tree, universe)
-        paths = list(iter_tree_paths(tree, dist))
+        paths = list(_tree_paths(tree, dist.probs.__getitem__))
         assert len(paths) == 4
         assert all(tuple(e for e, _ in steps) == ("b", "a") for steps, _ in paths)
 
@@ -251,7 +251,7 @@ class TestRandomWalk:
             for vec, p in profiles(inst.universe, inst.dist):
                 steps = walk(inst.tree, vec)
                 reached[steps] = reached.get(steps, 0) + p
-            by_product = dict(iter_tree_paths(inst.tree, inst.dist))
+            by_product = dict(_tree_paths(inst.tree, inst.dist.probs.__getitem__))
             assert set(reached) == set(by_product)
             for steps, p in by_product.items():
                 assert reached[steps] == p
