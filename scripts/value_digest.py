@@ -12,10 +12,13 @@ Fraction probabilities and again with floats; at eps 1/10 and (3, 3, 1/3)
 Each instance gets ``adap_exact``, ``alg_exact`` and
 ``best_nonadaptive_exact`` at ``max_len`` 3; one with an independence
 family also gets ``greedy_interleaved_exact`` with its ``online_value`` and
-``combined_value`` with its class values. Two searches past the default
-work cap print their refusals: ``alg_exact`` on the triangle at eps 1/5 and
-``best_nonadaptive_exact`` on the triangle at eps 1/4, over every element.
-The random instances, the triangle at 1/3 and ``gen_tree_lb(3, 2, 1/3)``
+``combined_value`` with its class values. Searches at the default work cap:
+``alg_exact`` on the triangle at eps 1/5 and 1/20 and
+``best_nonadaptive_exact`` on the triangle at eps 1/4, over every element,
+print Fraction values by the weighted-coverage item routes; the same two
+searches at 1/5 and 1/4 under the rank of a partition matroid that equals
+the coverage take the fresh-draw routes and print their refusals. The
+random instances, the triangle at 1/3 and ``gen_tree_lb(3, 2, 1/3)``
 also get the path-sum reference ``adap_by_path_enumeration``. The triangle's
 closed forms ``submodular_lb_adap_recurrence`` and ``submodular_lb_alg_opt``
 print at eps 1/4, 1/10 and 1/20 in Fraction.
@@ -27,7 +30,7 @@ Fraction (the table route) and at 0.2 in float (coverage arrays), on
 weights (the table route over a rank), and on ``gen_random_instance`` seeds
 0-29 of the default parameters.
 
-It prints 7,248 lines in about 4 s on a 2-vCPU VM.
+It prints 7,252 lines in about 4 s on a 2-vCPU VM.
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
@@ -37,6 +40,7 @@ from fractions import Fraction
 
 from smplab import (
     ExactCapExceeded,
+    PartitionMatroid,
     RandomInstanceParams,
     TypeDistribution,
     WeightedRankValuation,
@@ -100,28 +104,40 @@ def digest(label: str, b, paths: bool = False) -> None:
                                 for e, row in b.dist.probs.items()})
     for arithmetic, dist in (("fraction", b.dist), ("float", floated)):
         for evaluator, thunk in results(b, dist, paths):
-            try:
-                lines = [f"{name} {show(value)}" for name, value in thunk().items()]
-            except ExactCapExceeded as refused:
-                lines = [f"refused: {refused}"]
-            for line in lines:
-                print(f"{label} {arithmetic} {evaluator} {line}")
+            searched(f"{label} {arithmetic} {evaluator}", thunk)
 
 
-def refusals() -> None:
-    """Two searches that pass the default work cap, so their messages state it."""
+def searched(label: str, thunk) -> None:
+    """A line per result of ``thunk`` by name, or one for its refusal."""
+    try:
+        lines = [f"{name} {show(value)}" for name, value in thunk().items()]
+    except ExactCapExceeded as refused:
+        lines = [f"refused: {refused}"]
+    for line in lines:
+        print(f"{label} {line}")
+
+
+def rank_twin(b) -> WeightedRankValuation:
+    """The triangle's column coverage as the weighted rank of a partition matroid that
+    keeps one type per column: equal values, but on the fresh-draw routes."""
+    column = {t: next(iter(items)) for t, items in b.valuation.reach_of.items()}
+    return WeightedRankValuation(PartitionMatroid(column, dict.fromkeys(b.valuation.weight, 1)),
+                                 {t: b.valuation.weight[c] for t, c in column.items()})
+
+
+def edge_searches() -> None:
+    """Searches at the default work cap: the triangle's coverage, which the item routes
+    value, and its rank twin, whose fresh draws pass the cap, so the message states it."""
     t5, t4 = gen_submodular_lb(Fraction(1, 5)), gen_submodular_lb(Fraction(1, 4))
-    for label, thunk in (
-        ("triangle:1/5 fraction alg", lambda: alg_exact(
-            t5.tree, t5.valuation, t5.universe, t5.dist)),
-        ("triangle:1/4 fraction best-na", lambda: best_nonadaptive_exact(
-            t4.universe, t4.dist, t4.valuation, t4.constraint, len(t4.universe))),
-    ):
-        try:
-            thunk()
-            print(f"{label} not refused")
-        except ExactCapExceeded as refused:
-            print(f"{label} refused: {refused}")
+    t20 = gen_submodular_lb(Fraction(1, 20))
+    for label, b, f in (("", t5, t5.valuation), (" rank", t5, rank_twin(t5)),
+                        ("", t20, t20.valuation)):
+        searched(f"triangle:{b.metadata['eps']} fraction alg{label}",
+                 lambda: {"value": alg_exact(b.tree, f, b.universe, b.dist).value})
+    for label, f in (("", t4.valuation), (" rank", rank_twin(t4))):
+        searched(f"triangle:1/4 fraction best-na{label}", lambda: dict(zip(
+            ("sequence", "value"), best_nonadaptive_exact(
+                t4.universe, t4.dist, f, t4.constraint, len(t4.universe)))))
 
 
 def closed_forms() -> None:
@@ -149,7 +165,7 @@ def main() -> int:
     digest("triangle:1/10", gen_submodular_lb(Fraction(1, 10)))
     digest("tree:3,2,1/3", gen_tree_lb(3, 2, Fraction(1, 3)), paths=True)
     digest("tree:3,3,1/3", gen_tree_lb(3, 3, Fraction(1, 3)))
-    refusals()
+    edge_searches()
     closed_forms()
     monte_carlo("triangle:1/5 fraction", gen_submodular_lb(Fraction(1, 5)))
     monte_carlo("triangle:0.2 float", gen_submodular_lb(0.2))

@@ -12,7 +12,10 @@ probabilities become int numerators over their lcm, and each valuation is compil
 so a set of types is an int mask. ``adap_exact`` and the greedy run on one memoized walk,
 ``_walk``, summing a node's arcs in ints with one gcd. A virtual path's weight is its
 numerator product, and a probed set's fresh draws are grouped by the union of their
-masks, each union valued once, in int tables shared along an order prefix. Float
+masks, each union valued once, in int tables shared along an order prefix. A weighted
+coverage with exact weights on exact rows skips the draws: by linearity, ``alg_exact``
+sums each item's chance of being covered in one children-first pass over the nodes, and
+``best_nonadaptive_exact`` as a product per set. Float
 probabilities, and a valuation's float values, are summed as Scalars in arc or draw
 order, draws listed one by one, so floats keep their bits. Monte Carlo evaluators are
 deterministic given (seed, trials) and bit-identical for any worker count.
@@ -20,6 +23,7 @@ deterministic given (seed, trials) and bit-identical for any worker count.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -46,7 +50,7 @@ from .families import IndependenceOracle, PathChainFamily, _union
 from .strategy import ConstraintOracle, DecisionTree, _feasible_sequences, _tree_nodes
 from .valuation import ValuationFunction, WeightedCoverageValuation, WeightedRankValuation
 
-#: Hard limit on the exact work per evaluation: tree arcs and fresh-draw arcs expanded.
+#: Hard limit on the exact work per evaluation: tree arcs, fresh-draw arcs and item entries.
 WORK_CAP = 1 << 22
 
 #: Trials per counter-addressed Monte Carlo block.
@@ -155,7 +159,12 @@ class _Prepared:
         rows = {}
         space, probs_of = self.universe.type_space, self.dist.probs
         for e in dict.fromkeys(n.element for n in self.nodes) if self.tree else space:
-            probs = {t: p for t in space[e] if (p := probs_of[e][t]) != 0}
+            try:
+                probs = {t: p for t in space[e] if (p := probs_of[e][t]) != 0}
+            except KeyError:  # name the absent row, or its first absent type
+                field = f"[{e!r}]" if (row := probs_of.get(e)) is None else (
+                    f"[{e!r}][{next(t for t in space[e] if t not in row)!r}]")
+                raise ValidationError(f"distribution{field} is missing") from None
             if not all(isinstance(p, (int, Fraction)) for p in probs.values()):
                 rows[e] = probs, probs, None, False
                 continue
@@ -271,6 +280,87 @@ def _walk_values(sets: Sequence[list], forms: Sequence[tuple], rows: Mapping[str
                                   False)) for form in forms]
 
 
+def _coverage_hits(prep: _Prepared, f: ValuationFunction) -> dict[str, dict[int, int]] | None:
+    """For a weighted coverage with int or Fraction weights, when each row of ``prep.rows``
+    is rational with numerators summing to its scale: per element, each item its positive
+    types reach, by its place in ``f.weight``, with their numerators' sum. Else None."""
+    rows = prep.rows
+    if type(f) is not WeightedCoverageValuation or not all(
+            type(w) in (int, Fraction) for w in f.weight.values()) or not all(
+            scale and sum(nums.values()) == scale for _, nums, scale, _ in rows.values()):
+        return None
+    place, hits = {x: i for i, x in enumerate(f.weight)}, {}
+    for e, (_, nums, _, _) in rows.items():
+        hit = hits[e] = {}
+        for t, n in nums.items():
+            for x in f.reach_of.get(t, ()):
+                hit[place[x]] = hit.get(place[x], 0) + n
+    return hits
+
+
+def _coverage_value(f: WeightedCoverageValuation, covered: Mapping[int, int], scale: int,
+                    fractional: bool) -> Scalar:
+    """Σ_x w_x · covered[x] / scale, of the draw route's type: a Fraction if ``fractional``
+    or a covered item's weight is one, else an int (``scale`` is then 1)."""
+    weights = list(f.weight.values())
+    total = sum(weights[x] * k for x, k in covered.items())
+    fractional = fractional or any(type(weights[x]) is Fraction for x in covered)
+    return Fraction(total, scale) if fractional else total
+
+
+def _cover_step(hit: Mapping[int, int], s: int, after: Mapping[int, int], scale: int) -> tuple:
+    """A fresh draw that reaches item x with numerator ``hit[x]`` over ``s``, before draws that
+    cover it with numerator ``after[x]`` over ``scale``: each item's numerator over s·scale."""
+    covered = {x: s * v for x, v in after.items()}
+    for x, r in hit.items():
+        covered[x] = r * scale + (s - r) * after.get(x, 0)
+    return covered, s * scale
+
+
+def _coverage_walk(prep: _Prepared, f: WeightedCoverageValuation, hits: Mapping) -> Scalar:
+    """alg by linearity: Σ_x w_x · P(the virtual path's fresh draws cover x). Children first,
+    a node gets a sparse table K over one denominator D of each item's chance of being
+    covered at or below it: with row numerators n_t over scale s, r_x of them reaching x,
+    and its children's tables over their denominators' lcm L, K[x] = r_x·s·L + (s − r_x)·Σ_t
+    n_t·K_t[x]·L/D_t and D = s²·L. A child's table is dropped once its last parent read it:
+    in a tree, its one parent; in a DAG, ``readers`` counts its positive arcs in."""
+    rows, meter, leaf = prep.rows, _WorkMeter(), ({}, 1, False)
+    readers = collections.Counter(id(c) for node in prep.nodes for t, c in node.children.items()
+                                  if t in rows[node.element][1]) if prep.shared else None
+    tables: dict[int, tuple] = {}  # id -> (K, D, whether a row at or below is fractional)
+    covered, scale, fractional = {}, 1, False  # the last node's: the root's
+    for node in prep.nodes:
+        _, nums, s, fractional = rows[node.element]
+        arcs = []  # (n_t, the child's entry) per positive arc; no leaf has a table
+        for t, c in node.children.items():
+            if (n := nums.get(t)) is not None:
+                if readers and readers[key := id(c)] > 1:  # a later arc reads it too
+                    readers[key] -= 1
+                    arcs.append((n, tables.get(key, leaf)))
+                else:
+                    arcs.append((n, tables.pop(id(c), leaf)))
+        lcm, below = math.lcm(*[d for _, (_, d, _) in arcs]), {}
+        for n, (k, d, frac) in arcs:
+            n, fractional = n * (lcm // d), fractional or frac
+            for x, v in k.items():
+                below[x] = below.get(x, 0) + n * v
+        covered, scale = _cover_step(hits[node.element], s, below, s * lcm)
+        meter.spend(len(arcs) * max(1, len(covered)))
+        tables[id(node)] = covered, scale, fractional
+    return _coverage_value(f, covered, scale, fractional)
+
+
+def _coverage_product(order: Sequence[str], f: WeightedCoverageValuation, hits: Mapping,
+                      rows: Mapping[str, tuple], meter: _WorkMeter) -> Scalar:
+    """f's expectation over the fresh draws of ``order`` by linearity, an item missed with
+    chance Π_e (s_e − r_{e,x}) / s_e; each element charges its table's entries (at least 1)."""
+    covered, scale = {}, 1
+    for e in order:
+        covered, scale = _cover_step(hits[e], rows[e][2], covered, scale)
+        meter.spend(max(1, len(covered)))
+    return _coverage_value(f, covered, scale, any(rows[e][3] for e in order))
+
+
 def _walk(expand: Callable[..., Generator], *root):
     """The value of ``expand(*root)``, a recursion written as generators and run
     on a stack of its own rather than Python's: a generator yields ``(key, args)``
@@ -371,12 +461,15 @@ def alg_exact(
     Outer sum over the distinct sets the virtual root-leaf paths probe,
     weighted by the probability of their paths; inner sum over fresh
     independent types for the set's elements. ``f`` may be any function of
-    the set of true types.
+    the set of true types. A weighted coverage with int or Fraction weights on
+    rational rows takes ``_coverage_walk`` instead, with the same result.
     """
     return EvalReport(value=_alg(_Prepared(tree, universe, dist), f), mode="exact")
 
 
 def _alg(prep: _Prepared, f: ValuationFunction) -> Scalar:
+    if (hits := _coverage_hits(prep, f)) is not None:
+        return _coverage_walk(prep, f, hits)
     return _walk_values(_probed_sets(prep, _WorkMeter()), [prep.form(f)], prep.rows)[0]
 
 
@@ -638,11 +731,13 @@ def best_nonadaptive_exact(
     Value depends only on the probed set and feasibility on the constraint
     state, so the search visits each distinct (set, state) pair once. It
     keeps the first sequence of each set and charges the set's fresh draws
-    to one work meter; each set is valued after the search, once. Returns
-    the lexicographically smallest maximizing sequence.
+    to one work meter; each set is valued after the search, once, a rational
+    weighted coverage by ``_coverage_product``, which charges as it goes.
+    Returns the lexicographically smallest maximizing sequence.
     """
     meter = _WorkMeter(_NO_MC_ADVICE)
     prep = _Prepared(None, universe, dist)
+    hits = _coverage_hits(prep, f)
     bit = {e: 1 << i for i, e in enumerate(sorted(universe.elements))}
     firsts: dict[int, tuple[str, ...]] = {}  # set as a bitmask over ``bit`` -> first sequence
     for expanded, seq in enumerate(_feasible_sequences(constraint, list(bit), max_len), 1):
@@ -652,11 +747,12 @@ def best_nonadaptive_exact(
                 "use an instance-specific closed form"
             )
         if (mask := sum(bit[e] for e in seq)) not in firsts:
-            # draws follow the universe order, whatever order the set was probed in
-            meter.spend_draws([e for e in universe.elements if bit[e] & mask], prep.rows)
+            if hits is None:  # draws follow the universe order, whatever the probing order
+                meter.spend_draws([e for e in universe.elements if bit[e] & mask], prep.rows)
             firsts[mask] = seq
     sets = ((tuple(e for e in universe.elements if bit[e] & mask), 1) for mask in firsts)
-    values = map(_scalar, _draw_sums(sets, prep.form(f), prep.rows))
+    values = map(_scalar, _draw_sums(sets, prep.form(f), prep.rows)) if hits is None else (
+        _coverage_product(order, f, hits, prep.rows, meter) for order, _ in sets)
     # the first best set, or none when no set gains
     return max(itertools.chain([((), 0)], zip(firsts.values(), values)), key=lambda sv: sv[1])
 

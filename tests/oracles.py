@@ -15,6 +15,7 @@ import numpy as np
 
 from smplab import (
     RandomStream,
+    TypeDistribution,
     ValidationError,
     bucketize,
     class_decompose,
@@ -43,6 +44,17 @@ def profiles(universe, dist, elements=None):
         for e, t in zip(elems, combo):
             p = p * dist.prob(e, t)
         yield dict(zip(elems, combo)), p
+
+
+def zero_first_types(dist):
+    """``dist`` with the first type of every multi-type element at probability 0."""
+    rows = {}
+    for e, row in dist.probs.items():
+        first = next(iter(row))
+        if len(row) > 1:
+            row = {t: 0 if t == first else p / (1 - row[first]) for t, p in row.items()}
+        rows[e] = row
+    return TypeDistribution(rows)
 
 
 def walk(tree, profile):

@@ -81,6 +81,24 @@ def test_criterion_1_triangle_instance_at_paper_scale():
     _criterion("triangle instance at paper scale", ok, "; ".join(details))
 
 
+def test_criterion_1_triangle_alg_at_paper_scale():
+    # alg by one item DP over the shared columns: the random walk is as good as the
+    # best non-adaptive set here, and half the adaptive value bounds it from below
+    ok = True
+    details = []
+    for eps, budget in ((Fraction(1, 10), 1.0), (Fraction(1, 20), 2.0)):
+        bundle = gen_submodular_lb(eps)
+        start = time.monotonic()
+        alg = alg_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist).value
+        elapsed = time.monotonic() - start
+        half_adap = submodular_lb_adap_recurrence(eps) / 2
+        ok &= alg == submodular_lb_alg_opt(eps) >= half_adap and elapsed < budget
+        ok &= type(alg) is Fraction
+        details.append(f"eps={eps}: alg_exact == alg_opt = {float(alg):.6f} >= adap/2 = "
+                       f"{float(half_adap):.6f}, t={elapsed:.2f}s < {budget:g}s")
+    _criterion("triangle alg at paper scale", ok, "; ".join(details))
+
+
 def test_criterion_1_triangle_tree_feasible_at_paper_scale():
     # the constraint state of a dag path is its last element, so the check
     # walks each node once instead of each of its 2**depth root-leaf paths

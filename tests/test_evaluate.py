@@ -51,6 +51,7 @@ from oracles import (
     brute_best_nonadaptive,
     brute_greedy_interleaved,
     reference_mc,
+    zero_first_types,
 )
 
 
@@ -83,17 +84,6 @@ def on_off_chain(n, p_on):
 def small_instances(seeds, **kwargs):
     params = RandomInstanceParams(max_elements=4, max_types=2, **kwargs)
     return [gen_random_instance(s, params) for s in seeds]
-
-
-def _zero_first_types(dist):
-    """``dist`` with the first type of every multi-type element at probability 0."""
-    rows = {}
-    for e, row in dist.probs.items():
-        first = next(iter(row))
-        if len(row) > 1:
-            row = {t: 0 if t == first else p / (1 - row[first]) for t, p in row.items()}
-        rows[e] = row
-    return TypeDistribution(rows)
 
 
 def _positive_arcs(tree, dist, dag):
@@ -152,7 +142,7 @@ class TestAdapExact:
         # random trees share no node, so the walk expands exactly the
         # positive arcs of every reached prefix, and none of the others
         for inst in [gen_random_instance(s) for s in range(10)]:
-            dist = _zero_first_types(inst.dist)
+            dist = zero_first_types(inst.dist)
             args = (inst.tree, inst.valuation, inst.universe, dist)
             arcs = _positive_arcs(inst.tree, dist, dag=False)
             assert 0 < arcs < _positive_arcs(inst.tree, inst.dist, dag=False)
@@ -231,15 +221,34 @@ class TestAlgExact:
         assert adap_by_path_enumeration(tree, f, universe, dist) == len(universe)
 
     def test_work_cap_counts_positive_draws_only(self, monkeypatch):
-        # 2**21 joint assignments, one of positive probability: 21 draw units
+        # 2**21 joint assignments, one of positive probability: 21 draw units; a rank
+        # equal to the coverage of one item per on type keeps the draw route
         universe, dist, tree = on_off_chain(21, 1)
-        f = coverage_valuation({f"x{i}.on": {i} for i in range(21)})
+        ons = [f"x{i}.on" for i in range(21)]
+        f = WeightedRankValuation(make_uniform_matroid(ons, 21), dict.fromkeys(ons, 1))
         monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 21)
         assert alg_exact(tree, f, universe, dist).value == 21
         need = "work cap of 20: fresh draws of a 21-element set need 21 units on top of 0;"
         monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 20)
         with pytest.raises(ExactCapExceeded, match=need):
             alg_exact(tree, f, universe, dist)
+
+    @pytest.mark.parametrize("p_on, arcs, value",
+                             [(1, 1, 21), (Fraction(1, 2), 2, Fraction(21, 2))],
+                             ids=["sure", "half"])
+    def test_coverage_walk_charges_arcs_times_entries(self, monkeypatch, p_on, arcs, value):
+        # the node i levels above the leaf has ``arcs`` positive arcs and a table of the
+        # i items reached at or below it: arcs * (1 + 2 + ... + 21) units in all
+        universe, dist, tree = on_off_chain(21, p_on)
+        f = coverage_valuation({f"x{i}.on": {i} for i in range(21)})
+        used = arcs * 21 * 22 // 2
+        monkeypatch.setattr(smplab.evaluate, "WORK_CAP", used)
+        got = alg_exact(tree, f, universe, dist).value
+        assert got == value and type(got) is type(value)
+        monkeypatch.setattr(smplab.evaluate, "WORK_CAP", used - 1)
+        with pytest.raises(ExactCapExceeded) as refused:
+            alg_exact(tree, f, universe, dist)
+        assert str(refused.value) == f"exact evaluation exceeded the work cap of {used - 1}; use MC"
 
     @pytest.mark.parametrize(
         "eps, cap, need",
@@ -758,10 +767,11 @@ def _weighted_instance():
     return gen_random_instance(0, params)
 
 
-# evaluator -> (instance builder, call)
+# evaluator -> (instance builder, call); alg_exact and best_nonadaptive_exact take the
+# triangle in floats, where a rational coverage would skip the fresh-draw charges
 _CAPPED = {
     "alg_exact": (
-        lambda: gen_submodular_lb(Fraction(1, 4)),
+        lambda: gen_submodular_lb(0.25),
         lambda b: alg_exact(b.tree, b.valuation, b.universe, b.dist),
     ),
     "greedy_interleaved_exact": (
@@ -773,7 +783,7 @@ _CAPPED = {
         lambda b: combined_value(b.tree, b.weights, b.family, 2, b.universe, b.dist),
     ),
     "best_nonadaptive_exact": (
-        lambda: gen_submodular_lb(Fraction(1, 4)),
+        lambda: gen_submodular_lb(0.25),
         lambda b: best_nonadaptive_exact(b.universe, b.dist, b.valuation, b.constraint, 3),
     ),
     "adap_exact": (
@@ -801,6 +811,34 @@ _REFUSALS = {
     "adap_exact": "exact evaluation exceeded the work cap of 3; use MC",
     "adap_by_path_enumeration": "exact evaluation exceeded the work cap of 3; use MC",
 }
+
+
+def test_coverage_routes_refuse_and_state_the_cap(monkeypatch):
+    # the rational triangle: alg's one node at a time, best-na's one product per set
+    # (1 + 2 units for its first two sets, 3 more for the third)
+    bundle = gen_submodular_lb(Fraction(1, 4))
+    monkeypatch.setattr(smplab.evaluate, "WORK_CAP", 3)
+    with pytest.raises(ExactCapExceeded) as refused:
+        alg_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist)
+    assert str(refused.value) == "exact evaluation exceeded the work cap of 3; use MC"
+    with pytest.raises(ExactCapExceeded) as refused:
+        best_nonadaptive_exact(bundle.universe, bundle.dist, bundle.valuation,
+                               bundle.constraint, 3)
+    assert str(refused.value) == f"exact evaluation exceeded the work cap of 3; {_NO_MC}"
+
+
+@pytest.mark.parametrize("evaluate", [adap_exact, alg_exact], ids=["adap_exact", "alg_exact"])
+def test_exact_routes_name_a_missing_row_or_type(evaluate):
+    universe, dist, tree = on_off_chain(4, Fraction(1, 2))
+    f = coverage_valuation({f"x{i}.on": {i} for i in range(4)})
+    rows = {e: row for e, row in dist.probs.items() if e != "x3"}
+    with pytest.raises(ValidationError) as refused:
+        evaluate(tree, f, universe, TypeDistribution(rows))
+    assert str(refused.value) == "distribution['x3'] is missing"
+    rows["x3"] = {"x3.on": 1}
+    with pytest.raises(ValidationError) as refused:
+        evaluate(tree, f, universe, TypeDistribution(rows))
+    assert str(refused.value) == "distribution['x3']['x3.off'] is missing"
 
 
 @pytest.mark.parametrize(

@@ -29,9 +29,11 @@ from smplab import (
     gen_tree_lb,
     greedy_interleaved_exact,
     make_uniform_matroid,
+    submodular_lb_alg_opt,
     universe_from_type_space,
 )
 from smplab.evaluate import _Prepared, _WorkMeter, _draw_sums, _probed_sets, _scalar, _walk
+from smplab.evaluate import _coverage_hits, _coverage_product, _coverage_walk, _walk_values
 from smplab.evaluate import _weighted_sum
 from smplab.families import _union
 from smplab.strategy import _feasible_sequences
@@ -42,6 +44,7 @@ from oracles import (
     brute_best_nonadaptive,
     brute_combined,
     brute_greedy_interleaved,
+    zero_first_types,
 )
 
 RANK_KINDS = ("matroid_intersection_rank", "matching_rank")
@@ -247,6 +250,75 @@ def test_grouped_draw_sums_equal_the_lazy_listing(kinds):
                 assert_same(_scalar(got), _scalar(_listed_draws(order, form, prep.rows)))
 
 
+def _coverage_variants(inst):
+    """``inst``'s valuation; with each item's weight over 3, as Fractions; and with every
+    other item's weight a Fraction, so a value turns Fraction once it covers one."""
+    f = inst.valuation
+    thirds = {x: Fraction(w, 3) for x, w in f.weight.items()}
+    mixed = {x: Fraction(w) if i % 2 else w for i, (x, w) in enumerate(f.weight.items())}
+    return [f] + [WeightedCoverageValuation(f.reach_of, w, f.kind) for w in (thirds, mixed)]
+
+
+def test_coverage_routes_equal_the_draw_routes():
+    # alg's item DP against the probed sets' fresh draws, and best-na's product against
+    # the draws of each set of at most 3 elements: Fraction-equal and of one type
+    params = RandomInstanceParams(valuation_kinds=("coverage", "partition_weighted"))
+    checked = 0
+    for seed in range(200):
+        inst = gen_random_instance(seed, params)
+        trees = [inst.tree, chain_tree(inst.universe, inst.universe.elements)]
+        dists = [*routes(inst), zero_first_types(inst.dist)]
+        orders = [c for r in range(4) for c in itertools.combinations(inst.universe.elements, r)]
+        for dist, f in itertools.product(dists, _coverage_variants(inst)):
+            for tree in trees[: 1 + seed % 2]:  # a chain DAG on odd seeds
+                prep = _Prepared(tree, inst.universe, dist)
+                hits = _coverage_hits(prep, f)
+                draws = _walk_values(_probed_sets(prep, _WorkMeter()), [prep.form(f)], prep.rows)
+                assert_same(_coverage_walk(prep, f, hits), draws[0])
+            prep = _Prepared(None, inst.universe, dist)
+            hits, form = _coverage_hits(prep, f), prep.form(f)
+            for order, want in zip(orders, _draw_sums([(c, 1) for c in orders], form, prep.rows)):
+                got = _coverage_product(order, f, hits, prep.rows, _WorkMeter())
+                assert_same(got, _scalar(want))
+            checked += 1
+    assert checked > 1000
+
+
+def test_coverage_routes_keep_floats_on_the_draw_routes():
+    # a float row, a float weight, a row whose Fractions sum short of 1, or another
+    # valuation: no item route
+    inst = gen_random_instance(3, RandomInstanceParams(valuation_kinds=("coverage",)))
+    prep = _Prepared(inst.tree, inst.universe, inst.dist)
+    assert _coverage_hits(prep, inst.valuation) is not None
+    f = inst.valuation
+    floated = WeightedCoverageValuation(f.reach_of, {x: float(w) for x, w in f.weight.items()},
+                                        f.kind)
+    assert _coverage_hits(prep, floated) is None
+    assert _coverage_hits(_Prepared(inst.tree, inst.universe, _odd_rows_floated(inst.dist)),
+                          f) is None
+    e = inst.tree.element
+    row = inst.dist.probs[e]
+    t = next(iter(row))
+    short = TypeDistribution({**inst.dist.probs, e: {**row, t: row[t] - Fraction(1, 10**13)}})
+    assert _coverage_hits(_Prepared(inst.tree, inst.universe, short), f) is None
+    rank = gen_random_instance(0, RandomInstanceParams(valuation_kinds=RANK_KINDS))
+    assert _coverage_hits(_Prepared(rank.tree, rank.universe, rank.dist), rank.valuation) is None
+
+
+def test_coverage_walk_memory_on_the_triangle():
+    # a node's table is dropped once its last parent has read it: at eps 1/10 keeping
+    # every table peaks near 2.6 MB traced and this near 1.0 MB (at 1/20: 47 and 7.6 MB)
+    bundle = gen_submodular_lb(Fraction(1, 10))
+    tracemalloc.start()
+    try:
+        value = alg_exact(bundle.tree, bundle.valuation, bundle.universe, bundle.dist).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == submodular_lb_alg_opt(Fraction(1, 10))
+    assert peak <= 1_500_000
+
+
 def test_grouped_draw_sums_memory_on_a_long_chain():
     # one probed set of 14 two-type elements under a rank-5 uniform matroid: 2**14
     # distinct union masks; no later set reuses a prefix, so only the last two tables
@@ -314,11 +386,12 @@ def test_both_routes_refuse_at_the_same_cap(name):
 
 def test_best_nonadaptive_memory_per_distinct_set(monkeypatch):
     # 20 one-type elements: every sequence that the search meets is a new set, and
-    # the work cap ends it; the search keeps a bitmask and a first sequence per set
+    # the work cap ends it; the search keeps a bitmask and a first sequence per set.
+    # Float rows keep the fresh-draw charges
     n, cap = 20, 50_000
     names = [f"e{i:02d}" for i in range(n)]
     universe = universe_from_type_space({e: (f"{e}.on",) for e in names})
-    dist = TypeDistribution({e: {f"{e}.on": 1} for e in names})
+    dist = TypeDistribution({e: {f"{e}.on": 1.0} for e in names})
     f = coverage_valuation({f"{e}.on": {e} for e in names})
     used = sets = 0
     for seq in _feasible_sequences(CardinalityConstraint(n), names, n):
