@@ -30,11 +30,19 @@ Fraction (the table route) and at 0.2 in float (coverage arrays), on
 weights (the table route over a rank), and on ``gen_random_instance`` seeds
 0-29 of the default parameters.
 
-It prints 7,252 lines in about 4 s on a 2-vCPU VM.
+The encoding lines give ``check_encoding``'s verdict and sorted witness at
+seeds 0 and 1 (10,000 sampled sets past 12 types) for the k = 2 and 3
+encodings, a seeded 40-type subset of k = 5, one more matroid that caps a
+root path's three k = 3 types at 2 (on 12, 13 and all 39 types), and four
+seeded corruptions of each of the first three: a part flipped, a capacity
+set to 0 or 2, a type dropped from every ground, a label shared.
+
+It prints 7,360 lines in about 6 s on a 2-vCPU VM.
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
 """
 
+import random
 import sys
 from fractions import Fraction
 
@@ -50,7 +58,9 @@ from smplab import (
     alg_exact,
     alg_mc,
     best_nonadaptive_exact,
+    check_encoding,
     combined_value,
+    gen_prime_matroid_encoding,
     gen_random_instance,
     gen_submodular_lb,
     gen_tree_lb,
@@ -157,6 +167,49 @@ def monte_carlo(label: str, b, valuation=None) -> None:
                   f"value {rep.value.hex()} stderr {rep.stderr.hex()}")
 
 
+def corrupted(matroids, label_map, how: str, rng: random.Random) -> tuple:
+    """An encoding with one seeded type's part flipped or its part's capacity set to 0 or
+    2 in one matroid, the type dropped from every ground, or another type's label."""
+    matroids, label_map = list(matroids), dict(label_map)
+    t = rng.choice(sorted(label_map))
+    if how == "same_label":
+        label_map[t] = label_map[rng.choice(sorted(label_map))]
+        return matroids, label_map
+    for i in range(len(matroids)) if how == "drop_all" else [rng.randrange(len(matroids))]:
+        part_of, capacity = dict(matroids[i].part_of), dict(matroids[i].capacity)
+        if how == "flip":
+            part_of[t] = rng.choice(sorted(capacity))
+        elif how == "capacity":
+            capacity[part_of[t]] = rng.choice((0, 2))
+        else:
+            del part_of[t]
+        matroids[i] = PartitionMatroid(part_of, capacity)
+    return matroids, label_map
+
+
+def encodings() -> None:
+    cases = {f"k={k}": gen_prime_matroid_encoding(k) for k in (2, 3)}
+    m5, l5 = gen_prime_matroid_encoding(5)
+    cases["k=5:40"] = m5, {t: l5[t] for t in random.Random(0).sample(sorted(l5), 40)}
+    for label, (matroids, label_map) in list(cases.items()):
+        for how in ("flip", "capacity", "drop_all", "same_label"):
+            for seed in range(4):
+                cases[f"{label} {how}:{seed}"] = corrupted(
+                    matroids, label_map, how, random.Random(f"{label}-{how}-{seed}"))
+    m3, l3 = cases["k=3"]
+    triple = {"e0:on", "e0.0:on", "e0.0.0:on"}
+    extra = PartitionMatroid({t: "path" if t in triple else t for t in l3},
+                             {"path": 2} | {t: 1 for t in l3 if t not in triple})
+    others = sorted(set(l3) - triple)
+    for size in (12, 13, 39):
+        chosen = [*triple, *random.Random(0).sample(others, size - 3)]
+        cases[f"k=3 triple:{size}"] = [*m3, extra], {t: l3[t] for t in chosen}
+    for label, (matroids, label_map) in cases.items():
+        for seed in (0, 1):
+            ok, witness = check_encoding(matroids, label_map, seed=seed)
+            print(f"encoding:{label} seed={seed} ok {ok} witness {sorted(witness or ())}")
+
+
 def main() -> int:
     for kind, params in PARAMS.items():
         for seed in range(150):
@@ -175,6 +228,7 @@ def main() -> int:
         tree.valuation.family, dict.fromkeys(tree.valuation.weights, Fraction(1))))
     for seed in range(30):
         monte_carlo(f"random:default:{seed}", gen_random_instance(seed, PARAMS["default"]))
+    encodings()
     return 0
 
 

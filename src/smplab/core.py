@@ -89,8 +89,9 @@ def universe_from_type_space(type_space: Mapping[str, Iterable[str]]) -> Univers
 class TypeDistribution:
     """Independent per-element probability vectors over each element's types.
 
-    Each vector must sum to 1 within ``1e-12``; entries may be floats,
-    ints, or Fractions. Instances are immutable by convention.
+    Entries may be floats, ints, or Fractions. A vector of ints and Fractions
+    must sum to exactly 1, one holding a float to 1 within ``1e-12``.
+    Instances are immutable by convention.
     """
 
     def __init__(self, probs: Mapping[str, Mapping[str, Scalar]]):
@@ -105,7 +106,8 @@ class TypeDistribution:
                         f"probability of type {t!r} is {p!r}, outside [0, 1]"
                     )
                 total = total + p
-            if abs(total - 1) > _PROB_SUM_TOL:
+            exact = isinstance(total, (int, Fraction))  # no float in the row
+            if total != 1 if exact else abs(total - 1) > _PROB_SUM_TOL:
                 raise ValidationError(
                     f"probabilities for element {e!r} sum to {total!r}, not 1"
                 )
@@ -114,6 +116,17 @@ class TypeDistribution:
 
     def prob(self, element: str, type_id: str) -> Scalar:
         return self.probs[element][type_id]
+
+    def row(self, element: str, types: Sequence[str]) -> list[Scalar]:
+        """The probabilities of ``element``'s ``types``, in order; a missing row or
+        type raises ValidationError naming the first one missing."""
+        try:
+            row = self.probs[element]
+            return [row[t] for t in types]
+        except KeyError:
+            field = f"[{element!r}]" if (row := self.probs.get(element)) is None else (
+                f"[{element!r}][{next(t for t in types if t not in row)!r}]")
+            raise ValidationError(f"distribution{field} is missing") from None
 
     def validate_against(self, universe: Universe) -> None:
         for e in [*universe.elements, *self.probs]:
@@ -153,13 +166,15 @@ class RandomStream:
         )
 
 
-def _type_thresholds(universe: Universe, dist: TypeDistribution) -> np.ndarray:
-    """Per element, in universe order, the running sums of its type probabilities
-    but the last, padded with +inf to one less than the widest type space."""
-    spaces = [universe.type_space[e] for e in universe.elements]
+def _type_thresholds(
+    universe: Universe, dist: TypeDistribution, elements: Sequence[str]
+) -> np.ndarray:
+    """Per element of ``elements``, in order, the running sums of its type probabilities
+    but the last, padded with +inf to one less than the widest of their type spaces."""
+    spaces = [universe.type_space[e] for e in elements]
     width = max(map(len, spaces), default=1)
-    rows = [[float(dist.probs[e][t]) for t in ts[:-1]] + [np.inf] * (width - len(ts) + 1)
-            for e, ts in zip(universe.elements, spaces)]
+    rows = [[float(p) for p in dist.row(e, ts)[:-1]] + [np.inf] * (width - len(ts) + 1)
+            for e, ts in zip(elements, spaces)]
     return np.cumsum(np.reshape(rows, (len(spaces), width)), axis=1)[:, :-1]
 
 

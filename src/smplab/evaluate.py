@@ -161,10 +161,9 @@ class _Prepared:
         for e in dict.fromkeys(n.element for n in self.nodes) if self.tree else space:
             try:
                 probs = {t: p for t in space[e] if (p := probs_of[e][t]) != 0}
-            except KeyError:  # name the absent row, or its first absent type
-                field = f"[{e!r}]" if (row := probs_of.get(e)) is None else (
-                    f"[{e!r}][{next(t for t in space[e] if t not in row)!r}]")
-                raise ValidationError(f"distribution{field} is missing") from None
+            except KeyError:
+                self.dist.row(e, space[e])  # raises the error naming the missing row or type
+                raise
             if not all(isinstance(p, (int, Fraction)) for p in probs.values()):
                 rows[e] = probs, probs, None, False
                 continue
@@ -282,12 +281,12 @@ def _walk_values(sets: Sequence[list], forms: Sequence[tuple], rows: Mapping[str
 
 def _coverage_hits(prep: _Prepared, f: ValuationFunction) -> dict[str, dict[int, int]] | None:
     """For a weighted coverage with int or Fraction weights, when each row of ``prep.rows``
-    is rational with numerators summing to its scale: per element, each item its positive
+    is rational (so its numerators sum to its scale): per element, each item its positive
     types reach, by its place in ``f.weight``, with their numerators' sum. Else None."""
     rows = prep.rows
     if type(f) is not WeightedCoverageValuation or not all(
             type(w) in (int, Fraction) for w in f.weight.values()) or not all(
-            scale and sum(nums.values()) == scale for _, nums, scale, _ in rows.values()):
+            scale for _, _, scale, _ in rows.values()):
         return None
     place, hits = {x: i for i, x in enumerate(f.weight)}, {}
     for e, (_, nums, _, _) in rows.items():
@@ -555,8 +554,9 @@ class _CodedTree:
     Nodes are numbered once per distinct object, so shared subtrees stay
     shared; the root is node 0 and all leaves share the last node. ``column[v]``
     is the universe index of node ``v``'s element (-1 for the leaf),
-    ``thresholds[v]`` that element's ``_type_thresholds`` row and ``child[v, c]``
-    the node reached when it takes the type at position ``c`` of its type space.
+    ``thresholds[v]`` that element's ``_type_thresholds`` row (+inf for the leaf)
+    and ``child[v, c]`` the node reached when it takes the type at position ``c``
+    of its type space. Only the probed elements' rows are read.
     """
 
     def __init__(self, prep: _Prepared):
@@ -567,7 +567,9 @@ class _CodedTree:
         row = {id(node): v for v, node in enumerate(nodes)}
         leaf = len(nodes)
         self.column = np.array([index[node.element] for node in nodes] + [-1], dtype=np.intp)
-        self.thresholds = _type_thresholds(universe, prep.dist)[self.column]
+        probed, at = np.unique(self.column[:-1], return_inverse=True)  # read no other row
+        levels = _type_thresholds(universe, prep.dist, [universe.elements[j] for j in probed])
+        self.thresholds = np.vstack([levels[at], np.full(levels.shape[1], np.inf)])
         # every slot starts at the leaf, so the leaf stays put on any code
         self.child = np.full((leaf + 1, self.thresholds.shape[1] + 1), leaf, dtype=np.intp)
         for v, node in enumerate(nodes):

@@ -101,15 +101,18 @@ def _count_stepper(matroids: Sequence[PartitionMatroid], types: Sequence[str]) -
     per part met, as wide as its capacity plus a top bit and started at
     2**(width - 1) - 1 - capacity, so the top bit sets when the part overflows."""
     initial = top = shift = 0
-    add = [0] * len(types)  # 0 outside the ground
+    ground = set(types)  # the types in every member's ground; the rest are loops
+    for m in matroids:
+        ground &= m.part_of.keys()
+    add = [0] * len(types)
     for m in matroids:
         field = {}
-        for p in dict.fromkeys(m.part_of[t] for t in types if t in m.part_of):
+        for p in dict.fromkeys(m.part_of[t] for t in types if t in ground):
             width = m.capacity[p].bit_length() + 1
             initial |= ((1 << width - 1) - 1 - m.capacity[p]) << shift
             field[p], shift = shift, shift + width
             top |= 1 << shift - 1
-        add = [a + (1 << field[m.part_of[t]]) if t in m.part_of else 0
+        add = [a + (1 << field[m.part_of[t]]) if t in ground else 0
                for a, t in zip(add, types)]
 
     def step(state, i):

@@ -240,8 +240,8 @@ def find_extension_witness(
     return removed
 
 
-#: Pair cells (row type x column type) the encoding check decides per block;
-#: it bounds the check's temporary arrays.
+#: Pair cells (row type x column type) the encoding check decides per block, and an
+#: eighth as many sets of types; it bounds the check's temporary arrays.
 ENCODING_PAIR_BLOCK = 1 << 18
 
 #: Largest ground the encoding check tests every set of, not a sample of sets.
@@ -329,10 +329,10 @@ def check_encoding(
     independent exactly when their labels are prefix-related (equal labels
     count). Pair-independence comes from each matroid's part codes and
     capacities, comparability from preorder intervals over the sorted labels.
-    Sets are checked by the intersection oracle, exhaustively when the ground
-    is small, else on ``set_samples`` seeded random subsets:
-    intersection-independent iff every pair is prefix-related. The witness is
-    the first mismatch, pairs in ``itertools.combinations`` order first.
+    Sets, all of them when the ground is small, else ``set_samples`` seeded random
+    ones, are independent by the intersection's count stepper iff a chain (the test
+    oracle ``tests/oracles.py:reference_check_encoding`` asks the oracles instead).
+    The witness is the first mismatch, pairs in ``itertools.combinations`` order first.
     Raises ValidationError if a member is not a PartitionMatroid.
     """
     for i, m in enumerate(matroids):
@@ -340,8 +340,8 @@ def check_encoding(
             raise ValidationError(
                 f"check_encoding needs partition matroids; member {i} is {m.kind!r}"
             )
-    inter = IntersectionFamily(matroids)
     ground = sorted(label_map)
+    initial, step = IntersectionFamily(matroids)._stepper(ground)
     pos, end = _label_intervals([label_map[t][0] for t in ground])
 
     keys, loop = _pair_keys(matroids, ground)
@@ -349,24 +349,24 @@ def check_encoding(
     if pair is not None:
         return False, frozenset(ground[i] for i in pair)
 
-    pos_of = dict(zip(ground, pos.tolist()))
-    end_of = dict(zip(ground, end.tolist()))
-
-    def chain(types: frozenset[str]) -> bool:
-        deepest = max(pos_of[t] for t in types)
-        return all(deepest < end_of[t] for t in types)
-
-    if len(ground) <= ENCODING_EXHAUSTIVE_SETS:
-        for size in range(3, len(ground) + 1):
-            for combo in itertools.combinations(ground, size):
-                s = frozenset(combo)
-                if inter.is_independent(s) != chain(s):
-                    return False, s
-    else:
+    n = len(ground)
+    if n <= ENCODING_EXHAUSTIVE_SETS:
+        sets = (c for size in range(3, n + 1) for c in itertools.combinations(range(n), size))
+    else:  # ``sample``'s draws depend on the population's length alone: the same sets
         rng = random.Random(seed)
-        for _ in range(set_samples):
-            size = rng.randint(2, min(8, len(ground)))
-            s = frozenset(rng.sample(ground, size))
-            if inter.is_independent(s) != chain(s):
-                return False, s
+        sets = (rng.sample(range(n), rng.randint(2, min(8, n))) for _ in range(set_samples))
+    while block := list(itertools.islice(sets, max(1, ENCODING_PAIR_BLOCK >> 3))):
+        # a chain: every member's subtree holds the deepest member's preorder position
+        members = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64)
+        sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
+        starts = np.cumsum(sizes) - sizes
+        deepest = np.maximum.reduceat(pos[members], starts)
+        chains = np.logical_and.reduceat(np.repeat(deepest, sizes) < end[members], starts)
+        for s, chain in zip(block, chains.tolist()):
+            state = initial
+            for i in s:
+                if (state := step(state, i)) is None:
+                    break
+            if (state is not None) != chain:
+                return False, frozenset(ground[i] for i in s)
     return True, None

@@ -94,7 +94,7 @@ def sample_type_codes(universe, dist, stream, count):
     if count < 1:
         raise ValidationError("count must be >= 1")
     u = stream.generator().random((count, len(universe.elements)))
-    return _type_codes(u, _type_thresholds(universe, dist))
+    return _type_codes(u, _type_thresholds(universe, dist, universe.elements))
 
 
 def sampled_rows(universe, dist, stream, count):

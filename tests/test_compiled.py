@@ -34,6 +34,7 @@ from smplab import (
     select_representatives,
     universe_from_type_space,
 )
+from smplab.families import _count_stepper
 from smplab.strategy import chain_tree
 from smplab.valuation import ExplicitValuation
 from smplab.verify import VALUE_TOL, check_monotone, check_submodular
@@ -116,6 +117,18 @@ def test_stepper_of_random_families():
             for subset in itertools.combinations(range(len(types)), size):
                 assert_build_up(f.family, types, subset)
                 assert_build_up(f.family, types, rng.sample(subset, size))
+
+
+def test_count_stepper_keeps_a_loop_of_an_earlier_member():
+    # b is outside the first member's ground but inside the second's: still a loop
+    # (IntersectionFamily refuses unequal grounds, so this builds the stepper itself)
+    members = [PartitionMatroid({"a": 0}, {0: 1}),
+               PartitionMatroid({"a": 0, "b": 1}, {0: 1, 1: 1})]
+    for order in (members, members[::-1]):
+        initial, step = _count_stepper(order, ["a", "b"])
+        assert step(initial, 1) is None
+        assert step(initial, 0) is not None
+        assert step(step(initial, 0), 1) is None
 
 
 def weight_cases(ground, rng):

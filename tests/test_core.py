@@ -44,8 +44,12 @@ class TestValidation:
             universe_from_type_space({"a": ()})
 
     def test_distribution_must_sum_to_one(self):
-        with pytest.raises(ValidationError):
-            TypeDistribution({"a": {"x": 0.5, "y": 0.4}})
+        # a row of ints and Fractions exactly; one holding a float within 1e-12
+        short = Fraction(1, 2) - Fraction(1, 10**13)
+        for row in ({"x": 0.5, "y": 0.4}, {"x": Fraction(1, 2), "y": short}):
+            with pytest.raises(ValidationError, match="sum to"):
+                TypeDistribution({"a": row})
+        TypeDistribution({"a": {"x": 0.5, "y": short}, "b": {"u": 0, "v": 1}})
 
     def test_distribution_range(self):
         with pytest.raises(ValidationError):
@@ -142,7 +146,7 @@ class TestSampling:
         assert cum[-1] == np.nextafter(1.0, 0.0)
         u = np.array([[0.0], [0.7], [0.8999999999999999], [cum[-1]]])
         want = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(cum) - 1)
-        got = _type_codes(u, _type_thresholds(universe, dist))
+        got = _type_codes(u, _type_thresholds(universe, dist, universe.elements))
         assert got[:, 0].tolist() == want.tolist() == [0, 1, 2, 2]
 
     def test_frequencies_within_three_sigma(self):

@@ -841,6 +841,24 @@ def test_exact_routes_name_a_missing_row_or_type(evaluate):
     assert str(refused.value) == "distribution['x3']['x3.off'] is missing"
 
 
+@pytest.mark.parametrize("evaluate", [adap_mc, alg_mc], ids=["adap_mc", "alg_mc"])
+def test_mc_routes_name_a_missing_row_and_read_no_unprobed_one(evaluate):
+    universe, dist, tree = on_off_chain(4, Fraction(1, 2))
+    f = coverage_valuation({f"x{i}.on": {i} for i in range(4)})
+    rows = {e: row for e, row in dist.probs.items() if e != "x3"}
+    with pytest.raises(ValidationError) as refused:
+        evaluate(tree, f, universe, TypeDistribution(rows), 100, 0)
+    assert str(refused.value) == "distribution['x3'] is missing"
+    with pytest.raises(ValidationError) as refused:
+        evaluate(tree, f, universe, TypeDistribution({**rows, "x3": {"x3.on": 1}}), 100, 0)
+    assert str(refused.value) == "distribution['x3']['x3.off'] is missing"
+    # a tree that never probes x3 draws the same estimate without its row
+    short = chain_tree(universe, ["x0", "x1", "x2"])
+    got = evaluate(short, f, universe, TypeDistribution(rows), 100, 0)
+    want = evaluate(short, f, universe, dist, 100, 0)
+    assert (got.value, got.stderr) == (want.value, want.stderr)
+
+
 @pytest.mark.parametrize(
     "evaluator",
     list(_CAPPED),

@@ -18,6 +18,7 @@ from smplab import (
     ExactCapExceeded,
     RandomInstanceParams,
     TypeDistribution,
+    ValidationError,
     adap_exact,
     alg_exact,
     best_nonadaptive_exact,
@@ -285,8 +286,8 @@ def test_coverage_routes_equal_the_draw_routes():
 
 
 def test_coverage_routes_keep_floats_on_the_draw_routes():
-    # a float row, a float weight, a row whose Fractions sum short of 1, or another
-    # valuation: no item route
+    # a float row, a float weight or another valuation: no item route (a row whose
+    # Fractions sum short of 1 is refused when it is built)
     inst = gen_random_instance(3, RandomInstanceParams(valuation_kinds=("coverage",)))
     prep = _Prepared(inst.tree, inst.universe, inst.dist)
     assert _coverage_hits(prep, inst.valuation) is not None
@@ -299,8 +300,8 @@ def test_coverage_routes_keep_floats_on_the_draw_routes():
     e = inst.tree.element
     row = inst.dist.probs[e]
     t = next(iter(row))
-    short = TypeDistribution({**inst.dist.probs, e: {**row, t: row[t] - Fraction(1, 10**13)}})
-    assert _coverage_hits(_Prepared(inst.tree, inst.universe, short), f) is None
+    with pytest.raises(ValidationError):
+        TypeDistribution({**inst.dist.probs, e: {**row, t: row[t] - Fraction(1, 10**13)}})
     rank = gen_random_instance(0, RandomInstanceParams(valuation_kinds=RANK_KINDS))
     assert _coverage_hits(_Prepared(rank.tree, rank.universe, rank.dist), rank.valuation) is None
 

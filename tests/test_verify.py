@@ -248,6 +248,23 @@ class TestCheckEncoding:
         assert not ok
         assert witness is not None
 
+    def test_set_phase_catches_a_triple_every_pair_passes(self):
+        # one more matroid caps a root path's three types at 2: each pair of them
+        # stays independent, so only the sets see the fault
+        matroids, label_map = gen_prime_matroid_encoding(3)
+        triple = frozenset({"e0:on", "e0.0:on", "e0.0.0:on"})
+        extra = PartitionMatroid({t: "path" if t in triple else t for t in label_map},
+                                 {"path": 2} | {t: 1 for t in label_map if t not in triple})
+        others = sorted(set(label_map) - triple)
+        for size in (12, 13):  # every set, then 10,000 samples
+            chosen = [*triple, *random.Random(0).sample(others, size - 3)]
+            subset = {t: label_map[t] for t in chosen}
+            for seed in (0, 1):
+                args = ([*matroids, extra], subset)
+                got = check_encoding(*args, set_samples=10_000, seed=seed)
+                assert got == (False, triple)
+                assert got == reference_check_encoding(*args, set_samples=10_000, seed=seed)
+
     def test_memory_stays_flat_on_k5_subset(self):
         # oracles keep nothing between calls, and the 11175 pairs over 25
         # matroids are decided in blocks of bounded size
