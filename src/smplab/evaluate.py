@@ -156,20 +156,17 @@ class _Prepared:
         fractional)``: its positive probabilities by type in type-space order and, if all are
         ints or Fractions, their numerators over their denominators' lcm ``scale`` and
         whether one is a Fraction; else the probabilities again, None and False."""
-        rows = {}
-        space, probs_of = self.universe.type_space, self.dist.probs
+        rows, space = {}, self.universe.type_space
         for e in dict.fromkeys(n.element for n in self.nodes) if self.tree else space:
-            try:
-                probs = {t: p for t in space[e] if (p := probs_of[e][t]) != 0}
-            except KeyError:
-                self.dist.row(e, space[e])  # raises the error naming the missing row or type
-                raise
-            if not all(isinstance(p, (int, Fraction)) for p in probs.values()):
+            probs = {t: p for t, p in zip(space[e], self.dist.row(e, space[e])) if p}
+            exact = [isinstance(p, Fraction)  # per int or Fraction: whether a Fraction
+                     for p in probs.values() if isinstance(p, (int, Fraction))]
+            if len(exact) < len(probs):
                 rows[e] = probs, probs, None, False
                 continue
             scale = math.lcm(*[p.denominator for p in probs.values()])
             rows[e] = (probs, {t: p.numerator * (scale // p.denominator) for t, p in probs.items()},
-                       scale, any(isinstance(p, Fraction) for p in probs.values()))
+                       scale, any(exact))
         return rows
 
     def form(self, f: ValuationFunction) -> tuple[dict[str, int], Callable[[int], Scalar]]:

@@ -1,4 +1,4 @@
-"""Downward-closed set systems over types: membership oracles, greedy
+"""Downward-closed set systems over types: independence oracles, greedy
 selection, and exact rank search.
 """
 
@@ -16,7 +16,7 @@ RANK_CAP = 20
 
 
 class IndependenceOracle:
-    """Membership oracle for a downward-closed family over a fixed ground set.
+    """Independence oracle for a downward-closed family over a fixed ground set.
 
     The empty set is always independent. Sets containing types outside the
     ground are dependent, which makes such types loops.
@@ -27,21 +27,18 @@ class IndependenceOracle:
     ground: frozenset[str]
 
     def is_independent(self, types: Iterable[str]) -> bool:
-        key = types if isinstance(types, frozenset) else frozenset(types)
-        return not key or (key <= self.ground and self._independent(key))
-
-    def _independent(self, types: frozenset[str]) -> bool:
-        raise NotImplementedError
+        """Whether ``self._stepper`` accepts every distinct type of ``types``."""
+        state, step = self._stepper(types := list(dict.fromkeys(types)))
+        for i in range(len(types)):
+            if (state := step(state, i)) is None:
+                return False
+        return True
 
     def _stepper(self, types: Sequence[str]) -> tuple[object, Callable[[object, int], object]]:
         """``(initial, step)`` over the positions of the distinct ``types``: ``step(state,
         i)`` is the state of the set plus ``types[i]`` (which it must not hold), or None
-        when that is dependent, as it is for a type outside the ground. Here a frozenset."""
-        def step(state, i):
-            grown = state | {types[i]}
-            return grown if self.is_independent(grown) else None
-
-        return frozenset(), step
+        when that is dependent, as it is for a type outside the ground."""
+        raise NotImplementedError
 
 
 @dataclass(eq=True)
@@ -57,8 +54,16 @@ class ExplicitFamily(IndependenceOracle):
         self.ground = frozenset(self.ground)
         self.sets = frozenset(frozenset(s) for s in self.sets)
 
-    def _independent(self, types):
-        return types in self.sets
+    def is_independent(self, types):  # listed, so a set that is not downward closed shows
+        key = frozenset(types)
+        return not key or (key <= self.ground and key in self.sets)
+
+    def _stepper(self, types):  # the state is the set itself
+        def step(state, i):
+            grown = state | {types[i]}
+            return grown if self.is_independent(grown) else None
+
+        return frozenset(), step
 
 
 @dataclass(eq=True)
@@ -82,16 +87,6 @@ class PartitionMatroid(IndependenceOracle):
                 raise ValidationError(f"capacity of part {p!r} must be an int >= 0")
         self.ground = frozenset(self.part_of)
 
-    def _independent(self, types):
-        counts: dict = {}
-        for t in types:
-            p = self.part_of[t]
-            n = counts.get(p, 0) + 1
-            if n > self.capacity[p]:
-                return False
-            counts[p] = n
-        return True
-
     def _stepper(self, types):
         return _count_stepper([self], types)
 
@@ -101,19 +96,19 @@ def _count_stepper(matroids: Sequence[PartitionMatroid], types: Sequence[str]) -
     per part met, as wide as its capacity plus a top bit and started at
     2**(width - 1) - 1 - capacity, so the top bit sets when the part overflows."""
     initial = top = shift = 0
-    ground = set(types)  # the types in every member's ground; the rest are loops
+    ground = range(len(types))  # positions of types in every member's ground; the rest are loops
     for m in matroids:
-        ground &= m.part_of.keys()
-    add = [0] * len(types)
+        ground = [i for i in ground if types[i] in m.part_of]
+    add = [0] * len(types)  # a loop keeps 0
     for m in matroids:
         field = {}
-        for p in dict.fromkeys(m.part_of[t] for t in types if t in ground):
-            width = m.capacity[p].bit_length() + 1
-            initial |= ((1 << width - 1) - 1 - m.capacity[p]) << shift
-            field[p], shift = shift, shift + width
-            top |= 1 << shift - 1
-        add = [a + (1 << field[m.part_of[t]]) if t in ground else 0
-               for a, t in zip(add, types)]
+        for i in ground:
+            if (p := m.part_of[types[i]]) not in field:
+                width = m.capacity[p].bit_length() + 1
+                initial |= ((1 << width - 1) - 1 - m.capacity[p]) << shift
+                field[p], shift = shift, shift + width
+                top |= 1 << shift - 1
+            add[i] += 1 << field[p]
 
     def step(state, i):
         return None if not add[i] or (state + add[i]) & top else state + add[i]
@@ -138,20 +133,12 @@ class MatchingFamily(IndependenceOracle):
         self.edges = cleaned
         self.ground = frozenset(cleaned)
 
-    def _independent(self, types):
-        seen: set[str] = set()
-        for t in types:
-            u, v = self.edges[t]
-            if u in seen or v in seen:
-                return False
-            seen.add(u)
-            seen.add(v)
-        return True
-
     def _stepper(self, types):  # the state is a mask of the vertices covered
         vertex: dict[str, int] = {}
-        ends = [sum(1 << vertex.setdefault(v, len(vertex)) for v in self.edges[t])
-                if t in self.edges else 0 for t in types]
+        ends = [0] * len(types)  # a type outside the ground keeps 0: a loop
+        for i, t in enumerate(types):
+            for v in self.edges.get(t, ()):
+                ends[i] |= 1 << vertex.setdefault(v, len(vertex))
         return 0, lambda state, i: None if not ends[i] or state & ends[i] else state | ends[i]
 
 
@@ -180,13 +167,16 @@ class IntersectionFamily(IndependenceOracle):
     def is_matroid(self) -> bool:  # type: ignore[override]
         return len(self.members) == 1 and self.members[0].is_matroid
 
-    def _independent(self, types):
-        return all(m.is_independent(types) for m in self.members)
-
     def _stepper(self, types):  # partition matroids share one count state
         if all(isinstance(m, PartitionMatroid) for m in self.members):
             return _count_stepper(self.members, types)
-        return super()._stepper(types)
+        initial, steps = zip(*(m._stepper(types) for m in self.members))
+
+        def step(state, i):  # the state is a tuple of the members' states
+            grown = tuple(member(s, i) for member, s in zip(steps, state))
+            return None if None in grown else grown
+
+        return initial, step
 
 
 def _deeper(ranges: Mapping[str, range], a: str, b: str) -> str | None:
@@ -241,11 +231,6 @@ class PathChainFamily(IndependenceOracle):
         self.edges = {t: (u, v) for t, (u, v) in self.edges.items()}
         self._subtree = _subtree_ranges(self.edges.values(), self.root)
         self.ground = frozenset(self.edges)
-
-    def _independent(self, types):  # the lower endpoints lie on one root path
-        low = [self._subtree[self.edges[t][1]] for t in types]
-        deepest = max(r.start for r in low)
-        return all(deepest in r for r in low)
 
     def _stepper(self, types):  # the state is the deepest lower endpoint, the root at first
         low = [self.edges[t][1] if t in self.edges else None for t in types]

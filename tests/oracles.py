@@ -3,8 +3,9 @@
 These deliberately avoid the library's evaluator code paths: the exact
 oracles enumerate full type vectors or subsets with :func:`profiles` and
 walk the tree with :func:`walk`, the Monte Carlo reference walks the
-decision tree one sampled row of type ids at a time, and the encoding
-reference asks the intersection oracle about every pair.
+decision tree one sampled row of type ids at a time, independence is
+decided from each family's definition rather than its stepper, and the
+encoding reference asks that about every pair.
 """
 
 import itertools
@@ -24,7 +25,12 @@ from smplab import (
 )
 from smplab.core import _type_codes, _type_thresholds
 from smplab.evaluate import MC_BLOCK
-from smplab.families import IntersectionFamily
+from smplab.families import (
+    IntersectionFamily,
+    MatchingFamily,
+    PartitionMatroid,
+    PathChainFamily,
+)
 from smplab.instances import _column_weights, submodular_lb_depth
 from smplab.reduction import two_power
 
@@ -106,6 +112,37 @@ def sampled_rows(universe, dist, stream, count):
     ]
 
 
+def reference_independent(family, types):
+    """Whether ``types`` is independent in ``family``, from the family's definition
+    rather than its stepper: within the ground, and then part counts within the
+    capacities, no shared vertex, one ancestor chain of lower endpoints, independent
+    in every member, or listed."""
+    key = frozenset(types)
+    return not key or (key <= family.ground and _defined_independent(family, key))
+
+
+def _defined_independent(family, key):
+    """``reference_independent`` for a nonempty ``key`` within the ground."""
+    if isinstance(family, PartitionMatroid):
+        counts: dict = {}
+        for t in key:
+            p = family.part_of[t]
+            counts[p] = n = counts.get(p, 0) + 1
+            if n > family.capacity[p]:
+                return False
+        return True
+    if isinstance(family, MatchingFamily):
+        ends = [v for t in key for v in family.edges[t]]
+        return len(ends) == len(set(ends))
+    if isinstance(family, PathChainFamily):
+        low = [family._subtree[family.edges[t][1]] for t in key]
+        deepest = max(r.start for r in low)
+        return all(deepest in r for r in low)
+    if isinstance(family, IntersectionFamily):  # its members share its ground
+        return all(_defined_independent(m, key) for m in family.members)
+    return key in family.sets
+
+
 def brute_max_weight_independent(is_independent, types, weights=None):
     """Max weight over ALL subsets, testing independence from scratch."""
     best = 0
@@ -183,7 +220,7 @@ def brute_greedy_interleaved(tree, family, universe, dist, online=False):
                 for t, true in ((vt[e], True), (vx[e], False)):
                     if t in chosen:
                         continue
-                    if family.is_independent(frozenset(chosen) | {t}):
+                    if reference_independent(family, [*chosen, t]):
                         chosen.append(t)
                         counted += true or not online
             total = total + px * pt * counted
@@ -357,7 +394,7 @@ def _ancestor_comparable(la, lb):
 def reference_check_encoding(
     matroids, label_map, *, set_samples=10_000, seed=0, exhaustive_set_limit=12
 ):
-    """``check_encoding`` as a loop: every pair through the intersection oracle."""
+    """``check_encoding`` as a loop: every pair and set through ``reference_independent``."""
     inter = IntersectionFamily(list(matroids))
     ground = sorted(label_map)
 
@@ -369,20 +406,20 @@ def reference_check_encoding(
 
     for a, b in itertools.combinations(ground, 2):
         expected = _ancestor_comparable(label_map[a][0], label_map[b][0])
-        if inter.is_independent({a, b}) != expected:
+        if reference_independent(inter, {a, b}) != expected:
             return False, frozenset({a, b})
 
     if len(ground) <= exhaustive_set_limit:
         for size in range(3, len(ground) + 1):
             for combo in itertools.combinations(ground, size):
                 s = frozenset(combo)
-                if inter.is_independent(s) != chain(s):
+                if reference_independent(inter, s) != chain(s):
                     return False, s
     else:
         rng = random.Random(seed)
         for _ in range(set_samples):
             size = rng.randint(2, min(8, len(ground)))
             s = frozenset(rng.sample(ground, size))
-            if inter.is_independent(s) != chain(s):
+            if reference_independent(inter, s) != chain(s):
                 return False, s
     return True, None

@@ -1,5 +1,5 @@
 """The per-call compiled forms against references that do not use them:
-family steppers against ``is_independent``, compiled ranks against brute
+family steppers against ``reference_independent``, compiled ranks against brute
 force, compiled coverage against the reference valuations, and the stepped
 greedy against joint enumeration."""
 
@@ -30,6 +30,8 @@ from smplab import (
     gen_random_instance,
     greedy_interleaved_exact,
     greedy_optimal_combine,
+    greedy_select,
+    max_rank,
     partition_weighted_valuation,
     select_representatives,
     universe_from_type_space,
@@ -43,6 +45,7 @@ from oracles import (
     brute_max_weight_independent,
     powerset,
     reference_coverage,
+    reference_independent,
     reference_partition_weighted,
 )
 
@@ -67,6 +70,7 @@ def families():
         "matching": matching,
         "partitions": IntersectionFamily((partition, other)),
         "mixed": IntersectionFamily((other, matching)),
+        "mixed_chain": IntersectionFamily((chain, other)),
         "explicit": explicit,
         "path_chain": chain,
     }
@@ -90,13 +94,13 @@ def random_families(seeds):
 
 def assert_build_up(family, types, order):
     """Step ``order`` (positions of ``types``) from the empty set, as far as it stays
-    independent, checking each step against ``is_independent``."""
+    independent, checking each step against ``reference_independent``."""
     initial, step = family._stepper(types)
     state = initial
     for j, i in enumerate(order):
         state = step(state, i)
         built = frozenset(types[k] for k in order[: j + 1])
-        assert (state is not None) == family.is_independent(built), built
+        assert (state is not None) == reference_independent(family, built), built
         if state is None:
             return
 
@@ -117,6 +121,24 @@ def test_stepper_of_random_families():
             for subset in itertools.combinations(range(len(types)), size):
                 assert_build_up(f.family, types, subset)
                 assert_build_up(f.family, types, rng.sample(subset, size))
+
+
+@pytest.mark.parametrize("name", ["mixed", "mixed_chain"])
+def test_mixed_intersection_greedy_and_rank_equal_brute_force(name):
+    # members of other kinds step a tuple of their states (the build-ups are checked
+    # by test_stepper_agrees_with_is_independent_on_every_build_up)
+    family = families()[name]
+    independent = functools.partial(reference_independent, family)
+    types = [*sorted(family.ground), *OUTSIDE]
+    assert isinstance(family._stepper(types)[0], tuple)
+    for order in itertools.permutations(types):
+        chosen = []
+        for t in order:
+            if independent([*chosen, t]):
+                chosen.append(t)
+        assert greedy_select(family, order) == tuple(chosen), order
+    for s in powerset(types):
+        assert max_rank(family, s) == brute_max_weight_independent(independent, s), s
 
 
 def test_count_stepper_keeps_a_loop_of_an_earlier_member():
@@ -144,13 +166,14 @@ def weight_cases(ground, rng):
 @pytest.mark.parametrize("name", list(families()))
 def test_compiled_rank_equals_brute_force(name):
     family = families()[name]
+    independent = functools.partial(reference_independent, family)
     types = [*sorted(family.ground), *OUTSIDE]
     for weights in weight_cases(family.ground, random.Random(name)):
         f = WeightedRankValuation(family, weights)
         masks, value = f._compiled(types)
         for s in powerset(types):
             got = value(union(masks[t] for t in s))
-            want = brute_max_weight_independent(family.is_independent, s, weights)
+            want = brute_max_weight_independent(independent, s, weights)
             assert same(got, f(s)), s  # compiled over s alone: the same sums in order
             if any(isinstance(w, float) for w in weights.values()):
                 assert math.isclose(got, want, rel_tol=1e-12), (name, s)
@@ -162,8 +185,9 @@ def test_compiled_rank_of_random_families():
     for f in random_families(range(40)):
         types = sorted(f.family.ground)
         masks, value = f._compiled(types)
+        independent = functools.partial(reference_independent, f.family)
         for s in powerset(types):
-            want = brute_max_weight_independent(f.family.is_independent, s, f.weights)
+            want = brute_max_weight_independent(independent, s, f.weights)
             assert value(union(masks[t] for t in s)) == want
 
 
@@ -223,7 +247,7 @@ def reference_combine(observed, deco, choice, family):
     chosen = frozenset()
     for _, j in choice.selected:
         cand = sorted(observed & deco.class_types[j] & family.ground)
-        ext = [s for s in powerset(cand) if family.is_independent(chosen | s)]
+        ext = [s for s in powerset(cand) if reference_independent(family, chosen | s)]
         chosen |= max(ext, key=lambda s: (len(s), [t in s for t in cand]))
     return chosen
 

@@ -1,5 +1,6 @@
 """Set systems: loops, greedy steps and scans, rank-vs-greedy bound."""
 
+import functools
 import gc
 import itertools
 import random
@@ -21,7 +22,7 @@ from smplab import (
     max_rank,
 )
 from smplab.strategy import TreeFanConstraint
-from oracles import brute_max_weight_independent, powerset
+from oracles import brute_max_weight_independent, powerset, reference_independent
 
 
 def path_matching():
@@ -300,7 +301,7 @@ def test_max_rank_matches_brute_force():
         fam = MatchingFamily({t: tuple(rng.sample("uvwx", 2)) for t in types})
         sub = frozenset(rng.sample(types, rng.randint(0, 6)))
         assert max_rank(fam, sub) == brute_max_weight_independent(
-            fam.is_independent, sub
+            functools.partial(reference_independent, fam), sub
         )
 
 
