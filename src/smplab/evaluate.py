@@ -158,15 +158,13 @@ class _Prepared:
         whether one is a Fraction; else the probabilities again, None and False."""
         rows, space = {}, self.universe.type_space
         for e in dict.fromkeys(n.element for n in self.nodes) if self.tree else space:
-            probs = {t: p for t, p in zip(space[e], self.dist.row(e, space[e])) if p}
-            exact = [isinstance(p, Fraction)  # per int or Fraction: whether a Fraction
-                     for p in probs.values() if isinstance(p, (int, Fraction))]
-            if len(exact) < len(probs):
+            probs = {t: p for t, p in zip(space[e], self.dist.row(e, space[e])) if p != 0}
+            if not all(isinstance(p, (int, Fraction)) for p in probs.values()):
                 rows[e] = probs, probs, None, False
                 continue
             scale = math.lcm(*[p.denominator for p in probs.values()])
             rows[e] = (probs, {t: p.numerator * (scale // p.denominator) for t, p in probs.items()},
-                       scale, any(exact))
+                       scale, any(isinstance(p, Fraction) for p in probs.values()))
         return rows
 
     def form(self, f: ValuationFunction) -> tuple[dict[str, int], Callable[[int], Scalar]]:

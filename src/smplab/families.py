@@ -27,12 +27,18 @@ class IndependenceOracle:
     ground: frozenset[str]
 
     def is_independent(self, types: Iterable[str]) -> bool:
-        """Whether ``self._stepper`` accepts every distinct type of ``types``."""
-        state, step = self._stepper(types := list(dict.fromkeys(types)))
-        for i in range(len(types)):
-            if (state := step(state, i)) is None:
-                return False
-        return True
+        """Whether the distinct ``types`` form an independent set."""
+        return self._tester(types := list(dict.fromkeys(types)))(range(len(types)))
+
+    def _tester(self, types: Sequence[str]) -> Callable[[Iterable[int]], bool]:
+        """The test of positions of ``types``: one stepper, built once, accepts each in turn."""
+        initial, step = self._stepper(types)
+
+        def test(positions):
+            state = initial
+            return all((state := step(state, i)) is not None for i in positions)
+
+        return test
 
     def _stepper(self, types: Sequence[str]) -> tuple[object, Callable[[object, int], object]]:
         """``(initial, step)`` over the positions of the distinct ``types``: ``step(state,
@@ -54,16 +60,13 @@ class ExplicitFamily(IndependenceOracle):
         self.ground = frozenset(self.ground)
         self.sets = frozenset(frozenset(s) for s in self.sets)
 
-    def is_independent(self, types):  # listed, so a set that is not downward closed shows
-        key = frozenset(types)
-        return not key or (key <= self.ground and key in self.sets)
+    def _tester(self, types):  # by the listing, so a set that is not downward closed shows
+        return lambda positions: ((key := frozenset(types[i] for i in positions)) <= self.ground
+                                  and (not key or key in self.sets))
 
-    def _stepper(self, types):  # the state is the set itself
-        def step(state, i):
-            grown = state | {types[i]}
-            return grown if self.is_independent(grown) else None
-
-        return frozenset(), step
+    def _stepper(self, types):  # the state is the set's positions
+        test = self._tester(types)
+        return frozenset(), lambda s, i: grown if test(grown := s | {i}) else None
 
 
 @dataclass(eq=True)
@@ -166,6 +169,10 @@ class IntersectionFamily(IndependenceOracle):
     @property
     def is_matroid(self) -> bool:  # type: ignore[override]
         return len(self.members) == 1 and self.members[0].is_matroid
+
+    def _tester(self, types):  # every member's test, so a listed one answers by its listing
+        tests = [m._tester(types) for m in self.members]
+        return lambda positions: all(test(positions) for test in tests)
 
     def _stepper(self, types):  # partition matroids share one count state
         if all(isinstance(m, PartitionMatroid) for m in self.members):

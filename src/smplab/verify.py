@@ -9,16 +9,17 @@ search order (or None on success).
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .core import Scalar, Universe, ValidationError
-from .families import IndependenceOracle, IntersectionFamily, PartitionMatroid
+from .families import IndependenceOracle, IntersectionFamily, PartitionMatroid, _bits
 from .strategy import ConstraintOracle, TableConstraint
 from .valuation import ValuationFunction
 
@@ -104,9 +105,9 @@ def check_downward_closed(
     family: IndependenceOracle, ground: Iterable[str]
 ) -> tuple[bool, tuple[frozenset, frozenset] | None]:
     """Exhaustively test that removing one element keeps independence."""
-    items = _sorted_ground(ground, 12, "check_downward_closed")
-    n = len(items)
-    independent = [family.is_independent(_subset(items, m)) for m in range(1 << n)]
+    items = _sorted_ground(set(ground), 12, "check_downward_closed")
+    n, test = len(items), family._tester(items)  # one test for every subset, by position
+    independent = [test(_bits(m)) for m in range(1 << n)]
     for m in range(1 << n):
         if not independent[m]:
             continue
@@ -139,31 +140,25 @@ def check_prefix_closed(
     return True, None
 
 
-def _independent_sets(
-    family: IndependenceOracle, items: Sequence[str]
-) -> list[frozenset[str]]:
-    out: list[frozenset[str]] = []
-
-    def grow(start: int, current: frozenset[str]) -> None:
+def _independent_sets(independent: Callable, items: Sequence[str]) -> list[frozenset[str]]:
+    """Each set grown from the empty set by ever later items, staying independent, depth first."""
+    out, stack = [], [(0, frozenset())]
+    while stack:
+        start, current = stack.pop()
         out.append(current)
-        for i in range(start, len(items)):
-            ext = current | {items[i]}
-            if family.is_independent(ext):
-                grow(i + 1, ext)
-
-    grow(0, frozenset())
-    del grow  # the closure refers to itself: a cycle only the collector would free
+        grown = [(i + 1, current | {items[i]}) for i in range(start, len(items))]
+        stack.extend(g for g in reversed(grown) if independent(g[1]))
     return out
 
 
 def _removal_set(
-    family: IndependenceOracle, keep: frozenset[str], e: str, candidates: Sequence[str], k: int
+    independent: Callable, keep: frozenset[str], e: str, candidates: Sequence[str], k: int
 ) -> frozenset[str] | None:
     """The first Z of at most ``k`` ``candidates``, by size and then in
     ``itertools.combinations`` order, that leaves ``keep - Z + e`` independent."""
     for size in range(min(k, len(candidates)) + 1):
         for removal in itertools.combinations(candidates, size):
-            if family.is_independent(keep - frozenset(removal) | {e}):
+            if independent(keep - frozenset(removal) | {e}):
                 return frozenset(removal)
     return None
 
@@ -178,7 +173,8 @@ def check_k_extendible(
     failing (A, B, e) triple.
     """
     items = _sorted_ground(ground, 10, "check_k_extendible")
-    for big in _independent_sets(family, items):
+    independent = functools.cache(family.is_independent)  # each of the 2**10 sets, once
+    for big in _independent_sets(independent, items):
         big_list = sorted(big)
         nb = len(big_list)
         for amask in range(1 << nb):
@@ -187,9 +183,9 @@ def check_k_extendible(
             for e in items:
                 if e in big:
                     continue
-                if not family.is_independent(small | {e}):
+                if not independent(small | {e}):
                     continue
-                if _removal_set(family, big, e, rest, k) is None:
+                if _removal_set(independent, big, e, rest, k) is None:
                     return False, (small, big, e)
     return True, None
 
@@ -223,7 +219,7 @@ def find_extension_witness(
     inserted: frozenset[str] = frozenset()
     for e in sorted(e_all):
         candidates = sorted(b - removed - a - inserted)
-        step = _removal_set(family, b - removed | inserted, e, candidates, k)
+        step = _removal_set(family.is_independent, b - removed | inserted, e, candidates, k)
         if step is None:
             raise NotKExtendibleError(
                 f"no witness of size <= {k} while inserting {e!r}; "

@@ -113,6 +113,18 @@ def test_stepper_agrees_with_is_independent_on_every_build_up(name):
         assert_build_up(family, types, order)
 
 
+@pytest.mark.parametrize("name", list(families()))
+def test_tester_and_is_independent_agree_with_the_reference(name):
+    family = families()[name]
+    types = [*sorted(family.ground), *OUTSIDE]
+    test = family._tester(types)
+    for positions in powerset(range(len(types))):
+        subset = [types[i] for i in positions]
+        expected = reference_independent(family, subset)
+        assert test(positions) == expected, subset
+        assert family.is_independent(reversed(subset)) == expected, subset
+
+
 def test_stepper_of_random_families():
     rng = random.Random(3)
     for f in random_families(range(40)):

@@ -1,5 +1,6 @@
 """Verifiers: witnesses on planted failures, extension-witness construction."""
 
+import itertools
 import random
 import tracemalloc
 from collections import Counter
@@ -31,7 +32,7 @@ from smplab import (
 )
 from smplab import verify
 from smplab.valuation import ExplicitValuation
-from oracles import powerset, reference_check_encoding
+from oracles import powerset, reference_check_encoding, reference_independent
 
 
 class TestCheckSubmodular:
@@ -86,6 +87,17 @@ class TestCheckDownwardClosed:
         assert not ok
         sub, sup = witness
         assert sup == {"a", "b"} and len(sub) == 1
+
+    def test_intersection_with_a_listed_member_answers_by_membership(self):
+        # {a, b} is listed but {a} is not, so no order of stepping may decide {a, b}
+        listed = ExplicitFamily("ab", ["", "b", "ab"])
+        apart = PartitionMatroid({"a": 0, "b": 1}, {0: 1, 1: 1})
+        for fam in (IntersectionFamily((listed, apart)), IntersectionFamily((apart, listed)),
+                    IntersectionFamily((IntersectionFamily((listed,)), apart))):
+            for s in powerset("ab"):
+                for order in itertools.permutations(s):
+                    assert fam.is_independent(order) == reference_independent(fam, s), order
+            assert check_downward_closed(fam, ["a", "b"]) == (False, ({"a"}, {"a", "b"}))
 
 
 class TestCheckPrefixClosed:
