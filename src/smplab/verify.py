@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -311,6 +311,36 @@ def _first_pair_mismatch(
     return None
 
 
+def _sampled_sets(n: int, count: int, seed: int) -> Iterator[list[int]]:
+    """``count`` lists of 2 to ``min(8, n)`` distinct indices below ``n``: the ones
+    ``rng.sample(range(n), rng.randint(2, min(8, n)))`` draws with ``rng =
+    random.Random(seed)`` on CPython 3.11, taken from ``getrandbits`` by the same rules.
+    An index below ``m`` is ``m.bit_length()`` random bits, drawn again while ``>= m``.
+    Among more than 21 indices (85 for a set of 6-8) an index already taken is drawn
+    again; among fewer, a position in a pool of the untaken ones is drawn and the
+    pool's last index fills it."""
+    bits = random.Random(seed).getrandbits
+    sizes = min(8, n) - 1  # how many sizes there are: 2 to min(8, n)
+    size_bits, n_bits = sizes.bit_length(), n.bit_length()
+    for _ in range(count):
+        while (size := bits(size_bits)) >= sizes:
+            pass
+        size += 2
+        s: list[int] = []
+        if n > (21 if size <= 5 else 85):
+            while len(s) < size:
+                if (j := bits(n_bits)) < n and j not in s:
+                    s.append(j)
+        else:
+            pool = list(range(n))
+            for m in range(n, n - size, -1):
+                while (j := bits(m.bit_length())) >= m:
+                    pass
+                s.append(pool[j])
+                pool[j] = pool[m - 1]
+        yield s
+
+
 def check_encoding(
     matroids: Sequence[PartitionMatroid],
     label_map: dict[str, tuple[tuple[int, ...], int]],
@@ -326,11 +356,15 @@ def check_encoding(
     count). Pair-independence comes from each matroid's part codes and
     capacities, comparability from preorder intervals over the sorted labels.
     Sets, all of them up to ``ENCODING_EXHAUSTIVE_SETS`` types, else ``set_samples``
-    seeded random ones, are independent by the count stepper iff a chain. A sample can
+    seeded random ones from ``_sampled_sets`` (the sets ``random.sample`` drew on CPython
+    3.11), are independent by the count stepper iff a chain. A sample can
     miss a fault only one set shows: a matroid capping a root path's three k = 3 types
     at 2 passes on all 39 at seeds 0-2. The witness is the first mismatch, pairs first.
-    Raises ValidationError if a member is not a PartitionMatroid.
+    Raises ValidationError if a member is not a PartitionMatroid or ``set_samples`` is
+    not an int >= 0.
     """
+    if not isinstance(set_samples, int) or set_samples < 0:
+        raise ValidationError(f"set_samples must be an int >= 0, got {set_samples!r}")
     for i, m in enumerate(matroids):
         if not isinstance(m, PartitionMatroid):
             raise ValidationError(
@@ -348,9 +382,8 @@ def check_encoding(
     n = len(ground)
     if n <= ENCODING_EXHAUSTIVE_SETS:
         sets = (c for size in range(3, n + 1) for c in itertools.combinations(range(n), size))
-    else:  # ``sample``'s draws depend on the population's length alone: the same sets
-        rng = random.Random(seed)
-        sets = (rng.sample(range(n), rng.randint(2, min(8, n))) for _ in range(set_samples))
+    else:
+        sets = _sampled_sets(n, set_samples, seed)
     while block := list(itertools.islice(sets, max(1, ENCODING_PAIR_BLOCK >> 3))):
         # a chain: every member's subtree holds the deepest member's preorder position
         members = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64)

@@ -356,3 +356,18 @@ class TestCheckEncodingAgainstReference:
         edges = {t: (f"u{i}", f"v{i}") for i, t in enumerate(sorted(label_map))}
         with pytest.raises(ValidationError, match="member 1 is 'matching'"):
             check_encoding([matroids[0], MatchingFamily(edges)], label_map)
+
+    @pytest.mark.parametrize("bad", [-5, -1, 2.5, "10", None])
+    def test_set_samples_not_an_int_at_least_0_rejected(self, bad):
+        matroids, label_map = gen_prime_matroid_encoding(3)
+        with pytest.raises(ValidationError, match="set_samples"):
+            check_encoding(matroids, label_map, set_samples=bad)
+
+    # up to 21 types every size swaps in a pool; 22-85 redraw a taken index at sizes 2-5
+    # and swap at 6-8; past 85 every size redraws
+    @pytest.mark.parametrize("n", [13, 21, 22, 39, 85, 86, 300, 3905])
+    def test_sampled_sets_are_the_ones_random_sample_draws(self, n):
+        for seed in range(50):
+            rng = random.Random(seed)
+            want = [rng.sample(range(n), rng.randint(2, min(8, n))) for _ in range(200)]
+            assert list(verify._sampled_sets(n, 200, seed)) == want, seed
