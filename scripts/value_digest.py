@@ -31,9 +31,11 @@ weights (the table route over a rank), and on ``gen_random_instance`` seeds
 0-29 of the default parameters.
 
 The encoding lines give ``check_encoding``'s verdict and sorted witness at
-seeds 0 and 1 (10,000 sampled sets past 12 types) for the k = 2 and 3
+seeds 0 and 1, which the exact check accepts and ignores, for the k = 2 and 3
 encodings, a seeded 40-type subset of k = 5, one more matroid that caps a
-root path's three k = 3 types at 2 (on 12, 13 and all 39 types), and four
+root path's three k = 3 types at 2 (on 12, 13 and all 39 types), a loop no
+pair shows (``e0:on``'s part in the first k = 3 matroid at capacity 0, on the
+three incomparable types ``e0:on``, ``e1:on`` and ``e2:on``), and four
 seeded corruptions of each of the first three: a part flipped, a capacity
 set to 0 or 2, a type dropped from every ground, a label shared.
 
@@ -48,7 +50,7 @@ matroid and a matching, one of path chains and that partition matroid, and
 an ``ExplicitFamily`` that is not downward closed, alone and intersected
 with a partition matroid.
 
-It prints 7,825 lines in about 17 s on a 2-vCPU VM, 13 s of them in the
+It prints 7,827 lines in about 17 s on a 2-vCPU VM, 13 s of them in the
 independence lines (13 million subsets, one test per family).
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
@@ -223,6 +225,10 @@ def encodings() -> None:
     for size in (12, 13, 39):
         chosen = [*triple, *random.Random(0).sample(others, size - 3)]
         cases[f"k=3 triple:{size}"] = [*m3, extra], {t: l3[t] for t in chosen}
+    first = m3[0]
+    cases["k=3 loop"] = (
+        [PartitionMatroid(first.part_of, first.capacity | {first.part_of["e0:on"]: 0}), *m3[1:]],
+        {t: l3[t] for t in ("e0:on", "e1:on", "e2:on")})
     for label, (matroids, label_map) in cases.items():
         for seed in (0, 1):
             ok, witness = check_encoding(matroids, label_map, seed=seed)

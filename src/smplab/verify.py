@@ -12,9 +12,8 @@ import bisect
 import functools
 import itertools
 import math
-import random
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -210,16 +209,22 @@ def find_extension_witness(
     e_all = frozenset(extension)
     if not a <= b:
         raise ValidationError("base must be a subset of superset")
-    if not family.is_independent(b):
+    items = sorted(b | e_all)  # every set tested lies within
+    test, index = family._tester(items), {t: i for i, t in enumerate(items)}
+
+    def independent(types: Iterable[str]) -> bool:  # a list: an intersection reads it per member
+        return test([index[t] for t in types])
+
+    if not independent(b):
         raise ValidationError("superset must be independent")
-    if not family.is_independent(a | e_all):
+    if not independent(a | e_all):
         raise ValidationError("base plus extension must be independent")
 
     removed: frozenset[str] = frozenset()
     inserted: frozenset[str] = frozenset()
     for e in sorted(e_all):
         candidates = sorted(b - removed - a - inserted)
-        step = _removal_set(family.is_independent, b - removed | inserted, e, candidates, k)
+        step = _removal_set(independent, b - removed | inserted, e, candidates, k)
         if step is None:
             raise NotKExtendibleError(
                 f"no witness of size <= {k} while inserting {e!r}; "
@@ -231,17 +236,14 @@ def find_extension_witness(
 
     result = b - removed | e_all
     if not (removed <= b - a and len(removed) <= k * len(e_all)
-            and family.is_independent(result)):
+            and independent(result)):
         raise AssertionError("extension witness invariants violated")
     return removed
 
 
-#: Pair cells (row type x column type) the encoding check decides per block, and an
-#: eighth as many sets of types; it bounds the check's temporary arrays.
+#: Pair cells (row type x column type) the encoding check decides per block; it bounds
+#: the check's temporary arrays.
 ENCODING_PAIR_BLOCK = 1 << 18
-
-#: Largest ground the encoding check tests every set of, not a sample of sets.
-ENCODING_EXHAUSTIVE_SETS = 12
 
 
 def _label_intervals(labels: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
@@ -311,34 +313,32 @@ def _first_pair_mismatch(
     return None
 
 
-def _sampled_sets(n: int, count: int, seed: int) -> Iterator[list[int]]:
-    """``count`` lists of 2 to ``min(8, n)`` distinct indices below ``n``: the ones
-    ``rng.sample(range(n), rng.randint(2, min(8, n)))`` draws with ``rng =
-    random.Random(seed)`` on CPython 3.11, taken from ``getrandbits`` by the same rules.
-    An index below ``m`` is ``m.bit_length()`` random bits, drawn again while ``>= m``.
-    Among more than 21 indices (85 for a set of 6-8) an index already taken is drawn
-    again; among fewer, a position in a pool of the untaken ones is drawn and the
-    pool's last index fills it."""
-    bits = random.Random(seed).getrandbits
-    sizes = min(8, n) - 1  # how many sizes there are: 2 to min(8, n)
-    size_bits, n_bits = sizes.bit_length(), n.bit_length()
-    for _ in range(count):
-        while (size := bits(size_bits)) >= sizes:
-            pass
-        size += 2
-        s: list[int] = []
-        if n > (21 if size <= 5 else 85):
-            while len(s) < size:
-                if (j := bits(n_bits)) < n and j not in s:
-                    s.append(j)
-        else:
-            pool = list(range(n))
-            for m in range(n, n - size, -1):
-                while (j := bits(m.bit_length())) >= m:
-                    pass
-                s.append(pool[j])
-                pool[j] = pool[m - 1]
-        yield s
+def _overfull_chain(
+    matroids: Sequence[PartitionMatroid], ground: Sequence[str], pos: np.ndarray, end: np.ndarray
+) -> list[int] | None:
+    """The first chain of c + 1 types in a part of capacity c >= 2, by matroid and then by
+    the part's first type, or None. One pass over a part's types in preorder keeps the
+    stack of those whose labels are prefixes of (or equal to) the current one's. Every
+    type must be in every member's ground."""
+    pos, end = pos.tolist(), end.tolist()
+    for m in matroids:
+        if max(m.capacity.values(), default=0) < 2:
+            continue
+        parts: dict = {}
+        for i, t in enumerate(ground):
+            if m.capacity[p := m.part_of[t]] >= 2:
+                parts.setdefault(p, []).append(i)
+        for p, members in parts.items():
+            if len(members) <= m.capacity[p]:
+                continue
+            stack: list[int] = []
+            for i in sorted(members, key=pos.__getitem__):
+                while stack and pos[i] >= end[stack[-1]]:  # not below the top's label
+                    stack.pop()
+                stack.append(i)
+                if len(stack) > m.capacity[p]:
+                    return stack
+    return None
 
 
 def check_encoding(
@@ -349,19 +349,24 @@ def check_encoding(
     seed: int = 0,
 ) -> tuple[bool, frozenset | None]:
     """Verify that the intersection of partition matroids realizes the
-    ancestor-chain family of the labels in ``label_map``.
+    ancestor-chain family of the labels in ``label_map``: a set of types is
+    independent exactly when their labels are pairwise prefix-related (equal labels
+    count).
 
-    Pairs are checked exhaustively, with arrays: two types are jointly
-    independent exactly when their labels are prefix-related (equal labels
-    count). Pair-independence comes from each matroid's part codes and
-    capacities, comparability from preorder intervals over the sorted labels.
-    Sets, all of them up to ``ENCODING_EXHAUSTIVE_SETS`` types, else ``set_samples``
-    seeded random ones from ``_sampled_sets`` (the sets ``random.sample`` drew on CPython
-    3.11), are independent by the count stepper iff a chain. A sample can
-    miss a fault only one set shows: a matroid capping a root path's three k = 3 types
-    at 2 passes on all 39 at seeds 0-2. The witness is the first mismatch, pairs first.
-    Raises ValidationError if a member is not a PartitionMatroid or ``set_samples`` is
-    not an int >= 0.
+    The check is exact: the two families are equal exactly when
+    (a) no type is a loop, outside a member's ground or in a part of capacity 0;
+    (b) every pair agrees;
+    (c) no part of capacity c >= 2 holds a chain of c + 1 of its types.
+    Proof: a non-chain holds an incomparable pair, which (b) makes dependent; a chain
+    meets a part of capacity <= 1 at most once by (a) and (b), one of capacity c >= 2 at
+    most c times by (c). Pairs go first, with arrays: each matroid's part codes and
+    capacities on one side, preorder intervals over the sorted labels on the other. The
+    witness is the first mismatching pair, else the first loop alone, else the first
+    c + 1 types of a chain that overfills a part.
+
+    ``set_samples`` and ``seed`` are accepted and ignored. Raises ValidationError if a
+    member is not a PartitionMatroid, ``set_samples`` is not an int >= 0, there is no
+    member, or the members' grounds differ.
     """
     if not isinstance(set_samples, int) or set_samples < 0:
         raise ValidationError(f"set_samples must be an int >= 0, got {set_samples!r}")
@@ -370,32 +375,17 @@ def check_encoding(
             raise ValidationError(
                 f"check_encoding needs partition matroids; member {i} is {m.kind!r}"
             )
+    IntersectionFamily(matroids)  # refuses no member and unequal grounds
     ground = sorted(label_map)
-    initial, step = IntersectionFamily(matroids)._stepper(ground)
     pos, end = _label_intervals([label_map[t][0] for t in ground])
 
     keys, loop = _pair_keys(matroids, ground)
     pair = _first_pair_mismatch(keys, loop, pos, end)
     if pair is not None:
         return False, frozenset(ground[i] for i in pair)
-
-    n = len(ground)
-    if n <= ENCODING_EXHAUSTIVE_SETS:
-        sets = (c for size in range(3, n + 1) for c in itertools.combinations(range(n), size))
-    else:
-        sets = _sampled_sets(n, set_samples, seed)
-    while block := list(itertools.islice(sets, max(1, ENCODING_PAIR_BLOCK >> 3))):
-        # a chain: every member's subtree holds the deepest member's preorder position
-        members = np.fromiter(itertools.chain.from_iterable(block), dtype=np.int64)
-        sizes = np.fromiter(map(len, block), dtype=np.int64, count=len(block))
-        starts = np.cumsum(sizes) - sizes
-        deepest = np.maximum.reduceat(pos[members], starts)
-        chains = np.logical_and.reduceat(np.repeat(deepest, sizes) < end[members], starts)
-        for s, chain in zip(block, chains.tolist()):
-            state = initial
-            for i in s:
-                if (state := step(state, i)) is None:
-                    break
-            if (state is not None) != chain:
-                return False, frozenset(ground[i] for i in s)
+    if loop.any():
+        return False, frozenset({ground[int(loop.argmax())]})
+    chain = _overfull_chain(matroids, ground, pos, end)
+    if chain is not None:
+        return False, frozenset(ground[i] for i in chain)
     return True, None

@@ -5,7 +5,8 @@ oracles enumerate full type vectors or subsets with :func:`profiles` and
 walk the tree with :func:`walk`, the Monte Carlo reference walks the
 decision tree one sampled row of type ids at a time, independence is
 decided from each family's definition rather than its stepper, and the
-encoding reference asks that about every pair.
+encoding reference asks that about every pair, every type and every set
+of up to 12 types.
 """
 
 import itertools
@@ -391,35 +392,41 @@ def _ancestor_comparable(la, lb):
     return longer[: len(shorter)] == shorter
 
 
+def reference_chain(label_map, types):
+    """Whether the labels of ``types`` are pairwise prefix-related (equal labels count)."""
+    labs = [label_map[t][0] for t in types]
+    return all(_ancestor_comparable(x, y) for x, y in itertools.combinations(labs, 2))
+
+
 def reference_check_encoding(
     matroids, label_map, *, set_samples=10_000, seed=0, exhaustive_set_limit=12
 ):
-    """``check_encoding`` as a loop: every pair and set through ``reference_independent``."""
+    """``check_encoding`` as a loop: every pair, every type alone, and every set (a
+    seeded sample of them past ``exhaustive_set_limit`` types) through
+    ``reference_independent``."""
     inter = IntersectionFamily(list(matroids))
     ground = sorted(label_map)
 
-    def chain(types):
-        labs = [label_map[t][0] for t in types]
-        return all(
-            _ancestor_comparable(x, y) for x, y in itertools.combinations(labs, 2)
-        )
+    def mismatch(s):
+        return reference_independent(inter, s) != reference_chain(label_map, s)
 
     for a, b in itertools.combinations(ground, 2):
-        expected = _ancestor_comparable(label_map[a][0], label_map[b][0])
-        if reference_independent(inter, {a, b}) != expected:
+        if mismatch({a, b}):
             return False, frozenset({a, b})
+    for t in ground:
+        if mismatch({t}):
+            return False, frozenset({t})
 
     if len(ground) <= exhaustive_set_limit:
         for size in range(3, len(ground) + 1):
             for combo in itertools.combinations(ground, size):
-                s = frozenset(combo)
-                if reference_independent(inter, s) != chain(s):
-                    return False, s
+                if mismatch(combo):
+                    return False, frozenset(combo)
     else:
         rng = random.Random(seed)
         for _ in range(set_samples):
             size = rng.randint(2, min(8, len(ground)))
             s = frozenset(rng.sample(ground, size))
-            if reference_independent(inter, s) != chain(s):
+            if mismatch(s):
                 return False, s
     return True, None

@@ -248,7 +248,7 @@ def test_criterion_5_tree_instance_chain():
 def test_criterion_6_matroid_intersection_encoding():
     ok = True
     details = []
-    for k in (2, 3, 5):  # k=5: all 7,622,560 pairs and 10,000 sampled sets
+    for k in (2, 3, 5):  # k=5: all 7,622,560 pairs, every type and every part
         matroids, label_map = gen_prime_matroid_encoding(k)
         passed, witness = check_encoding(matroids, label_map, set_samples=10_000, seed=1)
         ok &= passed

@@ -250,6 +250,22 @@ class TestGapCommands:
     def test_gap_matroid_encoding(self):
         assert main(["gap-matroid-encoding", "--k", "2", "--samples", "500"]) == 0
 
+    def test_gap_matroid_encoding_report_is_the_same_at_any_samples_and_seed(self, tmp_path,
+                                                                           capsys):
+        # the check is exact: --samples and --seed still parse, and change nothing
+        reports = []
+        for i, flags in enumerate((["--seed", "0", "--samples", "500"],
+                                   ["--seed", "1", "--samples", "10000"], ["--samples", "0"])):
+            out = tmp_path / f"encoding{i}.json"
+            assert main(["gap-matroid-encoding", "--k", "3", *flags, "--out", str(out)]) == 0
+            doc = json.loads(out.read_text())
+            del doc["timings"]
+            reports.append((json.dumps(doc), out.with_suffix(".csv").read_bytes()))
+        assert reports[1:] == reports[:1] * 2
+        capsys.readouterr()
+        assert main(["gap-matroid-encoding", "--k", "3", "--samples", "-1"]) == 2
+        assert "--samples must be >= 0, got -1" in capsys.readouterr().err
+
     def test_gap_matroid_encoding_rejects_composite(self):
         assert main(["gap-matroid-encoding", "--k", "4"]) == 2
 

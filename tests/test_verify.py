@@ -32,7 +32,12 @@ from smplab import (
 )
 from smplab import verify
 from smplab.valuation import ExplicitValuation
-from oracles import powerset, reference_check_encoding, reference_independent
+from oracles import (
+    powerset,
+    reference_chain,
+    reference_check_encoding,
+    reference_independent,
+)
 
 
 class TestCheckSubmodular:
@@ -277,6 +282,27 @@ class TestCheckEncoding:
                 assert got == (False, triple)
                 assert got == reference_check_encoding(*args, set_samples=10_000, seed=seed)
 
+    def test_capped_triple_is_caught_on_every_type(self):
+        # 10,000 sampled sets of all 39 types missed it at seeds 0-2; the chain rule does not
+        matroids, label_map = gen_prime_matroid_encoding(3)
+        triple = frozenset({"e0:on", "e0.0:on", "e0.0.0:on"})
+        extra = PartitionMatroid({t: "path" if t in triple else t for t in label_map},
+                                 {"path": 2} | {t: 1 for t in label_map if t not in triple})
+        for seed in range(3):
+            got = check_encoding([*matroids, extra], label_map, set_samples=10_000, seed=seed)
+            assert got == (False, triple), seed
+
+    def test_a_loop_no_pair_shows_is_caught(self):
+        # three incomparable edges: every pair is rightly dependent, so only the set
+        # {e0:on} shows that its part in the first matroid holds none
+        matroids, label_map = gen_prime_matroid_encoding(3)
+        subset = {t: label_map[t] for t in ("e0:on", "e1:on", "e2:on")}
+        first = matroids[0]
+        capacity = dict(first.capacity) | {first.part_of["e0:on"]: 0}
+        bad = [PartitionMatroid(first.part_of, capacity), *matroids[1:]]
+        assert check_encoding(bad, subset) == (False, frozenset({"e0:on"}))
+        assert reference_check_encoding(bad, subset) == (False, frozenset({"e0:on"}))
+
     def test_memory_stays_flat_on_k5_subset(self):
         # oracles keep nothing between calls, and the 11175 pairs over 25
         # matroids are decided in blocks of bounded size
@@ -304,7 +330,8 @@ def _encodings():
 
 def _mutate(matroids, label_map, how, rng):
     """One corruption of an encoding: a part id flipped, a capacity set to 0
-    or 2, a type dropped from one or every ground, or a label shared."""
+    or 2, a type dropped from one or every ground, a label shared, or the parts
+    of up to three types on one root path merged into one of capacity 2."""
     matroids = list(matroids)
     label_map = dict(label_map)
     types = sorted(label_map)
@@ -319,6 +346,11 @@ def _mutate(matroids, label_map, how, rng):
             capacity[part_of[t]] = rng.choice((0, 2))
         elif how in ("drop_one", "drop_all"):
             del part_of[t]
+        elif how == "merge":
+            path = [u for u in types if reference_chain(label_map, (t, u))]
+            merged = {part_of[u] for u in rng.sample(path, min(3, len(path)))}
+            part_of = {u: "merged" if p in merged else p for u, p in part_of.items()}
+            capacity["merged"] = 2
         matroids[i] = PartitionMatroid(part_of, capacity)
     if how == "same_label":
         label_map[t] = label_map[rng.choice(types)]
@@ -332,11 +364,25 @@ def _outcome(check, *args, **kwargs):
         return "ValidationError", str(exc)
 
 
+def _assert_same_verdict(got, want, bad):
+    """Equal verdicts (and equal errors), and a witness that is a real mismatch:
+    independent and no chain, or the reverse. The witnesses may differ."""
+    assert got[0] == want[0], (got, want)
+    if got[0] == "ValidationError":
+        assert got == want
+    elif got[0] is False:
+        witness = got[1]
+        assert reference_independent(IntersectionFamily(bad[0]), witness) != reference_chain(
+            bad[1], witness), witness
+
+
 class TestCheckEncodingAgainstReference:
     @pytest.mark.parametrize("block", [verify.ENCODING_PAIR_BLOCK, 7])
     def test_mutated_encodings_match_the_pair_loop(self, monkeypatch, block):
-        # a block of 7 cells decides one row per block, so the witness
-        # order across blocks is exercised too
+        # a block of 7 cells decides one row per block, so the pair phase across
+        # blocks is exercised too. The reference samples sets of these 40-type
+        # grounds, so merged parts, which a set alone may show, are left to the
+        # exhaustive battery below
         monkeypatch.setattr(verify, "ENCODING_PAIR_BLOCK", block)
         failed = Counter()
         for e, (matroids, label_map) in enumerate(_encodings()):
@@ -345,7 +391,7 @@ class TestCheckEncodingAgainstReference:
                     bad = _mutate(matroids, label_map, how, random.Random(f"{e}-{how}-{seed}"))
                     got = _outcome(check_encoding, *bad, set_samples=200, seed=seed)
                     want = _outcome(reference_check_encoding, *bad, set_samples=200, seed=seed)
-                    assert got == want, (e, how, seed)
+                    _assert_same_verdict(got, want, bad)
                     failed[how] += got[0] is False
         # "drop_one" leaves the grounds unequal, so both raise the same error;
         # every other corruption is sometimes caught
@@ -363,11 +409,26 @@ class TestCheckEncodingAgainstReference:
         with pytest.raises(ValidationError, match="set_samples"):
             check_encoding(matroids, label_map, set_samples=bad)
 
-    # up to 21 types every size swaps in a pool; 22-85 redraw a taken index at sizes 2-5
-    # and swap at 6-8; past 85 every size redraws
-    @pytest.mark.parametrize("n", [13, 21, 22, 39, 85, 86, 300, 3905])
-    def test_sampled_sets_are_the_ones_random_sample_draws(self, n):
-        for seed in range(50):
-            rng = random.Random(seed)
-            want = [rng.sample(range(n), rng.randint(2, min(8, n))) for _ in range(200)]
-            assert list(verify._sampled_sets(n, 200, seed)) == want, seed
+
+class TestCheckEncodingIsExact:
+    def test_small_corruptions_match_the_exhaustive_reference(self):
+        # at most 12 types, so the reference tests every set; witnesses may differ, as the
+        # reference takes the first set by size and the check the first chain per part.
+        # Each ground holds one type's root path, so a merge can overfill a part.
+        encodings = [gen_prime_matroid_encoding(k) for k in (2, 3, 5)]
+        caught = Counter()
+        for case in range(600):
+            rng = random.Random(f"exact-{case}")
+            matroids, label_map = encodings[case % 3]
+            types = sorted(label_map)
+            size, deep = rng.randint(4, min(12, len(types))), label_map[rng.choice(types)][0]
+            path = [t for t in types if deep[:len(label_map[t][0])] == label_map[t][0]][:size]
+            chosen = path + rng.sample(sorted(set(types) - set(path)), size - len(path))
+            how = ("flip", "capacity", "drop_one", "drop_all", "same_label", "merge")[case % 6]
+            bad = _mutate(matroids, {t: label_map[t] for t in chosen}, how, rng)
+            got = _outcome(check_encoding, *bad)
+            _assert_same_verdict(got, _outcome(reference_check_encoding, *bad), bad)
+            if got[0] is False:
+                caught[min(len(got[1]), 3)] += 1
+        # a loop, a pair and a longer chain each show some fault
+        assert all(caught[size] > 0 for size in (1, 2, 3)), caught
