@@ -282,15 +282,15 @@ class TestCheckEncoding:
                 assert got == (False, triple)
                 assert got == reference_check_encoding(*args, set_samples=10_000, seed=seed)
 
-    def test_capped_triple_is_caught_on_every_type(self):
+    @pytest.mark.parametrize("seed", range(3))
+    def test_capped_triple_is_caught_on_every_type(self, seed):
         # 10,000 sampled sets of all 39 types missed it at seeds 0-2; the chain rule does not
         matroids, label_map = gen_prime_matroid_encoding(3)
         triple = frozenset({"e0:on", "e0.0:on", "e0.0.0:on"})
         extra = PartitionMatroid({t: "path" if t in triple else t for t in label_map},
                                  {"path": 2} | {t: 1 for t in label_map if t not in triple})
-        for seed in range(3):
-            got = check_encoding([*matroids, extra], label_map, set_samples=10_000, seed=seed)
-            assert got == (False, triple), seed
+        got = check_encoding([*matroids, extra], label_map, set_samples=10_000, seed=seed)
+        assert got == (False, triple)
 
     def test_a_loop_no_pair_shows_is_caught(self):
         # three incomparable edges: every pair is rightly dependent, so only the set
@@ -410,25 +410,32 @@ class TestCheckEncodingAgainstReference:
             check_encoding(matroids, label_map, set_samples=bad)
 
 
+_CORRUPTIONS = ("flip", "capacity", "drop_one", "drop_all", "same_label", "merge")
+
+
 class TestCheckEncodingIsExact:
-    def test_small_corruptions_match_the_exhaustive_reference(self):
+    # what each corruption is sometimes caught by: a pair, a loop (a set of one type),
+    # a chain of three or more types, or the error for unequal grounds
+    @pytest.mark.parametrize("how, shown_by", [
+        ("flip", 2), ("capacity", 2), ("drop_one", "ValidationError"), ("drop_all", 1),
+        ("same_label", 2), ("merge", 3),
+    ])
+    def test_small_corruptions_match_the_exhaustive_reference(self, how, shown_by):
         # at most 12 types, so the reference tests every set; witnesses may differ, as the
         # reference takes the first set by size and the check the first chain per part.
         # Each ground holds one type's root path, so a merge can overfill a part.
         encodings = [gen_prime_matroid_encoding(k) for k in (2, 3, 5)]
         caught = Counter()
-        for case in range(600):
+        for case in range(_CORRUPTIONS.index(how), 600, len(_CORRUPTIONS)):
             rng = random.Random(f"exact-{case}")
             matroids, label_map = encodings[case % 3]
             types = sorted(label_map)
             size, deep = rng.randint(4, min(12, len(types))), label_map[rng.choice(types)][0]
             path = [t for t in types if deep[:len(label_map[t][0])] == label_map[t][0]][:size]
             chosen = path + rng.sample(sorted(set(types) - set(path)), size - len(path))
-            how = ("flip", "capacity", "drop_one", "drop_all", "same_label", "merge")[case % 6]
             bad = _mutate(matroids, {t: label_map[t] for t in chosen}, how, rng)
             got = _outcome(check_encoding, *bad)
             _assert_same_verdict(got, _outcome(reference_check_encoding, *bad), bad)
-            if got[0] is False:
-                caught[min(len(got[1]), 3)] += 1
-        # a loop, a pair and a longer chain each show some fault
-        assert all(caught[size] > 0 for size in (1, 2, 3)), caught
+            if got[0] is not True:
+                caught[got[0] if got[0] == "ValidationError" else min(len(got[1]), 3)] += 1
+        assert caught[shown_by] > 0, caught
