@@ -31,10 +31,7 @@ def main() -> int:
     for k in ("2", "3", "4", "5"):
         worst = max(worst, invoke(["gap-kext", "--k", k], f"kext_{k}"))
     for k in ("2", "3", "5"):
-        worst = max(
-            worst,
-            invoke(["gap-matroid-encoding", "--k", k, "--samples", "10000"], f"encoding_{k}"),
-        )
+        worst = max(worst, invoke(["gap-matroid-encoding", "--k", k], f"encoding_{k}"))
     worst = max(worst, invoke(["reduce-weighted", "--seed", "1", "--k", "2"], "reduction"))
     worst = max(worst, invoke(["verify-suite", "--seed", "1", "--cases", "100"], "verify"))
     print(f"\nreports written to {REPORT_DIR}")

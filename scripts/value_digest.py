@@ -21,7 +21,10 @@ the coverage take the fresh-draw routes and print their refusals. The
 random instances, the triangle at 1/3 and ``gen_tree_lb(3, 2, 1/3)``
 also get the path-sum reference ``adap_by_path_enumeration``. The triangle's
 closed forms ``submodular_lb_adap_recurrence`` and ``submodular_lb_alg_opt``
-print at eps 1/4, 1/10 and 1/20 in Fraction.
+print at eps 1/4, 1/10 and 1/20 in Fraction, and the tree's
+``tree_lb_adaptive_value`` and ``tree_lb_nonadaptive_bound`` at ``gap-kext``'s
+default w = max(k**4, 64) and p = 1/k**3, for k = 1-5 and 300,000 (where 1 - p
+rounds to 1).
 
 The Monte Carlo lines give ``adap_mc`` and ``alg_mc`` value and stderr at
 1 and 2 workers, seed 7 and 2,048 trials, on the triangle at eps 1/5 in
@@ -50,7 +53,7 @@ matroid and a matching, one of path chains and that partition matroid, and
 an ``ExplicitFamily`` that is not downward closed, alone and intersected
 with a partition matroid.
 
-It prints 7,827 lines in about 17 s on a 2-vCPU VM, 13 s of them in the
+It prints 7,833 lines in about 17 s on a 2-vCPU VM, 13 s of them in the
 independence lines (13 million subsets, one test per family).
 
 Usage: PYTHONPATH=src python scripts/value_digest.py > digest.txt
@@ -88,6 +91,8 @@ from smplab import (
     greedy_select,
     submodular_lb_adap_recurrence,
     submodular_lb_alg_opt,
+    tree_lb_adaptive_value,
+    tree_lb_nonadaptive_bound,
 )
 
 PARAMS = {
@@ -176,6 +181,10 @@ def closed_forms() -> None:
         for name, form in (("adap", submodular_lb_adap_recurrence),
                            ("alg-opt", submodular_lb_alg_opt)):
             print(f"closed-form:{eps} fraction {name} {show(form(eps))}")
+    for k in (1, 2, 3, 4, 5, 300_000):
+        w, p = max(k**4, 64), 1 / k**3
+        print(f"closed-form:tree:{k} float adap {show(tree_lb_adaptive_value(k, w, p))} "
+              f"bound {show(tree_lb_nonadaptive_bound(k, p))}")
 
 
 def monte_carlo(label: str, b, valuation=None) -> None:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .core import ExactCapExceeded, ValidationError
 from .evaluate import (
+    MC_TRIAL_CAP,
     adap_by_path_enumeration,
     adap_exact,
     adap_mc,
@@ -104,6 +105,9 @@ def _run_gap_kext(args: argparse.Namespace) -> list[ReportRecord]:
     default_params = args.w is None and args.p is None
     # w = k**4 leaves k = 2 (ratio 1.411) short of k - 0.5; w = 64 gives 1.600 there
     w = args.w if args.w is not None else max(k**4, 64)
+    for flag, name, n in (("--k", "k", k), ("--k" if args.w is None else "--w", "w", w)):
+        if n > sys.float_info.max:
+            raise ValidationError(f"{flag} sets {name} past a float's range: {n.bit_length()} bits")
     p = args.p if args.p is not None else 1 / k**3
     adaptive = tree_lb_adaptive_value(k, w, p)
     bound = tree_lb_nonadaptive_bound(k, p)
@@ -161,6 +165,9 @@ def _run_eval(args: argparse.Namespace) -> list[ReportRecord]:
     if args.mode == "mc":
         if args.trials is None or args.trials < 1:
             raise ValidationError("mc mode requires --trials >= 1")
+        if args.trials > MC_TRIAL_CAP:
+            raise ValidationError(f"--trials must be <= {MC_TRIAL_CAP}; {args.trials} trials "
+                                  f"need {8 * args.trials} bytes of values")
         if args.seed is None:
             raise ValidationError("mc mode requires --seed")
         if what not in ("adap", "alg"):

@@ -12,13 +12,13 @@ probabilities become int numerators over their lcm, and each valuation is compil
 so a set of types is an int mask. ``adap_exact`` and the greedy run on one memoized walk,
 ``_walk``, summing a node's arcs in ints with one gcd. A virtual path's weight is its
 numerator product, and a probed set's fresh draws are grouped by the union of their
-masks, each union valued once, in int tables shared along an order prefix. A weighted
-coverage with exact weights on exact rows skips the draws: by linearity, ``alg_exact``
-sums each item's chance of being covered in one children-first pass over the nodes, and
-``best_nonadaptive_exact`` as a product per set. Float
-probabilities, and a valuation's float values, are summed as Scalars in arc or draw
-order, draws listed one by one, so floats keep their bits. Monte Carlo evaluators are
-deterministic given (seed, trials) and bit-identical for any worker count.
+masks, each union valued once, in one int table per set. A weighted coverage with exact
+weights on exact rows skips the draws: by linearity, ``alg_exact`` sums each item's chance
+of being covered in one children-first pass over the nodes, and ``best_nonadaptive_exact``
+as a product per set. Float probabilities, and a valuation's float values, are summed as
+Scalars in arc or draw order, draws listed one by one, so floats keep their bits. Monte
+Carlo evaluators are deterministic given (seed, trials) and bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ WORK_CAP = 1 << 22
 
 #: Trials per counter-addressed Monte Carlo block.
 MC_BLOCK = 1024
+
+#: Most Monte Carlo trials per evaluation: one float64 value each, 1 GiB at the cap.
+MC_TRIAL_CAP = 1 << 27
 
 #: Most distinct (set, constraint state) pairs the exhaustive non-adaptive search visits.
 SEQUENCE_CAP = 10**6
@@ -230,20 +233,18 @@ def _scalar(value) -> Scalar:
 def _draw_sums(sets: Iterable[Sequence], form: tuple, rows: Mapping[str, tuple]) -> Iterator:
     """Per ``_probed_sets`` entry ``(order, p)``, ``p`` times the expectation of ``form``'s
     value over the set's fresh draws. On rational rows, a table from the draws' mask unions
-    to their int weights grows an element at a time, kept while the next order starts with
-    the same prefix; each union is valued once, in one exact sum. A set with a float row,
-    and all from ``form``'s first float value on, list their draws lazily instead."""
+    to their int weights grows an element at a time from ``{0: 1}``; each union is valued
+    once, in one exact sum. A set with a float row, and all from ``form``'s first float
+    value on, list their draws lazily instead."""
     masks, f = form
-    chain: list[dict[int, int]] = []  # the tables of a prefix of the current order
     grouped = True  # until f gives a float
-    for (order, p), (nxt, _) in itertools.pairwise(itertools.chain(sets, [((), 0)])):
+    for order, p in sets:
         rs = [rows[e] for e in order]
         scale = None if any(r[2] is None for r in rs) else math.prod(r[2] for r in rs)
         fractional = scale is not None and any(r[3] for r in rs)
-        keep = len(os.path.commonprefix([order, nxt]))  # the tables the next order reuses
         if scale and grouped:
-            table = chain[-1] if chain else {0: 1}
-            for r in rs[len(chain):]:
+            table = {0: 1}
+            for r in rs:
                 grown: dict[int, int] = {}
                 level = [(masks[t], w) for t, w in r[1].items()]
                 for m, w in table.items():
@@ -251,14 +252,11 @@ def _draw_sums(sets: Iterable[Sequence], form: tuple, rows: Mapping[str, tuple])
                         key = m | b
                         grown[key] = grown.get(key, 0) + w * v
                 table = grown
-                if len(chain) < keep:
-                    chain.append(table)
             values = list(map(f, table))
             if grouped := not any(isinstance(v, float) for v in values):
                 n, d = p if type(p) is tuple else (p.numerator, p.denominator)
                 yield _weighted_sum(zip(map(n.__mul__, table.values()), values,
                                         itertools.repeat(0)), scale * d, fractional)
-        del chain[keep:]
         if not (scale and grouped):
             levels = [r[1] if scale else r[0] for r in rs]
             weights = map(math.prod, itertools.product(*[lv.values() for lv in levels]))
@@ -670,6 +668,9 @@ def _path_mc(
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if trials > MC_TRIAL_CAP:
+        raise ValidationError(f"trials must be <= MC_TRIAL_CAP = {MC_TRIAL_CAP}; {trials} trials "
+                              f"need {8 * trials} bytes of values")
     RandomStream(seed)  # refuses a bad seed before the tree is compiled
     coded = _CodedTree(prep := _Prepared(tree, universe, dist))
     value_of = _row_values(f, prep.names)

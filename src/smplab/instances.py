@@ -293,8 +293,11 @@ def _check_tree_lb(k: int, p: Scalar, w: int = 1) -> None:
 
 def tree_lb_adaptive_value(k: int, w: int, p: Scalar) -> Scalar:
     """Expected value of probing all siblings per level and descending below
-    the first active edge: k * (1 - (1-p)**w)."""
+    the first active edge: k * (1 - (1-p)**w), by ``expm1`` and ``log1p`` where
+    ``1 - p`` rounds to 1."""
     _check_tree_lb(k, p, w)
+    if 1 - p == 1:
+        return -k * math.expm1(w * math.log1p(-p))
     return k * (1 - (1 - p) ** w)
 
 

@@ -247,6 +247,21 @@ class TestGapCommands:
         assert main(["gap-kext", "--k", "3", *args]) == 2
         assert named in capsys.readouterr().err
 
+    def test_gap_kext_keeps_p_past_the_precision_of_one_minus_p(self, capsys):
+        # p = 1/k**3 < 2**-54 from k = 2**18 on, where 1 - p rounds to 1.0
+        assert main(["gap-kext", "--k", "300000"]) == 0
+        ratio = capsys.readouterr().out.splitlines()[-1]
+        assert ratio.startswith("[PASS] ratio value=")
+        assert float(ratio.split("value=")[1].split()[0]) >= 299999.5
+
+    @pytest.mark.parametrize("args, flag", [(["--k", str(10**80)], "--k sets w"),
+                                            (["--k", "2", "--w", str(10**400)], "--w sets w")],
+                             ids=["k", "w"])
+    def test_gap_kext_refuses_a_size_past_a_float(self, capsys, args, flag):
+        assert main(["gap-kext", *args]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+
     def test_gap_matroid_encoding(self):
         assert main(["gap-matroid-encoding", "--k", "2", "--samples", "500"]) == 0
 
@@ -553,6 +568,17 @@ class TestEvalCommands:
             run(argv)
         with pytest.raises(ValidationError, match="mc mode requires --seed"):
             run([*argv, "--trials", "10"])
+
+    def test_mc_refuses_trials_past_the_cap_before_allocating(self, instance_file, capsys,
+                                                              monkeypatch):
+        def collect(*args):
+            raise AssertionError("the values array was allocated")
+
+        monkeypatch.setattr(smplab.evaluate, "_mc_collect", collect)
+        argv = ["mc-estimate", "--file", str(instance_file), "--trials", str(10**12),
+                "--seed", "1"]
+        assert main(argv) == 2
+        assert "--trials must be <= 134217728" in capsys.readouterr().err
 
     @pytest.mark.parametrize("what", ["greedy", "best-na"])
     def test_mc_mode_refuses_exact_only_targets(self, instance_file, capsys, what):

@@ -43,7 +43,7 @@ from smplab import (
     universe_from_type_space,
     validate_tree,
 )
-from smplab.evaluate import MC_BLOCK, _Prepared, _row_values
+from smplab.evaluate import MC_BLOCK, MC_TRIAL_CAP, _Prepared, _row_values
 from smplab.valuation import WeightedCoverageValuation
 from oracles import (
     brute_adap,
@@ -660,7 +660,8 @@ def test_mc_thread_pool_bounded_by_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize("fn", [adap_mc, alg_mc])
-@pytest.mark.parametrize("trials, seed, error", [(0, 1, "trials"), (8, -1, "seed")])
+@pytest.mark.parametrize("trials, seed, error", [(0, 1, "trials"), (8, -1, "seed"),
+                                                  (MC_TRIAL_CAP + 1, 1, "MC_TRIAL_CAP")])
 def test_mc_refuses_before_any_tree_work(monkeypatch, fn, trials, seed, error):
     def compile_tree(*args):
         raise AssertionError("the tree was compiled")

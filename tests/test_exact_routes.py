@@ -322,7 +322,7 @@ def test_coverage_walk_memory_on_the_triangle():
 
 def test_grouped_draw_sums_memory_on_a_long_chain():
     # one probed set of 14 two-type elements under a rank-5 uniform matroid: 2**14
-    # distinct union masks; no later set reuses a prefix, so only the last two tables
+    # distinct union masks; each set builds its own table, so only the last two tables
     # are live, where keeping one table per element of the order peaks near 3.7 MB
     space = {f"e{i:02d}": (f"e{i:02d}.a", f"e{i:02d}.b") for i in range(14)}
     universe = universe_from_type_space(space)

@@ -152,6 +152,19 @@ class TestTreeInstance:
         )
         assert tree_lb_nonadaptive_bound(3, 1 / 27) == pytest.approx(1 + 1 / 9)
 
+    # gap-kext's defaults; k = 3 is (3, 81, 1/27)
+    @pytest.mark.parametrize("k, w, p", [(k, max(k**4, 64), 1 / k**3) for k in range(1, 6)])
+    def test_adaptive_formula_keeps_its_bits_where_one_minus_p_is_below_one(self, k, w, p):
+        assert tree_lb_adaptive_value(k, w, p).hex() == (k * (1 - (1 - p) ** w)).hex()
+
+    @pytest.mark.parametrize("k, w, p", [(300_000, 300_000**4, 1 / 300_000**3), (3, 81, 1e-320)],
+                             ids=["k300000", "p1e-320"])
+    def test_adaptive_formula_keeps_a_p_that_one_minus_p_drops(self, k, w, p):
+        # 1 - p rounds to 1.0, so the plain form reads 0.0; log1p(-p) is -p within p**2
+        assert tree_lb_adaptive_value(k, w, p) == pytest.approx(k * -math.expm1(-w * p),
+                                                                rel=1e-9)
+        assert tree_lb_adaptive_value(k, w, p) > 0
+
     def test_reference_tree_value_matches_formula_exactly(self):
         for k, w, p in ((2, 2, Fraction(1, 4)), (1, 3, Fraction(1, 2)), (2, 3, Fraction(1, 3))):
             bundle = gen_tree_lb(k, w, p)
