@@ -34,7 +34,6 @@ from .families import (
     MatchingFamily,
     PartitionMatroid,
     PathChainFamily,
-    greedy_rank,
     greedy_select,
     make_uniform_matroid,
     max_rank,

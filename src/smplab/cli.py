@@ -109,6 +109,8 @@ def _run_gap_kext(args: argparse.Namespace) -> list[ReportRecord]:
         if n > sys.float_info.max:
             raise ValidationError(f"{flag} sets {name} past a float's range: {n.bit_length()} bits")
     p = args.p if args.p is not None else 1 / k**3
+    if p == 0 and args.p is None:
+        raise ValidationError(f"--k sets p = 1/k**3 below a float's range: {k.bit_length()} bits")
     adaptive = tree_lb_adaptive_value(k, w, p)
     bound = tree_lb_nonadaptive_bound(k, p)
     ratio = adaptive / bound

@@ -286,10 +286,6 @@ def greedy_select(family: IndependenceOracle, ordered: Iterable[str]) -> tuple[s
     return tuple(ordered[i] for i in _greedy(step, initial, range(len(ordered))))
 
 
-def greedy_rank(family: IndependenceOracle, ordered: Iterable[str]) -> int:
-    return len(greedy_select(family, ordered))
-
-
 def max_rank(
     family: IndependenceOracle,
     types: Iterable[str],

@@ -8,14 +8,11 @@ search order (or None on success).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .core import Scalar, Universe, ValidationError
 from .families import IndependenceOracle, IntersectionFamily, PartitionMatroid, _bits
@@ -241,86 +238,32 @@ def find_extension_witness(
     return removed
 
 
-#: Pair cells (row type x column type) the encoding check decides per block; it bounds
-#: the check's temporary arrays.
-ENCODING_PAIR_BLOCK = 1 << 18
-
-
-def _label_intervals(labels: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray]:
-    """Preorder position and subtree end of each label among the distinct
-    labels: ``a`` is a prefix of (or equal to) ``b`` exactly when
-    ``pos[a] <= pos[b] < end[a]``."""
-    distinct = sorted(set(labels))
-    rank = {lab: i for i, lab in enumerate(distinct)}
-    # the labels extending ``lab`` sort right after it, before ``lab + (inf,)``
-    end = {lab: bisect.bisect_left(distinct, lab + (math.inf,)) for lab in distinct}
-    return (
-        np.array([rank[lab] for lab in labels], dtype=np.int64),
-        np.array([end[lab] for lab in labels], dtype=np.int64),
-    )
-
-
-def _pair_keys(
-    matroids: Sequence[PartitionMatroid], types: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pair-independence of partition matroids as arrays.
-
-    Returns ``keys`` of shape (matroids, types) and a per-type ``loop`` flag:
-    a pair of distinct types is dependent in matroid ``m`` exactly when
-    ``keys[m]`` is equal on them or either is a loop. Types in a part of
-    capacity < 2 get that part's code; every other type gets a key of its own.
-    A type outside the ground or in a part of capacity 0 is a loop.
-    """
-    keys = np.empty((len(matroids), len(types)), dtype=np.int64)
-    loop = np.zeros(len(types), dtype=bool)
-    for m, matroid in enumerate(matroids):
-        code: dict = {}
-        row = []
-        for i, t in enumerate(types):
-            if t in matroid.part_of:
-                part = matroid.part_of[t]
-                cap = matroid.capacity[part]
-            else:  # outside the ground
-                part, cap = None, 0
-            if cap == 0:
-                loop[i] = True
-            # own keys are negative, so never a part code
-            row.append(code.setdefault(part, len(code)) if cap < 2 else -1 - i)
-        keys[m] = row
-    return keys, loop
-
-
-def _first_pair_mismatch(
-    keys: np.ndarray, loop: np.ndarray, pos: np.ndarray, end: np.ndarray
-) -> tuple[int, int] | None:
-    """First pair ``i < j`` in row-major order whose pair-independence differs
-    from label comparability, decided in row blocks of the upper triangle."""
-    n = len(loop)
-    rows_per_block = max(1, ENCODING_PAIR_BLOCK // max(n, 1))
-    for r0 in range(0, n - 1, rows_per_block):
-        r = slice(r0, min(r0 + rows_per_block, n - 1))
-        c = slice(r0 + 1, n)
-        dependent = loop[r, None] | loop[None, c]
-        for key in keys:
-            dependent |= key[r, None] == key[None, c]
-        pr, pc = pos[r, None], pos[None, c]
-        comparable = ((pr <= pc) & (pc < end[r, None])) | ((pc <= pr) & (pr < end[None, c]))
-        mismatch = dependent == comparable  # independent != comparable
-        mismatch &= np.arange(c.start, n)[None, :] > np.arange(r.start, r.stop)[:, None]
-        if mismatch.any():
-            i, j = divmod(int(mismatch.argmax()), n - c.start)
-            return r.start + i, c.start + j
-    return None
+def _related(labels: Sequence[tuple[int, ...]]) -> list[int]:
+    """For each label, the bits of the labels that are a prefix of it, equal to it or an
+    extension of it. One walk over the distinct labels in sorted order keeps the stack of
+    those that are prefixes of the current one."""
+    bits: dict = {}
+    for j, lab in enumerate(labels):
+        bits[lab] = bits.get(lab, 0) | 1 << j
+    related = dict(bits)
+    stack: list = []
+    for lab in sorted(bits):
+        while stack and lab[:len(stack[-1])] != stack[-1]:
+            stack.pop()
+        for top in stack:
+            related[lab] |= bits[top]
+            related[top] |= bits[lab]
+        stack.append(lab)
+    return [related[lab] for lab in labels]
 
 
 def _overfull_chain(
-    matroids: Sequence[PartitionMatroid], ground: Sequence[str], pos: np.ndarray, end: np.ndarray
+    matroids: Sequence[PartitionMatroid], ground: Sequence[str], labels: Sequence[tuple]
 ) -> list[int] | None:
     """The first chain of c + 1 types in a part of capacity c >= 2, by matroid and then by
-    the part's first type, or None. One pass over a part's types in preorder keeps the
+    the part's first type, or None. One pass over a part's types in label order keeps the
     stack of those whose labels are prefixes of (or equal to) the current one's. Every
     type must be in every member's ground."""
-    pos, end = pos.tolist(), end.tolist()
     for m in matroids:
         if max(m.capacity.values(), default=0) < 2:
             continue
@@ -332,9 +275,9 @@ def _overfull_chain(
             if len(members) <= m.capacity[p]:
                 continue
             stack: list[int] = []
-            for i in sorted(members, key=pos.__getitem__):
-                while stack and pos[i] >= end[stack[-1]]:  # not below the top's label
-                    stack.pop()
+            for i in sorted(members, key=labels.__getitem__):
+                while stack and labels[i][:len(labels[stack[-1]])] != labels[stack[-1]]:
+                    stack.pop()  # the top's label is not a prefix of this one
                 stack.append(i)
                 if len(stack) > m.capacity[p]:
                     return stack
@@ -359,10 +302,11 @@ def check_encoding(
     (c) no part of capacity c >= 2 holds a chain of c + 1 of its types.
     Proof: a non-chain holds an incomparable pair, which (b) makes dependent; a chain
     meets a part of capacity <= 1 at most once by (a) and (b), one of capacity c >= 2 at
-    most c times by (c). Pairs go first, with arrays: each matroid's part codes and
-    capacities on one side, preorder intervals over the sorted labels on the other. The
-    witness is the first mismatching pair, else the first loop alone, else the first
-    c + 1 types of a chain that overfills a part.
+    most c times by (c). Pairs go first, on int bit rows over the sorted types: a pair is
+    dependent when it shares a part of capacity 1 or holds a loop, and related when its
+    labels are prefix-related. The witness is the first mismatching pair in row-major
+    order, else the first loop alone, else the first c + 1 types of a chain that
+    overfills a part.
 
     ``set_samples`` and ``seed`` are accepted and ignored. Raises ValidationError if a
     member is not a PartitionMatroid, ``set_samples`` is not an int >= 0, there is no
@@ -377,15 +321,30 @@ def check_encoding(
             )
     IntersectionFamily(matroids)  # refuses no member and unequal grounds
     ground = sorted(label_map)
-    pos, end = _label_intervals([label_map[t][0] for t in ground])
+    labels = [label_map[t][0] for t in ground]
+    loops, shared = 0, [0] * len(ground)  # shared[i]: types sharing a part of capacity 1
+    for m in matroids:
+        parts: dict = {}
+        members = []
+        for i, t in enumerate(ground):
+            cap = m.capacity[p := m.part_of[t]] if t in m.part_of else 0
+            if cap == 0:
+                loops |= 1 << i
+            elif cap == 1:
+                parts[p] = parts.get(p, 0) | 1 << i
+                members.append((i, p))
+        for i, p in members:
+            shared[i] |= parts[p]
 
-    keys, loop = _pair_keys(matroids, ground)
-    pair = _first_pair_mismatch(keys, loop, pos, end)
-    if pair is not None:
-        return False, frozenset(ground[i] for i in pair)
-    if loop.any():
-        return False, frozenset({ground[int(loop.argmax())]})
-    chain = _overfull_chain(matroids, ground, pos, end)
+    everyone = (1 << len(ground)) - 1
+    for i, related in enumerate(_related(labels)):
+        dependent = everyone if loops >> i & 1 else shared[i] | loops
+        wrong = ~(dependent ^ related) & everyone & ~((2 << i) - 1)
+        if wrong:
+            return False, frozenset({ground[i], ground[(wrong & -wrong).bit_length() - 1]})
+    if loops:
+        return False, frozenset({ground[(loops & -loops).bit_length() - 1]})
+    chain = _overfull_chain(matroids, ground, labels)
     if chain is not None:
         return False, frozenset(ground[i] for i in chain)
     return True, None

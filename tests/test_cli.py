@@ -262,6 +262,12 @@ class TestGapCommands:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
 
+    def test_gap_kext_refuses_a_k_whose_default_p_is_zero(self, capsys):
+        # with --w given, k = 10**200 passes the float check but 1/k**3 underflows to 0.0
+        assert main(["gap-kext", "--k", str(10**200), "--w", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "--k sets p" in err and "Traceback" not in err
+
     def test_gap_matroid_encoding(self):
         assert main(["gap-matroid-encoding", "--k", "2", "--samples", "500"]) == 0
 

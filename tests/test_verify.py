@@ -30,7 +30,6 @@ from smplab import (
     make_uniform_matroid,
     universe_from_type_space,
 )
-from smplab import verify
 from smplab.valuation import ExplicitValuation
 from oracles import (
     powerset,
@@ -305,7 +304,7 @@ class TestCheckEncoding:
 
     def test_memory_stays_flat_on_k5_subset(self):
         # oracles keep nothing between calls, and the 11175 pairs over 25
-        # matroids are decided in blocks of bounded size
+        # matroids are decided on one int bit row of 150 bits per type
         matroids, label_map = gen_prime_matroid_encoding(5)
         chosen = random.Random(5).sample(sorted(label_map), 150)
         subset = {t: label_map[t] for t in chosen}
@@ -317,6 +316,10 @@ class TestCheckEncoding:
             tracemalloc.stop()
         assert ok, witness
         assert peak < 2 << 20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_passes_on_every_k5_type(self):
+        # all 3,905 types: the ground that gap-matroid-encoding --k 5 checks
+        assert check_encoding(*gen_prime_matroid_encoding(5)) == (True, None)
 
 
 def _encodings():
@@ -366,7 +369,9 @@ def _outcome(check, *args, **kwargs):
 
 def _assert_same_verdict(got, want, bad):
     """Equal verdicts (and equal errors), and a witness that is a real mismatch:
-    independent and no chain, or the reverse. The witnesses may differ."""
+    independent and no chain, or the reverse. Both test pairs in row-major order and then
+    single types first, so a witness of at most two types is the reference's; a longer
+    one may differ."""
     assert got[0] == want[0], (got, want)
     if got[0] == "ValidationError":
         assert got == want
@@ -374,16 +379,14 @@ def _assert_same_verdict(got, want, bad):
         witness = got[1]
         assert reference_independent(IntersectionFamily(bad[0]), witness) != reference_chain(
             bad[1], witness), witness
+        if len(want[1]) <= 2:
+            assert witness == want[1], (witness, want[1])
 
 
 class TestCheckEncodingAgainstReference:
-    @pytest.mark.parametrize("block", [verify.ENCODING_PAIR_BLOCK, 7])
-    def test_mutated_encodings_match_the_pair_loop(self, monkeypatch, block):
-        # a block of 7 cells decides one row per block, so the pair phase across
-        # blocks is exercised too. The reference samples sets of these 40-type
-        # grounds, so merged parts, which a set alone may show, are left to the
-        # exhaustive battery below
-        monkeypatch.setattr(verify, "ENCODING_PAIR_BLOCK", block)
+    def test_mutated_encodings_match_the_pair_loop(self):
+        # the reference samples sets of these 40-type grounds, so merged parts, which a
+        # set alone may show, are left to the exhaustive battery below
         failed = Counter()
         for e, (matroids, label_map) in enumerate(_encodings()):
             for how in ("flip", "capacity", "drop_one", "drop_all", "same_label"):
