@@ -28,6 +28,7 @@ import functools
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -594,7 +595,7 @@ def _path_chain_values(f: WeightedRankValuation, type_names: Sequence[str]):
     """Rows -> ``max_rank``'s best root path: a row's cells in its candidate order
     ``(-w, name)``, a name met twice counted once, and per candidate cell the weights of
     the cells whose lower endpoint's preorder range holds its start, added to 0.0 left
-    to right as ``max_rank`` does; a column at a time, so rows x height cells."""
+    to right as ``max_rank`` does; one pass per candidate cell, so rows x candidates cells."""
     family = f.family
     weight = {t: w for t in type_names if t in family.ground and (w := f.weights.get(t, 0)) > 0}
     names = sorted(set(type_names), key=lambda t: (-weight.get(t, 0), t))
@@ -606,15 +607,17 @@ def _path_chain_values(f: WeightedRankValuation, type_names: Sequence[str]):
     terms = np.array([weight.get(t, 0) for t in type_names] + [0], dtype=float)
 
     def chain_values(rows: np.ndarray) -> np.ndarray:
-        rows = np.take_along_axis(rows, np.argsort(rank[rows], axis=1), axis=1)
-        w, r, lo, hi = terms[rows], rank[rows], start[rows], stop[rows]
-        w[:, 1:][r[:, 1:] == r[:, :-1]] = 0.0
-        best = np.zeros(len(rows))  # a non-candidate's start, 0, is the root's: no range holds it
-        for j in range(rows.shape[1]):
-            at = lo[:, j, None]
-            total = np.cumsum(np.where((lo <= at) & (at < hi), w, 0.0), axis=1)[:, -1]
-            best = np.maximum(best, total)
-        return best
+        # past the block's most positive-weight cells, every cell weighs 0.0 and starts at 0,
+        # the root's, which no range holds: it adds +0.0 and as a candidate totals 0.0
+        m = max(int((terms[rows] > 0).sum(axis=1).max()), 1)
+        order = np.argsort(rank[rows], axis=1)[:, :m]
+        cells = np.take_along_axis(rows, order, axis=1).T.copy()  # cells x rows, row-major
+        w, r, lo, hi = terms[cells], rank[cells], start[cells], stop[cells]
+        w[1:][r[1:] == r[:-1]] = 0.0
+        total = np.zeros(lo.shape)  # per candidate, its chain's weights in rank order
+        for c in range(m):
+            total += np.where((lo[c] <= lo) & (lo < hi[c]), w[c], 0.0)
+        return np.maximum(total.max(axis=0), 0.0)
 
     return chain_values
 
@@ -666,22 +669,27 @@ def _path_mc(
     stream 1 at the same counter. A stream draws the block of uniforms that the test
     oracle ``tests/oracles.py:sample_type_codes`` converts whole: the same codes.
     """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
+    for name, n in (("trials", trials), ("workers", workers)):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValidationError(f"{name} must be an int >= 1, got {n!r}")
     if trials > MC_TRIAL_CAP:
         raise ValidationError(f"trials must be <= MC_TRIAL_CAP = {MC_TRIAL_CAP}; {trials} trials "
                               f"need {8 * trials} bytes of values")
     RandomStream(seed)  # refuses a bad seed before the tree is compiled
     coded = _CodedTree(prep := _Prepared(tree, universe, dist))
     value_of = _row_values(f, prep.names)
+    local = threading.local()  # each worker thread's uniforms, drawn into block after block
 
     def fill_block(b: int, values: np.ndarray) -> None:
         start = b * MC_BLOCK
         stop = min(trials, start + MC_BLOCK)
-        shape = (stop - start, len(universe.elements))
-        virtual = RandomStream(seed, 0, b).generator().random(shape)
-        true = RandomStream(seed, 1, b).generator().random(shape) if resample else virtual
-        values[start:stop] = value_of(coded.walk(virtual, true))
+        if not hasattr(local, "draws"):
+            local.draws = np.empty((1 + resample, min(trials, MC_BLOCK), len(universe.elements)))
+        # one 64-bit output per double, in row order: the bits of ``random((rows, n))``;
+        # without resample, stream 0's draws are both the virtual and the true ones
+        draws = [RandomStream(seed, s, b).generator().random(out=out[: stop - start])
+                 for s, out in enumerate(local.draws)]
+        values[start:stop] = value_of(coded.walk(draws[0], draws[-1]))
 
     values = _mc_collect(trials, workers, fill_block)
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0

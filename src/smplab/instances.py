@@ -399,17 +399,19 @@ def gen_prime_matroid_encoding(
         child = shape.endpoints[el][1]
         lab = shape.labels[child]
         label_map[f"{el}:on"] = (lab, len(lab))
+    big = [f"big{b}" for b in range(k)]
+    solo = {t: f"solo:{t}" for t in label_map}  # part names shared by the k**2 matroids
     matroids: list[PartitionMatroid] = []
     for i in range(1, k + 1):
         for j in range(k):
             part_of: dict[str, str] = {}
-            capacity: dict[str, int] = {f"big{b}": 1 for b in range(k)}
+            capacity: dict[str, int] = dict.fromkeys(big, 1)
             for t, (lab, d) in label_map.items():
                 if d >= i:
-                    part_of[t] = f"big{(lab[i - 1] * j + d) % k}"
+                    part_of[t] = big[(lab[i - 1] * j + d) % k]
                 else:
-                    part_of[t] = f"solo:{t}"
-                    capacity[f"solo:{t}"] = 1
+                    part_of[t] = solo[t]
+                    capacity[solo[t]] = 1
             matroids.append(PartitionMatroid(part_of, capacity))
     return matroids, label_map
 

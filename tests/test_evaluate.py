@@ -562,6 +562,8 @@ PATH_CHAIN_CASES = {
     "weighted_outside_ground": ({"rA": 1, "pB": 0.5, "pX": 5.0, "r0": 2, "qF": 0.25}, False),
     "ints_past_2_53": ({"rA": 2**53, "pB": 1, "qE": 1}, True),
     "fraction": ({"rA": Fraction(1, 3), "pB": Fraction(2, 7), "qE": 1, "rD": 1}, True),
+    # no cell of any row weighs more than 0: a block of one candidate column
+    "no_candidate": (dict.fromkeys(CHAIN_EDGES, 0), False),
 }
 
 
@@ -580,19 +582,35 @@ def test_path_chain_mc_bit_identical_to_row_walk_reference(weights, tabled, fn, 
             assert bool(calls) == tabled
 
 
-@pytest.mark.parametrize("weights, tabled", list(PATH_CHAIN_CASES.values()),
-                         ids=list(PATH_CHAIN_CASES))
-def test_path_chain_row_values_equal_f(weights, tabled):
-    # every joint profile as a walked row, a row with nothing revealed, and rows
-    # where two ids share a type name (a last id repeats rA), which counts once
+def path_chain_rows(weights):
+    """``path_chain_case(weights)``'s f, its type names and rows: every joint profile as
+    a walked row, a row with nothing revealed, and rows where two ids share a type name
+    (a last id repeats rA), which counts once."""
     tree, f, universe, dist = path_chain_case(weights)
     names = _Prepared(tree, universe, dist).names + ["rA"]
     ids = {t: g for g, t in enumerate(names[:-1])}
     profiles = [[ids[t] for t in p] for p in itertools.product(*universe.type_space.values())]
     shared = [[ids["rA"], ids[t], len(names) - 1] for t in ("pB", "pC", "pX")]
-    rows = np.array(profiles + shared + [[-1, -1, -1]], dtype=np.intp)
+    return f, names, np.array(profiles + shared + [[-1, -1, -1]], dtype=np.intp)
+
+
+@pytest.mark.parametrize("weights, tabled", list(PATH_CHAIN_CASES.values()),
+                         ids=list(PATH_CHAIN_CASES))
+def test_path_chain_row_values_equal_f(weights, tabled):
+    f, names, rows = path_chain_rows(weights)
     want = [float(f(names[g] for g in row if g >= 0)).hex() for row in rows.tolist()]
     assert [x.hex() for x in _row_values(f, names)(rows)] == want
+
+
+@pytest.mark.parametrize("weights", [w for w, _ in PATH_CHAIN_CASES.values()],
+                         ids=list(PATH_CHAIN_CASES))
+def test_path_chain_row_value_independent_of_its_block(weights):
+    # a block is valued over its own most candidate cells; a row's value may not
+    # depend on how many its block-mates hold
+    f, names, rows = path_chain_rows(weights)
+    value_of = _row_values(f, names)
+    alone = [value_of(rows[i : i + 1])[0].hex() for i in range(len(rows))]
+    assert [x.hex() for x in value_of(rows)] == alone
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -659,16 +677,23 @@ def test_mc_thread_pool_bounded_by_cpus(monkeypatch):
     assert (got[0].value, got[0].stderr) == (want.value, want.stderr)
 
 
+MC_REFUSALS = [
+    (0, 1, 1, "trials"), (8, -1, 1, "seed"), (MC_TRIAL_CAP + 1, 1, 1, "MC_TRIAL_CAP"),
+    *((bad, 1, 1, "trials must be an int") for bad in (2.5, True, 1000.0)),
+    *((8, 1, bad, "workers must be an int") for bad in (0, -3, 1.5, True, "2", None)),
+]
+
+
 @pytest.mark.parametrize("fn", [adap_mc, alg_mc])
-@pytest.mark.parametrize("trials, seed, error", [(0, 1, "trials"), (8, -1, "seed"),
-                                                  (MC_TRIAL_CAP + 1, 1, "MC_TRIAL_CAP")])
-def test_mc_refuses_before_any_tree_work(monkeypatch, fn, trials, seed, error):
+@pytest.mark.parametrize("trials, seed, workers, error", MC_REFUSALS, ids=[
+    f"workers={w!r}" if e.startswith("workers") else f"{t}-{s}-{e}" for t, s, w, e in MC_REFUSALS])
+def test_mc_refuses_before_any_tree_work(monkeypatch, fn, trials, seed, workers, error):
     def compile_tree(*args):
         raise AssertionError("the tree was compiled")
 
     monkeypatch.setattr(smplab.evaluate, "_CodedTree", compile_tree)
     with pytest.raises(ValidationError, match=error):
-        fn(*MC_CASES["random_0"](), trials, seed)
+        fn(*MC_CASES["random_0"](), trials, seed, workers=workers)
 
 
 class TestBestNonadaptive:
