@@ -65,9 +65,15 @@ def _check(args: argparse.Namespace, **least: int) -> None:
 
 def _record(name, value, *, bound=None, passed=None, mode=None, seed=None,
             trials=None, stderr=None) -> ReportRecord:
+    try:
+        value = None if value is None else float(value)
+    except OverflowError:  # an exact value past a float's range
+        raise ValidationError(
+            f"record {name!r} is past a float's range: {int(value).bit_length()} bits"
+        ) from None
     return ReportRecord(
         name=name,
-        value=None if value is None else float(value),
+        value=value,
         mode=mode,
         seed=seed,
         trials=trials,
@@ -223,7 +229,7 @@ def _run_reduce_weighted(args: argparse.Namespace) -> list[ReportRecord]:
         bundle = gen_random_instance(args.seed, params)
     family = _require_family(bundle)
     weights = bundle.weights
-    k = args.k or bundle.metadata.get("k")
+    k = args.k if args.k is not None else bundle.metadata.get("k")
     if not isinstance(k, int) or k < 2:
         raise ValidationError("reduce-weighted needs --k >= 2 (or instance metadata)")
     if bundle.tree is None:

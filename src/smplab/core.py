@@ -157,7 +157,7 @@ class RandomStream:
     def __post_init__(self):
         for name in ("seed", "stream", "counter"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValidationError(f"{name} must be a non-negative integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:

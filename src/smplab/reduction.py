@@ -28,14 +28,9 @@ def weight_class(w: Scalar) -> int:
     """The unique j with 2**(j-1) < w <= 2**j, exact for all scalar kinds."""
     if w <= 0:
         raise ValidationError("weight classes are defined for positive weights only")
-    if isinstance(w, int):
-        return (w - 1).bit_length()
-    j = math.ceil(math.log2(w))
-    while two_power(j - 1) >= w:
-        j -= 1
-    while w > two_power(j):
-        j += 1
-    return j
+    num, den = w.as_integer_ratio()  # w lies in (2**(j-1), 2**(j+1)) for this j
+    j = num.bit_length() - den.bit_length()
+    return j + (w > two_power(j))
 
 
 @dataclass

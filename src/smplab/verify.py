@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Scalar, Universe, ValidationError
 from .families import IndependenceOracle, IntersectionFamily, PartitionMatroid, _bits
@@ -159,6 +159,12 @@ def _removal_set(
     return None
 
 
+def _independence(family: IndependenceOracle, items: Sequence[str]) -> Callable:
+    """The test of frozensets of ``items`` on one ``family._tester``, each set once."""
+    test, index = family._tester(items), {t: i for i, t in enumerate(items)}
+    return functools.cache(lambda types: test([index[t] for t in types]))  # a list: read per member
+
+
 def check_k_extendible(
     family: IndependenceOracle, ground: Iterable[str], k: int
 ) -> tuple[bool, tuple[frozenset, frozenset, str] | None]:
@@ -169,7 +175,7 @@ def check_k_extendible(
     failing (A, B, e) triple.
     """
     items = _sorted_ground(ground, 10, "check_k_extendible")
-    independent = functools.cache(family.is_independent)  # each of the 2**10 sets, once
+    independent = _independence(family, items)
     for big in _independent_sets(independent, items):
         big_list = sorted(big)
         nb = len(big_list)
@@ -206,12 +212,7 @@ def find_extension_witness(
     e_all = frozenset(extension)
     if not a <= b:
         raise ValidationError("base must be a subset of superset")
-    items = sorted(b | e_all)  # every set tested lies within
-    test, index = family._tester(items), {t: i for i, t in enumerate(items)}
-
-    def independent(types: Iterable[str]) -> bool:  # a list: an intersection reads it per member
-        return test([index[t] for t in types])
-
+    independent = _independence(family, sorted(b | e_all))  # every set tested lies within
     if not independent(b):
         raise ValidationError("superset must be independent")
     if not independent(a | e_all):
@@ -238,50 +239,15 @@ def find_extension_witness(
     return removed
 
 
-def _related(labels: Sequence[tuple[int, ...]]) -> list[int]:
-    """For each label, the bits of the labels that are a prefix of it, equal to it or an
-    extension of it. One walk over the distinct labels in sorted order keeps the stack of
-    those that are prefixes of the current one."""
-    bits: dict = {}
-    for j, lab in enumerate(labels):
-        bits[lab] = bits.get(lab, 0) | 1 << j
-    related = dict(bits)
-    stack: list = []
-    for lab in sorted(bits):
-        while stack and lab[:len(stack[-1])] != stack[-1]:
-            stack.pop()
-        for top in stack:
-            related[lab] |= bits[top]
-            related[top] |= bits[lab]
-        stack.append(lab)
-    return [related[lab] for lab in labels]
-
-
-def _overfull_chain(
-    matroids: Sequence[PartitionMatroid], ground: Sequence[str], labels: Sequence[tuple]
-) -> list[int] | None:
-    """The first chain of c + 1 types in a part of capacity c >= 2, by matroid and then by
-    the part's first type, or None. One pass over a part's types in label order keeps the
-    stack of those whose labels are prefixes of (or equal to) the current one's. Every
-    type must be in every member's ground."""
-    for m in matroids:
-        if max(m.capacity.values(), default=0) < 2:
-            continue
-        parts: dict = {}
-        for i, t in enumerate(ground):
-            if m.capacity[p := m.part_of[t]] >= 2:
-                parts.setdefault(p, []).append(i)
-        for p, members in parts.items():
-            if len(members) <= m.capacity[p]:
-                continue
-            stack: list[int] = []
-            for i in sorted(members, key=labels.__getitem__):
-                while stack and labels[i][:len(labels[stack[-1]])] != labels[stack[-1]]:
-                    stack.pop()  # the top's label is not a prefix of this one
-                stack.append(i)
-                if len(stack) > m.capacity[p]:
-                    return stack
-    return None
+def _prefix_chains(labels: Sequence[tuple], order: Iterable[int]) -> Iterator[list[int]]:
+    """The positions ``order`` in label order, each as the stack of those so far whose labels
+    are prefixes of (or equal to) its own, itself on top. The one list is yielded each time."""
+    stack: list[int] = []
+    for i in sorted(order, key=labels.__getitem__):
+        while stack and labels[i][:len(labels[stack[-1]])] != labels[stack[-1]]:
+            stack.pop()  # the top's label is not a prefix of this one
+        stack.append(i)
+        yield stack
 
 
 def check_encoding(
@@ -323,28 +289,39 @@ def check_encoding(
     ground = sorted(label_map)
     labels = [label_map[t][0] for t in ground]
     loops, shared = 0, [0] * len(ground)  # shared[i]: types sharing a part of capacity 1
+    overfull = []  # (c, its types) of each part of capacity c >= 2 holding more than c types
     for m in matroids:
         parts: dict = {}
-        members = []
         for i, t in enumerate(ground):
-            cap = m.capacity[p := m.part_of[t]] if t in m.part_of else 0
-            if cap == 0:
+            if t in m.part_of and m.capacity[m.part_of[t]]:
+                parts.setdefault(m.part_of[t], []).append(i)
+            else:
                 loops |= 1 << i
-            elif cap == 1:
-                parts[p] = parts.get(p, 0) | 1 << i
-                members.append((i, p))
-        for i, p in members:
-            shared[i] |= parts[p]
+        for p, members in parts.items():
+            if (cap := m.capacity[p]) == 1:
+                part = sum(1 << i for i in members)
+                for i in members:
+                    shared[i] |= part
+            elif len(members) > cap:
+                overfull.append((cap, members))
 
+    # each type under the one below it on its stack: a forest, so equal labels cost no more
+    edges = [s[-2:] for s in _prefix_chains(labels, range(len(ground))) if len(s) > 1]
+    up, down = [1 << i for i in range(len(ground))], [1 << i for i in range(len(ground))]
+    for p, i in edges:  # parents first: each type's prefixes
+        up[i] |= up[p]
+    for p, i in reversed(edges):  # children first: each type's extensions
+        down[p] |= down[i]
     everyone = (1 << len(ground)) - 1
-    for i, related in enumerate(_related(labels)):
+    for i in range(len(ground)):
         dependent = everyone if loops >> i & 1 else shared[i] | loops
-        wrong = ~(dependent ^ related) & everyone & ~((2 << i) - 1)
+        wrong = ~(dependent ^ (up[i] | down[i])) & everyone & ~((2 << i) - 1)
         if wrong:
             return False, frozenset({ground[i], ground[(wrong & -wrong).bit_length() - 1]})
     if loops:
         return False, frozenset({ground[(loops & -loops).bit_length() - 1]})
-    chain = _overfull_chain(matroids, ground, labels)
-    if chain is not None:
-        return False, frozenset(ground[i] for i in chain)
+    for cap, members in overfull:
+        for chain in _prefix_chains(labels, members):
+            if len(chain) > cap:
+                return False, frozenset(ground[i] for i in chain)
     return True, None

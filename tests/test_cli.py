@@ -23,6 +23,15 @@ from smplab.serialize import (
 )
 
 
+def _exact_tree_doc(weight=None):
+    """``gen_tree_lb(2, 2, 1/2)`` as a document (k = 2, rational probabilities), every
+    weight set to ``weight`` if given."""
+    doc = instance_to_dict(gen_tree_lb(2, 2, Fraction(1, 2)))
+    if weight is not None:
+        doc["valuation"]["weights"] = dict.fromkeys(doc["valuation"]["weights"], weight)
+    return doc
+
+
 @pytest.fixture
 def instance_file(tmp_path):
     inst = gen_random_instance(
@@ -629,6 +638,13 @@ class TestReduceWeighted:
             assert f"--k must be 2 or 3 with --seed, got {k}" in capsys.readouterr().err
         assert main(["reduce-weighted", "--seed", "3", "--k", "3"]) == 0
 
+    def test_extreme_fraction_weights(self, tmp_path, capsys):
+        # weight classes by bit lengths: 10**-400 is class -1328, with no float log2 in between
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(_exact_tree_doc("1/1" + "0" * 400)))
+        assert main(["reduce-weighted", "--file", str(path)]) == 0
+        assert "representative_bucket_1 value=-1328.0" in capsys.readouterr().out
+
     def test_both_sources_rejected(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text(serialize_instance(gen_random_instance(1)))
@@ -668,11 +684,42 @@ class TestVerifySuite:
          "--tolerance must be finite, got nan"),
         (["reduce-weighted", "--seed", "4", "--k", "2", "--tolerance", "inf"],
          "--tolerance must be finite, got inf"),
+        (["gap-submodular", "--eps", "0.5"], "gap-submodular requires --eps in (0, 1/2)"),
+        (["gap-kext", "--k", "0"], "gap-kext requires --k >= 1"),
+        (["reduce-weighted", "--file", "COVERAGE"],
+         "this evaluation needs a weighted-rank valuation"),
+        (["reduce-weighted", "--file", "TREELESS"],
+         "reduce-weighted needs an instance with a tree"),
+        (["reduce-weighted", "--file", "FILE", "--k", "0"],  # not the file's k = 2
+         "reduce-weighted needs --k >= 2 (or instance metadata)"),
     ],
 )
-def test_rejects_bad_count_or_tolerance(instance_file, capsys, argv, named):
-    assert main([str(instance_file) if a == "FILE" else a for a in argv]) == 2
+def test_rejects_bad_count_or_tolerance(instance_file, tmp_path, capsys, argv, named):
+    def path(a):
+        if a == "FILE":
+            return str(instance_file)
+        if a in REFUSED_FILES:
+            (got := tmp_path / f"{a}.json").write_text(json.dumps(REFUSED_FILES[a]()))
+            return str(got)
+        return a
+
+    assert main([path(a) for a in argv]) == 2
     assert named in capsys.readouterr().err
+
+
+REFUSED_FILES = {
+    "COVERAGE": lambda: instance_to_dict(
+        gen_random_instance(1, RandomInstanceParams(valuation_kinds=("coverage",)))),
+    "TREELESS": lambda: {**_exact_tree_doc(), "tree": None},  # JSON null: no tree
+}
+
+
+def test_huge_exact_value_refused_by_name(tmp_path, capsys):
+    # an exact value of 1330 bits has no float to report
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_exact_tree_doc("1" + "0" * 400)))
+    assert main(["eval", "--file", str(path)]) == 2
+    assert "record 'adap_exact' is past a float's range: 1330 bits" in capsys.readouterr().err
 
 
 def test_mc_report_independent_of_hash_seed(tmp_path):

@@ -213,3 +213,9 @@ def test_stream_rejects_negative_addresses():
         RandomStream(-1)
     with pytest.raises(ValidationError):
         RandomStream(1, stream=-2)
+
+
+@pytest.mark.parametrize("address", [(True,), (1, True), (1, 0, False)])
+def test_stream_rejects_bool_addresses(address):
+    with pytest.raises(ValidationError, match="must be a non-negative integer"):
+        RandomStream(*address)

@@ -678,7 +678,8 @@ def test_mc_thread_pool_bounded_by_cpus(monkeypatch):
 
 
 MC_REFUSALS = [
-    (0, 1, 1, "trials"), (8, -1, 1, "seed"), (MC_TRIAL_CAP + 1, 1, 1, "MC_TRIAL_CAP"),
+    (0, 1, 1, "trials"), (8, -1, 1, "seed"), (8, True, 1, "seed"),
+    (MC_TRIAL_CAP + 1, 1, 1, "MC_TRIAL_CAP"),
     *((bad, 1, 1, "trials must be an int") for bad in (2.5, True, 1000.0)),
     *((8, 1, bad, "workers must be an int") for bad in (0, -3, 1.5, True, "2", None)),
 ]

@@ -45,6 +45,11 @@ class TestWeightClass:
             (0.25, -2),
             (Fraction(1, 3), -1),
             (Fraction(1, 2), -1),
+            (5e-324, -1074),  # the least subnormal float, 2**-1074
+            (1.7e308, 1024),
+            (2.0 ** 1023, 1023),
+            (Fraction(10**400, 3), 1328),  # past a float's range
+            (Fraction(1, 10**400), -1328),  # below it
         ],
     )
     def test_examples(self, weight, expected):
